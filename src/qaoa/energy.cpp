@@ -58,6 +58,10 @@ class StatevectorPlan final : public EnergyPlan {
     return z_from_state(run_state(theta));
   }
 
+  const sim::State* state(std::span<const double> theta) const override {
+    return &run_state(theta);
+  }
+
  private:
   /// Per-thread scratch statevector: repeated energy(theta) calls (hundreds
   /// per training run) reuse one allocation instead of 2^n fresh complex

@@ -101,6 +101,17 @@ class EnergyPlan {
     return {};
   }
 
+  /// The final state |γ,β> at the given parameters, replayed by this
+  /// plan's own compilation, or nullptr on engines that never materialize
+  /// it (tensor network, the default). The state lives in this thread's
+  /// replay scratch: it stays valid until the thread's next statevector
+  /// replay.
+  [[nodiscard]] virtual const sim::State* state(
+      std::span<const double> theta) const {
+    (void)theta;
+    return nullptr;
+  }
+
   /// Compile-time facts (shape dedup accounting); zeros by default.
   [[nodiscard]] virtual EnergyPlanInfo info() const { return {}; }
 };

@@ -1,22 +1,46 @@
 #include "qaoa/sampling.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
+#include "sim/sim_program.hpp"
+#include "sim/state_utils.hpp"
 
 namespace qarch::qaoa {
 
-std::size_t sample_basis_state(const sim::State& state, Rng& rng) {
-  // Inverse-CDF over |amplitude|^2. The state is normalized, but guard the
-  // tail against float drift by returning the last index.
-  double r = rng.uniform();
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    const double p = std::norm(state[i]);
-    if (r < p) return i;
-    r -= p;
+namespace {
+
+/// Mean over `trials` consecutive chunks of `shots` samples of the best
+/// value in each chunk. Each chunk's best starts from its first sample, so
+/// all-negative values (e.g. negative edge weights) are not clipped to 0.
+template <class Value>
+double mean_best_of_trials(const std::vector<std::size_t>& samples,
+                           std::size_t shots, std::size_t trials,
+                           const Value& value) {
+  double total = 0.0;
+  for (std::size_t t = 0; t < trials; ++t) {
+    const std::size_t* batch = samples.data() + t * shots;
+    double best = value(batch[0]);
+    for (std::size_t s = 1; s < shots; ++s)
+      best = std::max(best, value(batch[s]));
+    total += best;
   }
-  return state.size() - 1;
+  return total / static_cast<double>(trials);
+}
+
+/// `count` basis-state draws from `state`, one rng.uniform() each.
+std::vector<std::size_t> draw(const sim::State& state, std::size_t count,
+                              Rng& rng) {
+  std::vector<double> uniforms(count);
+  for (double& r : uniforms) r = rng.uniform();
+  return sim::sample_basis_states(state, uniforms);
+}
+
+}  // namespace
+
+std::size_t sample_basis_state(const sim::State& state, Rng& rng) {
+  return draw(state, 1, rng).front();
 }
 
 double cut_of_basis_state(const graph::Graph& g, std::size_t basis_index) {
@@ -31,25 +55,28 @@ double cut_of_basis_state(const graph::Graph& g, std::size_t basis_index) {
 
 double best_sampled_cut(const sim::State& state, const graph::Graph& g,
                         std::size_t shots, Rng& rng) {
+  return expected_best_cut(state, g, shots, 1, rng);
+}
+
+double expected_best_cut(const sim::State& state, const graph::Graph& g,
+                         std::size_t shots, std::size_t trials, Rng& rng) {
   QARCH_REQUIRE(shots >= 1, "need at least one shot");
+  QARCH_REQUIRE(trials >= 1, "need at least one trial");
   QARCH_REQUIRE(sim::state_qubits(state) == g.num_vertices(),
                 "state/graph size mismatch");
-  double best = 0.0;
-  for (std::size_t s = 0; s < shots; ++s)
-    best = std::max(best, cut_of_basis_state(g, sample_basis_state(state, rng)));
-  return best;
+  return mean_best_of_trials(
+      draw(state, shots * trials, rng), shots, trials,
+      [&g](std::size_t basis) { return cut_of_basis_state(g, basis); });
 }
 
 double expected_best_cut(const circuit::Circuit& ansatz,
                          std::span<const double> theta, const graph::Graph& g,
                          std::size_t shots, std::size_t trials, Rng& rng) {
-  QARCH_REQUIRE(trials >= 1, "need at least one trial");
-  const sim::StatevectorSimulator sv;
-  const sim::State state = sv.run_from_plus(ansatz, theta);
-  double total = 0.0;
-  for (std::size_t t = 0; t < trials; ++t)
-    total += best_sampled_cut(state, g, shots, rng);
-  return total / static_cast<double>(trials);
+  sim::PlanOptions one_shot;
+  one_shot.phase_tables = false;
+  const sim::State state =
+      sim::SimProgram(ansatz, one_shot).run_from_plus(theta);
+  return expected_best_cut(state, g, shots, trials, rng);
 }
 
 double expected_best_cut(const query::Sampler& sampler,
@@ -59,19 +86,11 @@ double expected_best_cut(const query::Sampler& sampler,
   QARCH_REQUIRE(trials >= 1, "need at least one trial");
   QARCH_REQUIRE(sampler.num_qubits() == g.num_vertices(),
                 "sampler/graph size mismatch");
-  // One stream of shots*trials draws, chunked per trial — the exact stream
-  // the legacy overload consumes, so the statevector engine reproduces its
-  // values bit for bit for the same rng.
-  const std::vector<std::size_t> samples =
-      sampler.sample(theta, shots * trials, rng);
-  double total = 0.0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    double best = 0.0;
-    for (std::size_t s = 0; s < shots; ++s)
-      best = std::max(best, cut_of_basis_state(g, samples[t * shots + s]));
-    total += best;
-  }
-  return total / static_cast<double>(trials);
+  // One stream of shots*trials draws, chunked per trial — the stream the
+  // state overload consumes.
+  return mean_best_of_trials(
+      sampler.sample(theta, shots * trials, rng), shots, trials,
+      [&g](std::size_t basis) { return cut_of_basis_state(g, basis); });
 }
 
 double expected_best_value(const query::Sampler& sampler,
@@ -82,17 +101,9 @@ double expected_best_value(const query::Sampler& sampler,
   QARCH_REQUIRE(trials >= 1, "need at least one trial");
   QARCH_REQUIRE(sampler.num_qubits() == ham.num_qubits(),
                 "sampler/Hamiltonian size mismatch");
-  const std::vector<std::size_t> samples =
-      sampler.sample(theta, shots * trials, rng);
-  double total = 0.0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    double best = ham.classical_value_bits(samples[t * shots]);
-    for (std::size_t s = 1; s < shots; ++s)
-      best = std::max(best,
-                      ham.classical_value_bits(samples[t * shots + s]));
-    total += best;
-  }
-  return total / static_cast<double>(trials);
+  return mean_best_of_trials(
+      sampler.sample(theta, shots * trials, rng), shots, trials,
+      [&ham](std::size_t basis) { return ham.classical_value_bits(basis); });
 }
 
 }  // namespace qarch::qaoa

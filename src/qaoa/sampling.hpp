@@ -7,9 +7,17 @@
 // Carlo over `trials` independent shot batches sampled from the exact output
 // distribution (the statevector gives us the exact distribution, so no
 // finite-shot bias beyond the intended max-of-shots statistic).
+//
+// Every statevector draw here goes through sim::sample_basis_states: one
+// rng.uniform() per shot, mapped through the ascending-index subtractive
+// inverse CDF. All shots*trials uniforms are drawn first and resolved in one
+// batch, O(2^n + m log m) for m = shots*trials draws, with a scalar rescan
+// for the rare uniform within rounding distance of a CDF boundary; draws
+// are identical, one for one, to scanning each uniform separately.
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
@@ -26,19 +34,28 @@ std::size_t sample_basis_state(const sim::State& state, Rng& rng);
 /// Cut value of basis state `basis_index` on g.
 double cut_of_basis_state(const graph::Graph& g, std::size_t basis_index);
 
-/// Best cut among `shots` samples from `state`.
+/// Best cut among `shots` samples from `state` (the first sample's cut when
+/// every cut is negative).
 double best_sampled_cut(const sim::State& state, const graph::Graph& g,
                         std::size_t shots, Rng& rng);
 
 /// Monte-Carlo estimate of <C_max>: mean over `trials` batches of the best
-/// cut among `shots` samples of the circuit run from |+>^n with `theta`.
+/// cut among `shots` samples of `state`, drawn as ONE batch of shots*trials
+/// uniforms chunked per trial (the same stream `trials` calls of
+/// best_sampled_cut consume).
+double expected_best_cut(const sim::State& state, const graph::Graph& g,
+                         std::size_t shots, std::size_t trials, Rng& rng);
+
+/// The same estimate for the circuit run from |+>^n with `theta`: the state
+/// comes from a one-shot sim::SimProgram compiled without phase tables
+/// (their per-amplitude compile scratch does not pay for a single replay).
 double expected_best_cut(const circuit::Circuit& ansatz,
                          std::span<const double> theta, const graph::Graph& g,
                          std::size_t shots, std::size_t trials, Rng& rng);
 
 /// Engine-agnostic form: samples come from a compiled query::Sampler (either
-/// the statevector engine — whose draw stream matches the legacy overload
-/// above for the same rng — or direct tensor-network sampling, which never
+/// the statevector engine — the same draws as the state overload above for
+/// the same state and rng — or direct tensor-network sampling, which never
 /// materializes the state).
 double expected_best_cut(const query::Sampler& sampler,
                          std::span<const double> theta, const graph::Graph& g,

@@ -24,20 +24,18 @@ TrainResult train_qaoa(const circuit::Circuit& ansatz,
   // same ansatz structure later hits the evaluator's cache too. A resumed
   // slice re-fetches the plan from that cache, so parking a job only
   // re-pays a cache lookup, never a compile.
-  const std::shared_ptr<const EnergyPlan> plan = evaluator.plan_for(ansatz);
-  const optim::Objective objective = [&](std::span<const double> theta) {
-    return -plan->energy(theta);  // maximize <C>
-  };
-  std::vector<double> x0(ansatz.num_params(), options.initial_value);
-  const optim::OptimResult r =
-      optimizer.minimize(objective, std::move(x0), state, preempt);
+  return train_qaoa(*evaluator.plan_for(ansatz), ansatz.num_params(),
+                    optimizer, options, state, preempt);
+}
 
-  TrainResult out;
-  out.theta = r.x;
-  out.energy = -r.value;
-  out.evaluations = r.evaluations;
-  out.preempted = r.preempted;
-  return out;
+TrainResult train_qaoa(const EnergyPlan& plan, std::size_t num_params,
+                       const optim::Optimizer& optimizer,
+                       const TrainOptions& options, optim::OptimState& state,
+                       optim::PreemptToken* preempt) {
+  return train_objective(
+      num_params,
+      [&plan](std::span<const double> theta) { return plan.energy(theta); },
+      optimizer, options, state, preempt);
 }
 
 TrainResult train_objective(std::size_t num_params,

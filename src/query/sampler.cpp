@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "qtensor/backend.hpp"
+#include "sim/state_utils.hpp"
 
 namespace qarch::query {
 
@@ -93,33 +94,18 @@ std::vector<QueryStats> Sampler::step_stats() const {
 
 std::vector<std::size_t> Sampler::sample(std::span<const double> theta,
                                          std::size_t shots, Rng& rng) const {
-  std::vector<std::size_t> out;
-  out.reserve(shots);
   if (impl_->options.engine == SamplerEngine::Statevector) {
-    const sim::State& state = impl_->state(theta);
-    for (std::size_t s = 0; s < shots; ++s) {
-      // Subtractive inverse CDF over |amplitude|^2, ascending index, with
-      // the tail guarded against float drift — identical to
-      // qaoa::sample_basis_state so legacy streams are preserved.
-      double r = rng.uniform();
-      std::size_t idx = state.size() - 1;
-      for (std::size_t i = 0; i < state.size(); ++i) {
-        const double p = std::norm(state[i]);
-        if (r < p) {
-          idx = i;
-          break;
-        }
-        r -= p;
-      }
-      out.push_back(idx);
-    }
-    return out;
+    std::vector<double> uniforms(shots);
+    for (double& r : uniforms) r = rng.uniform();
+    return sim::sample_basis_states(impl_->state(theta), uniforms);
   }
   // Tensor-network engine: walk qubits MSB-first, choosing each bit from
   // its JOINT marginal with the subtractive residue. This reproduces the
   // ascending-index inverse CDF exactly: after fixing a prefix, the residue
   // r lies in [0, p(prefix)) and p(prefix, next=0) splits that interval the
   // same way the flat CDF does.
+  std::vector<std::size_t> out;
+  out.reserve(shots);
   std::vector<int> caps;
   caps.reserve(impl_->n);
   for (std::size_t s = 0; s < shots; ++s) {

@@ -28,7 +28,7 @@ namespace detail {
 /// numerics): a persisted result cache written under a different version is
 /// ignored wholesale, because its results are no longer reproducible by a
 /// fresh run.
-constexpr const char* kCacheCodeVersion = "qarch-eval-v5";
+constexpr const char* kCacheCodeVersion = "qarch-eval-v6";
 
 /// Version gate of the persisted contraction-plan cache. Independent of the
 /// result-cache version: planning decisions stay valid across evaluation-
@@ -1204,15 +1204,18 @@ bool EvalTicket::cancel() {
   bool withdrew_job = false;
   {
     LockGuard lock(job->mutex);
+    // Re-checked under the lock, before the status: two threads cancelling
+    // copies of the SAME handle both pass the lock-free check above. The
+    // loser must neither decrement the waiters twice (that would withdraw a
+    // job other live tickets still wait on) nor report false because the
+    // job started after the winner cancelled this handle.
+    if (handle_->abandoned.load()) return true;
     if (job->status == detail::EvalJob::Status::Running ||
         job->status == detail::EvalJob::Status::Done ||
         job->status == detail::EvalJob::Status::Failed ||
         job->status == detail::EvalJob::Status::Expired)
       return false;
-    // exchange, not store: two threads cancelling copies of the SAME handle
-    // both pass the lock-free abandoned check above, and a double decrement
-    // here would withdraw a job other live tickets still wait on.
-    if (handle_->abandoned.exchange(true)) return true;
+    handle_->abandoned.store(true);
     if (job->waiters > 0) --job->waiters;
     if (job->status == detail::EvalJob::Status::Queued &&
         job->waiters == 0) {

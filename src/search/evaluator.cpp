@@ -60,8 +60,9 @@ ResumableEvaluation Evaluator::evaluate_resumable(
   // statevector plan, the per-edge TN lightcones, and the sampling pass.
   if (options_.simplify_circuit) ansatz = circuit::optimize(ansatz);
   // Restarts split the COBYLA budget; the one shared objective means the
-  // candidate compiles exactly once on EITHER engine: one SimProgram
-  // (statevector) or one per-edge set of ContractionPrograms (qtensor) —
+  // candidate's training compiles exactly once on EITHER engine: one
+  // SimProgram (statevector, which scoring replays too) or one per-edge set
+  // of ContractionPrograms (qtensor, scored by one one-shot SimProgram) —
   // probes: sim::program_compile_count() and qtensor::network_build_count().
   std::optional<optim::MultiStart> multistart;
   const optim::Optimizer* optimizer = &cobyla_;
@@ -82,11 +83,15 @@ ResumableEvaluation Evaluator::evaluate_resumable(
   }
   // One compiled sampler per candidate when anything needs draws: the
   // sampled training objectives and/or the generalized scoring pass.
+  // Expectation training fetches its plan once and keeps it for scoring, so
+  // the candidate still compiles once even with plan caching off.
+  std::shared_ptr<const qaoa::EnergyPlan> plan;
   std::optional<query::Sampler> sampler;
   qaoa::TrainResult trained;
   if (options_.objective.kind == qaoa::ObjectiveKind::Expectation) {
-    trained = qaoa::train_qaoa(ansatz, energy_, *optimizer, options_.train,
-                               state, preempt);
+    plan = energy_.plan_for(ansatz);
+    trained = qaoa::train_qaoa(*plan, ansatz.num_params(), *optimizer,
+                               options_.train, state, preempt);
   } else {
     sampler.emplace(ansatz, sampler_options());
     const std::size_t shots =
@@ -129,15 +134,23 @@ ResumableEvaluation Evaluator::evaluate_resumable(
   r.ratio = ratio_of(trained.energy);
   // Eq. 3 numerator: expected best value among sampled measurements. Seeded
   // per-candidate for determinism regardless of evaluation order. The
-  // default MaxCut spec keeps the legacy statevector scoring path (and its
-  // exact draw stream); generalized Hamiltonians score through the compiled
-  // sampler on the configured engine.
+  // default MaxCut spec draws from the trained state of a compiled replay:
+  // the statevector plan's own program when training used one, otherwise a
+  // one-shot program (tensor-network engine, sampled objectives).
+  // Generalized Hamiltonians score through the compiled sampler on the
+  // configured engine.
   Rng sample_rng(options_.sample_seed ^ (p * 0x9e3779b97f4a7c15ULL) ^
                  mixer.gates.size());
   if (options_.hamiltonian.is_default()) {
+    const sim::State* compiled =
+        plan != nullptr ? plan->state(trained.theta) : nullptr;
     const double best_cut =
-        qaoa::expected_best_cut(ansatz, trained.theta, graph_, options_.shots,
-                                options_.sample_trials, sample_rng);
+        compiled != nullptr
+            ? qaoa::expected_best_cut(*compiled, graph_, options_.shots,
+                                      options_.sample_trials, sample_rng)
+            : qaoa::expected_best_cut(ansatz, trained.theta, graph_,
+                                      options_.shots, options_.sample_trials,
+                                      sample_rng);
     r.sampled_ratio = ratio_of(best_cut);
   } else {
     if (!sampler.has_value()) sampler.emplace(ansatz, sampler_options());

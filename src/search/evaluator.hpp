@@ -60,10 +60,10 @@ struct EvaluatorOptions {
   /// statistic drawn from a compiled query::Sampler on the SAME engine the
   /// energy options select (spec.shots overrides `shots` when set).
   qaoa::ObjectiveSpec objective;
-  /// Cost Hamiltonian. MaxCut (default) keeps the exact legacy scoring
-  /// path; MIS / Ising route the ratio denominator through
-  /// qaoa::classical_maximum and the sampling pass through the
-  /// generalized-value scorer.
+  /// Cost Hamiltonian. MaxCut (default) scores with qaoa::expected_best_cut
+  /// on the candidate's compiled state; MIS / Ising route the ratio
+  /// denominator through qaoa::classical_maximum and the sampling pass
+  /// through the generalized-value scorer.
   qaoa::HamiltonianSpec hamiltonian;
 
   /// The energy options the evaluator actually runs with. The low-level

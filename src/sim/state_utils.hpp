@@ -1,5 +1,5 @@
 // Statevector utilities: overlaps, fidelity, collapse, batched expectation
-// sweeps, and distribution diagnostics used by tests and analysis tooling.
+// sweeps, batched basis-state draws, and distribution diagnostics.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +27,25 @@ struct ZZPair {
 std::vector<double> batched_expectation_zz(
     const State& state, std::span<const ZZPair> pairs, std::size_t workers = 1,
     std::size_t parallel_threshold_qubits = 14, bool use_simd = true);
+
+/// Inverse-CDF basis-state draws, one per uniform (result k belongs to
+/// uniforms[k]; bit q of an index is qubit q). Each result is exactly the
+/// index this subtractive scan returns for the same state and uniform r:
+///
+///   for i in 0..dim-1: { p = |state[i]|^2; if (r < p) return i; r -= p; }
+///   return dim - 1;  // float drift past the total mass
+///
+/// Cost O(dim + m log m) for m uniforms instead of O(m * dim): the uniforms
+/// are sorted and matched against ONE sweep of the running sum of
+/// |state[i]|^2. A uniform within (i+2)·2^-51 (scaled by the running mass
+/// when that exceeds 1) of either running-sum boundary of its index i falls
+/// back to the scan; the bound covers the rounding error of both the running
+/// sum and the scan's subtractive chain, so draws match one for one.
+/// `rescans`, when non-null, receives the number of fallback scans.
+/// Uniforms must not be NaN.
+std::vector<std::size_t> sample_basis_states(const State& state,
+                                             std::span<const double> uniforms,
+                                             std::size_t* rescans = nullptr);
 
 /// <a|b> — complex overlap of two equal-size states.
 cplx overlap(const State& a, const State& b);

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "circuit/circuit.hpp"
+#include "circuit/optimizer.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "graph/extra_generators.hpp"
@@ -21,6 +22,7 @@
 #include "qtensor/network.hpp"
 #include "qtensor/program.hpp"
 #include "search/evaluator.hpp"
+#include "sim/sim_program.hpp"
 
 namespace {
 
@@ -394,6 +396,33 @@ TEST(PlanReuse, MultistartRestartsShareOneCompilation) {
   EXPECT_LE(qtensor::network_build_count(), g.num_edges());
   EXPECT_GE(qtensor::network_build_count(), 1u);
   EXPECT_GT(result.evaluations, 0u);
+}
+
+TEST(PlanReuse, TensorNetworkEvaluateCompilesOnlyTheScoringProgram) {
+  // The Eq. 3 scoring pass replays ONE one-shot SimProgram; training builds
+  // exactly the networks a fresh plan for the candidate builds.
+  Rng rng(79);
+  const auto g = graph::random_regular(8, 3, rng);
+  search::EvaluatorOptions opt;
+  opt.energy.engine = qaoa::EngineKind::TensorNetwork;
+  opt.cobyla.max_evals = 12;
+  opt.shots = 16;
+  opt.sample_trials = 2;
+  const auto mixer = qaoa::MixerSpec::qnas();
+  const auto ansatz = circuit::optimize(qaoa::build_qaoa_circuit(g, 2, mixer));
+
+  qtensor::reset_network_build_count();
+  (void)qaoa::EnergyEvaluator(g, opt.effective_energy()).make_plan(ansatz);
+  const std::uint64_t training_builds = qtensor::network_build_count();
+  ASSERT_GE(training_builds, 1u);
+
+  const search::Evaluator evaluator(g, opt);
+  qtensor::reset_network_build_count();
+  sim::reset_program_compile_count();
+  const auto result = evaluator.evaluate(mixer, 2);
+  EXPECT_EQ(sim::program_compile_count(), 1u);
+  EXPECT_EQ(qtensor::network_build_count(), training_builds);
+  EXPECT_GT(result.sampled_ratio, 0.0);
 }
 
 }  // namespace

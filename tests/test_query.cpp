@@ -265,6 +265,29 @@ TEST(Sampler, SeededDrawsAreDeterministicAcrossWorkerCounts) {
   EXPECT_EQ(a, tn_serial.sample(theta, shots, r5));
 }
 
+TEST(Sampler, StatevectorStreamIsPinned) {
+  // 64 seeded statevector draws, recorded from the per-shot subtractive
+  // scan that sim::sample_basis_states replaced: /v1/sample and the sampled
+  // objectives (CVaR, best-of-shots) on this engine keep their streams.
+  Rng grng(4242);
+  const graph::Graph g = graph::random_regular(12, 3, grng);
+  const circuit::Circuit ansatz =
+      qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse("rx,ry"));
+  Rng trng(7);
+  std::vector<double> theta(ansatz.num_params());
+  for (double& t : theta) t = trng.uniform(-2.0, 2.0);
+  const query::Sampler sampler(ansatz);
+  Rng rng(2718);
+  const std::vector<std::size_t> pinned{
+      3937, 1096, 324,  2194, 832,  2898, 184,  2144, 1408, 2584, 3484,
+      3148, 2026, 751,  4061, 12,   544,  2308, 832,  1284, 355,  3697,
+      2064, 3228, 3421, 1894, 3084, 1101, 3200, 2974, 453,  3408, 3965,
+      1281, 352,  1130, 3211, 388,  3151, 1191, 1648, 2477, 1062, 1154,
+      519,  67,   1533, 81,   1881, 1134, 8,    3331, 51,   1017, 2209,
+      2113, 3084, 826,  272,  160,  2101, 2475, 96,   307};
+  EXPECT_EQ(sampler.sample(theta, pinned.size(), rng), pinned);
+}
+
 TEST(Sampler, EnginesAgreeInDistribution) {
   Rng rng(606);
   const sim::StatevectorSimulator sv;

@@ -203,7 +203,11 @@ TEST(QarchServerFault, MidResponseKillThenRestartConverges) {
       config.tenants = {TenantSpec{.name = "t", .api_key = "k"}};
       QarchServer daemon(config);
       daemon.start();
-      { std::ofstream(port_file) << daemon.port(); }
+      // Publish the port atomically: the parent polls for the file's
+      // existence and must never read it before the number is written.
+      const std::string staged = std::string(port_file) + ".tmp";
+      { std::ofstream(staged) << daemon.port(); }
+      if (std::rename(staged.c_str(), port_file) != 0) std::_Exit(43);
       while (!std::ifstream(done_file).good())
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       daemon.stop(10.0);

@@ -1,14 +1,22 @@
 // Statevector simulator tests: kernels vs dense-matrix oracle, expectations,
-// sampling, and multithreaded kernel agreement.
+// sampling (batched inverse-CDF draws vs the scalar scan), and multithreaded
+// kernel agreement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "circuit/circuit.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "graph/generators.hpp"
 #include "linalg/matrix.hpp"
+#include "qaoa/ansatz.hpp"
 #include "qaoa/sampling.hpp"
+#include "sim/state_utils.hpp"
 #include "sim/statevector.hpp"
 
 namespace {
@@ -209,6 +217,203 @@ TEST(Sampling, CutOfBasisStateMatchesGraphCut) {
   EXPECT_DOUBLE_EQ(qaoa::cut_of_basis_state(g, 0b001), 2.0);
   // basis 0b010: vertex 1 alone → cuts both edges.
   EXPECT_DOUBLE_EQ(qaoa::cut_of_basis_state(g, 0b010), 5.0);
+}
+
+TEST(Sampling, NegativeWeightsAreNotClippedToZero) {
+  // All-(-1) triangle: every cut is <= 0 and only the empty cut (basis 0 or
+  // 0b111) scores 0. (|001> + |011>)/sqrt(2) never yields it: both of its
+  // basis states cut two edges, so <C_max> is exactly -2, not 0.
+  graph::Graph g(3);
+  g.add_edge(0, 1, -1.0);
+  g.add_edge(1, 2, -1.0);
+  g.add_edge(0, 2, -1.0);
+  Circuit c(3);
+  for (std::size_t q = 0; q < 3; ++q) c.h(q);  // |+>^3 -> |000>
+  c.x(0);
+  c.h(1);
+  const sim::State state = sim::StatevectorSimulator().run_from_plus(c, {});
+  Rng rng(5);
+  EXPECT_EQ(qaoa::best_sampled_cut(state, g, 16, rng), -2.0);
+  EXPECT_EQ(qaoa::expected_best_cut(state, g, 16, 4, rng), -2.0);
+  EXPECT_EQ(qaoa::expected_best_cut(c, {}, g, 16, 4, rng), -2.0);
+  const query::Sampler sampler(c);
+  EXPECT_EQ(qaoa::expected_best_cut(sampler, {}, g, 16, 4, rng), -2.0);
+}
+
+// ---------------------------------------------------------------------------
+// Batched inverse-CDF draws: sim::sample_basis_states against the scalar
+// subtractive scan, draw for draw, including on boundary-adversarial inputs.
+// ---------------------------------------------------------------------------
+
+/// The oracle: one uniform at a time, subtracting each probability in
+/// ascending index order.
+std::size_t scan_draw(const sim::State& state, double r) {
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    const double p = std::norm(state[i]);
+    if (r < p) return i;
+    r -= p;
+  }
+  return state.size() - 1;
+}
+
+/// Expects the batched draw to equal the oracle on every uniform; returns
+/// the number of fallback rescans the batched draw reported.
+std::size_t expect_draws_match_scan(const sim::State& state,
+                                    const std::vector<double>& uniforms,
+                                    const std::string& what) {
+  std::size_t rescans = 0;
+  const std::vector<std::size_t> draws =
+      sim::sample_basis_states(state, uniforms, &rescans);
+  EXPECT_EQ(draws.size(), uniforms.size()) << what;
+  std::size_t mismatches = 0;
+  for (std::size_t k = 0; k < uniforms.size() && k < draws.size(); ++k) {
+    const std::size_t want = scan_draw(state, uniforms[k]);
+    if (draws[k] != want && ++mismatches <= 5)
+      ADD_FAILURE() << what << ": r = " << std::hexfloat << uniforms[k]
+                    << " drew " << std::dec << draws[k] << ", scan " << want;
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+  return rescans;
+}
+
+/// Uniforms on every float prefix sum of the state's probabilities (the
+/// running sum the batched draw sweeps) and one ulp either side of each,
+/// plus r = 0 and the largest uniform below 1.
+std::vector<double> boundary_uniforms(const sim::State& state) {
+  std::vector<double> out{0.0, std::nextafter(1.0, 0.0)};
+  double sum = 0.0;
+  for (const cplx& a : state) {
+    sum += std::norm(a);
+    out.push_back(std::nextafter(sum, -1.0));
+    out.push_back(sum);
+    out.push_back(std::nextafter(sum, 2.0));
+  }
+  return out;
+}
+
+/// A random state with REAL amplitudes, so |a|^2 is one rounded product
+/// however the compiler contracts std::norm, scaled to squared norm `mass`.
+sim::State random_real_state(std::size_t n, Rng& rng, double mass = 1.0) {
+  sim::State state(std::size_t{1} << n);
+  double norm2 = 0.0;
+  for (cplx& a : state) {
+    a = cplx{rng.uniform(-1.0, 1.0), 0.0};
+    norm2 += std::norm(a);
+  }
+  const double scale = std::sqrt(mass / norm2);
+  for (cplx& a : state) a *= scale;
+  return state;
+}
+
+TEST(BatchedDraw, MatchesScanOnEveryPrefixSumBoundary) {
+  Rng rng(8101);
+  std::size_t rescans = 0;
+  for (const std::size_t n : {1, 4, 8, 11}) {
+    const sim::State state = random_real_state(n, rng);
+    rescans += expect_draws_match_scan(state, boundary_uniforms(state),
+                                       "random n=" + std::to_string(n));
+  }
+  // A uniform ON a running-sum boundary is always inside the margin: these
+  // inputs must take the fallback branch.
+  EXPECT_GT(rescans, 0u);
+}
+
+TEST(BatchedDraw, MatchesScanOnDyadicPlusState) {
+  // |+>^n: every probability is 2^-n, every prefix sum an exact dyadic.
+  for (const std::size_t n : {1, 3, 6, 10}) {
+    const sim::State plus = sim::plus_state(n);
+    EXPECT_GT(expect_draws_match_scan(plus, boundary_uniforms(plus),
+                                      "plus n=" + std::to_string(n)),
+              0u);
+  }
+}
+
+TEST(BatchedDraw, MatchesScanWithExactZeroAmplitudes) {
+  Rng rng(8102);
+  sim::State state = random_real_state(9, rng);
+  // Leading, trailing, and interior runs of exact zeros.
+  double kept = 0.0;
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    if (i < 5 || i + 7 >= state.size() || i % 3 == 0 || (i / 16) % 4 == 1)
+      state[i] = cplx{0.0, 0.0};
+    kept += std::norm(state[i]);
+  }
+  for (cplx& a : state) a /= std::sqrt(kept);
+  expect_draws_match_scan(state, boundary_uniforms(state), "zeros");
+  const std::vector<std::size_t> draws = sim::sample_basis_states(
+      state, std::vector<double>{0.0, 0.25, 0.5, 0.75});
+  for (const std::size_t d : draws)
+    EXPECT_NE(std::norm(state[d]), 0.0) << "drew a zero-probability index";
+}
+
+TEST(BatchedDraw, MatchesScanWithMassOnTheLastIndex) {
+  sim::State state(std::size_t{1} << 10, cplx{1e-9, 0.0});
+  state.back() = cplx{std::sqrt(1.0 - 1e-18 * (state.size() - 1)), 0.0};
+  std::vector<double> uniforms = boundary_uniforms(state);
+  Rng rng(8103);
+  for (int k = 0; k < 2000; ++k) uniforms.push_back(rng.uniform());
+  expect_draws_match_scan(state, uniforms, "last-heavy");
+}
+
+TEST(BatchedDraw, MatchesScanUnderNormDrift) {
+  // Total mass 1 +/- 1e-12: a uniform past a short total runs off the end
+  // of the scan (last index); a long total leaves the top of [0,1) inside.
+  Rng rng(8104);
+  for (const double mass : {1.0 - 1e-12, 1.0 + 1e-12}) {
+    const sim::State state = random_real_state(8, rng, mass);
+    std::vector<double> uniforms = boundary_uniforms(state);
+    for (double r = 1.0 - 4e-12; r < 1.0; r = std::nextafter(r + 1e-14, 2.0))
+      uniforms.push_back(r);
+    expect_draws_match_scan(state, uniforms,
+                            "mass " + std::to_string(mass));
+  }
+}
+
+TEST(BatchedDraw, MatchesScanOnRandomDrawsFromQaoaStates) {
+  // 100k random draws on complex QAOA states, n = 10..14, in the unsorted
+  // order the callers pass them.
+  Rng rng(8105);
+  std::size_t draws = 0;
+  const std::pair<std::size_t, std::size_t> sizes[] = {
+      {10, 40000}, {12, 40000}, {14, 20000}};
+  for (const auto& [n, count] : sizes) {
+    const graph::Graph g = graph::random_regular(n, 3, rng);
+    const Circuit c = qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::qnas());
+    std::vector<double> theta(c.num_params());
+    for (double& t : theta) t = rng.uniform(-2.0, 2.0);
+    const sim::State state = sim::StatevectorSimulator().run_from_plus(c, theta);
+    std::vector<double> uniforms(count);
+    for (double& r : uniforms) r = rng.uniform();
+    expect_draws_match_scan(state, uniforms, "qaoa n=" + std::to_string(n));
+    draws += count;
+  }
+  EXPECT_GE(draws, 100000u);
+}
+
+TEST(BatchedDraw, QaoaHelpersConsumeTheSameStream) {
+  // sample_basis_state and best_sampled_cut draw one rng.uniform() per shot
+  // and resolve each like the oracle.
+  Rng grng(8106);
+  const graph::Graph g = graph::random_regular(8, 3, grng);
+  const Circuit c = qaoa::build_qaoa_circuit(g, 1, qaoa::MixerSpec::baseline());
+  const sim::State state = sim::StatevectorSimulator().run_from_plus(
+      c, std::vector<double>{0.7, 0.4});
+  Rng lib(17), oracle(17);
+  EXPECT_EQ(qaoa::sample_basis_state(state, lib),
+            scan_draw(state, oracle.uniform()));
+  double best = qaoa::cut_of_basis_state(g, scan_draw(state, oracle.uniform()));
+  for (int s = 1; s < 64; ++s)
+    best = std::max(
+        best, qaoa::cut_of_basis_state(g, scan_draw(state, oracle.uniform())));
+  EXPECT_EQ(qaoa::best_sampled_cut(state, g, 64, lib), best);
+}
+
+TEST(BatchedDraw, RejectsNaNUniforms) {
+  const sim::State plus = sim::plus_state(2);
+  EXPECT_THROW((void)sim::sample_basis_states(
+                   plus, std::vector<double>{0.5, std::nan("")}),
+               Error);
+  EXPECT_TRUE(sim::sample_basis_states(plus, std::vector<double>{}).empty());
 }
 
 }  // namespace

@@ -389,6 +389,29 @@ TEST(PlanReuse, MultistartRestartsShareOnePlanAndStayDeterministic) {
   EXPECT_LE(r1.evaluations, 40u);
 }
 
+TEST(PlanReuse, UncachedEvaluatorStillCompilesOncePerEvaluate) {
+  // With plan caching off, training and the Eq. 3 scoring pass still share
+  // the one plan evaluate() fetched: scoring replays it at the trained theta.
+  Rng rng(223);
+  const auto g = graph::random_regular(8, 3, rng);
+  search::EvaluatorOptions opt;
+  opt.energy.engine = qaoa::EngineKind::Statevector;
+  opt.energy.plan_cache_capacity = 0;
+  opt.cobyla.max_evals = 40;
+  opt.restarts = 3;
+  const search::Evaluator evaluator(g, opt);
+
+  sim::reset_program_compile_count();
+  const auto r1 = evaluator.evaluate(qaoa::MixerSpec::qnas(), 2);
+  EXPECT_EQ(sim::program_compile_count(), 1u)
+      << "training and scoring must share one compilation";
+  const auto r2 = evaluator.evaluate(qaoa::MixerSpec::qnas(), 2);
+  EXPECT_EQ(sim::program_compile_count(), 2u) << "no cache: one per evaluate";
+  EXPECT_EQ(r1.energy, r2.energy);
+  EXPECT_EQ(r1.sampled_ratio, r2.sampled_ratio);
+  EXPECT_GT(r1.sampled_ratio, 0.0);
+}
+
 TEST(PlanReuse, EvaluatorOptionsRoundTripThroughEffectiveEnergy) {
   search::EvaluatorOptions opt;
   opt.energy.inner_workers = 3;
