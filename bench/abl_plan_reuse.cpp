@@ -18,8 +18,9 @@
 // (multistart restarts included) must build each edge's tensor network
 // exactly ONCE — qtensor::network_build_count() is the qtensor analogue of
 // the compile counter — and the compiled per-edge ContractionPrograms are
-// timed against the legacy rebuild-per-theta plan and the replan-per-call
-// facade.
+// timed against the replan-per-call facade. (The rebuild-per-theta energy
+// plan this section also timed is gone; its last numbers stay in the
+// committed BENCH_qtensor.json.)
 //
 // Results append to BENCH_sim_kernels.json (section "plan_reuse") and
 // BENCH_qtensor.json (section "qtensor_plan_reuse").
@@ -219,22 +220,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(tn_builds), tn_g.num_edges(),
               static_cast<unsigned long long>(tn_rebuilds), tn_result.energy);
 
-  // Energy benchmark: compiled replay vs the legacy rebuild-per-theta plan
-  // (cached per-edge orders, networks rebuilt every call) vs the facade that
-  // additionally re-plans the order per call.
+  // Energy benchmark: compiled replay vs the one-shot facade, which
+  // rebuilds the network and re-plans the order per call.
   auto tn_ansatz = qaoa::build_qaoa_circuit(tn_g, p, mixer);
   tn_ansatz = circuit::optimize(tn_ansatz);
   std::vector<double> tn_theta(tn_ansatz.num_params(), 0.4);
 
-  qaoa::EnergyOptions tn_compiled_opt = tn_opt.effective_energy();
-  qaoa::EnergyOptions tn_rebuild_opt = tn_compiled_opt;
-  tn_rebuild_opt.qtensor.compile_programs = false;
-  const qaoa::EnergyEvaluator tn_compiled(tn_g, tn_compiled_opt);
-  const qaoa::EnergyEvaluator tn_rebuild(tn_g, tn_rebuild_opt);
+  const qaoa::EnergyEvaluator tn_compiled(tn_g, tn_opt.effective_energy());
   const auto tn_compiled_plan = tn_compiled.plan_for(tn_ansatz);
-  const auto tn_rebuild_plan = tn_rebuild.plan_for(tn_ansatz);
   (void)tn_compiled_plan->energy(tn_theta);  // warm scratch pools
-  (void)tn_rebuild_plan->energy(tn_theta);
 
   qtensor::reset_network_build_count();
   Timer t_tn_c;
@@ -244,13 +238,6 @@ int main(int argc, char** argv) {
   }
   const double tn_compiled_ms = t_tn_c.millis();
   const auto tn_compiled_builds = qtensor::network_build_count();
-
-  Timer t_tn_r;
-  for (std::size_t i = 0; i < tn_evals; ++i) {
-    tn_theta[0] = 0.3 + 0.01 * static_cast<double>(i);
-    (void)tn_rebuild_plan->energy(tn_theta);
-  }
-  const double tn_rebuild_ms = t_tn_r.millis();
 
   const qtensor::QTensorSimulator tn_facade;
   const std::size_t facade_evals = std::max<std::size_t>(1, tn_evals / 4);
@@ -265,12 +252,12 @@ int main(int argc, char** argv) {
       static_cast<double>(facade_evals);
 
   std::printf("%zu energy() calls: compiled %.1f ms (%llu rebuilds) | "
-              "rebuild-per-theta %.1f ms | replan-per-call %.1f ms\n",
+              "replan-per-call %.1f ms\n",
               tn_evals, tn_compiled_ms,
               static_cast<unsigned long long>(tn_compiled_builds),
-              tn_rebuild_ms, tn_facade_ms);
-  std::printf("compiled speedup: %.2fx vs rebuild, %.2fx vs replan\n",
-              tn_rebuild_ms / tn_compiled_ms, tn_facade_ms / tn_compiled_ms);
+              tn_facade_ms);
+  std::printf("compiled speedup: %.2fx vs replan\n",
+              tn_facade_ms / tn_compiled_ms);
 
   json::Value tn_section = json::Value::object();
   tn_section.set("qubits", tn_n);
@@ -286,10 +273,7 @@ int main(int argc, char** argv) {
   tn_section.set("compiled_ms", tn_compiled_ms);
   tn_section.set("compiled_network_rebuilds",
                  static_cast<std::size_t>(tn_compiled_builds));
-  tn_section.set("rebuild_per_theta_ms", tn_rebuild_ms);
   tn_section.set("replan_per_call_ms", tn_facade_ms);
-  tn_section.set("compiled_vs_rebuild_speedup",
-                 tn_rebuild_ms / tn_compiled_ms);
   tn_section.set("compiled_vs_replan_speedup",
                  tn_facade_ms / tn_compiled_ms);
   bench::update_bench_json(tn_out, "qtensor_plan_reuse",

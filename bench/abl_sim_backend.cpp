@@ -53,7 +53,7 @@ EngineRun time_energy(const graph::Graph& g, const circuit::Circuit& c,
   run.plan_builds = engine_builds(opt);
 
   const std::vector<double> theta(c.num_params(), 0.4);
-  plan->energy(theta);  // warm-up: scratch pools, legacy order caches
+  plan->energy(theta);  // warm-up: scratch pools
   sim::reset_program_compile_count();
   qtensor::reset_network_build_count();
   Timer t;
@@ -83,9 +83,8 @@ int main(int argc, char** argv) {
               p);
   std::printf("build counts are compile-time/replay-time: compiled engines "
               "must replay with 0\n\n");
-  std::printf("%-4s %-22s %-22s %-22s %-22s\n", "n",
-              "statevector (ms|b)", "tn compiled (ms|b)",
-              "tn rebuild (ms|b)", "tn par 8w (ms|b)");
+  std::printf("%-4s %-22s %-22s %-22s\n", "n", "statevector (ms|b)",
+              "tn compiled (ms|b)", "tn par 8w (ms|b)");
 
   json::Value rows = json::Value::array();
   for (std::size_t n : {8, 10, 12, 14, 16}) {
@@ -97,15 +96,12 @@ int main(int argc, char** argv) {
     sv.engine = qaoa::EngineKind::Statevector;
     qaoa::EnergyOptions tn;
     tn.engine = qaoa::EngineKind::TensorNetwork;
-    qaoa::EnergyOptions tn_rebuild = tn;
-    tn_rebuild.qtensor.compile_programs = false;
     qaoa::EnergyOptions tn_par = tn;
     tn_par.inner_workers = 8;
     tn_par.qtensor.backend = "parallel:4";
 
     const EngineRun r_sv = time_energy(g, c, sv, reps);
     const EngineRun r_tn = time_energy(g, c, tn, reps);
-    const EngineRun r_rb = time_energy(g, c, tn_rebuild, reps);
     const EngineRun r_par = time_energy(g, c, tn_par, reps);
 
     auto cell = [](const EngineRun& r) {
@@ -114,15 +110,14 @@ int main(int argc, char** argv) {
                     r.replay_builds);
       return std::string(s);
     };
-    std::printf("%-4zu %-22s %-22s %-22s %-22s\n", n, cell(r_sv).c_str(),
-                cell(r_tn).c_str(), cell(r_rb).c_str(), cell(r_par).c_str());
+    std::printf("%-4zu %-22s %-22s %-22s\n", n, cell(r_sv).c_str(),
+                cell(r_tn).c_str(), cell(r_par).c_str());
 
     json::Value row = json::Value::object();
     row.set("n", n);
     row.set("edges", g.num_edges());
     add_run(row, "statevector", r_sv);
     add_run(row, "tn_compiled", r_tn);
-    add_run(row, "tn_rebuild", r_rb);
     add_run(row, "tn_parallel", r_par);
     rows.push_back(std::move(row));
   }
@@ -130,8 +125,7 @@ int main(int argc, char** argv) {
       "\nNotes: b = engine builds at plan time / during the timed replays\n"
       "(sim::program_compile_count or qtensor::network_build_count).\n"
       "At p=1 the TN lightcone is constant-size on regular graphs, so its\n"
-      "cost stays flat while the statevector doubles per qubit; the\n"
-      "tn-rebuild column pays one network build per edge per energy call.\n");
+      "cost stays flat while the statevector doubles per qubit.\n");
 
   json::Value section = json::Value::object();
   section.set("p", p);

@@ -48,8 +48,8 @@
 //    52   cache.orders         qtensor::PlanCache::mutex_ (persistent
 //                              elimination-order cache; taken under
 //                              service.io during persistence)
-//    60   cache.scratch        ContractionProgram / query program scratch
-//                              pools (pool_mutex_)
+//    60   cache.scratch        qtensor::ContractionProgram scratch pools
+//                              (pool_mutex_; energies and queries alike)
 //    70   pool.queue           parallel::ThreadPool::mutex_ (task queue;
 //                              acquired under server.wire via submit())
 //    80   fault.injector       search::FaultInjector::mutex_

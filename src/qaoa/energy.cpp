@@ -11,7 +11,6 @@
 #include "common/annotations.hpp"
 #include "common/error.hpp"
 #include "parallel/parallel_for.hpp"
-#include "qtensor/ordering.hpp"
 #include "qtensor/program.hpp"
 #include "qtensor/shape.hpp"
 #include "sim/state_utils.hpp"
@@ -115,18 +114,12 @@ class StatevectorPlan final : public EnergyPlan {
   std::vector<sim::ZZPair> pairs_;
 };
 
-/// Tensor-network plan. Two modes, selected by
-/// QTensorOptions::compile_programs:
-///
-///   * compiled (default): each edge's lightcone contraction is compiled
-///     ONCE into a qtensor::ContractionProgram — network built once, order
-///     planned once, slicing decided once, intermediate buffers
-///     preallocated — and every energy(theta) only rebinds the handful of
-///     parameterized gate tensors and replays. The qtensor mirror of the
-///     compiled statevector path (sim::SimProgram).
-///   * legacy: per-edge elimination orders are still computed once from the
-///     network STRUCTURE, but the network itself (and every intermediate
-///     allocation) is rebuilt per theta.
+/// Tensor-network plan: each edge's lightcone contraction is compiled ONCE
+/// into a qtensor::ContractionProgram — network built once, order planned
+/// once, slicing decided once, intermediate buffers preallocated — and
+/// every energy(theta) only rebinds the handful of parameterized gate
+/// tensors and replays. The qtensor mirror of the compiled statevector path
+/// (sim::SimProgram).
 ///
 /// Per-edge replays fan out over parallel::parallel_for (inner_workers);
 /// each program leases per-thread scratch from its internal pool, so a
@@ -139,83 +132,66 @@ class TensorNetworkPlan final : public EnergyPlan {
         ham_(ham),
         options_(options),
         backend_(qtensor::make_backend(options.qtensor.backend)) {
+    // Shape deduplication: group terms whose lightcones are isomorphic and
+    // compile ONE program per group. The canonical shape key buckets
+    // candidates cheaply; an exact isomorphism check against the group's
+    // representative guards against key collisions, so members of one group
+    // have literally equal <Z_u Z_v> for every theta.
     const auto& terms = ham_.terms();
-    if (options_.qtensor.compile_programs) {
-      // Shape deduplication: group terms whose lightcones are isomorphic
-      // and compile ONE program per group. The canonical shape key buckets
-      // candidates cheaply; an exact isomorphism check against the group's
-      // representative guards against key collisions, so members of one
-      // group have literally equal <Z_u Z_v> for every theta.
-      term_group_.resize(terms.size());
-      std::unordered_map<std::string, std::vector<std::size_t>> by_key;
-      for (std::size_t k = 0; k < terms.size(); ++k) {
-        if (!options_.qtensor.dedup_shapes) {
-          groups_.push_back({k, ""});
-          term_group_[k] = groups_.size() - 1;
-          continue;
-        }
-        const auto shape =
-            qtensor::lightcone_shape(ansatz_, terms[k].u, terms[k].v);
-        std::size_t gid = groups_.size();
-        for (std::size_t cand : by_key[shape.key]) {
-          const auto& rep = terms[groups_[cand].rep_term];
-          if (qtensor::lightcone_equivalent(ansatz_, rep.u, rep.v, terms[k].u,
-                                            terms[k].v)) {
-            gid = cand;
-            break;
-          }
-        }
-        if (gid == groups_.size()) {
-          groups_.push_back({k, shape.key});
-          by_key[shape.key].push_back(gid);
-        }
-        term_group_[k] = gid;
-      }
-
-      // Compile the group representatives — speculatively parallel across
-      // groups; with a single group the planner itself fans its heuristic
-      // competitors across the inner workers instead.
-      qtensor::ProgramOptions po = options_.qtensor.program_options();
-      if (groups_.size() == 1 && po.planner.workers <= 1)
-        po.planner.workers = std::max<std::size_t>(1, options_.inner_workers);
-      programs_.resize(groups_.size());
-      parallel::parallel_for(
-          0, groups_.size(),
-          [&](std::size_t g) {
-            qtensor::ProgramOptions local = po;
-            local.shape_key = groups_[g].key;
-            const auto& rep = terms[groups_[g].rep_term];
-            programs_[g] = std::make_unique<qtensor::ContractionProgram>(
-                ansatz_, rep.u, rep.v, local);
-          },
-          options_.inner_workers);
-      // Field terms compile one single-qubit <Z_q> program each; the shared
-      // plan cache dedups the planning across equal lightcone structures.
-      const auto& zs = ham_.z_terms();
-      z_programs_.resize(zs.size());
-      parallel::parallel_for(
-          0, zs.size(),
-          [&](std::size_t k) {
-            z_programs_[k] = std::make_unique<qtensor::ContractionProgram>(
-                ansatz_, zs[k].q, options_.qtensor.program_options());
-          },
-          options_.inner_workers);
-      return;
-    }
-    // Probe parameters: any values produce the same network structure.
-    const std::vector<double> probe(ansatz_.num_params(), 0.1);
-    orders_.resize(terms.size());
+    term_group_.resize(terms.size());
+    std::unordered_map<std::string, std::vector<std::size_t>> by_key;
     for (std::size_t k = 0; k < terms.size(); ++k) {
-      const auto net = qtensor::expectation_zz_network(
-          ansatz_, probe, terms[k].u, terms[k].v, options_.qtensor.network);
-      orders_[k] = make_order(net);
+      if (!options_.qtensor.dedup_shapes) {
+        groups_.push_back({k, ""});
+        term_group_[k] = groups_.size() - 1;
+        continue;
+      }
+      const auto shape =
+          qtensor::lightcone_shape(ansatz_, terms[k].u, terms[k].v);
+      std::size_t gid = groups_.size();
+      for (std::size_t cand : by_key[shape.key]) {
+        const auto& rep = terms[groups_[cand].rep_term];
+        if (qtensor::lightcone_equivalent(ansatz_, rep.u, rep.v, terms[k].u,
+                                          terms[k].v)) {
+          gid = cand;
+          break;
+        }
+      }
+      if (gid == groups_.size()) {
+        groups_.push_back({k, shape.key});
+        by_key[shape.key].push_back(gid);
+      }
+      term_group_[k] = gid;
     }
-    z_orders_.resize(ham_.z_terms().size());
-    for (std::size_t k = 0; k < ham_.z_terms().size(); ++k) {
-      const auto net = qtensor::expectation_z_network(
-          ansatz_, probe, ham_.z_terms()[k].q, options_.qtensor.network);
-      z_orders_[k] = make_order(net);
-    }
+
+    // Compile the group representatives — speculatively parallel across
+    // groups; with a single group the planner itself fans its heuristic
+    // competitors across the inner workers instead.
+    qtensor::ProgramOptions po = options_.qtensor.program_options();
+    if (groups_.size() == 1 && po.planner.workers <= 1)
+      po.planner.workers = std::max<std::size_t>(1, options_.inner_workers);
+    programs_.resize(groups_.size());
+    parallel::parallel_for(
+        0, groups_.size(),
+        [&](std::size_t g) {
+          qtensor::ProgramOptions local = po;
+          local.shape_key = groups_[g].key;
+          const auto& rep = terms[groups_[g].rep_term];
+          programs_[g] = std::make_unique<qtensor::ContractionProgram>(
+              ansatz_, rep.u, rep.v, local);
+        },
+        options_.inner_workers);
+    // Field terms compile one single-qubit <Z_q> program each; the shared
+    // plan cache dedups the planning across equal lightcone structures.
+    const auto& zs = ham_.z_terms();
+    z_programs_.resize(zs.size());
+    parallel::parallel_for(
+        0, zs.size(),
+        [&](std::size_t k) {
+          z_programs_[k] = std::make_unique<qtensor::ContractionProgram>(
+              ansatz_, zs[k].q, options_.qtensor.program_options());
+        },
+        options_.inner_workers);
   }
 
   double energy(std::span<const double> theta) const override {
@@ -224,59 +200,30 @@ class TensorNetworkPlan final : public EnergyPlan {
 
   std::vector<double> zz_expectations(
       std::span<const double> theta) const override {
+    // One replay per GROUP, broadcast to every member edge — symmetric
+    // edges share both the compilation and the runtime contraction.
     const auto& terms = ham_.terms();
-    std::vector<double> zz(terms.size());
-    if (!programs_.empty()) {
-      // One replay per GROUP, broadcast to every member edge — symmetric
-      // edges share both the compilation and the runtime contraction.
-      std::vector<double> group_value(programs_.size());
-      parallel::parallel_for(
-          0, programs_.size(),
-          [&](std::size_t g) {
-            group_value[g] = programs_[g]->expectation_zz(theta, *backend_);
-          },
-          options_.inner_workers);
-      for (std::size_t k = 0; k < terms.size(); ++k)
-        zz[k] = group_value[term_group_[k]];
-      return zz;
-    }
+    std::vector<double> group_value(programs_.size());
     parallel::parallel_for(
-        0, terms.size(),
-        [&](std::size_t k) {
-          const auto net = qtensor::expectation_zz_network(
-              ansatz_, theta, terms[k].u, terms[k].v, options_.qtensor.network);
-          const auto r = qtensor::contract(net, orders_[k], *backend_);
-          QARCH_CHECK(std::abs(r.value.imag()) < 1e-8,
-                      "Hermitian expectation has a large imaginary part");
-          zz[k] = r.value.real();
+        0, programs_.size(),
+        [&](std::size_t g) {
+          group_value[g] = programs_[g]->expectation_zz(theta, *backend_);
         },
         options_.inner_workers);
+    std::vector<double> zz(terms.size());
+    for (std::size_t k = 0; k < terms.size(); ++k)
+      zz[k] = group_value[term_group_[k]];
     return zz;
   }
 
   std::vector<double> z_expectations(
       std::span<const double> theta) const override {
-    const auto& zs = ham_.z_terms();
-    std::vector<double> z(zs.size());
-    if (zs.empty()) return z;
-    if (!z_programs_.empty()) {
-      parallel::parallel_for(
-          0, zs.size(),
-          [&](std::size_t k) {
-            z[k] = z_programs_[k]->expectation_zz(theta, *backend_);
-          },
-          options_.inner_workers);
-      return z;
-    }
+    std::vector<double> z(z_programs_.size());
+    if (z.empty()) return z;
     parallel::parallel_for(
-        0, zs.size(),
+        0, z_programs_.size(),
         [&](std::size_t k) {
-          const auto net = qtensor::expectation_z_network(
-              ansatz_, theta, zs[k].q, options_.qtensor.network);
-          const auto r = qtensor::contract(net, z_orders_[k], *backend_);
-          QARCH_CHECK(std::abs(r.value.imag()) < 1e-8,
-                      "Hermitian expectation has a large imaginary part");
-          z[k] = r.value.real();
+          z[k] = z_programs_[k]->expectation_zz(theta, *backend_);
         },
         options_.inner_workers);
     return z;
@@ -293,26 +240,6 @@ class TensorNetworkPlan final : public EnergyPlan {
   }
 
  private:
-  [[nodiscard]] std::vector<qtensor::VarId> make_order(
-      const qtensor::TensorNetwork& net) const {
-    switch (options_.qtensor.ordering) {
-      case qtensor::OrderingAlgo::GreedyDegree:
-        return qtensor::order_greedy_degree(net);
-      case qtensor::OrderingAlgo::GreedyFill:
-        return qtensor::order_greedy_fill(net);
-      case qtensor::OrderingAlgo::Random: {
-        Rng rng(options_.qtensor.ordering_seed);
-        return qtensor::order_random(net, rng);
-      }
-      case qtensor::OrderingAlgo::RandomRestart: {
-        Rng rng(options_.qtensor.ordering_seed);
-        return qtensor::order_random_restart(
-            net, options_.qtensor.random_restarts, rng);
-      }
-    }
-    throw InternalError("unhandled ordering algorithm");
-  }
-
   /// One lightcone-shape equivalence class of Hamiltonian terms.
   struct ShapeGroup {
     std::size_t rep_term = 0;  ///< index of the compiled representative
@@ -323,15 +250,12 @@ class TensorNetworkPlan final : public EnergyPlan {
   const MaxCutHamiltonian& ham_;
   EnergyOptions options_;
   std::shared_ptr<const qtensor::Backend> backend_;
-  /// Compiled mode: one program per shape group, aligned with groups_, plus
-  /// one single-qubit program per field term.
+  /// One program per shape group, aligned with groups_, plus one
+  /// single-qubit program per field term.
   std::vector<std::unique_ptr<qtensor::ContractionProgram>> programs_;
   std::vector<std::unique_ptr<qtensor::ContractionProgram>> z_programs_;
   std::vector<ShapeGroup> groups_;
   std::vector<std::size_t> term_group_;  ///< term index -> group index
-  /// Legacy mode: cached per-edge / per-field elimination orders.
-  std::vector<std::vector<qtensor::VarId>> orders_;
-  std::vector<std::vector<qtensor::VarId>> z_orders_;
 };
 
 /// Bit-exact structural key for one circuit: gate kinds, qubit wiring, and

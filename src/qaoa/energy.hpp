@@ -55,8 +55,8 @@ struct EnergyOptions {
   /// phase tables, SIMD, cache blocking) — see sim::PlanOptions.
   sim::PlanOptions sv_plan;
   /// Tensor-network engine configuration: compiled contraction programs
-  /// (compile_programs, planner, slicing) and the bucket-product backend —
-  /// see qtensor::QTensorOptions.
+  /// (planner, slicing, shape dedup, plan cache) and the bucket-product
+  /// backend — see qtensor::QTensorOptions.
   qtensor::QTensorOptions qtensor;
   /// Capacity of the evaluator's ansatz→plan LRU cache used by plan_for()
   /// (0 disables caching: every plan_for call compiles fresh).
@@ -65,7 +65,7 @@ struct EnergyOptions {
 
 /// Compile-time facts about one plan (probed by tests and benches).
 /// `compiled_programs`/`distinct_shapes` are tensor-network-plan notions;
-/// both stay 0 for statevector plans and the legacy uncompiled path.
+/// both stay 0 for statevector plans.
 struct EnergyPlanInfo {
   std::size_t terms = 0;              ///< Hamiltonian terms served
   std::size_t compiled_programs = 0;  ///< ContractionPrograms actually built

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "common/error.hpp"
-#include "query/program.hpp"
 
 namespace qarch::qtensor {
 
@@ -112,11 +111,6 @@ double QTensorSimulator::expectation_zz(const circuit::Circuit& circuit,
 cplx QTensorSimulator::amplitude(const circuit::Circuit& circuit,
                                  std::span<const double> theta,
                                  std::span<const int> bits) const {
-  if (options_.compile_programs) {
-    const query::AmplitudeProgram program(circuit,
-                                          query::query_options(options_));
-    return program.amplitude(theta, bits, *backend_);
-  }
   const TensorNetwork net =
       amplitude_network(circuit, theta, bits, options_.network);
   return contract(net, make_order(net), *backend_).value;

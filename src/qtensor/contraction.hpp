@@ -40,21 +40,16 @@ OrderingAlgo ordering_from_name(const std::string& name);
 /// engine selected through qaoa::EnergyOptions (engine=TensorNetwork).
 struct QTensorOptions {
   NetworkOptions network;                       ///< diagonal/lightcone opts
-  /// Ordering heuristic of the NON-compiled paths (the one-shot facade and
-  /// compile_programs=false energy plans). The compiled path ignores this
-  /// and lets `planner` compete every enabled heuristic instead.
+  /// Ordering heuristic of the one-shot QTensorSimulator facade. Compiled
+  /// programs ignore this and let `planner` compete every enabled
+  /// heuristic instead.
   OrderingAlgo ordering = OrderingAlgo::GreedyDegree;
   std::size_t random_restarts = 16;             ///< for RandomRestart
   std::uint64_t ordering_seed = 7;              ///< for Random/RandomRestart
   std::string backend = "serial";               ///< make_backend spec
-  /// Compile per-edge ContractionPrograms inside qaoa energy plans — the
-  /// qtensor analogue of EnergyOptions::sv_compile_plan. false restores the
-  /// legacy rebuild-per-theta path (network rebuilt and strides recomputed
-  /// every energy(theta) call, per-edge orders still cached).
-  bool compile_programs = true;
   PlannerOptions planner;        ///< heuristics competing at program compile
-  /// Compile-time slicing decision of the compiled path: slice when the
-  /// planned width exceeds this (0 disables; see ProgramOptions).
+  /// Compile-time slicing decision of every compiled program: slice when
+  /// the planned width exceeds this (0 disables; see ProgramOptions).
   std::size_t slice_above_width = 30;
   std::size_t max_slice_vars = 4;
   /// Group Hamiltonian terms by canonical lightcone shape and compile ONE
@@ -81,7 +76,12 @@ struct QTensorOptions {
   }
 };
 
-/// High-level tensor-network simulator: the C++ stand-in for QTensor.
+/// High-level tensor-network simulator: the C++ stand-in for QTensor, and
+/// the one-shot reference the compiled programs are tested against. Every
+/// call builds its network, orders it with the configured heuristic, and
+/// runs the reference contractor; callers replaying one circuit structure
+/// at many thetas or bit strings should hold a ContractionProgram or a
+/// query:: program instead.
 ///
 /// Thread-safe for concurrent calls (each call builds its own network and
 /// contraction state; the backend is stateless).
@@ -95,12 +95,7 @@ class QTensorSimulator {
                                       std::span<const double> theta,
                                       std::size_t u, std::size_t v) const;
 
-  /// Amplitude <bits| U |+>^n. When compile_programs is set (the default)
-  /// this routes through query::AmplitudeProgram — planned via the shared
-  /// planner and plan cache, so repeated calls on the same circuit
-  /// structure never replan; callers replaying many (theta, bits) pairs
-  /// should hold an AmplitudeProgram directly and skip the per-call
-  /// compile. compile_programs=false keeps the legacy one-shot path.
+  /// Amplitude <bits| U |+>^n (bits[q] in {0,1}).
   [[nodiscard]] cplx amplitude(const circuit::Circuit& circuit,
                                std::span<const double> theta,
                                std::span<const int> bits) const;

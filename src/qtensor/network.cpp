@@ -247,6 +247,8 @@ TensorNetwork amplitude_network(const circuit::Circuit& circuit,
                                 std::vector<GateBinding>* bindings) {
   QARCH_REQUIRE(bits.size() == circuit.num_qubits(),
                 "amplitude: bit string length mismatch");
+  for (int bit : bits)
+    QARCH_REQUIRE(bit == 0 || bit == 1, "amplitude: bits must be 0 or 1");
   g_network_build_count.fetch_add(1, std::memory_order_relaxed);
   std::vector<std::size_t> qubits(circuit.num_qubits());
   for (std::size_t q = 0; q < qubits.size(); ++q) qubits[q] = q;

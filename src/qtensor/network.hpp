@@ -23,12 +23,11 @@
 
 namespace qarch::qtensor {
 
-/// Number of tensor networks built (expectation_zz_network +
-/// amplitude_network calls) since the last reset. Thread-safe. The compiled
-/// contraction plans (qtensor::ContractionProgram) build each network once
-/// and rebind tensors afterwards; benches and tests use this probe to prove
-/// that training runs and multistart restarts never rebuild — the qtensor
-/// analogue of sim::program_compile_count().
+/// Number of tensor networks built (calls to any network builder below)
+/// since the last reset. Thread-safe. A compiled qtensor::ContractionProgram
+/// builds its network once and rebinds tensors afterwards; benches and
+/// tests use this probe to prove that training runs and multistart restarts
+/// never rebuild — the qtensor analogue of sim::program_compile_count().
 std::uint64_t network_build_count();
 void reset_network_build_count();
 
@@ -109,18 +108,18 @@ TensorNetwork expectation_z_network(const circuit::Circuit& circuit,
 
 // -- open-index query networks ------------------------------------------------
 //
-// The compiled query programs (src/query/) need networks where some output
-// wires stay OPEN (batched amplitudes, marginals, per-qubit sampling steps)
-// and where basis choices are RE-BINDABLE per replay the way gate parameters
+// The query programs (src/query/) need networks where some output wires
+// stay OPEN (batched amplitudes, marginals, per-qubit sampling steps) and
+// where basis choices are RE-BINDABLE per replay the way gate parameters
 // already are. Both builders below return the network together with its
-// rebind points.
+// rebind points, as ContractionProgram's open-index form consumes it.
 
 /// Ties one network tensor to a computational-basis choice on one qubit: a
 /// rank-1 tensor whose data is [bit==0, bit==1] — a <bit| cap in an
 /// amplitude network, a diagonal |bit><bit| projector at the observable
 /// point of a measurement network (both have the same data layout, so one
-/// rebind kernel serves both). Compiled query programs rewrite these two
-/// entries per replay instead of rebuilding the network.
+/// rebind kernel serves both). Compiled programs rewrite these two entries
+/// per replay instead of rebuilding the network.
 struct CapBinding {
   std::size_t tensor_index = 0;  ///< index into TensorNetwork::tensors
   std::size_t qubit = 0;
@@ -129,8 +128,8 @@ struct CapBinding {
 /// Writes the cap/projector data for `bit` into out[0..1].
 void cap_tensor_data(int bit, std::span<cplx> out);
 
-/// A network with rebind points and open output variables, as the compiled
-/// query programs consume it.
+/// A network with rebind points and open output variables, as
+/// ContractionProgram's open-index form consumes it.
 struct QueryNetwork {
   TensorNetwork net;
   std::vector<GateBinding> bindings;  ///< theta-rebindable gate tensors

@@ -13,17 +13,33 @@ namespace qarch::qtensor {
 
 namespace {
 
-/// A cached order is applicable iff it repeats nothing and covers every
-/// variable of the network. The structure-hash guard should guarantee this;
-/// validating anyway turns hash collisions and corrupt cache entries into a
-/// silent replan instead of a failed compile.
-bool order_applicable(const TensorNetwork& net,
+/// A cached order is applicable iff it repeats nothing, touches no open
+/// variable, and covers every closed variable of the network. The
+/// structure-hash guard should guarantee this; validating anyway turns hash
+/// collisions and corrupt cache entries into a silent replan instead of a
+/// failed compile.
+bool order_applicable(const TensorNetwork& net, const std::set<VarId>& open,
                       const std::vector<VarId>& order) {
   std::set<VarId> seen(order.begin(), order.end());
   if (seen.size() != order.size()) return false;
+  for (VarId v : order)
+    if (open.count(v) > 0) return false;
   for (VarId v : net.variables())
-    if (seen.count(v) == 0) return false;
+    if (open.count(v) == 0 && seen.count(v) == 0) return false;
   return true;
+}
+
+/// Plans `net` and drops the open labels from the winning order: they are
+/// output axes, not eliminations. With open labels the cost is rescored on
+/// the filtered order, the schedule that actually runs.
+ContractionPlan plan_closed_vars(const TensorNetwork& net,
+                                 const std::set<VarId>& open,
+                                 const PlannerOptions& options) {
+  ContractionPlan plan = plan_contraction(net, options);
+  if (open.empty()) return plan;
+  std::erase_if(plan.order, [&](VarId v) { return open.count(v) > 0; });
+  plan.cost = CostModel(net).cost(plan.order);
+  return plan;
 }
 
 }  // namespace
@@ -34,6 +50,7 @@ struct ContractionProgram::Scratch {
   std::vector<Tensor> full;      ///< unprojected slice-carrying inputs,
                                  ///< parallel to sliced_inputs_
   std::vector<const Tensor*> factors;  ///< reusable factor-pointer list
+  std::vector<cplx> partial;     ///< one slice's output (sliced only)
 };
 
 /// RAII pool lease: scratch workspaces persist across replays (buffer reuse
@@ -58,78 +75,99 @@ ContractionProgram::ContractionProgram(const circuit::Circuit& circuit,
                                        std::size_t u, std::size_t v,
                                        const ProgramOptions& options)
     : options_(options), num_params_(circuit.num_params()) {
-  compile(circuit, {u, v});
+  // The ONE network build of this program's lifetime. Any probe theta
+  // produces the same structure; zeros keep the baked data deterministic.
+  TensorNetwork net =
+      expectation_zz_network(circuit, std::vector<double>(num_params_, 0.0),
+                             u, v, options_.network, &bindings_);
+  std::string key = options_.shape_key;
+  if (options_.plan_cache != nullptr && key.empty())
+    key = lightcone_shape(circuit, u, v).key;
+  compile(std::move(net), std::move(key));
 }
 
 ContractionProgram::ContractionProgram(const circuit::Circuit& circuit,
                                        std::size_t q,
                                        const ProgramOptions& options)
     : options_(options), num_params_(circuit.num_params()) {
-  compile(circuit, {q});
+  TensorNetwork net =
+      expectation_z_network(circuit, std::vector<double>(num_params_, 0.0),
+                            q, options_.network, &bindings_);
+  std::string key = options_.shape_key;
+  if (options_.plan_cache != nullptr && key.empty())
+    key = "z:" + std::to_string(q);
+  compile(std::move(net), std::move(key));
+}
+
+ContractionProgram::ContractionProgram(QueryNetwork network,
+                                       std::vector<VarId> final_labels,
+                                       std::size_t num_params,
+                                       const ProgramOptions& options,
+                                       std::string shape_key)
+    : options_(options),
+      num_params_(num_params),
+      bindings_(std::move(network.bindings)),
+      caps_(std::move(network.caps)) {
+  {
+    std::set<VarId> want(network.open_labels.begin(),
+                         network.open_labels.end());
+    std::set<VarId> got(final_labels.begin(), final_labels.end());
+    QARCH_REQUIRE(want == got && final_labels.size() ==
+                                     network.open_labels.size(),
+                  "final_labels must permute the network's open labels");
+  }
+  final_labels_ = std::move(final_labels);
+  compile(std::move(network.net), std::move(shape_key));
 }
 
 ContractionProgram::~ContractionProgram() = default;
 
-void ContractionProgram::compile(const circuit::Circuit& circuit,
-                                 const std::vector<std::size_t>& targets) {
-  // The ONE network build of this program's lifetime. Any probe theta
-  // produces the same structure; zeros keep the baked data deterministic.
-  const std::vector<double> probe(num_params_, 0.0);
-  TensorNetwork net =
-      targets.size() == 2
-          ? expectation_zz_network(circuit, probe, targets[0], targets[1],
-                                   options_.network, &bindings_)
-          : expectation_z_network(circuit, probe, targets[0],
-                                  options_.network, &bindings_);
+void ContractionProgram::compile(TensorNetwork net, std::string shape_key) {
+  const std::set<VarId> open(final_labels_.begin(), final_labels_.end());
 
-  // Contraction order: a plan-cache hit (keyed by canonical lightcone shape
-  // + exact structure hash) replays a previously chosen order with zero
-  // planner work; otherwise the planner competes the ordering heuristics
-  // under the exact bucket-elimination cost model, keeps the cheapest, and
-  // records it for every later program of the same shape.
+  // Contraction order: a plan-cache hit (keyed by shape key + exact
+  // structure hash) replays a previously chosen order with zero planner
+  // work; otherwise the planner competes the ordering heuristics under the
+  // exact bucket-elimination cost model, keeps the cheapest, and records it
+  // for every later program of the same shape. Either way the order holds
+  // closed variables only — the cache stores it that way.
   ContractionPlan plan;
-  bool plan_cached = false;
   std::uint64_t structure = 0;
-  std::string shape_key = options_.shape_key;
   if (options_.plan_cache != nullptr) {
-    if (shape_key.empty())
-      shape_key = targets.size() == 2
-                      ? lightcone_shape(circuit, targets[0], targets[1]).key
-                      : "z:" + std::to_string(targets[0]);
     structure = network_structure_hash(net);
     if (auto hit = options_.plan_cache->find(shape_key, structure);
-        hit.has_value() && order_applicable(net, hit->order)) {
+        hit.has_value() && order_applicable(net, open, hit->order)) {
       plan.order = std::move(hit->order);
       plan.cost = CostModel(net).cost(plan.order);
       plan.heuristic = hit->heuristic + "+cached";
-      plan_cached = true;
+      stats_.plan_cached = true;
     }
   }
-  if (!plan_cached) {
-    plan = plan_contraction(net, options_.planner);
+  if (!stats_.plan_cached) {
+    plan = plan_closed_vars(net, open, options_.planner);
     if (options_.plan_cache != nullptr)
       options_.plan_cache->insert(
           {shape_key, structure, plan.order, plan.heuristic});
   }
-  stats_.plan_cached = plan_cached;
-  stats_.shape_key = shape_key;
+  stats_.shape_key = std::move(shape_key);
 
   // Slicing decision (step-dependent parallelization): if the planned width
-  // blows the budget, fix greedy max-degree variables one at a time and
-  // re-plan the projected structure until it fits. The projected copy is
-  // only materialized when slicing actually triggers; the common path
-  // schedules against `net` directly.
+  // blows the budget, fix greedy max-degree closed variables one at a time
+  // and re-plan the projected structure until it fits. Open labels are
+  // output axes and never sliced. The projected copy is only materialized
+  // when slicing actually triggers; the common path schedules against `net`
+  // directly.
   TensorNetwork projected;
   const TensorNetwork* scheduled = &net;
   if (options_.slice_above_width > 0 &&
       plan.cost.width > options_.slice_above_width) {
     for (std::size_t s = 1; s <= options_.max_slice_vars; ++s) {
-      slice_vars_ = choose_slice_vars(net, s);
+      slice_vars_ = choose_slice_vars(net, s, final_labels_);
       // Projection is structural: every assignment removes the same labels,
       // so assignment 0 stands in for all 2^s of them.
       projected = project_network(net, slice_vars_, 0);
       scheduled = &projected;
-      plan = plan_contraction(projected, options_.planner);
+      plan = plan_closed_vars(projected, open, options_.planner);
       if (plan.cost.width <= options_.slice_above_width) break;
     }
   }
@@ -158,16 +196,6 @@ void ContractionProgram::compile(const circuit::Circuit& circuit,
   for (std::size_t i = 0; i < scheduled->tensors.size(); ++i)
     live.push_back({i, scheduled->tensors[i].labels()});
   num_slots_ = net.tensors.size();
-
-  {
-    // The planner's order must cover exactly the scheduled structure.
-    std::set<VarId> in_order(plan.order.begin(), plan.order.end());
-    QARCH_CHECK(in_order.size() == plan.order.size(),
-                "compiled order repeats a variable");
-    for (VarId var : scheduled->variables())
-      QARCH_CHECK(in_order.count(var) > 0,
-                  "compiled order misses a network variable");
-  }
 
   for (VarId var : plan.order) {
     std::vector<Live> rest;
@@ -203,11 +231,23 @@ void ContractionProgram::compile(const circuit::Circuit& circuit,
     live = std::move(rest);
   }
 
+  // Everything still alive is a factor of the output: scalars for a closed
+  // network, tensors over open labels only for a query.
+  std::set<VarId> covered;
   for (const Live& l : live) {
-    QARCH_CHECK(l.labels.empty(),
-                "compiled schedule left a non-scalar tensor");
+    for (VarId v : l.labels) {
+      QARCH_CHECK(open.count(v) > 0,
+                  "compiled schedule left a closed variable uneliminated");
+      covered.insert(v);
+    }
     final_slots_.push_back(l.slot);
   }
+  QARCH_CHECK(covered.size() == open.size(),
+              "an open label vanished from the network");
+  stats_.width = std::max(stats_.width, final_labels_.size());
+  QARCH_REQUIRE(stats_.width <= kMaxProgramWidth,
+                "contraction width exceeds kMaxProgramWidth after slicing "
+                "(too many open labels, or raise max_slice_vars)");
 
   // Inputs keep the UNPROJECTED tensors: rebinding happens against the full
   // gate tensors, projection (if any) happens per replay assignment.
@@ -215,6 +255,8 @@ void ContractionProgram::compile(const circuit::Circuit& circuit,
 
   stats_.tensors = inputs_.size();
   stats_.bound_tensors = bindings_.size();
+  stats_.cap_tensors = caps_.size();
+  stats_.open_labels = final_labels_.size();
   stats_.steps = steps_.size();
   stats_.est_flops = plan.cost.flops;
   stats_.slice_vars = slice_vars_.size();
@@ -243,26 +285,23 @@ void ContractionProgram::init_scratch(Scratch& s) const {
     s.slots.emplace_back(std::move(labels),
                          std::vector<cplx>(st.entries / 2));
   }
+  if (!slice_vars_.empty()) s.partial.assign(output_entries(), cplx{});
   s.ready = true;
 }
 
-void ContractionProgram::rebind(Scratch& s,
-                                std::span<const double> theta) const {
-  for (const GateBinding& b : bindings_) {
-    // Slice-carrying tensors are rebound in their FULL form; the projection
-    // into the slot happens per assignment inside contract().
-    const auto it = std::find(sliced_inputs_.begin(), sliced_inputs_.end(),
-                              b.tensor_index);
-    Tensor& target = it == sliced_inputs_.end()
-                         ? s.slots[b.tensor_index]
-                         : s.full[static_cast<std::size_t>(
-                               it - sliced_inputs_.begin())];
-    gate_tensor_data(b.gate, theta, b.diagonal, target.data());
-  }
+Tensor& ContractionProgram::rebind_target(Scratch& s,
+                                          std::size_t input) const {
+  // Slice-carrying tensors are rebound in their FULL form; the projection
+  // into the slot happens per assignment inside run().
+  const auto it =
+      std::find(sliced_inputs_.begin(), sliced_inputs_.end(), input);
+  return it == sliced_inputs_.end()
+             ? s.slots[input]
+             : s.full[static_cast<std::size_t>(it - sliced_inputs_.begin())];
 }
 
-cplx ContractionProgram::run_schedule(Scratch& s,
-                                      const Backend& backend) const {
+void ContractionProgram::run_schedule(Scratch& s, const Backend& backend,
+                                      cplx* out) const {
   for (const Step& st : steps_) {
     s.factors.clear();
     for (std::size_t f : st.factors) s.factors.push_back(&s.slots[f]);
@@ -272,9 +311,19 @@ cplx ContractionProgram::run_schedule(Scratch& s,
     backend.product_sum_into(s.factors, st.out_labels,
                              s.slots[st.out_slot].data().data());
   }
-  cplx value{1.0, 0.0};
-  for (std::size_t slot : final_slots_) value *= s.slots[slot].scalar_value();
-  return value;
+  if (final_labels_.empty()) {
+    cplx value{1.0, 0.0};
+    for (std::size_t slot : final_slots_)
+      value *= s.slots[slot].scalar_value();
+    *out = value;
+    return;
+  }
+  // The surviving slots' labels are all open, so one broadcast product lays
+  // the result out along final_labels_ (rank-0 survivors broadcast as
+  // scalars).
+  s.factors.clear();
+  for (std::size_t slot : final_slots_) s.factors.push_back(&s.slots[slot]);
+  backend.product_into(s.factors, final_labels_, out);
 }
 
 ContractionProgram::ScratchLease ContractionProgram::lease() const {
@@ -289,17 +338,32 @@ ContractionProgram::ScratchLease ContractionProgram::lease() const {
   return {this, std::make_unique<Scratch>()};
 }
 
-cplx ContractionProgram::contract(std::span<const double> theta,
-                                  const Backend& backend) const {
+void ContractionProgram::run(std::span<const double> theta,
+                             std::span<const int> cap_bits,
+                             const Backend& backend,
+                             std::span<cplx> out) const {
   QARCH_REQUIRE(theta.size() >= num_params_,
                 "parameter vector too short for compiled program");
+  QARCH_REQUIRE(cap_bits.size() == caps_.size(),
+                "cap_bits size must match the program's cap count");
+  for (int bit : cap_bits)
+    QARCH_REQUIRE(bit == 0 || bit == 1, "cap bits must be 0 or 1");
+  QARCH_REQUIRE(out.size() == output_entries(),
+                "output buffer size must be 2^open_labels");
   ScratchLease l = lease();
   Scratch& s = *l.scratch;
   if (!s.ready) init_scratch(s);
-  rebind(s, theta);
-  if (slice_vars_.empty()) return run_schedule(s, backend);
+  for (const GateBinding& b : bindings_)
+    gate_tensor_data(b.gate, theta, b.diagonal,
+                     rebind_target(s, b.tensor_index).data());
+  for (std::size_t i = 0; i < caps_.size(); ++i)
+    cap_tensor_data(cap_bits[i], rebind_target(s, caps_[i].tensor_index).data());
+  if (slice_vars_.empty()) {
+    run_schedule(s, backend, out.data());
+    return;
+  }
 
-  cplx total{0.0, 0.0};
+  std::fill(out.begin(), out.end(), cplx{0.0, 0.0});
   const std::size_t num_slices = std::size_t{1} << slice_vars_.size();
   for (std::size_t assignment = 0; assignment < num_slices; ++assignment) {
     for (std::size_t j = 0; j < sliced_inputs_.size(); ++j) {
@@ -309,9 +373,16 @@ cplx ContractionProgram::contract(std::span<const double> theta,
                             static_cast<int>((assignment >> k) & 1));
       s.slots[sliced_inputs_[j]].data() = std::move(projected.data());
     }
-    total += run_schedule(s, backend);
+    run_schedule(s, backend, s.partial.data());
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] += s.partial[i];
   }
-  return total;
+}
+
+cplx ContractionProgram::contract(std::span<const double> theta,
+                                  const Backend& backend) const {
+  cplx value;
+  run(theta, {}, backend, std::span<cplx>(&value, 1));
+  return value;
 }
 
 double ContractionProgram::expectation_zz(std::span<const double> theta,

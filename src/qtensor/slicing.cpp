@@ -51,7 +51,8 @@ TensorNetwork project_network(const TensorNetwork& network,
 }
 
 std::vector<VarId> choose_slice_vars(const TensorNetwork& network,
-                                     std::size_t count) {
+                                     std::size_t count,
+                                     std::span<const VarId> keep) {
   QARCH_REQUIRE(count >= 1, "need at least one slice variable");
   LineGraph g(network);
   std::vector<VarId> chosen;
@@ -60,6 +61,7 @@ std::vector<VarId> choose_slice_vars(const TensorNetwork& network,
     std::size_t best_degree = 0;
     bool found = false;
     for (VarId v : g.active_vars()) {
+      if (std::find(keep.begin(), keep.end(), v) != keep.end()) continue;
       const std::size_t d = g.degree(v);
       if (!found || d > best_degree) {
         best = v;

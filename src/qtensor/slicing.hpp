@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "qtensor/backend.hpp"
@@ -27,9 +28,11 @@ TensorNetwork project_network(const TensorNetwork& network,
                               std::size_t assignment);
 
 /// Picks `count` slice variables by greedy max-degree in the line graph —
-/// removing busy variables shrinks the treewidth fastest.
+/// removing busy variables shrinks the treewidth fastest. Variables in
+/// `keep` (a query's open output labels) are never picked.
 std::vector<VarId> choose_slice_vars(const TensorNetwork& network,
-                                     std::size_t count);
+                                     std::size_t count,
+                                     std::span<const VarId> keep = {});
 
 /// Contracts the network by summing 2^|slice_vars| projected contractions,
 /// running up to `workers` slices concurrently. `order` must cover every

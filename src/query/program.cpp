@@ -1,269 +1,25 @@
 #include "query/program.hpp"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace qarch::query {
 
-using qtensor::CapBinding;
-using qtensor::GateBinding;
+using qtensor::ContractionProgram;
 using qtensor::QueryNetwork;
-using qtensor::Tensor;
-using qtensor::TensorNetwork;
 using qtensor::VarId;
-
-namespace {
-
-/// A cached order is applicable to an open network iff it repeats nothing,
-/// touches no open variable, and covers every CLOSED variable. The
-/// structure-hash guard should guarantee this; validating anyway turns hash
-/// collisions and corrupt cache entries into a silent replan.
-bool order_applicable(const TensorNetwork& net,
-                      const std::set<VarId>& open,
-                      const std::vector<VarId>& order) {
-  std::set<VarId> seen(order.begin(), order.end());
-  if (seen.size() != order.size()) return false;
-  for (VarId v : order)
-    if (open.count(v) > 0) return false;
-  for (VarId v : net.variables())
-    if (open.count(v) == 0 && seen.count(v) == 0) return false;
-  return true;
-}
-
-}  // namespace
-
-QueryOptions query_options(const qtensor::QTensorOptions& options) {
-  QueryOptions qo;
-  qo.network = options.network;
-  qo.planner = options.planner;
-  qo.plan_cache = options.plan_cache;
-  return qo;
-}
-
-struct QueryProgram::Scratch {
-  bool ready = false;
-  std::vector<Tensor> slots;           ///< inputs_ copies + intermediates
-  std::vector<const Tensor*> factors;  ///< reusable factor-pointer list
-};
-
-struct QueryProgram::ScratchLease {
-  const QueryProgram* program;
-  std::unique_ptr<Scratch> scratch;
-
-  ScratchLease(const QueryProgram* p, std::unique_ptr<Scratch> s)
-      : program(p), scratch(std::move(s)) {}
-  ScratchLease(ScratchLease&&) = default;
-  ScratchLease(const ScratchLease&) = delete;
-  ~ScratchLease() {
-    if (scratch == nullptr) return;
-    LockGuard lock(program->pool_mutex_);
-    program->pool_.push_back(std::move(scratch));
-  }
-};
-
-QueryProgram::QueryProgram(QueryNetwork network,
-                           std::vector<VarId> final_labels,
-                           std::size_t num_params, const QueryOptions& options,
-                           std::string shape_key)
-    : options_(options), num_params_(num_params) {
-  bindings_ = std::move(network.bindings);
-  caps_ = std::move(network.caps);
-  {
-    std::set<VarId> want(network.open_labels.begin(),
-                         network.open_labels.end());
-    std::set<VarId> got(final_labels.begin(), final_labels.end());
-    QARCH_REQUIRE(want == got && final_labels.size() ==
-                                     network.open_labels.size(),
-                  "final_labels must permute the network's open labels");
-  }
-  final_labels_ = std::move(final_labels);
-  compile(std::move(network.net), std::move(shape_key));
-}
-
-QueryProgram::~QueryProgram() = default;
-
-void QueryProgram::compile(TensorNetwork net, std::string shape_key) {
-  const std::set<VarId> open(final_labels_.begin(), final_labels_.end());
-
-  // Contraction order: same plan cache, same planner as the closed
-  // programs. The planner orders ALL variables; the open ones are filtered
-  // out afterwards (they are output axes, not eliminations), and the
-  // FILTERED order is what the cache stores — a hit replays with zero
-  // planner work.
-  std::vector<VarId> order;
-  std::string heuristic;
-  bool plan_cached = false;
-  std::uint64_t structure = 0;
-  if (options_.plan_cache != nullptr) {
-    structure = qtensor::network_structure_hash(net);
-    if (auto hit = options_.plan_cache->find(shape_key, structure);
-        hit.has_value() && order_applicable(net, open, hit->order)) {
-      order = std::move(hit->order);
-      heuristic = hit->heuristic + "+cached";
-      plan_cached = true;
-    }
-  }
-  if (!plan_cached) {
-    qtensor::ContractionPlan plan = qtensor::plan_contraction(
-        net, options_.planner);
-    heuristic = plan.heuristic;
-    order.reserve(plan.order.size());
-    for (VarId v : plan.order)
-      if (open.count(v) == 0) order.push_back(v);
-    if (options_.plan_cache != nullptr)
-      options_.plan_cache->insert({shape_key, structure, order, heuristic});
-  }
-  // Score the actual schedule (open labels survive to the end), whether the
-  // order came from the cache or a live plan.
-  const qtensor::PlanCost sched_cost = qtensor::CostModel(net).cost(order);
-  stats_.plan_cached = plan_cached;
-  stats_.shape_key = std::move(shape_key);
-  stats_.heuristic = std::move(heuristic);
-  stats_.est_flops = sched_cost.flops;
-
-  // Flatten bucket elimination exactly as ContractionProgram does; the only
-  // difference is the invariant at the end — surviving slots carry open
-  // labels instead of being scalars.
-  struct Live {
-    std::size_t slot;
-    std::vector<VarId> labels;
-  };
-  std::vector<Live> live;
-  live.reserve(net.tensors.size());
-  for (std::size_t i = 0; i < net.tensors.size(); ++i)
-    live.push_back({i, net.tensors[i].labels()});
-  num_slots_ = net.tensors.size();
-
-  for (VarId var : order) {
-    std::vector<Live> rest;
-    rest.reserve(live.size());
-    Step step;
-    std::set<VarId> union_set;
-    for (Live& l : live) {
-      if (std::find(l.labels.begin(), l.labels.end(), var) != l.labels.end()) {
-        step.factors.push_back(l.slot);
-        union_set.insert(l.labels.begin(), l.labels.end());
-      } else {
-        rest.push_back(std::move(l));
-      }
-    }
-    if (step.factors.empty()) {
-      live = std::move(rest);
-      continue;
-    }
-    step.out_labels.reserve(union_set.size());
-    step.out_labels.push_back(var);
-    for (VarId w : union_set)
-      if (w != var) step.out_labels.push_back(w);
-    step.entries = std::size_t{1} << step.out_labels.size();
-    step.out_slot = num_slots_++;
-    stats_.width = std::max(stats_.width, step.out_labels.size());
-
-    Live produced;
-    produced.slot = step.out_slot;
-    produced.labels.assign(step.out_labels.begin() + 1,
-                           step.out_labels.end());
-    rest.push_back(std::move(produced));
-    steps_.push_back(std::move(step));
-    live = std::move(rest);
-  }
-
-  // Everything still alive is a factor of the final open-label product.
-  std::set<VarId> covered;
-  for (const Live& l : live) {
-    for (VarId v : l.labels) {
-      QARCH_CHECK(open.count(v) > 0,
-                  "compiled query left a closed variable uneliminated");
-      covered.insert(v);
-    }
-    final_slots_.push_back(l.slot);
-  }
-  QARCH_CHECK(!final_slots_.empty(),
-              "compiled query schedule consumed every tensor");
-  QARCH_CHECK(covered.size() == open.size(),
-              "an open label vanished from the network");
-  stats_.width = std::max(stats_.width, final_labels_.size());
-  QARCH_REQUIRE(stats_.width <= options_.max_width,
-                "query contraction width exceeds max_width (too many open "
-                "qubits for an unsliced query)");
-
-  inputs_ = std::move(net.tensors);
-  stats_.tensors = inputs_.size();
-  stats_.bound_tensors = bindings_.size();
-  stats_.cap_tensors = caps_.size();
-  stats_.open_labels = final_labels_.size();
-  stats_.steps = steps_.size();
-}
-
-void QueryProgram::init_scratch(Scratch& s) const {
-  s.slots.clear();
-  s.slots.reserve(num_slots_);
-  for (const Tensor& t : inputs_) s.slots.push_back(t);
-  for (const Step& st : steps_) {
-    std::vector<VarId> labels(st.out_labels.begin() + 1, st.out_labels.end());
-    s.slots.emplace_back(std::move(labels),
-                         std::vector<cplx>(st.entries / 2));
-  }
-  s.ready = true;
-}
-
-QueryProgram::ScratchLease QueryProgram::lease() const {
-  {
-    LockGuard lock(pool_mutex_);
-    if (!pool_.empty()) {
-      std::unique_ptr<Scratch> s = std::move(pool_.back());
-      pool_.pop_back();
-      return {this, std::move(s)};
-    }
-  }
-  return {this, std::make_unique<Scratch>()};
-}
-
-void QueryProgram::run(std::span<const double> theta,
-                       std::span<const int> cap_bits,
-                       const qtensor::Backend& backend,
-                       std::span<cplx> out) const {
-  QARCH_REQUIRE(theta.size() >= num_params_,
-                "parameter vector too short for compiled query");
-  QARCH_REQUIRE(cap_bits.size() == caps_.size(),
-                "cap_bits size must match the program's cap count");
-  QARCH_REQUIRE(out.size() == output_entries(),
-                "output buffer size must be 2^open_labels");
-  ScratchLease l = lease();
-  Scratch& s = *l.scratch;
-  if (!s.ready) init_scratch(s);
-  for (const GateBinding& b : bindings_)
-    qtensor::gate_tensor_data(b.gate, theta, b.diagonal,
-                              s.slots[b.tensor_index].data());
-  for (std::size_t i = 0; i < caps_.size(); ++i)
-    qtensor::cap_tensor_data(cap_bits[i],
-                             s.slots[caps_[i].tensor_index].data());
-  for (const Step& st : steps_) {
-    s.factors.clear();
-    for (std::size_t f : st.factors) s.factors.push_back(&s.slots[f]);
-    backend.product_sum_into(s.factors, st.out_labels,
-                             s.slots[st.out_slot].data().data());
-  }
-  // Final combine: the surviving slots' labels are all open, so one
-  // broadcast product lays the result out along final_labels_ (rank-0
-  // survivors broadcast as scalars).
-  s.factors.clear();
-  for (std::size_t slot : final_slots_) s.factors.push_back(&s.slots[slot]);
-  backend.product_into(s.factors, final_labels_, out.data());
-}
 
 // -- AmplitudeProgram ---------------------------------------------------------
 
 AmplitudeProgram::AmplitudeProgram(const circuit::Circuit& circuit,
-                                   const QueryOptions& options)
+                                   const qtensor::ProgramOptions& options)
     : num_qubits_(circuit.num_qubits()) {
   QueryNetwork network = qtensor::amplitude_query_network(
       circuit, std::vector<double>(circuit.num_params(), 0.0), {},
       options.network);
-  program_ = std::make_unique<QueryProgram>(
+  program_ = std::make_unique<ContractionProgram>(
       std::move(network), std::vector<VarId>{}, circuit.num_params(), options,
       "q:amp");
 }
@@ -282,7 +38,7 @@ cplx AmplitudeProgram::amplitude(std::span<const double> theta,
 
 BatchedAmplitudeProgram::BatchedAmplitudeProgram(
     const circuit::Circuit& circuit, std::span<const std::size_t> open_qubits,
-    const QueryOptions& options)
+    const qtensor::ProgramOptions& options)
     : num_qubits_(circuit.num_qubits()),
       open_qubits_(open_qubits.begin(), open_qubits.end()) {
   QARCH_REQUIRE(!open_qubits_.empty(),
@@ -296,7 +52,7 @@ BatchedAmplitudeProgram::BatchedAmplitudeProgram(
   // open_qubits[j] (LSB-first, the statevector convention).
   std::vector<VarId> final_labels(network.open_labels.rbegin(),
                                   network.open_labels.rend());
-  program_ = std::make_unique<QueryProgram>(
+  program_ = std::make_unique<ContractionProgram>(
       std::move(network), std::move(final_labels), circuit.num_params(),
       options, "q:amp" + std::to_string(open_qubits_.size()));
 }
@@ -315,17 +71,19 @@ std::vector<cplx> BatchedAmplitudeProgram::amplitudes(
 
 MarginalProgram::MarginalProgram(const circuit::Circuit& circuit,
                                  std::span<const std::size_t> targets,
-                                 const QueryOptions& options)
+                                 const qtensor::ProgramOptions& options)
     : num_qubits_(circuit.num_qubits()),
       targets_(targets.begin(), targets.end()) {
   QARCH_REQUIRE(!targets_.empty(), "marginal needs at least one target");
   std::vector<qtensor::WireRole> roles(num_qubits_,
                                        qtensor::WireRole::Trace);
-  for (std::size_t q : targets_) {
-    QARCH_REQUIRE(q < num_qubits_, "marginal target out of range");
-    QARCH_REQUIRE(roles[q] == qtensor::WireRole::Trace,
-                  "duplicate marginal target");
-    roles[q] = qtensor::WireRole::Cut;
+  for (std::size_t j = 0; j < targets_.size(); ++j) {
+    QARCH_REQUIRE(targets_[j] < num_qubits_, "marginal target out of range");
+    // The output layout below assumes ascending targets (the builder emits
+    // cut labels by ascending qubit).
+    QARCH_REQUIRE(j == 0 || targets_[j - 1] < targets_[j],
+                  "marginal targets must be sorted and unique");
+    roles[targets_[j]] = qtensor::WireRole::Cut;
   }
   QueryNetwork network = qtensor::measure_query_network(
       circuit, std::vector<double>(circuit.num_params(), 0.0), roles,
@@ -342,7 +100,7 @@ MarginalProgram::MarginalProgram(const circuit::Circuit& circuit,
     final_labels.push_back(network.open_labels[k - 1 - j]);
   for (std::size_t j = 0; j < k; ++j)
     final_labels.push_back(network.open_labels[2 * k - 1 - j]);
-  program_ = std::make_unique<QueryProgram>(
+  program_ = std::make_unique<ContractionProgram>(
       std::move(network), std::move(final_labels), circuit.num_params(),
       options, "q:rdm" + std::to_string(k));
 }

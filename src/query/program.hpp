@@ -1,158 +1,46 @@
-// Compiled query programs — open-index contraction over both engines' TN
-// machinery.
+// Compiled query programs — amplitudes, batched amplitudes and reduced
+// density matrices over the one compiled contraction core.
 //
-// ContractionProgram (qtensor/program.hpp) compiles CLOSED networks: every
-// variable is eliminated and the result is a scalar expectation. The query
-// subsystem generalizes that pipeline to networks with OPEN output labels,
-// which is what amplitudes with free wires, reduced density matrices, and
-// per-qubit sampling marginals all are:
-//
-//   * the network is built once (qtensor::amplitude_query_network /
-//     measure_query_network) with its theta rebind points (GateBinding) and
-//     basis rebind points (CapBinding) recorded;
-//   * the contraction order comes from the SAME planner and the SAME
-//     persistent plan cache as the closed programs — open variables are
-//     filtered out of the planned order, so a warm process replays queries
-//     with zero planner invocations;
-//   * bucket elimination over the closed variables is flattened into the
-//     same static product_sum_into schedule, and the surviving open-label
-//     slots are combined by one Backend::product_into into the caller's
-//     2^k output buffer.
-//
-// A replay therefore costs a per-symbol-gate rebind, a per-cap 2-entry
+// Each wrapper below builds its open-index network once
+// (qtensor::amplitude_query_network / measure_query_network, with theta
+// rebind points (GateBinding) and basis rebind points (CapBinding)
+// recorded), fixes the output layout, and holds a qtensor::ContractionProgram
+// compiled from it: the same planner, the same persistent plan cache
+// ("q:"-prefixed keys, so the key spaces never collide), the same slicing
+// decision, and the same flattened product_sum_into schedule as the closed
+// <ZZ> programs. A warm process compiles queries with zero planner
+// invocations; a replay costs a per-symbol-gate rebind, a per-cap 2-entry
 // rewrite, and the schedule — no network rebuild, no ordering, no
-// allocation. Replays are const and thread-safe via the same pooled-scratch
-// idiom as ContractionProgram.
-//
-// Queries are NOT sliced: open-index contractions in this repo are narrow
-// (amplitude lightcones, k-qubit marginals with small k), and the planned
-// width is guarded instead (max_width) so a pathological query fails loudly
-// rather than allocating 2^40 entries.
+// allocation. Replays are const and thread-safe.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "common/annotations.hpp"
 #include "qtensor/backend.hpp"
 #include "qtensor/contraction.hpp"
-#include "qtensor/network.hpp"
-#include "qtensor/plan_cache.hpp"
-#include "qtensor/planner.hpp"
+#include "qtensor/program.hpp"
 
 namespace qarch::query {
 
 using qtensor::cplx;
 
-/// Compile-time configuration shared by every query program.
-struct QueryOptions {
-  qtensor::NetworkOptions network;  ///< lightcone / diagonal rank reduction
-  qtensor::PlannerOptions planner;  ///< ordering heuristics that compete
-  /// Shared persistent plan cache (the same object ContractionProgram uses;
-  /// query keys carry a "q:" prefix so the key spaces never collide).
-  std::shared_ptr<qtensor::PlanCache> plan_cache;
-  /// Hard ceiling on the compiled schedule's intermediate rank. Queries are
-  /// not sliced, so a plan wider than this is a usage error (too many open
-  /// qubits / marginal targets), reported at compile time.
-  std::size_t max_width = 30;
-};
-
-/// Derives QueryOptions from the facade / energy-engine option block — the
-/// query-side reconciliation point mirroring
-/// qtensor::QTensorOptions::program_options().
-[[nodiscard]] QueryOptions query_options(
-    const qtensor::QTensorOptions& options);
-
-/// Compile-time facts about one query program.
-struct QueryStats {
-  std::size_t tensors = 0;        ///< network tensors (inputs)
-  std::size_t bound_tensors = 0;  ///< theta-rebindable tensors
-  std::size_t cap_tensors = 0;    ///< bit-rebindable caps / projectors
-  std::size_t open_labels = 0;    ///< open output variables (output rank)
-  std::size_t steps = 0;          ///< bucket-elimination steps
-  std::size_t width = 0;          ///< max intermediate rank (incl. output)
-  double est_flops = 0.0;         ///< planner cost model estimate
-  std::string heuristic;          ///< winning ordering heuristic
-  bool plan_cached = false;       ///< order came from the plan cache
-  std::string shape_key;          ///< plan-cache key ("q:"-prefixed)
-};
-
-/// One compiled open-index contraction: eliminates every closed variable of
-/// a QueryNetwork along a planned order and writes the 2^k tensor over
-/// `final_labels` (k = open label count, first label outermost). The
-/// building block under AmplitudeProgram / MarginalProgram / Sampler.
-class QueryProgram {
- public:
-  /// `final_labels` must be a permutation of network.open_labels and fixes
-  /// the output layout; `shape_key` keys the plan cache (the network
-  /// structure hash guards exact applicability).
-  QueryProgram(qtensor::QueryNetwork network,
-               std::vector<qtensor::VarId> final_labels,
-               std::size_t num_params, const QueryOptions& options,
-               std::string shape_key);
-  ~QueryProgram();
-
-  QueryProgram(const QueryProgram&) = delete;
-  QueryProgram& operator=(const QueryProgram&) = delete;
-
-  /// Rebinds gates to `theta` and caps to `cap_bits` (one 0/1 per cap, in
-  /// the network's cap order — ascending qubit for both builders), replays
-  /// the schedule, and writes the 2^k output tensor into `out`
-  /// (out.size() == output_entries()). Thread-safe.
-  void run(std::span<const double> theta, std::span<const int> cap_bits,
-           const qtensor::Backend& backend, std::span<cplx> out) const;
-
-  [[nodiscard]] std::size_t num_caps() const { return caps_.size(); }
-  [[nodiscard]] std::size_t num_open() const { return final_labels_.size(); }
-  [[nodiscard]] std::size_t output_entries() const {
-    return std::size_t{1} << final_labels_.size();
-  }
-  [[nodiscard]] std::size_t num_params() const { return num_params_; }
-  [[nodiscard]] const QueryStats& stats() const { return stats_; }
-
- private:
-  /// Flattened bucket step, identical to ContractionProgram's.
-  struct Step {
-    std::vector<std::size_t> factors;  ///< input slot ids
-    std::vector<qtensor::VarId> out_labels;  ///< eliminated var first
-    std::size_t out_slot = 0;
-    std::size_t entries = 0;  ///< 2^|out_labels|
-  };
-
-  struct Scratch;
-  struct ScratchLease;
-
-  void compile(qtensor::TensorNetwork net, std::string shape_key);
-  void init_scratch(Scratch& s) const;
-  [[nodiscard]] ScratchLease lease() const;
-
-  QueryOptions options_;
-  std::size_t num_params_ = 0;
-  std::vector<qtensor::Tensor> inputs_;         ///< baked network tensors
-  std::vector<qtensor::GateBinding> bindings_;  ///< theta-dependent inputs
-  std::vector<qtensor::CapBinding> caps_;       ///< bit-dependent inputs
-  std::vector<qtensor::VarId> final_labels_;    ///< output label order
-  std::vector<Step> steps_;
-  std::vector<std::size_t> final_slots_;  ///< live slots after elimination
-  std::size_t num_slots_ = 0;
-  QueryStats stats_;
-
-  mutable Mutex pool_mutex_{60, "cache.scratch"};
-  mutable std::vector<std::unique_ptr<Scratch>> pool_
-      QARCH_GUARDED_BY(pool_mutex_);
-};
+/// The ProgramOptions a query derives from the facade / energy-engine
+/// option block (forwards to QTensorOptions::program_options()).
+[[nodiscard]] inline qtensor::ProgramOptions query_options(
+    const qtensor::QTensorOptions& options) {
+  return options.program_options();
+}
 
 /// A single amplitude <bits|U|+>^n, compiled once and replayable for any
-/// (theta, bits). Replaces the rebuild-per-call QTensorSimulator::amplitude
-/// path (which now routes through this program).
+/// (theta, bits).
 class AmplitudeProgram {
  public:
   explicit AmplitudeProgram(const circuit::Circuit& circuit,
-                            const QueryOptions& options = {});
+                            const qtensor::ProgramOptions& options = {});
 
   /// bits[q] in {0,1}, bits.size() == num_qubits.
   [[nodiscard]] cplx amplitude(std::span<const double> theta,
@@ -160,11 +48,13 @@ class AmplitudeProgram {
                                const qtensor::Backend& backend) const;
 
   [[nodiscard]] std::size_t num_qubits() const { return num_qubits_; }
-  [[nodiscard]] const QueryStats& stats() const { return program_->stats(); }
+  [[nodiscard]] const qtensor::ProgramStats& stats() const {
+    return program_->stats();
+  }
 
  private:
   std::size_t num_qubits_ = 0;
-  std::unique_ptr<QueryProgram> program_;
+  std::unique_ptr<qtensor::ContractionProgram> program_;
 };
 
 /// A batch of 2^k amplitudes with the qubits in `open_qubits` left free:
@@ -176,7 +66,7 @@ class BatchedAmplitudeProgram {
   /// `open_qubits` must be sorted, unique, and non-empty.
   BatchedAmplitudeProgram(const circuit::Circuit& circuit,
                           std::span<const std::size_t> open_qubits,
-                          const QueryOptions& options = {});
+                          const qtensor::ProgramOptions& options = {});
 
   /// `fixed_bits` has one 0/1 per NON-open qubit, ascending by qubit.
   /// Returns 2^k amplitudes indexed as documented above.
@@ -188,12 +78,14 @@ class BatchedAmplitudeProgram {
   [[nodiscard]] const std::vector<std::size_t>& open_qubits() const {
     return open_qubits_;
   }
-  [[nodiscard]] const QueryStats& stats() const { return program_->stats(); }
+  [[nodiscard]] const qtensor::ProgramStats& stats() const {
+    return program_->stats();
+  }
 
  private:
   std::size_t num_qubits_ = 0;
   std::vector<std::size_t> open_qubits_;
-  std::unique_ptr<QueryProgram> program_;
+  std::unique_ptr<qtensor::ContractionProgram> program_;
 };
 
 /// The reduced density matrix of `targets` (sorted, unique, non-empty):
@@ -205,7 +97,7 @@ class MarginalProgram {
  public:
   MarginalProgram(const circuit::Circuit& circuit,
                   std::span<const std::size_t> targets,
-                  const QueryOptions& options = {});
+                  const qtensor::ProgramOptions& options = {});
 
   [[nodiscard]] std::vector<cplx> rdm(std::span<const double> theta,
                                       const qtensor::Backend& backend) const;
@@ -219,12 +111,14 @@ class MarginalProgram {
   [[nodiscard]] const std::vector<std::size_t>& targets() const {
     return targets_;
   }
-  [[nodiscard]] const QueryStats& stats() const { return program_->stats(); }
+  [[nodiscard]] const qtensor::ProgramStats& stats() const {
+    return program_->stats();
+  }
 
  private:
   std::size_t num_qubits_ = 0;
   std::vector<std::size_t> targets_;
-  std::unique_ptr<QueryProgram> program_;
+  std::unique_ptr<qtensor::ContractionProgram> program_;
 };
 
 }  // namespace qarch::query

@@ -19,7 +19,7 @@ struct Sampler::Impl {
   // Tensor-network engine: steps[k] opens qubit n-1-k, fixes qubits above
   // it, traces qubits below it.
   std::unique_ptr<qtensor::Backend> backend;
-  std::vector<std::unique_ptr<QueryProgram>> steps;
+  std::vector<std::unique_ptr<qtensor::ContractionProgram>> steps;
 
   /// |psi> for the statevector engine, reusing one per-thread buffer across
   /// calls (same idiom as qaoa's StatevectorPlan).
@@ -73,7 +73,7 @@ Sampler::Sampler(const circuit::Circuit& ansatz, const SamplerOptions& options)
         ansatz, std::vector<double>(ansatz.num_params(), 0.0), roles,
         options.query.network);
     std::vector<qtensor::VarId> final_labels = network.open_labels;
-    impl_->steps.push_back(std::make_unique<QueryProgram>(
+    impl_->steps.push_back(std::make_unique<qtensor::ContractionProgram>(
         std::move(network), std::move(final_labels), ansatz.num_params(),
         options.query, "q:chain" + std::to_string(q)));
   }
@@ -84,13 +84,6 @@ Sampler::~Sampler() = default;
 std::size_t Sampler::num_qubits() const { return impl_->n; }
 
 SamplerEngine Sampler::engine() const { return impl_->options.engine; }
-
-std::vector<QueryStats> Sampler::step_stats() const {
-  std::vector<QueryStats> stats;
-  stats.reserve(impl_->steps.size());
-  for (const auto& s : impl_->steps) stats.push_back(s->stats());
-  return stats;
-}
 
 std::vector<std::size_t> Sampler::sample(std::span<const double> theta,
                                          std::size_t shots, Rng& rng) const {

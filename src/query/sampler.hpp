@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -48,8 +49,8 @@ enum class SamplerEngine {
 struct SamplerOptions {
   SamplerEngine engine = SamplerEngine::Statevector;
   /// Tensor-network engine: compile config for the per-qubit marginal
-  /// programs (planner, plan cache, lightcone toggles).
-  QueryOptions query;
+  /// programs (planner, plan cache, slicing, lightcone toggles).
+  qtensor::ProgramOptions query;
   /// Tensor-network engine: contraction backend spec ("serial",
   /// "parallel[:N]").
   std::string tn_backend = "serial";
@@ -82,9 +83,6 @@ class Sampler {
 
   [[nodiscard]] std::size_t num_qubits() const;
   [[nodiscard]] SamplerEngine engine() const;
-  /// Tensor-network engine: per-qubit marginal program stats (empty on the
-  /// statevector engine). steps()[k] samples qubit num_qubits-1-k.
-  [[nodiscard]] std::vector<QueryStats> step_stats() const;
 
  private:
   struct Impl;

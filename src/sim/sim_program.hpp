@@ -35,7 +35,7 @@ namespace qarch::sim {
 /// to measure each specialization in isolation). This is the statevector
 /// half of the compiled-plan toggle surface reached through
 /// qaoa::EnergyOptions::sv_plan; the tensor-network analogue is
-/// qtensor::QTensorOptions (compile_programs / planner / slicing).
+/// qtensor::QTensorOptions (planner / slicing / shape dedup).
 struct PlanOptions {
   /// Compile diagonal gates (RZ/P/Z/S/T/CZ/RZZ) to streaming phase kernels:
   /// one complex multiply per amplitude, no pair/quad index shuffling.

@@ -1028,7 +1028,6 @@ TEST(SessionConfig, BaseDeepTogglesSurviveReconciliation) {
   s.base.energy.sv_plan.simd = false;
   s.base.energy.sv_plan.phase_tables = false;
   s.base.energy.sv_plan.fuse_single_qubit = false;
-  s.base.energy.qtensor.compile_programs = false;
   s.base.energy.qtensor.slice_above_width = 20;
   s.base.energy.qtensor.random_restarts = 3;
   s.base.energy.plan_cache_capacity = 2;
@@ -1050,7 +1049,6 @@ TEST(SessionConfig, BaseDeepTogglesSurviveReconciliation) {
   EXPECT_FALSE(opt.energy.sv_plan.simd);
   EXPECT_FALSE(opt.energy.sv_plan.phase_tables);
   EXPECT_FALSE(opt.energy.sv_plan.fuse_single_qubit);
-  EXPECT_FALSE(opt.energy.qtensor.compile_programs);
   EXPECT_EQ(opt.energy.qtensor.slice_above_width, 20u);
   EXPECT_EQ(opt.energy.qtensor.random_restarts, 3u);
   EXPECT_EQ(opt.energy.plan_cache_capacity, 2u);

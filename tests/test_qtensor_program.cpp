@@ -199,7 +199,7 @@ TEST(Backend, ProductIntoMatchesProduct) {
 
 // ---------------------------------------------------------------------------
 // Randomized statevector-vs-qtensor ENERGY equivalence across mixers, graph
-// families, and p — compiled and legacy tensor-network paths.
+// families, and p on the compiled tensor-network path.
 // ---------------------------------------------------------------------------
 
 struct EnergyCase {
@@ -226,19 +226,13 @@ TEST_P(EnergyEquivalence, AllEnginesAgreeAcrossGraphFamiliesAndDepth) {
       sv.engine = qaoa::EngineKind::Statevector;
       qaoa::EnergyOptions tn_compiled;
       tn_compiled.engine = qaoa::EngineKind::TensorNetwork;
-      qaoa::EnergyOptions tn_legacy = tn_compiled;
-      tn_legacy.qtensor.compile_programs = false;
 
       const qaoa::EnergyEvaluator ev_sv(g, sv);
       const qaoa::EnergyEvaluator ev_c(g, tn_compiled);
-      const qaoa::EnergyEvaluator ev_l(g, tn_legacy);
 
       const double e_sv = ev_sv.energy(ansatz, theta);
       const double e_c = ev_c.energy(ansatz, theta);
-      const double e_l = ev_l.energy(ansatz, theta);
       EXPECT_NEAR(e_c, e_sv, 1e-8)
-          << GetParam().name << " n=" << g.num_vertices() << " p=" << p;
-      EXPECT_NEAR(e_l, e_sv, 1e-8)
           << GetParam().name << " n=" << g.num_vertices() << " p=" << p;
 
       // Per-term expectations must agree index-by-index too.

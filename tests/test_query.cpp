@@ -1,16 +1,20 @@
 // The compiled query subsystem (src/query): amplitude programs vs the
-// statevector and the legacy one-shot qtensor path, batched amplitude
+// statevector and the one-shot qtensor reference facade, batched amplitude
 // slices, reduced-density-matrix marginals, direct tensor-network sampling
-// (determinism per seed, agreement in distribution with the statevector
-// engine), and the shared-plan-cache warm-replay probe.
+// (determinism per seed, pinned streams, agreement in distribution with the
+// statevector engine), sliced queries vs their unsliced twins, input
+// validation, and the shared-plan-cache warm-replay probe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "graph/extra_generators.hpp"
 #include "graph/generators.hpp"
@@ -20,6 +24,7 @@
 #include "qtensor/contraction.hpp"
 #include "qtensor/plan_cache.hpp"
 #include "qtensor/planner.hpp"
+#include "qtensor/program.hpp"
 #include "query/program.hpp"
 #include "query/sampler.hpp"
 #include "sim/statevector.hpp"
@@ -60,16 +65,15 @@ std::vector<Instance> test_instances(Rng& rng) {
 }
 
 // ---------------------------------------------------------------------------
-// Amplitudes: compiled program vs statevector vs the legacy one-shot path.
+// Amplitudes: compiled program vs statevector vs the one-shot facade.
 // ---------------------------------------------------------------------------
 
 TEST(AmplitudeProgram, MatchesStatevectorAndLegacyPath) {
   Rng rng(101);
   const sim::StatevectorSimulator sv;
   const qtensor::SerialCpuBackend backend;
-  qtensor::QTensorOptions legacy_opts;
-  legacy_opts.compile_programs = false;  // the pre-query rebuild-per-call path
-  const qtensor::QTensorSimulator legacy(legacy_opts);
+  // The one-shot reference: network rebuilt and contracted every call.
+  const qtensor::QTensorSimulator legacy;
 
   for (Instance& inst : test_instances(rng)) {
     const circuit::Circuit ansatz =
@@ -265,10 +269,16 @@ TEST(Sampler, SeededDrawsAreDeterministicAcrossWorkerCounts) {
   EXPECT_EQ(a, tn_serial.sample(theta, shots, r5));
 }
 
-TEST(Sampler, StatevectorStreamIsPinned) {
-  // 64 seeded statevector draws, recorded from the per-shot subtractive
-  // scan that sim::sample_basis_states replaced: /v1/sample and the sampled
-  // objectives (CVaR, best-of-shots) on this engine keep their streams.
+// 64 seeded draws per engine. The statevector stream was recorded from the
+// per-shot subtractive scan that sim::sample_basis_states replaced, the
+// tensor-network stream from the per-qubit marginal walk as it stood before
+// the query programs were folded into qtensor::ContractionProgram:
+// /v1/sample and the sampled objectives (CVaR, best-of-shots) keep their
+// streams on both engines. The two recorded streams are identical (no
+// uniform of this seed lands near a CDF boundary).
+class SamplerStream : public ::testing::TestWithParam<query::SamplerEngine> {};
+
+TEST_P(SamplerStream, IsPinned) {
   Rng grng(4242);
   const graph::Graph g = graph::random_regular(12, 3, grng);
   const circuit::Circuit ansatz =
@@ -276,7 +286,9 @@ TEST(Sampler, StatevectorStreamIsPinned) {
   Rng trng(7);
   std::vector<double> theta(ansatz.num_params());
   for (double& t : theta) t = trng.uniform(-2.0, 2.0);
-  const query::Sampler sampler(ansatz);
+  query::SamplerOptions so;
+  so.engine = GetParam();
+  const query::Sampler sampler(ansatz, so);
   Rng rng(2718);
   const std::vector<std::size_t> pinned{
       3937, 1096, 324,  2194, 832,  2898, 184,  2144, 1408, 2584, 3484,
@@ -287,6 +299,16 @@ TEST(Sampler, StatevectorStreamIsPinned) {
       2113, 3084, 826,  272,  160,  2101, 2475, 96,   307};
   EXPECT_EQ(sampler.sample(theta, pinned.size(), rng), pinned);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, SamplerStream,
+    ::testing::Values(query::SamplerEngine::Statevector,
+                      query::SamplerEngine::TensorNetwork),
+    [](const ::testing::TestParamInfo<query::SamplerEngine>& info) {
+      return info.param == query::SamplerEngine::Statevector
+                 ? std::string("Statevector")
+                 : std::string("TensorNetwork");
+    });
 
 TEST(Sampler, EnginesAgreeInDistribution) {
   Rng rng(606);
@@ -319,13 +341,13 @@ TEST(Sampler, EnginesAgreeInDistribution) {
 // invocations (the acceptance probe of the compiled-query pipeline).
 // ---------------------------------------------------------------------------
 
-TEST(QueryPrograms, WarmPlanCacheCompilesWithoutPlanner) {
+TEST(QueryPlanReuse, WarmPlanCacheCompilesWithoutPlanner) {
   Rng rng(707);
   const graph::Graph g = graph::random_regular(6, 3, rng);
   const circuit::Circuit ansatz =
       qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse("rx"));
 
-  query::QueryOptions options;
+  qtensor::ProgramOptions options;
   options.plan_cache = std::make_shared<qtensor::PlanCache>();
 
   // Cold: compiling plans at least once.
@@ -352,6 +374,118 @@ TEST(QueryPrograms, WarmPlanCacheCompilesWithoutPlanner) {
   const cplx warm_amp = warm.amplitude(theta, bits, backend);
   EXPECT_NEAR(cold_amp.real(), warm_amp.real(), 1e-12);
   EXPECT_NEAR(cold_amp.imag(), warm_amp.imag(), 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Slicing: open queries take the same compile-time slicing decision as the
+// closed <ZZ> programs; a sliced replay sums its 2^s partial outputs.
+// ---------------------------------------------------------------------------
+
+qtensor::ProgramOptions forced_slicing() {
+  qtensor::ProgramOptions options;
+  options.slice_above_width = 2;  // force the slicing decision
+  return options;
+}
+
+TEST(SlicedQueries, MarginalMatchesUnslicedTwin) {
+  Rng rng(808);
+  const qtensor::SerialCpuBackend backend;
+  const graph::Graph g = graph::random_regular(6, 3, rng);
+  const circuit::Circuit ansatz =
+      qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse("rx,ry"));
+  const std::vector<std::size_t> targets = {1, 4};
+  const query::MarginalProgram sliced(ansatz, targets, forced_slicing());
+  const query::MarginalProgram plain(ansatz, targets);
+  EXPECT_GE(sliced.stats().slice_vars, 1U);
+  EXPECT_EQ(plain.stats().slice_vars, 0U);
+  for (int step = 0; step < 3; ++step) {
+    const auto theta = random_theta(ansatz.num_params(), rng);
+    const std::vector<cplx> a = sliced.rdm(theta, backend);
+    const std::vector<cplx> b = plain.rdm(theta, backend);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_NEAR(a[i].real(), b[i].real(), 1e-12) << "entry " << i;
+      EXPECT_NEAR(a[i].imag(), b[i].imag(), 1e-12) << "entry " << i;
+    }
+  }
+}
+
+TEST(SlicedQueries, SamplerMatchesUnslicedTwin) {
+  Rng rng(909);
+  const graph::Graph g = graph::random_regular(6, 3, rng);
+  const circuit::Circuit ansatz =
+      qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse("rx,ry"));
+  const auto theta = random_theta(ansatz.num_params(), rng);
+  query::SamplerOptions sliced_opts = tn_sampler_options("serial");
+  sliced_opts.query = forced_slicing();
+  const query::Sampler sliced(ansatz, sliced_opts);
+  const query::Sampler plain(ansatz, tn_sampler_options("serial"));
+  for (std::size_t basis = 0; basis < (std::size_t{1} << 6); ++basis)
+    EXPECT_NEAR(sliced.probability(theta, basis),
+                plain.probability(theta, basis), 1e-12)
+        << "basis " << basis;
+  Rng r1(31), r2(31);
+  EXPECT_EQ(sliced.sample(theta, 64, r1), plain.sample(theta, 64, r2));
+}
+
+TEST(SlicedQueries, SliceVariablesAreNeverOpenLabels) {
+  // The networks the two wrappers above compile: the marginal's cut wires
+  // (two open labels per target) and every sampler step (one open
+  // diagonal label, fixed qubits above it, traced qubits below).
+  Rng rng(808);
+  const graph::Graph g = graph::random_regular(6, 3, rng);
+  const circuit::Circuit ansatz =
+      qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse("rx,ry"));
+  const std::size_t n = g.num_vertices();
+  std::vector<std::vector<qtensor::WireRole>> role_sets;
+  role_sets.emplace_back(n, qtensor::WireRole::Trace);
+  role_sets.back()[1] = role_sets.back()[4] = qtensor::WireRole::Cut;
+  for (std::size_t q = 0; q < n; ++q) {
+    role_sets.emplace_back(n, qtensor::WireRole::Trace);
+    role_sets.back()[q] = qtensor::WireRole::Diagonal;
+    for (std::size_t j = q + 1; j < n; ++j)
+      role_sets.back()[j] = qtensor::WireRole::Fix;
+  }
+  for (const auto& roles : role_sets) {
+    qtensor::QueryNetwork network = qtensor::measure_query_network(
+        ansatz, std::vector<double>(ansatz.num_params(), 0.0), roles);
+    const std::vector<qtensor::VarId> open = network.open_labels;
+    const qtensor::ContractionProgram program(std::move(network), open,
+                                              ansatz.num_params(),
+                                              forced_slicing(), "q:test");
+    EXPECT_GE(program.stats().slice_vars, 1U);
+    for (qtensor::VarId v : program.slice_vars())
+      EXPECT_EQ(std::count(open.begin(), open.end(), v), 0)
+          << "open label " << v << " was sliced";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Validation: inputs the wrappers cannot answer correctly are rejected.
+// ---------------------------------------------------------------------------
+
+TEST(QueryValidation, UnsortedMarginalTargetsThrow) {
+  const circuit::Circuit ansatz = qaoa::build_qaoa_circuit(
+      graph::cycle(6), 2, qaoa::MixerSpec::parse("rx"));
+  // Bit j of the RDM index is documented as targets[j]; an unsorted list
+  // would silently get the ascending-qubit layout instead.
+  const std::vector<std::size_t> unsorted = {4, 1};
+  EXPECT_THROW(query::MarginalProgram(ansatz, unsorted), Error);
+}
+
+TEST(QueryValidation, NonBinaryCapBitsThrow) {
+  Rng rng(1010);
+  const circuit::Circuit ansatz = qaoa::build_qaoa_circuit(
+      graph::cycle(6), 2, qaoa::MixerSpec::parse("rx"));
+  const qtensor::SerialCpuBackend backend;
+  const query::AmplitudeProgram program(ansatz);
+  const auto theta = random_theta(ansatz.num_params(), rng);
+  std::vector<int> bits(6, 0);
+  for (int bad : {2, -1}) {
+    bits[0] = bad;
+    EXPECT_THROW((void)program.amplitude(theta, bits, backend), Error)
+        << "bit " << bad;
+  }
 }
 
 }  // namespace

@@ -23,6 +23,9 @@ where it CAN see) with grep-level rules for what it cannot:
       src/server/server.cpp) must appear in one of the kKnown
       unknown-field-reject arrays, so a field can never be silently read
       without also being accepted by the reject filter.
+  R6  no file under src/qtensor/ includes a query/ header — the contraction
+      core (ContractionProgram) sits below the query wrappers that use it,
+      never the other way round.
 
 Usage: python3 tools/qarch_lint.py [--root DIR]
 Exits nonzero if any rule fires; prints one line per violation.
@@ -53,6 +56,7 @@ R2_TOKEN = re.compile(r"std::thread\b(?!::)")
 R3_TOKEN = re.compile(r"\.detach\s*\(")
 R4_TOKEN = re.compile(r"\bsleep_(?:for|until)\s*\(")
 R4_SANCTIONED = "src/search/fault.cpp"
+R6_TOKEN = re.compile(r'#\s*include\s*["<]query/')
 
 KNOWN_ARRAY = re.compile(
     r"kKnown\s*=\s*\{(.*?)\}\s*;", re.DOTALL)
@@ -115,6 +119,10 @@ def scan(root):
                 flag(rel, lineno, "R4",
                      "naked sleep in the service path; route through "
                      "search::backoff_sleep (src/search/fault.cpp)")
+            if R6_TOKEN.search(line) and rel.startswith("src/qtensor/"):
+                flag(rel, lineno, "R6",
+                     "src/qtensor/ includes a query/ header; the contraction "
+                     "core must not depend on the query layer")
 
     server_cpp = os.path.join(root, "src", "server", "server.cpp")
     if os.path.exists(server_cpp):
@@ -149,6 +157,7 @@ def self_test():
             "std::this_thread::sleep_for(std::chrono::seconds(1));\n"
             "// std::mutex in a comment is fine\n"
         ),
+        "src/qtensor/bad.cpp": '#include "query/program.hpp"\n',
     }
     with tempfile.TemporaryDirectory() as tmp:
         for rel, text in bad.items():
@@ -158,7 +167,7 @@ def self_test():
                 f.write(text)
         _, violations = scan(tmp)
     rules = {v.split("[")[1][:2] for v in violations}
-    expected = {"R1", "R2", "R3", "R4"}
+    expected = {"R1", "R2", "R3", "R4", "R6"}
     if not expected <= rules:
         print("self-test FAILED: expected rules %s, got %s"
               % (sorted(expected), sorted(rules)), file=sys.stderr)
