@@ -3,8 +3,9 @@
 // QAOA cost layers are built from RZZ — diagonal gates. The compiled
 // sim::SimProgram streams them with one complex multiply per amplitude (the
 // statevector analogue of QTensor's diagonal-gate rank reduction, Lykov &
-// Alexeev 2021), fuses mixer runs into cached 2x2s, and reads all <Z_u Z_v>
-// terms off the final state in one batched sweep. On top of that sit the
+// Alexeev 2021) and fuses mixer runs into cached 2x2s; the plan reads <C>
+// off the final state as one dot product with the evaluator's per-graph
+// cost diagonal C(x). On top of that sit the
 // AVX2/FMA streaming bodies (sim::simd) and the cache-blocked replay
 // (PlanOptions::cache_blocking). This harness times a p=2 QAOA energy
 // evaluation on a 20-qubit 4-regular graph through qaoa::EnergyEvaluator
@@ -13,19 +14,23 @@
 //   generic          per-gate dense kernels + one state pass per edge
 //                    (the pre-compilation seed path)
 //   compiled-dense   compiled plan with diagonal kernels OFF (fusion and
-//                    the batched sweep still on)
+//                    the cost-diagonal <C> still on)
 //   compiled-base    the full PR-1 compiled path: diagonal kernels + phase
 //                    tables + fusion, scalar bodies, no blocking
 //   +simd            compiled-base with the AVX2/FMA bodies
 //   +blocking        compiled-base with cache-blocked replay (scalar)
 //   +simd+blocking   the full path
 //
-// and verifies, via the sweep-count instrumentation, that the batched sweep
-// turns |E| expectation passes into exactly one. Results append to the
-// machine-readable BENCH_sim_kernels.json (section "diagonal_gates").
+// and counts, via the sweep-count instrumentation, the per-edge expectation
+// passes each variant makes per evaluation: |E| for generic, none for the
+// compiled variants. Exits 1 when any compiled variant's <C> differs from
+// generic's by more than 1e-9 relative, so the bench smoke checks the
+// cost-diagonal path against the per-gate, per-edge one. Results append to
+// the machine-readable BENCH_sim_kernels.json (section "diagonal_gates").
 //
 // Flags: --qubits N (20) --degree D (4) --p P (2) --reps R (5)
 //        --workers W (1) --out PATH (BENCH_sim_kernels.json)
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -141,10 +146,21 @@ int main(int argc, char** argv) {
   std::printf("simd (isolated):                  %.2fx\n", speedup_simd);
   std::printf("blocking (isolated):              %.2fx\n", speedup_blocking);
   std::printf("simd+blocking vs PR-1 compiled:   %.2fx\n", speedup_over_base);
-  std::printf("zz sweeps/eval: %llu -> %llu (one pass per edge -> one total)\n",
+  std::printf("zz sweeps/eval: %llu -> %llu (one pass per edge -> <C> off "
+              "the cost diagonal)\n",
               static_cast<unsigned long long>(r_generic.zz_sweeps_per_eval),
               static_cast<unsigned long long>(r_full.zz_sweeps_per_eval));
   std::printf("energy agreement: |Δ<C>| = %.2e\n", drift);
+  bool energies_agree = true;
+  for (const auto& r : {r_dense, r_base, r_simd, r_blocked, r_full}) {
+    const double rel = std::abs(r.energy - r_generic.energy) /
+                       std::max(1.0, std::abs(r_generic.energy));
+    if (rel > 1e-9) {
+      std::printf("FAIL %s: <C> differs from generic by %.2e relative\n",
+                  r.name.c_str(), rel);
+      energies_agree = false;
+    }
+  }
 
   const sim::SimProgram program(ansatz, full.sv_plan);
   std::printf("replay: %zu ops in %zu groups -> %zu memory passes/eval\n",
@@ -188,5 +204,5 @@ int main(int argc, char** argv) {
   stats.set("memory_passes", program.stats().memory_passes);
   section.set("program_stats", std::move(stats));
   bench::update_bench_json(out, "diagonal_gates", std::move(section));
-  return 0;
+  return energies_agree ? 0 : 1;
 }

@@ -13,6 +13,7 @@
 #include "parallel/parallel_for.hpp"
 #include "qtensor/program.hpp"
 #include "qtensor/shape.hpp"
+#include "sim/simd.hpp"
 #include "sim/state_utils.hpp"
 
 namespace qarch::qaoa {
@@ -21,16 +22,19 @@ namespace {
 
 /// Statevector plan: the ansatz is compiled once into a SimProgram
 /// (specialized kernels, fused gates, cached matrices); every energy(theta)
-/// replays it and reads all <ZZ> off the final state in one batched sweep.
-/// `inner_workers` drives both the gate kernels and the sweep. The legacy
-/// per-gate / per-edge path stays reachable through the EnergyOptions
-/// toggles for the ablation benches.
+/// replays it and reads <C> off the final state as one serial dot product
+/// with the evaluator's cost diagonal `diag`. `inner_workers` drives the gate
+/// kernels and the batched <ZZ> sweep behind zz_expectations(); energy()
+/// falls back to that sweep when `diag` is empty (above the table guard).
+/// The legacy per-gate / per-edge path stays reachable through the
+/// EnergyOptions toggles for the ablation benches.
 class StatevectorPlan final : public EnergyPlan {
  public:
   StatevectorPlan(circuit::Circuit ansatz, const MaxCutHamiltonian& ham,
-                  const EnergyOptions& options)
+                  std::span<const double> diag, const EnergyOptions& options)
       : ansatz_(std::move(ansatz)),
         ham_(ham),
+        diag_(diag),
         options_(options),
         simulator_(options.inner_workers,
                    options.sv_plan.parallel_threshold_qubits,
@@ -42,8 +46,19 @@ class StatevectorPlan final : public EnergyPlan {
   }
 
   double energy(std::span<const double> theta) const override {
-    // One state computation serves both the ZZ sweep and the Z fields.
     const sim::State& state = run_state(theta);
+    if (!diag_.empty()) {
+      // constant + sum_x |a_x|^2 (C(x) - constant): Hamiltonian::energy's
+      // sum regrouped by basis state. The constant is C's mean over x, so
+      // the partial sums stay small and round less than the raw sum of
+      // |a_x|^2 C(x); that noise would otherwise keep COBYLA probing longer
+      // near its final trust radius.
+      const double c = ham_.constant();
+      return c + sim::simd::diag_expectation(state.data(), diag_.data(), c,
+                                             state.size(),
+                                             options_.sv_plan.simd);
+    }
+    // One state computation serves both the ZZ sweep and the Z fields.
     return ham_.energy(zz_from_state(state), z_from_state(state));
   }
 
@@ -108,6 +123,7 @@ class StatevectorPlan final : public EnergyPlan {
 
   circuit::Circuit ansatz_;
   const MaxCutHamiltonian& ham_;
+  std::span<const double> diag_;  ///< the evaluator's C(x), or empty
   EnergyOptions options_;
   sim::StatevectorSimulator simulator_;
   std::optional<sim::SimProgram> program_;
@@ -283,6 +299,25 @@ std::string circuit_fingerprint(const circuit::Circuit& c) {
   return key;
 }
 
+/// C(x) for every basis state, filled term by term in Hamiltonian order —
+/// the constant, then ±c per ZZ term, then ±c per Z term — so every entry
+/// equals Hamiltonian::classical_value_bits(x) bit for bit (each add is an
+/// exact ±c).
+std::vector<double> build_cost_diagonal(const Hamiltonian& ham) {
+  const std::size_t dim = std::size_t{1} << ham.num_qubits();
+  std::vector<double> diag(dim, ham.constant());
+  for (const ZZTerm& t : ham.terms()) {
+    const double pm[2] = {t.coefficient, -t.coefficient};
+    for (std::size_t x = 0; x < dim; ++x)
+      diag[x] += pm[((x >> t.u) ^ (x >> t.v)) & 1];
+  }
+  for (const ZTerm& t : ham.z_terms()) {
+    const double pm[2] = {t.coefficient, -t.coefficient};
+    for (std::size_t x = 0; x < dim; ++x) diag[x] += pm[(x >> t.q) & 1];
+  }
+  return diag;
+}
+
 }  // namespace
 
 /// LRU map fingerprint → shared plan. Locked only in plan_for(), i.e. once
@@ -301,7 +336,11 @@ EnergyEvaluator::EnergyEvaluator(const graph::Graph& g, EnergyOptions options)
 EnergyEvaluator::EnergyEvaluator(Hamiltonian ham, EnergyOptions options)
     : ham_(std::move(ham)),
       options_(std::move(options)),
-      cache_(std::make_unique<PlanCache>()) {}
+      cache_(std::make_unique<PlanCache>()) {
+  if (options_.engine == EngineKind::Statevector &&
+      ham_.num_qubits() <= options_.sv_plan.phase_table_max_qubits)
+    diag_ = build_cost_diagonal(ham_);
+}
 
 EnergyEvaluator::~EnergyEvaluator() = default;
 
@@ -309,8 +348,13 @@ std::unique_ptr<EnergyPlan> EnergyEvaluator::make_plan(
     const circuit::Circuit& ansatz) const {
   QARCH_REQUIRE(ansatz.num_qubits() == ham_.num_qubits(),
                 "ansatz/Hamiltonian qubit mismatch");
-  if (options_.engine == EngineKind::Statevector)
-    return std::make_unique<StatevectorPlan>(ansatz, ham_, options_);
+  if (options_.engine == EngineKind::Statevector) {
+    // The legacy per-edge configuration keeps its per-edge energy.
+    const std::span<const double> diag =
+        options_.sv_batch_expectations ? cost_diagonal()
+                                       : std::span<const double>{};
+    return std::make_unique<StatevectorPlan>(ansatz, ham_, diag, options_);
+  }
   return std::make_unique<TensorNetworkPlan>(ansatz, ham_, options_);
 }
 

@@ -4,9 +4,14 @@
 // structure and rebind per theta (see plan_for's contract below):
 //   * Statevector — the ansatz is compiled ONCE into a sim::SimProgram
 //     (diagonal-phase kernels, fused single-qubit runs, cached matrices);
-//     each energy(theta) replays the program and reads every <Z_u Z_v> off
-//     the final state in one batched sweep. Kernels and the sweep use
-//     `inner_workers` threads.
+//     each energy(theta) replays the program and reads <C> off the final
+//     state as ONE dot product, constant + sum_x |a_x|^2 (C(x) - constant),
+//     with the cost diagonal the evaluator builds once per graph
+//     (cost_diagonal()). The replay kernels use `inner_workers` threads;
+//     the dot product runs serially with a fixed lane order, so <C> is
+//     bit-identical at every worker count and SIMD policy.
+//     zz_expectations()/z_expectations() — and energy() above the table
+//     guard — read every <Z_u Z_v> off one batched sweep instead.
 //   * TensorNetwork — one lightcone network per edge, compiled ONCE into a
 //     qtensor::ContractionProgram (network built once, contraction order
 //     planned once, slicing decided once, fused product+fold schedule over
@@ -18,6 +23,7 @@
 #include <cstddef>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "circuit/circuit.hpp"
 #include "graph/graph.hpp"
@@ -39,20 +45,27 @@ struct EnergyOptions {
   /// scales with circuit structure (lightcone contraction width);
   /// Statevector scales with 2^n and wins at small n or large p.
   EngineKind engine = EngineKind::TensorNetwork;
-  /// Threads INSIDE one energy(theta) call — statevector kernels + batched
-  /// expectation sweeps, or concurrent per-edge tensor contractions. This
-  /// is the inner level of the paper's two-level scheme; the outer level
-  /// (concurrent candidates) lives in parallel::TaskPool.
+  /// Threads INSIDE one energy(theta) call — statevector replay kernels and
+  /// batched <Z_u Z_v> sweeps, or concurrent per-edge tensor contractions.
+  /// This is the inner level of the paper's two-level scheme; the outer
+  /// level (concurrent candidates) lives in parallel::TaskPool. The
+  /// statevector <C> dot product over the cost diagonal stays serial, so
+  /// statevector energies do not depend on this count (it is not part of
+  /// any result-cache or checkpoint key).
   std::size_t inner_workers = 1;
   /// Compile each ansatz into a sim::SimProgram (specialized kernels,
   /// fusion, per-theta scalar rebinds). false → the legacy per-gate
   /// StatevectorSimulator::apply path (the ablation baseline).
   bool sv_compile_plan = true;
-  /// Read all <Z_u Z_v> off the final state in ONE sweep
-  /// (sim::batched_expectation_zz). false → one state pass per edge.
+  /// energy() reads <C> off the evaluator's cost diagonal in one pass, and
+  /// zz_expectations() reads all <Z_u Z_v> off the final state in ONE sweep
+  /// (sim::batched_expectation_zz). false → one state pass per edge for
+  /// both: the legacy ablation baseline, always set together with
+  /// sv_compile_plan = false.
   bool sv_batch_expectations = true;
   /// Statevector compiled-plan kernel toggles (diagonal kernels, fusion,
-  /// phase tables, SIMD, cache blocking) — see sim::PlanOptions.
+  /// phase tables, SIMD, cache blocking) — see sim::PlanOptions. Its
+  /// phase_table_max_qubits also guards the evaluator's cost diagonal.
   sim::PlanOptions sv_plan;
   /// Tensor-network engine configuration: compiled contraction programs
   /// (planner, slicing, shape dedup, plan cache) and the bucket-product
@@ -123,10 +136,10 @@ class EnergyPlan {
 /// fingerprint) and hands back a shared plan; new thetas rebind scalars at
 /// energy() time, never recompile. Cached plans are owned by the evaluator's
 /// LRU cache (plus whoever holds the returned shared_ptr) and reference this
-/// evaluator's Hamiltonian, so they must not outlive it. Rebinding
-/// invalidates nothing; only destroying the evaluator (or evicting under
-/// plan_cache_capacity pressure once every external reference drops) ends a
-/// plan's life. Thread-safe: the cache lock is taken once per plan_for()
+/// evaluator's Hamiltonian and cost diagonal, so they must not outlive it.
+/// Rebinding invalidates nothing; only destroying the evaluator (or evicting
+/// under plan_cache_capacity pressure once every external reference drops)
+/// ends a plan's life. Thread-safe: the cache lock is taken once per plan_for()
 /// call — per-candidate, never per theta — and plans themselves are
 /// const/shareable with per-thread scratch statevectors.
 class EnergyEvaluator {
@@ -161,9 +174,17 @@ class EnergyEvaluator {
   [[nodiscard]] const MaxCutHamiltonian& hamiltonian() const { return ham_; }
   [[nodiscard]] const EnergyOptions& options() const { return options_; }
 
+  /// C(x) for every basis state x (bit q of x is qubit q), equal bit for bit
+  /// to hamiltonian().classical_value_bits(x). Built once by the constructor
+  /// on the statevector engine up to sv_plan.phase_table_max_qubits qubits
+  /// (8·2^n bytes), and empty otherwise. Statevector plans read <C> off it;
+  /// its maximum is the exact classical optimum.
+  [[nodiscard]] std::span<const double> cost_diagonal() const { return diag_; }
+
  private:
   MaxCutHamiltonian ham_;
   EnergyOptions options_;
+  std::vector<double> diag_;
   struct PlanCache;
   std::unique_ptr<PlanCache> cache_;
 };

@@ -28,7 +28,7 @@ namespace detail {
 /// numerics): a persisted result cache written under a different version is
 /// ignored wholesale, because its results are no longer reproducible by a
 /// fresh run.
-constexpr const char* kCacheCodeVersion = "qarch-eval-v6";
+constexpr const char* kCacheCodeVersion = "qarch-eval-v7";
 
 /// Version gate of the persisted contraction-plan cache. Independent of the
 /// result-cache version: planning decisions stay valid across evaluation-
@@ -218,9 +218,10 @@ struct ServiceState {
       QARCH_GUARDED_BY(mutex);
   // Evaluator LRU: (graph fp, engine, budget) → construction slot. The slot
   // indirection lets workers build evaluators OUTSIDE this mutex (an
-  // Evaluator constructor runs the exponential maxcut_exact solver) while
-  // still guaranteeing one construction per key: racing requesters block on
-  // the slot's once-flag, not on the whole service.
+  // Evaluator constructor is exponential in n: the 2^n cost diagonal or the
+  // exact max-cut solver) while still guaranteeing one construction per key:
+  // racing requesters block on the slot's once-flag, not on the whole
+  // service.
   struct EvaluatorSlot {
     std::once_flag once;
     std::shared_ptr<const Evaluator> evaluator;
@@ -388,7 +389,9 @@ void stash_foreign(ServiceState& state, CacheEntry entry)
 /// twice, breaking the one-compile-per-(candidate, graph) contract), so a
 /// key's first requester constructs inside the slot's call_once while later
 /// requesters block on that SLOT only — the service mutex is never held
-/// across construction (which runs the exponential maxcut_exact solver).
+/// across construction, which is exponential in n: a statevector evaluator
+/// fills its 2^n cost diagonal and takes the optimum from it, a
+/// tensor-network one runs the maxcut_exact (or classical_maximum) solver.
 std::shared_ptr<const Evaluator> evaluator_for(
     ServiceState& state, const std::string& graph_key, const graph::Graph& g,
     qaoa::EngineKind engine, std::size_t training_evals,
@@ -1089,8 +1092,8 @@ qaoa::EngineKind auto_engine_choice(const SessionConfig& config,
                                     const graph::Graph& g,
                                     const qaoa::MixerSpec& mixer,
                                     std::size_t p) {
-  // Small instances: 2^n is cheap and the statevector engine amortizes every
-  // edge into one batched sweep.
+  // Small instances: 2^n is cheap and the statevector engine reads every
+  // edge's contribution off one pass over the per-graph cost diagonal.
   if (g.num_vertices() <= config.auto_statevector_qubits)
     return qaoa::EngineKind::Statevector;
   // An entangling mixer (ring two-qubit gates on every qubit) spreads each

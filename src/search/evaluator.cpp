@@ -1,5 +1,6 @@
 #include "search/evaluator.hpp"
 
+#include <algorithm>
 #include <optional>
 
 #include "circuit/optimizer.hpp"
@@ -20,9 +21,15 @@ Evaluator::Evaluator(const graph::Graph& g, EvaluatorOptions options)
       cobyla_(options_.cobyla) {
   QARCH_REQUIRE(g.num_edges() >= 1, "evaluation graph needs edges");
   QARCH_REQUIRE(options_.restarts >= 1, "need at least one training start");
-  classical_optimum_ = options_.hamiltonian.is_default()
-                           ? graph::maxcut_exact(graph_).value
-                           : qaoa::classical_maximum(ham_);
+  // The statevector engine's cost diagonal already holds C(x) for every x;
+  // its maximum equals classical_maximum bit for bit.
+  const std::span<const double> diag = energy_.cost_diagonal();
+  if (!diag.empty())
+    classical_optimum_ = *std::max_element(diag.begin(), diag.end());
+  else
+    classical_optimum_ = options_.hamiltonian.is_default()
+                             ? graph::maxcut_exact(graph_).value
+                             : qaoa::classical_maximum(ham_);
 }
 
 double Evaluator::ratio_of(double value) const {

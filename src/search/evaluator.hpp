@@ -116,8 +116,10 @@ class Evaluator {
       const qaoa::MixerSpec& mixer, std::size_t p, optim::OptimState& state,
       optim::PreemptToken* preempt) const;
 
-  /// The exact classical optimum of the configured Hamiltonian (max-cut
-  /// value for the default spec, brute-force maximum otherwise).
+  /// The exact classical optimum of the configured Hamiltonian: the maximum
+  /// of the energy evaluator's cost diagonal when it has one (statevector
+  /// engine), else the max-cut value for the default spec and the
+  /// brute-force maximum otherwise.
   [[nodiscard]] double classical_optimum() const { return classical_optimum_; }
 
   [[nodiscard]] const graph::Graph& graph() const { return graph_; }

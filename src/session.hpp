@@ -55,7 +55,7 @@ struct SessionConfig {
   /// concurrently (0 = hardware concurrency).
   std::size_t workers = 1;
   /// Inner level: threads inside one energy(theta) call — statevector
-  /// kernels / batched sweeps, or concurrent per-edge contractions.
+  /// replay kernels, or concurrent per-edge contractions.
   std::size_t inner_workers = 1;
 
   // -- training budget -------------------------------------------------------

@@ -53,7 +53,10 @@ struct PlanOptions {
   /// phase lookup rebuilt from a handful of scalars. Requires
   /// diagonal_kernels.
   bool phase_tables = true;
-  std::size_t phase_table_max_qubits = 22;  ///< table memory guard
+  /// Per-amplitude table memory guard: above this many qubits a program
+  /// bakes no phase tables, and a statevector qaoa::EnergyEvaluator builds
+  /// no cost diagonal (its plans then read <C> off the batched <ZZ> sweep).
+  std::size_t phase_table_max_qubits = 22;
   std::size_t parallel_threshold_qubits = 14;  ///< serial below this size
   /// Use the AVX2/FMA streaming bodies when the build and CPU support them
   /// (sim::simd); false forces the scalar fallback everywhere in this plan.

@@ -69,12 +69,13 @@ bool active() {
 // floating-point operations in the same order per amplitude
 // ((zr*wr - zi*wi, zi*wr + zr*wi), each product rounded before the add/sub —
 // the AVX2 bodies never use FMA). This file is built with -ffp-contract=off
-// so the default build agrees bit-for-bit across the toggle; under a global
-// -mfma build GCC's complex-multiply vectorization can still contract the
-// scalar bodies (addsub+mul -> vfmaddsub ignores fp-contract), leaving
-// last-ulp differences. zz_accumulate additionally keeps four running lanes
-// per mask, so its partial sums associate differently (equal within
-// rounding).
+// and -fno-tree-vectorize — GCC's complex-multiply vectorization turns
+// addsub+mul into vfmaddsub even with contraction off — so every build,
+// global -mfma included, agrees bit-for-bit across the toggle. zz_accumulate
+// additionally keeps four running lanes per mask, so its partial sums
+// associate differently (equal within rounding). diag_expectation keeps the
+// same four lanes by index mod 4 in both bodies and folds them in one fixed
+// order, so it stays bit-identical.
 
 namespace {
 
@@ -120,6 +121,20 @@ void zz_accumulate_scalar(const cplx* state, std::size_t lo, std::size_t hi,
     for (std::size_t k = 0; k < num_masks; ++k)
       acc[k] += pm[std::popcount(i & masks[k]) & 1];
   }
+}
+
+/// lanes[i % 4] += (re*re + im*im) * (diag[i] - shift) for i in [lo, hi);
+/// lo must be a multiple of 4.
+void diag_lanes_scalar(const cplx* z, const double* diag, double shift,
+                       std::size_t lo, std::size_t hi, double* lanes) {
+  const auto term = [&](std::size_t i) {
+    const double re = z[i].real(), im = z[i].imag();
+    return (re * re + im * im) * (diag[i] - shift);
+  };
+  std::size_t i = lo;
+  for (; i + 4 <= hi; i += 4)
+    for (std::size_t l = 0; l < 4; ++l) lanes[l] += term(i + l);
+  for (; i < hi; ++i) lanes[i & 3] += term(i);
 }
 
 }  // namespace
@@ -298,6 +313,27 @@ QARCH_AVX2_FN void zz_accumulate_avx2(const cplx* state, std::size_t lo,
   for (std::size_t k = 0; k < num_masks; ++k)
     acc[k] +=
         vacc[4 * k] + vacc[4 * k + 1] + vacc[4 * k + 2] + vacc[4 * k + 3];
+}
+
+/// n must be a multiple of 4. Register lane l is diag_lanes_scalar's lane l:
+/// hadd of the squares yields [p0, p2, p1, p3] and one cross-lane permute
+/// restores index order before the explicit sub, mul and add.
+QARCH_AVX2_FN void diag_lanes_avx2(const cplx* z, const double* diag,
+                                   double shift, std::size_t n,
+                                   double* lanes) {
+  const double* d = reinterpret_cast<const double*>(z);
+  const __m256d vshift = _mm256_set1_pd(shift);
+  __m256d acc = _mm256_loadu_pd(lanes);
+  for (std::size_t i = 0; i < n; i += 4) {
+    const __m256d z01 = _mm256_loadu_pd(d + 2 * i);
+    const __m256d z23 = _mm256_loadu_pd(d + 2 * i + 4);
+    const __m256d p = _mm256_permute4x64_pd(
+        _mm256_hadd_pd(_mm256_mul_pd(z01, z01), _mm256_mul_pd(z23, z23)),
+        0xD8);
+    const __m256d c = _mm256_sub_pd(_mm256_loadu_pd(diag + i), vshift);
+    acc = _mm256_add_pd(acc, _mm256_mul_pd(p, c));
+  }
+  _mm256_storeu_pd(lanes, acc);
 }
 
 /// n must be a multiple of 2.
@@ -519,6 +555,21 @@ void zz_accumulate(const cplx* state, std::size_t lo, std::size_t hi,
 #endif
   (void)use_simd;
   zz_accumulate_scalar(state, lo, hi, masks, num_masks, acc);
+}
+
+double diag_expectation(const cplx* z, const double* diag, double shift,
+                        std::size_t n, bool use_simd) {
+  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t done = 0;
+#if QARCH_SIMD_X86
+  if (use_simd && active()) {
+    done = n & ~std::size_t{3};
+    diag_lanes_avx2(z, diag, shift, done, lanes);
+  }
+#endif
+  (void)use_simd;
+  diag_lanes_scalar(z, diag, shift, done, n, lanes);
+  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
 void cplx_mul_runs(cplx* acc, const cplx* x, std::size_t n, bool use_simd) {

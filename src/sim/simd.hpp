@@ -1,12 +1,12 @@
 // SIMD streaming passes for the statevector kernels.
 //
 // Every hot loop of the compiled simulation path — the Diag1/Diag2 phase
-// streams, the DiagTable per-class lookup, the fused 2x2 Single kernel, and
-// the batched <Z_u Z_v> sweep — reduces to a handful of contiguous
-// complex-double passes. This header names those passes once; the
-// implementation provides an AVX2/FMA variant (interleaved re/im lanes, two
-// complex doubles per 256-bit register) and a portable scalar fallback with
-// identical semantics.
+// streams, the DiagTable per-class lookup, the fused 2x2 Single kernel, the
+// batched <Z_u Z_v> sweep and the cost-diagonal <C> — reduces to a handful
+// of contiguous complex-double passes. This header names those passes once;
+// the implementation provides an AVX2/FMA variant (interleaved re/im lanes,
+// two complex doubles per 256-bit register) and a portable scalar fallback
+// with identical semantics.
 //
 // Dispatch: the AVX2 bodies are compiled with per-function target attributes
 // (`target("avx2,fma")`), so the library builds WITHOUT -mavx2 and still
@@ -54,10 +54,11 @@ bool active();
 // All passes mutate `z[0..n)` in place. `use_simd=false` forces the scalar
 // body regardless of active(). Both variants perform the same per-amplitude
 // operations in the same order (the AVX2 bodies use explicit mul+addsub, no
-// FMA), so results agree bit-for-bit unless the COMPILER contracts the
-// scalar bodies (global -mfma builds), and always to within an ulp or two;
-// zz_accumulate additionally reassociates its partial sums (rounding-level
-// differences). Toggling mid-run is safe.
+// FMA, and simd.cpp is built without fp contraction or auto-vectorization,
+// so the compiler cannot fuse the scalar bodies even under global -mfma):
+// results agree bit-for-bit. zz_accumulate alone reassociates its partial
+// sums (rounding-level differences); diag_expectation fixes its lane order
+// in both bodies. Toggling mid-run is safe.
 
 /// z[i] *= w.
 void scale_run(cplx* z, std::size_t n, cplx w, bool use_simd = true);
@@ -105,6 +106,16 @@ void two_quad_range(cplx* z, std::size_t q0, std::size_t q1, const cplx* m,
 void zz_accumulate(const cplx* state, std::size_t lo, std::size_t hi,
                    const std::size_t* masks, std::size_t num_masks,
                    double* acc, bool use_simd = true);
+
+/// <z| D - shift |z> for a diagonal observable: sum_i |z_i|^2 (diag[i] -
+/// shift). A shift near the mean of diag keeps the partial sums, and so
+/// their rounding error, small. Four running lanes by index mod 4 (the tail
+/// included) each add
+/// (re*re + im*im) * (diag[i] - shift) without FMA, and fold as
+/// (l0 + l1) + (l2 + l3), so the scalar and AVX2 bodies return identical
+/// bits.
+double diag_expectation(const cplx* z, const double* diag, double shift,
+                        std::size_t n, bool use_simd = true);
 
 // -- contiguous-run passes (qtensor bucket kernels) ---------------------------
 //

@@ -2,10 +2,15 @@
 // plans, training behaviour, and the approximation ratio.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "graph/extra_generators.hpp"
 #include "graph/generators.hpp"
 #include "graph/maxcut.hpp"
 #include "optim/cobyla.hpp"
@@ -176,6 +181,142 @@ TEST(Energy, InnerWorkersDoNotChangeResult) {
   const double a = qaoa::EnergyEvaluator(g, serial_opt).energy(c, theta);
   const double b = qaoa::EnergyEvaluator(g, par_opt).energy(c, theta);
   EXPECT_NEAR(a, b, 1e-12);
+}
+
+qaoa::EnergyOptions statevector_options() {
+  qaoa::EnergyOptions opt;
+  opt.engine = qaoa::EngineKind::Statevector;
+  return opt;
+}
+
+/// Unweighted MaxCut, weighted MaxCut, MIS and Ising with a field on one
+/// graph: the four diagonal cost families the evaluator serves.
+std::vector<std::pair<std::string, qaoa::Hamiltonian>> cost_families(
+    const graph::Graph& g, Rng& rng) {
+  const graph::Graph weighted = graph::with_random_weights(g, 0.1, 2.0, rng);
+  return {{"maxcut", qaoa::Hamiltonian(g)},
+          {"weighted maxcut", qaoa::Hamiltonian(weighted)},
+          {"mis", qaoa::Hamiltonian::mis(g, 1.75)},
+          {"ising+field", qaoa::Hamiltonian::ising(weighted, 0.8, 0.3)}};
+}
+
+/// |constant| + sum of |coefficients|: bounds |<C>|, the scale for
+/// relative comparisons of energies that may sit near zero.
+double cost_scale(const qaoa::Hamiltonian& ham) {
+  double s = std::abs(ham.constant());
+  for (const auto& t : ham.terms()) s += std::abs(t.coefficient);
+  for (const auto& t : ham.z_terms()) s += std::abs(t.coefficient);
+  return s;
+}
+
+TEST(CostDiagonal, EqualsClassicalValueBitsOnEveryFamily) {
+  Rng rng(53);
+  const auto g = graph::random_regular(12, 3, rng);
+  for (const auto& [name, ham] : cost_families(g, rng)) {
+    const qaoa::EnergyEvaluator ev(ham, statevector_options());
+    const auto diag = ev.cost_diagonal();
+    ASSERT_EQ(diag.size(), std::size_t{1} << 12) << name;
+    std::size_t mismatches = 0;
+    for (std::size_t x = 0; x < diag.size(); ++x)
+      if (diag[x] != ham.classical_value_bits(x)) ++mismatches;
+    EXPECT_EQ(mismatches, 0u) << name;
+    EXPECT_EQ(*std::max_element(diag.begin(), diag.end()),
+              qaoa::classical_maximum(ham))
+        << name;
+  }
+  // Unweighted cuts are sums of halves, so the table's maximum is the exact
+  // solver's value to the bit.
+  const qaoa::EnergyEvaluator ev(g, statevector_options());
+  EXPECT_EQ(*std::max_element(ev.cost_diagonal().begin(),
+                              ev.cost_diagonal().end()),
+            graph::maxcut_exact(g).value);
+}
+
+TEST(Energy, CostDiagonalAgreesWithSweepAcrossFamiliesMixersAndDepth) {
+  Rng rng(61);
+  const std::vector<graph::Graph> graphs = {
+      graph::random_regular(10, 3, rng),
+      graph::erdos_renyi_connected(9, 0.4, rng)};
+  const std::vector<MixerSpec> mixers = {
+      MixerSpec::baseline(), MixerSpec::qnas(), MixerSpec::parse("ry,rz,rx")};
+  for (const auto& g : graphs) {
+    for (const auto& [name, ham] : cost_families(g, rng)) {
+      const qaoa::EnergyEvaluator ev(ham, statevector_options());
+      ASSERT_FALSE(ev.cost_diagonal().empty());
+      const double tol = 1e-12 * cost_scale(ham);
+      for (const auto& mixer : mixers) {
+        for (std::size_t p = 1; p <= 3; ++p) {
+          const auto c = qaoa::build_qaoa_circuit(g, p, mixer);
+          const auto plan = ev.make_plan(c);
+          std::vector<double> theta(c.num_params());
+          for (auto& x : theta) x = rng.uniform(-2.0, 2.0);
+          const double sweep = ham.energy(plan->zz_expectations(theta),
+                                          plan->z_expectations(theta));
+          EXPECT_NEAR(plan->energy(theta), sweep, tol)
+              << name << " " << mixer.to_string() << " p=" << p;
+        }
+      }
+    }
+  }
+}
+
+TEST(Energy, AboveTheTableGuardEnergyIsTheSweep) {
+  Rng rng(67);
+  const auto g = graph::random_regular(10, 3, rng);
+  // The tensor-network engine never builds the table.
+  EXPECT_TRUE(qaoa::EnergyEvaluator(g, {}).cost_diagonal().empty());
+  for (const auto& [name, ham] : cost_families(g, rng)) {
+    qaoa::EnergyOptions opt = statevector_options();
+    opt.sv_plan.phase_table_max_qubits = 9;
+    const qaoa::EnergyEvaluator ev(ham, opt);
+    ASSERT_TRUE(ev.cost_diagonal().empty());
+    const auto c = qaoa::build_qaoa_circuit(g, 2, MixerSpec::qnas());
+    const auto plan = ev.make_plan(c);
+    std::vector<double> theta(c.num_params());
+    for (auto& x : theta) x = rng.uniform(-2.0, 2.0);
+    EXPECT_EQ(plan->energy(theta), ham.energy(plan->zz_expectations(theta),
+                                              plan->z_expectations(theta)))
+        << name;
+  }
+}
+
+TEST(Energy, StatevectorEnergyIsBitIdenticalAcrossInnerWorkersAndSimd) {
+  // n = 16 is above parallel_threshold_qubits (14), so inner > 1 really
+  // splits the replay kernels. Neither setting is part of a result-cache or
+  // checkpoint key, so neither may move a bit of <C>.
+  Rng rng(71);
+  const auto g = graph::random_regular(16, 3, rng);
+  struct Config {
+    std::size_t inner;
+    bool simd;
+  };
+  const Config configs[] = {{1, true}, {2, true},  {4, true},
+                            {1, false}, {2, false}, {4, false}};
+  for (const auto& mixer : {MixerSpec::baseline(), MixerSpec::qnas()}) {
+    for (std::size_t p = 1; p <= 2; ++p) {
+      const auto c = qaoa::build_qaoa_circuit(g, p, mixer);
+      std::vector<std::vector<double>> thetas(3);
+      for (auto& theta : thetas) {
+        theta.resize(c.num_params());
+        for (auto& x : theta) x = rng.uniform(-2.0, 2.0);
+      }
+      std::vector<double> reference;  // inner 1, simd on
+      for (const Config& cfg : configs) {
+        qaoa::EnergyOptions opt = statevector_options();
+        opt.inner_workers = cfg.inner;
+        opt.sv_plan.simd = cfg.simd;
+        const qaoa::EnergyEvaluator ev(g, opt);
+        const auto plan = ev.make_plan(c);
+        std::vector<double> energies;
+        for (const auto& theta : thetas)
+          energies.push_back(plan->energy(theta));
+        if (reference.empty()) reference = energies;
+        EXPECT_EQ(energies, reference) << mixer.to_string() << " p=" << p
+                                       << " inner=" << cfg.inner
+                                       << " simd=" << cfg.simd;
+      }
+    }
+  }
 }
 
 TEST(Energy, BoundedByMaxCut) {

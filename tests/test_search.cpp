@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
+#include "graph/maxcut.hpp"
 #include "search/combinations.hpp"
 #include "search/engine.hpp"
 #include "search/evaluator.hpp"
@@ -146,6 +147,30 @@ TEST(Evaluator, ProducesConsistentScores) {
   const auto r2 = ev.evaluate(qaoa::MixerSpec::qnas(), 1);
   EXPECT_EQ(r.energy, r2.energy);
   EXPECT_EQ(r.sampled_ratio, r2.sampled_ratio);
+}
+
+TEST(Evaluator, StatevectorResultIsBitIdenticalAcrossInnerWorkers) {
+  // inner_workers is not part of the result-cache or checkpoint key, so a
+  // candidate must train and score to the same bits at every inner count.
+  // n = 16 is above parallel_threshold_qubits (14): inner 2 really splits
+  // the replay kernels.
+  Rng rng(83);
+  const auto g = graph::random_regular(16, 3, rng);
+  search::EvaluatorOptions serial = fast_options();
+  search::EvaluatorOptions inner2 = serial;
+  inner2.energy.inner_workers = 2;
+  const search::Evaluator a(g, serial);
+  const search::Evaluator b(g, inner2);
+  EXPECT_EQ(a.classical_optimum(), b.classical_optimum());
+  EXPECT_EQ(a.classical_optimum(), graph::maxcut_exact(g).value);
+  for (const std::size_t p : {std::size_t{1}, std::size_t{2}}) {
+    const auto ra = a.evaluate(qaoa::MixerSpec::qnas(), p);
+    const auto rb = b.evaluate(qaoa::MixerSpec::qnas(), p);
+    EXPECT_EQ(ra.energy, rb.energy) << "p=" << p;
+    EXPECT_EQ(ra.theta, rb.theta) << "p=" << p;
+    EXPECT_EQ(ra.sampled_ratio, rb.sampled_ratio) << "p=" << p;
+    EXPECT_EQ(ra.evaluations, rb.evaluations) << "p=" << p;
+  }
 }
 
 TEST(Predictors, ExhaustiveCoversSpaceOncePerRound) {

@@ -199,6 +199,33 @@ TEST(Simd, ZzAccumulateMatchesScalarWithinRounding) {
   }
 }
 
+/// A cost-like diagonal: mixed signs and magnitudes, as weighted MaxCut, MIS
+/// and Ising give.
+std::vector<double> random_diag(Rng& rng, std::size_t n) {
+  std::vector<double> d(n);
+  for (auto& x : d) x = rng.uniform(-7.5, 12.25);
+  return d;
+}
+
+TEST(Simd, DiagExpectationIsBitIdenticalAcrossBodies) {
+  // The lanes follow the index mod 4 in both bodies (tail included), so the
+  // result is the same double on every length, not just equal to rounding.
+  Rng rng(20);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 67; ++n) sizes.push_back(n);
+  sizes.push_back(std::size_t{1} << 12);
+  for (const std::size_t n : sizes) {
+    const auto z = random_state(rng, n);
+    const auto d = random_diag(rng, n);
+    for (const double shift : {0.0, 2.375}) {
+      EXPECT_EQ(
+          sim::simd::diag_expectation(z.data(), d.data(), shift, n, true),
+          sim::simd::diag_expectation(z.data(), d.data(), shift, n, false))
+          << "n=" << n << " shift=" << shift;
+    }
+  }
+}
+
 TEST(Simd, KernelsMatchAcrossSimdToggleOnSmallStates) {
   // End-to-end: full kernels on states BELOW the vector width (1-2 qubits)
   // and on every target qubit of a mid-size state.
@@ -221,6 +248,12 @@ TEST(Simd, KernelsMatchAcrossSimdToggleOnSmallStates) {
       sim::kernel_single(b, q, m, 1, 14, false);
       expect_ulp_close(a, b, "kernel_single");
     }
+    const auto src = random_state(rng, dim);
+    const auto d = random_diag(rng, dim);
+    EXPECT_EQ(
+        sim::simd::diag_expectation(src.data(), d.data(), 1.5, dim, true),
+        sim::simd::diag_expectation(src.data(), d.data(), 1.5, dim, false))
+        << "diag_expectation nq=" << nq;
   }
 }
 
