@@ -6,13 +6,14 @@
 // both mixers noiselessly, then rescoring the trained circuits across noise
 // strengths with trajectory averaging.
 #include <cstdio>
+#include <numeric>
 
 #include "common/cli.hpp"
 #include "common/stats.hpp"
 #include "graph/generators.hpp"
 #include "graph/maxcut.hpp"
 #include "optim/cobyla.hpp"
-#include "parallel/task_pool.hpp"
+#include "parallel/parallel_for.hpp"
 #include "qaoa/ansatz.hpp"
 #include "qaoa/train.hpp"
 #include "sim/noise.hpp"
@@ -39,13 +40,12 @@ int main(int argc, char** argv) {
   std::printf("(two-qubit error rate = 5x the listed single-qubit rate)\n\n");
   std::printf("%-10s %-10s %-12s\n", "p1 rate", "mixer", "mean r");
 
-  parallel::TaskPool pool;
+  std::vector<std::size_t> idx(graphs.size());
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
   for (const double p1 : noise_levels) {
     for (const auto& [name, mixer] : mixers) {
-      std::vector<std::tuple<std::size_t>> idx;
-      for (std::size_t i = 0; i < graphs.size(); ++i) idx.emplace_back(i);
-      const auto ratios = pool.starmap_async(
-          [&, &mixer = mixer](std::size_t i) {
+      const auto ratios = parallel::parallel_map(
+          idx, [&, &mixer = mixer](std::size_t i) {
             const auto& g = graphs[i];
             const auto ansatz = qaoa::build_qaoa_circuit(g, p, mixer);
             const qaoa::EnergyEvaluator ev(g, {});
@@ -59,8 +59,7 @@ int main(int argc, char** argv) {
             const double noisy = sim::noisy_cut_expectation(
                 ansatz, trained.theta, g, noise, trajectories, nrng);
             return noisy / graph::maxcut_exact(g).value;
-          },
-          idx).get();
+          });
       std::printf("%-10.3f %-10s %-12.4f\n", p1, name.c_str(), mean(ratios));
     }
   }

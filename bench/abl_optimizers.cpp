@@ -7,6 +7,7 @@
 // budget; the 2-D grid upper-bounds what p=1 training can reach.
 #include <cstdio>
 #include <memory>
+#include <numeric>
 
 #include "common/cli.hpp"
 #include "common/stats.hpp"
@@ -16,7 +17,7 @@
 #include "optim/grid_search.hpp"
 #include "optim/nelder_mead.hpp"
 #include "optim/spsa.hpp"
-#include "parallel/task_pool.hpp"
+#include "parallel/parallel_for.hpp"
 #include "qaoa/ansatz.hpp"
 #include "qaoa/train.hpp"
 
@@ -59,13 +60,12 @@ int main(int argc, char** argv) {
   std::printf("%-12s %-10s %-10s %-10s\n", "optimizer", "mean r", "std r",
               "mean evals");
 
-  parallel::TaskPool pool;
+  std::vector<std::size_t> idx(graphs.size());
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
   for (const auto& entry : optimizers) {
-    std::vector<std::tuple<std::size_t>> idx;
-    for (std::size_t i = 0; i < graphs.size(); ++i) idx.emplace_back(i);
     struct Row { double ratio; double evals; };
-    const auto rows = pool.starmap_async(
-        [&](std::size_t i) {
+    const auto rows = parallel::parallel_map(
+        idx, [&](std::size_t i) {
           const auto& g = graphs[i];
           const auto ansatz =
               qaoa::build_qaoa_circuit(g, p, qaoa::MixerSpec::qnas());
@@ -73,8 +73,7 @@ int main(int argc, char** argv) {
           const auto r = qaoa::train_qaoa(ansatz, ev, *entry.optimizer);
           const double cmax = graph::maxcut_exact(g).value;
           return Row{r.energy / cmax, static_cast<double>(r.evaluations)};
-        },
-        idx).get();
+        });
     std::vector<double> ratios, evals;
     for (const auto& r : rows) {
       ratios.push_back(r.ratio);

@@ -6,7 +6,7 @@
 //   --full             the paper's full workload (|A_R|=5, k=1..4 → 780
 //                      sequences per depth; 20 graphs; 5 runs)
 //   --engine sv|tn     simulator engine (default sv; the paper used the
-//                      tensor-network backend — see EXPERIMENTS.md)
+//                      tensor-network backend)
 //   --csv PATH         also dump the series to CSV
 #pragma once
 
@@ -22,10 +22,10 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "graph/generators.hpp"
-#include "parallel/task_pool.hpp"
 #include "qaoa/energy.hpp"
 #include "search/combinations.hpp"
 #include "search/engine.hpp"
+#include "search/eval_service.hpp"
 #include "session.hpp"
 
 namespace qarch::bench {
@@ -92,39 +92,36 @@ inline std::vector<qaoa::MixerSpec> candidate_subsample(
   return all;
 }
 
-/// Times one full candidate sweep through search::Evaluator — serially or
-/// fanned out over a TaskPool — under the two-level (outer candidate
-/// workers x inner simulator threads) split and the compiled-path toggle the
-/// fig4/fig5 scaling harnesses sweep. One definition so both figures always
-/// measure the same configuration.
-inline double timed_candidate_search(
-    const graph::Graph& g, const std::vector<qaoa::MixerSpec>& candidates,
-    std::size_t p, std::size_t outer_workers, std::size_t inner_workers,
-    bool compiled, qaoa::EngineKind engine) {
-  search::EvaluatorOptions opt;
-  opt.energy.engine = engine;
-  opt.energy.inner_workers = inner_workers;
-  opt.energy.sv_compile_plan = compiled;
-  opt.energy.sv_batch_expectations = compiled;
-  // compiled=false means the PRE-compilation legacy path: scalar per-gate
-  // kernels, matching abl_diagonal_gates' "generic" baseline.
-  opt.energy.sv_plan.simd = compiled;
-  opt.cobyla.max_evals = 200;
-  const search::Evaluator evaluator(g, opt);
-
+/// Times one candidate sweep through a fresh search::EvalService built from
+/// `session`, whose workers x inner_workers is the two-level split under
+/// test: wall seconds of submit_batch + collect. The result cache is off and
+/// the service is private to the call, so no evaluator, plan or result
+/// carries over between timed points. The fig4/fig5/abl_two_level scaling
+/// harnesses all time through this one definition.
+inline double timed_service_sweep(
+    SessionConfig session, const graph::Graph& g,
+    const std::vector<qaoa::MixerSpec>& candidates, std::size_t p) {
+  session.result_cache = 0;
+  search::EvalService service(session);
   Timer timer;
-  if (outer_workers <= 1) {
-    for (const auto& mixer : candidates) (void)evaluator.evaluate(mixer, p);
-  } else {
-    parallel::TaskPool pool(outer_workers);
-    std::vector<std::tuple<std::size_t>> idx;
-    for (std::size_t i = 0; i < candidates.size(); ++i) idx.emplace_back(i);
-    pool.starmap_async(
-            [&](std::size_t i) { return evaluator.evaluate(candidates[i], p); },
-            idx)
-        .get();
-  }
+  (void)service.collect(service.submit_batch(g, candidates, p));
   return timer.seconds();
+}
+
+/// Committed record of the service-driven scaling harnesses: fig4, fig5 and
+/// abl_two_level each merge one section into it.
+inline constexpr const char* kSearchBenchJson = "BENCH_search.json";
+
+/// One timed point of a BENCH_search.json section: the outer x inner split,
+/// wall seconds, and candidates per second.
+inline json::Value search_point(const SessionConfig& session,
+                                std::size_t candidates, double seconds) {
+  json::Value v = json::Value::object();
+  v.set("outer", session.workers);
+  v.set("inner", session.inner_workers);
+  v.set("seconds", seconds);
+  v.set("candidates_per_s", static_cast<double>(candidates) / seconds);
+  return v;
 }
 
 /// Pretty banner for a figure harness.

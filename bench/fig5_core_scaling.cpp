@@ -7,10 +7,11 @@
 // core count extra workers stop helping — our host has fewer than 64 cores,
 // which the output records, mirroring the paper's flattening tail).
 //
-// Both the legacy per-gate path and the compiled-plan path are timed at
-// every sweep point, and the compiled run splits each budget two-level as
-// (cores / inner) candidate workers x --inner simulator threads, exercising
-// inner_workers > 1 on the compiled kernels.
+// Every point submits the same candidate batch to a fresh
+// search::EvalService on the compiled statevector path. The serial baseline
+// is 1 x 1 (outer workers x inner simulator threads); each sweep point
+// splits its core budget two-level as (cores / --inner) x --inner. The
+// series land in section "fig5" of BENCH_search.json.
 //
 // Flags: bench_util standards plus --p (2) --inner (2)
 #include <thread>
@@ -38,48 +39,57 @@ int main(int argc, char** argv) {
               g.to_string().c_str(), candidates.size(), p,
               std::thread::hardware_concurrency(), inner);
 
-  const double serial_pergate =
-      bench::timed_candidate_search(g, candidates, p, 1, 1, /*compiled=*/false, cfg.engine);
-  const double serial_compiled =
-      bench::timed_candidate_search(g, candidates, p, 1, 1, /*compiled=*/true, cfg.engine);
-  std::printf("serial baselines: per-gate %.3fs, compiled %.3fs "
-              "(dashed lines)\n\n",
-              serial_pergate, serial_compiled);
-  std::printf("%-8s %-14s %-20s %-12s\n", "cores", "per-gate (s)",
-              "compiled 2-level (s)", "vs serial");
+  SessionConfig serial;
+  serial.backend = cfg.backend();
+  serial.training_evals = 200;
+  const double t_serial = bench::timed_service_sweep(serial, g, candidates, p);
+  std::printf("serial baseline: %.3fs (dashed line)\n\n", t_serial);
+  std::printf("%-8s %-14s %-16s %-12s\n", "cores", "outer x inner",
+              "two-level (s)", "vs serial");
 
-  Series pergate_series{"per-gate parallel", {}, {}};
-  Series compiled_series{"compiled two-level", {}, {}};
-  Series serial_series{"serial compiled (baseline)", {}, {}};
+  Series two_level_series{"two-level", {}, {}};
+  Series serial_series{"serial (baseline)", {}, {}};
   std::vector<std::vector<double>> csv_rows;
+  json::Value points = json::Value::array();
   for (std::size_t cores = 8; cores <= 64; cores += 8) {
-    const double t_pergate =
-        bench::timed_candidate_search(g, candidates, p, cores, 1, /*compiled=*/false,
-                     cfg.engine);
     // Same core budget split two-level: candidates x simulator threads.
-    const double t_compiled =
-        bench::timed_candidate_search(g, candidates, p, std::max<std::size_t>(1, cores / inner),
-                     inner, /*compiled=*/true, cfg.engine);
-    std::printf("%-8zu %-14.3f %-20.3f %-12.2fx\n", cores, t_pergate,
-                t_compiled, serial_compiled / t_compiled);
-    pergate_series.x.push_back(static_cast<double>(cores));
-    pergate_series.y.push_back(t_pergate);
-    compiled_series.x.push_back(static_cast<double>(cores));
-    compiled_series.y.push_back(t_compiled);
+    SessionConfig split = serial;
+    split.workers = std::max<std::size_t>(1, cores / inner);
+    split.inner_workers = inner;
+    const double t = bench::timed_service_sweep(split, g, candidates, p);
+    std::printf("%-8zu %3zu x %-8zu %-16.3f %.2fx\n", cores, split.workers,
+                inner, t, t_serial / t);
+    two_level_series.x.push_back(static_cast<double>(cores));
+    two_level_series.y.push_back(t);
     serial_series.x.push_back(static_cast<double>(cores));
-    serial_series.y.push_back(serial_compiled);
-    csv_rows.push_back(
-        {static_cast<double>(cores), t_pergate, t_compiled, serial_compiled});
+    serial_series.y.push_back(t_serial);
+    csv_rows.push_back({static_cast<double>(cores), t, t_serial});
+
+    json::Value point = bench::search_point(split, candidates.size(), t);
+    point.set("cores", cores);
+    points.push_back(std::move(point));
   }
 
   AsciiPlot plot("Fig 5: time to simulate vs cores (p=2)", "cores", "seconds");
-  plot.add(pergate_series);
-  plot.add(compiled_series);
+  plot.add(two_level_series);
   plot.add(serial_series);
   std::printf("\n%s\n", plot.render().c_str());
-  bench::maybe_csv(cfg.csv_path,
-                   {"cores", "pergate_parallel_s", "compiled_twolevel_s",
-                    "serial_compiled_s"},
+  bench::maybe_csv(cfg.csv_path, {"cores", "two_level_s", "serial_s"},
                    csv_rows);
+
+  json::Value workload = json::Value::object();
+  workload.set("graph", g.to_string());
+  workload.set("engine", backend_name(cfg.backend()));
+  workload.set("candidates", candidates.size());
+  workload.set("p", p);
+  workload.set("training_evals", serial.training_evals);
+  workload.set("physical_cores",
+               static_cast<std::size_t>(std::thread::hardware_concurrency()));
+  json::Value section = json::Value::object();
+  section.set("workload", std::move(workload));
+  section.set("serial",
+              bench::search_point(serial, candidates.size(), t_serial));
+  section.set("points", std::move(points));
+  bench::update_bench_json(bench::kSearchBenchJson, "fig5", std::move(section));
   return 0;
 }

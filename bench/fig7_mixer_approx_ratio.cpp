@@ -4,10 +4,11 @@
 //
 // Expected shape: all four reach high ratios, with ('rx','ry') best.
 // r is the Eq. 3 sampled-best-cut ratio (the quantity the paper plots).
+// Every (graph, mixer) evaluation is one submission to a shared
+// search::EvalService.
 #include "bench_util.hpp"
 #include "common/ascii_plot.hpp"
 #include "common/stats.hpp"
-#include "parallel/task_pool.hpp"
 
 using namespace qarch;
 
@@ -24,25 +25,23 @@ int main(int argc, char** argv) {
       qaoa::MixerSpec::parse("ry,p"), qaoa::MixerSpec::parse("rx,h"),
       qaoa::MixerSpec::parse("h,p"), qaoa::MixerSpec::parse("rx,ry")};
 
-  search::EvaluatorOptions opt;
-  opt.energy.engine = cfg.engine;
-  opt.cobyla.max_evals = 200;
+  SessionConfig session;
+  session.backend = cfg.backend();
+  session.training_evals = 200;
+  session.workers = 0;  // all cores
+  session.evaluator_cache = num_graphs;  // one shared evaluator per graph
+  search::EvalService service(session);
 
-  parallel::TaskPool pool;
   std::vector<std::pair<std::string, double>> bars;
   std::vector<std::vector<double>> csv_rows;
   std::printf("graphs=%zu, p=1, 200 COBYLA steps each\n\n", num_graphs);
   std::printf("%-14s %-12s %-12s %-12s\n", "mixer", "mean r", "std r",
               "mean r_energy");
   for (std::size_t m = 0; m < finalists.size(); ++m) {
-    std::vector<std::tuple<std::size_t>> idx;
-    for (std::size_t i = 0; i < graphs.size(); ++i) idx.emplace_back(i);
-    const auto results = pool.starmap_async(
-        [&](std::size_t i) {
-          const search::Evaluator ev(graphs[i], opt);
-          return ev.evaluate(finalists[m], 1);
-        },
-        idx).get();
+    std::vector<search::EvalTicket> tickets;
+    for (const auto& g : graphs)
+      tickets.push_back(service.submit(g, finalists[m], 1));
+    const auto results = service.collect(tickets);
     std::vector<double> sampled, energy_ratio;
     for (const auto& r : results) {
       sampled.push_back(r.sampled_ratio);

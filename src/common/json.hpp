@@ -1,8 +1,8 @@
 // Minimal JSON value model, serializer, and parser.
 //
-// Used to persist search reports and benchmark series (EXPERIMENTS.md data
-// provenance) and to reload them for comparison runs. Supports the full JSON
-// grammar except for \u escapes beyond ASCII (emitted verbatim).
+// Used to persist search reports and benchmark series (the committed
+// BENCH_*.json records) and to reload them for comparison runs. Supports the
+// full JSON grammar except for \u escapes beyond ASCII (emitted verbatim).
 #pragma once
 
 #include <cstddef>

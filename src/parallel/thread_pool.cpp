@@ -34,10 +34,8 @@ void ThreadPool::worker_loop() {
       UniqueLock lock(mutex_);
       while (!stop_ && queue_.empty()) cv_.wait(lock);
       if (stop_ && queue_.empty()) return;
-      // priority_queue::top() is const; moving out right before pop() is
-      // safe (the element is discarded either way).
-      task = std::move(const_cast<Task&>(queue_.top()).fn);
-      queue_.pop();
+      task = std::move(queue_.front());
+      queue_.pop_front();
       ++active_;
     }
     task();

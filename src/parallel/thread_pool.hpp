@@ -1,17 +1,16 @@
 // Fixed-size thread pool.
 //
-// This is the process-level parallelism substrate standing in for Python's
-// `multiprocessing.Pool` in the paper: a pool of N workers pulls independent
-// tasks (candidate-circuit evaluations) from a shared queue. The worker count
-// is an explicit constructor argument because the Fig. 5 experiment sweeps it
-// from 8 to 64 regardless of the physical core count.
+// The outer level of the paper's two-level scheme: search::EvalService runs
+// its candidate evaluations on one of these, standing in for Python's
+// `multiprocessing.Pool`. N workers pull independent tasks from a shared
+// FIFO queue. The worker count is an explicit constructor argument because
+// the Fig. 5 experiment sweeps it past the physical core count.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <deque>
 #include <functional>
 #include <future>
-#include <queue>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -19,9 +18,7 @@
 
 namespace qarch::parallel {
 
-/// A fixed pool of worker threads. Tasks are dispatched by priority (higher
-/// first), FIFO among tasks of equal priority — a plain FIFO pool when
-/// everything is submitted at the default priority 0.
+/// A fixed pool of worker threads that runs tasks in submission order.
 class ThreadPool {
  public:
   /// Spawns `workers` threads (defaults to hardware concurrency, min 1).
@@ -36,18 +33,16 @@ class ThreadPool {
   /// Number of worker threads.
   [[nodiscard]] std::size_t size() const { return threads_.size(); }
 
-  /// Submits a callable; returns a future for its result. Higher `priority`
-  /// tasks are picked up before lower ones; equal priorities run FIFO.
+  /// Submits a callable; returns a future for its result.
   template <typename F>
-  auto submit(F&& fn, int priority = 0)
-      -> std::future<std::invoke_result_t<F>> {
+  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> fut = task->get_future();
     {
       LockGuard lock(mutex_);
-      queue_.push(Task{priority, next_seq_++, [task] { (*task)(); }});
+      queue_.emplace_back([task] { (*task)(); });
     }
     cv_.notify_one();
     return fut;
@@ -57,27 +52,11 @@ class ThreadPool {
   void wait_idle() QARCH_EXCLUDES(mutex_);
 
  private:
-  /// One queued task: priority beats sequence; sequence restores FIFO among
-  /// equal priorities.
-  struct Task {
-    int priority = 0;
-    std::uint64_t seq = 0;
-    std::function<void()> fn;
-  };
-  struct TaskOrder {
-    bool operator()(const Task& a, const Task& b) const {
-      if (a.priority != b.priority) return a.priority < b.priority;
-      return a.seq > b.seq;  // earlier submissions first
-    }
-  };
-
   void worker_loop() QARCH_EXCLUDES(mutex_);
 
   std::vector<Thread> threads_;
   Mutex mutex_{70, "pool.queue"};
-  std::priority_queue<Task, std::vector<Task>, TaskOrder> queue_
-      QARCH_GUARDED_BY(mutex_);
-  std::uint64_t next_seq_ QARCH_GUARDED_BY(mutex_) = 0;
+  std::deque<std::function<void()>> queue_ QARCH_GUARDED_BY(mutex_);
   CondVar cv_;
   CondVar idle_cv_;
   std::size_t active_ QARCH_GUARDED_BY(mutex_) = 0;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 #include <list>
-#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -26,21 +25,14 @@ namespace {
 /// with the evaluator's cost diagonal `diag`. `inner_workers` drives the gate
 /// kernels and the batched <ZZ> sweep behind zz_expectations(); energy()
 /// falls back to that sweep when `diag` is empty (above the table guard).
-/// The legacy per-gate / per-edge path stays reachable through the
-/// EnergyOptions toggles for the ablation benches.
 class StatevectorPlan final : public EnergyPlan {
  public:
-  StatevectorPlan(circuit::Circuit ansatz, const MaxCutHamiltonian& ham,
+  StatevectorPlan(const circuit::Circuit& ansatz, const MaxCutHamiltonian& ham,
                   std::span<const double> diag, const EnergyOptions& options)
-      : ansatz_(std::move(ansatz)),
-        ham_(ham),
+      : ham_(ham),
         diag_(diag),
         options_(options),
-        simulator_(options.inner_workers,
-                   options.sv_plan.parallel_threshold_qubits,
-                   options.sv_plan.simd) {
-    if (options_.sv_compile_plan)
-      program_.emplace(ansatz_, options_.sv_plan);
+        program_(ansatz, options_.sv_plan) {
     pairs_.reserve(ham_.terms().size());
     for (const auto& t : ham_.terms()) pairs_.push_back({t.u, t.v});
   }
@@ -82,10 +74,10 @@ class StatevectorPlan final : public EnergyPlan {
   /// doubles per call, and concurrent search workers each get their own
   /// buffer — no locks anywhere on the evaluation path.
   const sim::State& run_state(std::span<const double> theta) const {
-    QARCH_REQUIRE(theta.size() >= ansatz_.num_params(),
+    QARCH_REQUIRE(theta.size() >= program_.num_params(),
                   "parameter vector too short for ansatz");
     static thread_local sim::State scratch;
-    const std::size_t dim = std::size_t{1} << ansatz_.num_qubits();
+    const std::size_t dim = std::size_t{1} << program_.num_qubits();
     if (scratch.capacity() > dim * 4) {
       // Don't let one large evaluation pin gigabytes to this thread after
       // the workload moves back to small candidates.
@@ -94,23 +86,14 @@ class StatevectorPlan final : public EnergyPlan {
     }
     const double amp = 1.0 / std::sqrt(static_cast<double>(dim));
     scratch.assign(dim, sim::cplx{amp, 0.0});
-    if (program_.has_value())
-      program_->apply_inplace(scratch, theta, options_.inner_workers);
-    else
-      for (const auto& g : ansatz_.gates())
-        simulator_.apply(scratch, g, theta);
+    program_.apply_inplace(scratch, theta, options_.inner_workers);
     return scratch;
   }
 
   std::vector<double> zz_from_state(const sim::State& state) const {
-    if (options_.sv_batch_expectations)
-      return sim::batched_expectation_zz(
-          state, pairs_, options_.inner_workers,
-          options_.sv_plan.parallel_threshold_qubits, options_.sv_plan.simd);
-    std::vector<double> zz(pairs_.size());
-    for (std::size_t k = 0; k < pairs_.size(); ++k)
-      zz[k] = sim::expectation_zz(state, pairs_[k].u, pairs_[k].v);
-    return zz;
+    return sim::batched_expectation_zz(
+        state, pairs_, options_.inner_workers,
+        options_.sv_plan.parallel_threshold_qubits, options_.sv_plan.simd);
   }
 
   std::vector<double> z_from_state(const sim::State& state) const {
@@ -121,12 +104,10 @@ class StatevectorPlan final : public EnergyPlan {
     return z;
   }
 
-  circuit::Circuit ansatz_;
   const MaxCutHamiltonian& ham_;
   std::span<const double> diag_;  ///< the evaluator's C(x), or empty
   EnergyOptions options_;
-  sim::StatevectorSimulator simulator_;
-  std::optional<sim::SimProgram> program_;
+  sim::SimProgram program_;
   std::vector<sim::ZZPair> pairs_;
 };
 
@@ -348,13 +329,9 @@ std::unique_ptr<EnergyPlan> EnergyEvaluator::make_plan(
     const circuit::Circuit& ansatz) const {
   QARCH_REQUIRE(ansatz.num_qubits() == ham_.num_qubits(),
                 "ansatz/Hamiltonian qubit mismatch");
-  if (options_.engine == EngineKind::Statevector) {
-    // The legacy per-edge configuration keeps its per-edge energy.
-    const std::span<const double> diag =
-        options_.sv_batch_expectations ? cost_diagonal()
-                                       : std::span<const double>{};
-    return std::make_unique<StatevectorPlan>(ansatz, ham_, diag, options_);
-  }
+  if (options_.engine == EngineKind::Statevector)
+    return std::make_unique<StatevectorPlan>(ansatz, ham_, cost_diagonal(),
+                                             options_);
   return std::make_unique<TensorNetworkPlan>(ansatz, ham_, options_);
 }
 

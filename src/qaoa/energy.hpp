@@ -48,21 +48,11 @@ struct EnergyOptions {
   /// Threads INSIDE one energy(theta) call — statevector replay kernels and
   /// batched <Z_u Z_v> sweeps, or concurrent per-edge tensor contractions.
   /// This is the inner level of the paper's two-level scheme; the outer
-  /// level (concurrent candidates) lives in parallel::TaskPool. The
-  /// statevector <C> dot product over the cost diagonal stays serial, so
-  /// statevector energies do not depend on this count (it is not part of
-  /// any result-cache or checkpoint key).
+  /// level (concurrent candidates) is search::EvalService's worker pool
+  /// (SessionConfig::workers). The statevector <C> dot product over the
+  /// cost diagonal stays serial, so statevector energies do not depend on
+  /// this count (it is not part of any result-cache or checkpoint key).
   std::size_t inner_workers = 1;
-  /// Compile each ansatz into a sim::SimProgram (specialized kernels,
-  /// fusion, per-theta scalar rebinds). false → the legacy per-gate
-  /// StatevectorSimulator::apply path (the ablation baseline).
-  bool sv_compile_plan = true;
-  /// energy() reads <C> off the evaluator's cost diagonal in one pass, and
-  /// zz_expectations() reads all <Z_u Z_v> off the final state in ONE sweep
-  /// (sim::batched_expectation_zz). false → one state pass per edge for
-  /// both: the legacy ablation baseline, always set together with
-  /// sv_compile_plan = false.
-  bool sv_batch_expectations = true;
   /// Statevector compiled-plan kernel toggles (diagonal kernels, fusion,
   /// phase tables, SIMD, cache blocking) — see sim::PlanOptions. Its
   /// phase_table_max_qubits also guards the evaluator's cost diagonal.

@@ -1358,7 +1358,7 @@ EvalService::~EvalService() {
   // cancel them the same way.
   state_->stopping.store(true);
   state_->sched_cv.notify_all();
-  pool_.raw().wait_idle();
+  pool_.wait_idle();
   // Checkpoints persist even when cache_write is off: they are this
   // process's own in-flight state, not a shared warm-start file.
   detail::persist_checkpoints(*state_);
@@ -1639,12 +1639,9 @@ EvalTicket EvalService::submit(const graph::Graph& g,
       continue;  // retry the cache checks with the job ready to publish
     }
     // A generic drainer, not this job's closure: the fair-share scheduler
-    // decides which queued job the freed worker actually picks up. The
-    // pool-level priority only influences how soon A drainer runs when the
-    // raw pool is shared with other work.
+    // decides which queued job the freed worker actually picks up.
     auto state = state_;
-    (void)pool_.apply_async([state] { detail::run_next(state); },
-                            options.priority);
+    (void)pool_.submit([state] { detail::run_next(state); });
     auto handle = std::make_shared<detail::TicketHandle>();
     handle->submitted_at = fresh->submitted_at;
     handle->job = std::move(fresh);

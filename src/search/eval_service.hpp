@@ -1,11 +1,11 @@
 // EvalService: the asynchronous candidate-evaluation service every search
 // driver is a client of.
 //
-// The paper's scalability story (Fig. 3's starmap_async parallel search) used
-// to be approximated by each driver — SearchEngine, successive halving, the
-// dataset search, the fig8/fig9 studies — privately wiring a task pool around
-// Evaluator::evaluate(). EvalService replaces those per-driver loops with ONE
-// shared, thread-safe submit/future surface:
+// The paper's scalability story (Fig. 3's parallel search over a process
+// pool) is the outer level of its two-level scheme. EvalService is this
+// repository's only outer level: every search driver (SearchEngine,
+// successive halving, the dataset search), qarchd, and every figure harness
+// submits candidates through ONE shared, thread-safe submit/future surface:
 //
 //   EvalService service(session);                 // one pool, shared caches
 //   EvalTicket t = service.submit(g, mixer, p);   // enqueue, don't block
@@ -13,16 +13,16 @@
 //   const CandidateResult& r = t.wait();          // collect when needed
 //
 // Behind the front-end sit
-//   * one parallel::TaskPool (`session.workers` wide) running candidates,
+//   * one parallel::ThreadPool (`session.workers` wide) running candidates,
+//     each evaluation using `session.inner_workers` simulator threads,
 //   * a fair-share scheduler: every client (a SearchEngine run, a halving
 //     round, a dataset node) registers a weighted queue (register_client),
 //     and workers pick the next job by deficit-weighted round robin over
 //     those queues — budget units (training_evals) are the cost currency, so
 //     one greedy client submitting a wide cohort cannot starve an
 //     interactive search. JobOptions::priority orders jobs INSIDE one
-//     client's queue (and bumps the pool-level drain). Unregistered
-//     submissions share the default weight-1 queue, which reproduces the
-//     old FIFO behaviour exactly,
+//     client's queue. Unregistered submissions share the default weight-1
+//     queue, which reproduces the old FIFO behaviour exactly,
 //   * a cross-graph LRU of search::Evaluator instances keyed by
 //     (graph fingerprint, engine, budget) — concurrent searches over the same
 //     graph share one evaluator and therefore its compiled-plan cache,
@@ -74,7 +74,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "parallel/task_pool.hpp"
+#include "parallel/thread_pool.hpp"
 #include "qaoa/mixer.hpp"
 #include "search/evaluator.hpp"
 #include "session.hpp"
@@ -112,8 +112,7 @@ struct JobOptions {
   std::size_t client = 0;
   /// Ordering INSIDE the client's queue: higher runs first, FIFO among
   /// equals (cross-client fairness is the scheduler's job, not this
-  /// knob's). Also forwarded as the pool-level drain priority, which
-  /// matters when the raw pool is shared with non-service work.
+  /// knob's).
   int priority = 0;
   /// Wall-clock budget from SUBMISSION, in service-clock seconds. Past it
   /// the job resolves Expired — whether still queued (wait_for expires it)
@@ -341,7 +340,7 @@ class EvalService {
   // (declared last, destroyed first) can drain safely during destruction and
   // tickets stay valid after the service is gone.
   std::shared_ptr<detail::ServiceState> state_;
-  parallel::TaskPool pool_;
+  parallel::ThreadPool pool_;
 };
 
 }  // namespace qarch::search

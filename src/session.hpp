@@ -51,6 +51,12 @@ struct SessionConfig {
   std::size_t auto_lightcone_qubits = 12;
 
   // -- parallelism (the paper's two-level scheme) ----------------------------
+  // Fig. 2 of the paper splits work across nodes of Polaris (one graph or
+  // search job per node) and, within a node, across CPUs (one candidate
+  // circuit per process), with the simulator optionally on a GPU. On one
+  // machine the same structure is two nested thread groups, so a core
+  // budget C splits as workers × inner_workers = C (bench/abl_two_level
+  // sweeps the split; fig4/fig5 time it).
   /// Outer level: evaluation-service worker threads running whole candidates
   /// concurrently (0 = hardware concurrency).
   std::size_t workers = 1;

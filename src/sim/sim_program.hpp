@@ -71,8 +71,8 @@ struct PlanOptions {
   /// The fully de-specialized configuration: per-gate dense kernels, no
   /// fusion, scalar bodies, no blocking. The compiled-plan machinery with
   /// none of its optimizations — equivalence tests replay it against the
-  /// specialized program. (The abl_* benches' "generic" variant goes
-  /// further and bypasses SimProgram entirely via sv_compile_plan=false.)
+  /// specialized program. Outside SimProgram, the per-gate
+  /// StatevectorSimulator is the serial oracle both are checked against.
   static PlanOptions generic() {
     PlanOptions o;
     o.diagonal_kernels = false;

@@ -131,22 +131,14 @@ void kernel_diag2(State& state, std::size_t q0, std::size_t q1, const cplx* d,
   }
 }
 
-StatevectorSimulator::StatevectorSimulator(std::size_t workers,
-                                           std::size_t parallel_threshold_qubits,
-                                           bool use_simd)
-    : workers_(workers == 0 ? 1 : workers),
-      parallel_threshold_qubits_(parallel_threshold_qubits),
-      use_simd_(use_simd) {}
-
 void StatevectorSimulator::apply(State& state, const circuit::Gate& gate,
                                  std::span<const double> theta) const {
+  // One worker never forks, so the threshold argument is inert.
   const Matrix m = gate.matrix(theta);
   if (gate.arity() == 1)
-    kernel_single(state, gate.q0, m.data().data(), workers_,
-                  parallel_threshold_qubits_, use_simd_);
+    kernel_single(state, gate.q0, m.data().data(), 1, 0);
   else
-    kernel_two(state, gate.q0, gate.q1, m.data().data(), workers_,
-               parallel_threshold_qubits_);
+    kernel_two(state, gate.q0, gate.q1, m.data().data(), 1, 0);
 }
 
 State StatevectorSimulator::run(const circuit::Circuit& circuit,

@@ -2,8 +2,10 @@
 //
 // The QTensor tensor-network backend is the paper's simulator; this
 // statevector engine is the ground-truth oracle we verify it against, and is
-// also the faster path for the paper's 10-qubit workloads. Kernels can run
-// multithreaded (the "inner" level of the two-level parallelization scheme).
+// also the faster path for the paper's 10-qubit workloads. The per-gate
+// StatevectorSimulator is the serial oracle; the low-level kernels below can
+// run multithreaded (the "inner" level of the two-level parallelization
+// scheme) for the compiled sim::SimProgram.
 #pragma once
 
 #include <cstddef>
@@ -28,19 +30,10 @@ State zero_state(std::size_t num_qubits);
 /// |+>^{⊗n} — the QAOA initial state |s>.
 State plus_state(std::size_t num_qubits);
 
-/// Full-state simulator with an optional thread budget for the kernels.
+/// Per-gate full-state simulator: the serial reference oracle. Each gate
+/// runs as one dense kernel call on 1 worker with SIMD dispatch on.
 class StatevectorSimulator {
  public:
-  /// `workers` threads are used for gate kernels on states with at least
-  /// `parallel_threshold_qubits` qubits (smaller states run serially —
-  /// thread fork/join would dominate). `use_simd=false` forces the scalar
-  /// kernel bodies (ablation baselines).
-  explicit StatevectorSimulator(std::size_t workers = 1,
-                                std::size_t parallel_threshold_qubits = 14,
-                                bool use_simd = true);
-
-  [[nodiscard]] std::size_t workers() const { return workers_; }
-
   /// Applies one gate in place. theta resolves symbolic gate parameters.
   void apply(State& state, const circuit::Gate& gate,
              std::span<const double> theta) const;
@@ -53,11 +46,6 @@ class StatevectorSimulator {
   /// Runs the circuit on |+>^n (the QAOA convention).
   [[nodiscard]] State run_from_plus(const circuit::Circuit& circuit,
                                     std::span<const double> theta) const;
-
- private:
-  std::size_t workers_;
-  std::size_t parallel_threshold_qubits_;
-  bool use_simd_;
 };
 
 // -- low-level gate kernels --------------------------------------------------

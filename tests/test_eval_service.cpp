@@ -195,12 +195,20 @@ TEST(EvalService, SearchBestIsDeterministicAcrossWorkerCounts) {
   const auto serial = search::SearchEngine(cfg).run_exhaustive(g, 2);
   cfg.session.workers = 4;
   const auto parallel = search::SearchEngine(cfg).run_exhaustive(g, 2);
+  // The two-level split fig4 times against the serial row: inner threads
+  // engage at n = 6 once the kernels' threshold drops below it.
+  cfg.session.workers = 2;
+  cfg.session.inner_workers = 2;
+  cfg.session.base.energy.sv_plan.parallel_threshold_qubits = 2;
+  const auto two_level = search::SearchEngine(cfg).run_exhaustive(g, 2);
 
-  EXPECT_EQ(serial.best.mixer, parallel.best.mixer);
-  EXPECT_EQ(serial.best.energy, parallel.best.energy);
-  ASSERT_EQ(serial.evaluated.size(), parallel.evaluated.size());
-  for (std::size_t i = 0; i < serial.evaluated.size(); ++i)
-    EXPECT_EQ(serial.evaluated[i].energy, parallel.evaluated[i].energy);
+  for (const auto* other : {&parallel, &two_level}) {
+    EXPECT_EQ(serial.best.mixer, other->best.mixer);
+    EXPECT_EQ(serial.best.energy, other->best.energy);
+    ASSERT_EQ(serial.evaluated.size(), other->evaluated.size());
+    for (std::size_t i = 0; i < serial.evaluated.size(); ++i)
+      EXPECT_EQ(serial.evaluated[i].energy, other->evaluated[i].energy);
+  }
 }
 
 TEST(EvalService, SearchReportCountsCacheHitsAndServiceTime) {
@@ -1023,8 +1031,6 @@ TEST(SessionConfig, BaseDeepTogglesSurviveReconciliation) {
   s.training_evals = 77;
   s.simplify_circuit = false;
   // Deep engine toggles only reachable through the escape hatch:
-  s.base.energy.sv_compile_plan = false;
-  s.base.energy.sv_batch_expectations = false;
   s.base.energy.sv_plan.simd = false;
   s.base.energy.sv_plan.phase_tables = false;
   s.base.energy.sv_plan.fuse_single_qubit = false;
@@ -1044,8 +1050,6 @@ TEST(SessionConfig, BaseDeepTogglesSurviveReconciliation) {
   EXPECT_EQ(opt.cobyla.max_evals, 33u);
   EXPECT_FALSE(opt.simplify_circuit);
   // ...but every deep toggle must survive the merge untouched.
-  EXPECT_FALSE(opt.energy.sv_compile_plan);
-  EXPECT_FALSE(opt.energy.sv_batch_expectations);
   EXPECT_FALSE(opt.energy.sv_plan.simd);
   EXPECT_FALSE(opt.energy.sv_plan.phase_tables);
   EXPECT_FALSE(opt.energy.sv_plan.fuse_single_qubit);
@@ -1061,7 +1065,6 @@ TEST(SessionConfig, BaseDeepTogglesSurviveReconciliation) {
   // The same toggles survive through energy_options(); with the evaluator
   // NOT pre-simplifying, the plan-level presimplify keeps base's value.
   const auto en = s.energy_options(qaoa::EngineKind::Statevector);
-  EXPECT_FALSE(en.sv_compile_plan);
   EXPECT_FALSE(en.sv_plan.simd);
   EXPECT_TRUE(en.sv_plan.presimplify);
 

@@ -1,4 +1,4 @@
-// Tests for the parallel runtime: pool, parallel_for, task pool, two-level.
+// Tests for the parallel runtime: thread pool and parallel_for.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,9 +8,7 @@
 
 #include "common/error.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/task_pool.hpp"
 #include "parallel/thread_pool.hpp"
-#include "parallel/two_level.hpp"
 
 namespace {
 
@@ -90,10 +88,10 @@ TEST(ParallelMap, PreservesOrder) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i * i);
 }
 
-TEST(ThreadPool, PriorityOrdersDispatchHighestFirst) {
+TEST(ThreadPool, DispatchesInSubmissionOrder) {
   ThreadPool pool(1);
   // Park the single worker so every subsequent submission queues; release
-  // only after the whole mixed-priority batch is enqueued.
+  // only after the whole batch is enqueued.
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
   auto blocker = pool.submit([opened] { opened.wait(); });
@@ -107,86 +105,13 @@ TEST(ThreadPool, PriorityOrdersDispatchHighestFirst) {
       order.push_back(tag);
     };
   };
-  tasks.push_back(pool.submit(record(0)));         // default priority
-  tasks.push_back(pool.submit(record(51), 5));     // first of the 5s
-  tasks.push_back(pool.submit(record(1), 1));
-  tasks.push_back(pool.submit(record(52), 5));     // FIFO among equals
-  tasks.push_back(pool.submit(record(-1), -1));    // below default
+  for (const int tag : {3, 1, 4, 1, 5})
+    tasks.push_back(pool.submit(record(tag)));
 
   gate.set_value();
   blocker.get();
   for (auto& t : tasks) t.get();
-  EXPECT_EQ(order, (std::vector<int>{51, 52, 1, 0, -1}));
-}
-
-TEST(TaskPool, ApplyAsyncForwardsPriority) {
-  TaskPool pool(1);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  auto blocker = pool.apply_async([opened] { opened.wait(); });
-
-  std::vector<int> order;
-  std::mutex order_mutex;
-  auto low = pool.apply_async([&] {
-    std::lock_guard<std::mutex> lock(order_mutex);
-    order.push_back(0);
-  });
-  auto high = pool.apply_async(
-      [&] {
-        std::lock_guard<std::mutex> lock(order_mutex);
-        order.push_back(9);
-      },
-      9);
-  gate.set_value();
-  blocker.get();
-  low.get();
-  high.get();
-  EXPECT_EQ(order, (std::vector<int>{9, 0}));
-}
-
-TEST(TaskPool, StarmapAsyncAppliesTuples) {
-  TaskPool pool(4);
-  std::vector<std::tuple<int, int>> args{{1, 2}, {3, 4}, {5, 6}};
-  auto handle = pool.starmap_async([](int a, int b) { return a + b; }, args);
-  EXPECT_EQ(handle.size(), 3u);
-  const auto results = handle.get();
-  EXPECT_EQ(results, (std::vector<int>{3, 7, 11}));
-}
-
-TEST(TaskPool, MapAsyncOrdered) {
-  TaskPool pool(4);
-  std::vector<int> args{5, 1, 9, 2};
-  auto handle = pool.map_async([](int x) { return x * 10; }, args);
-  EXPECT_EQ(handle.get(), (std::vector<int>{50, 10, 90, 20}));
-}
-
-TEST(TaskPool, ReadyPollsNonBlocking) {
-  TaskPool pool(1);
-  std::vector<int> args{1};
-  auto handle = pool.map_async(
-      [](int x) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        return x;
-      },
-      args);
-  // Might already be done on a fast machine, but get() must agree with it.
-  handle.get();
-  EXPECT_TRUE(handle.ready());
-}
-
-TEST(TwoLevel, SplitsBudgetAndRunsAll) {
-  TwoLevelExecutor exec(3, 2);
-  EXPECT_EQ(exec.outer_workers(), 3u);
-  EXPECT_EQ(exec.inner_workers(), 2u);
-  const auto results = exec.run<std::size_t>(
-      10, [](std::size_t i, std::size_t inner) { return i * 100 + inner; });
-  ASSERT_EQ(results.size(), 10u);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(results[i], i * 100 + 2);
-}
-
-TEST(TwoLevel, RejectsZeroWorkers) {
-  EXPECT_THROW(TwoLevelExecutor(0, 1), Error);
-  EXPECT_THROW(TwoLevelExecutor(1, 0), Error);
+  EXPECT_EQ(order, (std::vector<int>{3, 1, 4, 1, 5}));
 }
 
 TEST(ParallelFor, ActuallyRunsConcurrently) {

@@ -149,11 +149,19 @@ TEST(Statevector, MultithreadedKernelsMatchSerial) {
       c.ry(rng.uniform_int(10), ParamExpr::constant_angle(rng.uniform(-3, 3)));
     }
   }
-  const sim::StatevectorSimulator serial(1);
-  // Force the parallel path by lowering the threshold.
-  const sim::StatevectorSimulator parallel(8, /*parallel_threshold_qubits=*/2);
-  const auto a = serial.run_from_plus(c, {});
-  const auto b = parallel.run_from_plus(c, {});
+  const auto a = sim::StatevectorSimulator().run_from_plus(c, {});
+  // The same gates through the kernels at 8 workers, with the threshold
+  // lowered to force the parallel path.
+  auto b = sim::plus_state(10);
+  for (const auto& gate : c.gates()) {
+    const auto m = gate.matrix({});
+    if (gate.arity() == 1)
+      sim::kernel_single(b, gate.q0, m.data().data(), 8,
+                         /*parallel_threshold_qubits=*/2);
+    else
+      sim::kernel_two(b, gate.q0, gate.q1, m.data().data(), 8,
+                      /*parallel_threshold_qubits=*/2);
+  }
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-12);
 }

@@ -71,7 +71,7 @@ void expect_states_close(const sim::State& a, const sim::State& b,
 
 TEST(SimProgram, CompiledPlanMatchesNaivePerGateApply) {
   Rng rng(101);
-  const sim::StatevectorSimulator naive(1);
+  const sim::StatevectorSimulator naive;
   for (int trial = 0; trial < 24; ++trial) {
     const std::size_t n = 2 + rng.uniform_int(11);  // 2..12
     const std::size_t num_params = 3;
@@ -157,7 +157,7 @@ TEST(SimProgram, RebindsParameterizedOpsAcrossThetas) {
   Rng rng(404);
   const auto c = random_circuit(rng, 6, 30, 4, kFullPool);
   const sim::SimProgram program(c);
-  const sim::StatevectorSimulator naive(1);
+  const sim::StatevectorSimulator naive;
   for (int rep = 0; rep < 5; ++rep) {
     std::vector<double> theta(4);
     for (auto& t : theta) t = rng.uniform(-3.0, 3.0);
@@ -183,7 +183,7 @@ TEST(SimProgram, QaoaAnsatzCompilesToStreamingCostLayer) {
   EXPECT_LT(stats.ops, c.num_gates());
 
   // The folded program still matches the naive reference path.
-  const sim::StatevectorSimulator naive(1);
+  const sim::StatevectorSimulator naive;
   const std::vector<double> theta = {0.7, -0.4, 1.2, 0.3};
   expect_states_close(program.run_from_plus(theta),
                       naive.run_from_plus(c, theta), 1e-10, "qaoa ansatz");
@@ -217,7 +217,7 @@ TEST(BatchedZZ, MatchesPerEdgeExpectationOnRandomStates) {
   for (int trial = 0; trial < 12; ++trial) {
     const std::size_t n = 2 + rng.uniform_int(11);  // 2..12
     const auto c = random_circuit(rng, n, 25, 0, kFullPool);
-    const sim::StatevectorSimulator sv(1);
+    const sim::StatevectorSimulator sv;
     const auto state = sv.run_from_plus(c, {});
 
     std::vector<sim::ZZPair> pairs;
@@ -260,23 +260,22 @@ TEST(EnergyPlan, CompiledStatevectorPlanMatchesLegacyPath) {
   compiled.inner_workers = 4;
   compiled.sv_plan.parallel_threshold_qubits = 2;  // exercise threading
 
-  qaoa::EnergyOptions legacy;
-  legacy.engine = qaoa::EngineKind::Statevector;
-  legacy.sv_compile_plan = false;
-  legacy.sv_batch_expectations = false;
-
   const qaoa::EnergyEvaluator fast(g, compiled);
-  const qaoa::EnergyEvaluator slow(g, legacy);
+  const auto& ham = fast.hamiltonian();
   for (const std::size_t p : {std::size_t{1}, std::size_t{2}}) {
     const auto ansatz = qaoa::build_qaoa_circuit(g, p, qaoa::MixerSpec::qnas());
     const auto fast_plan = fast.make_plan(ansatz);
-    const auto slow_plan = slow.make_plan(ansatz);
     for (int rep = 0; rep < 4; ++rep) {
       std::vector<double> theta(ansatz.num_params());
       for (auto& t : theta) t = rng.uniform(-2.0, 2.0);
-      EXPECT_NEAR(fast_plan->energy(theta), slow_plan->energy(theta), 1e-10);
+      // The per-gate oracle: serial dense kernels, one pass per term.
+      const auto state =
+          sim::StatevectorSimulator().run_from_plus(ansatz, theta);
+      std::vector<double> sz;
+      for (const auto& t : ham.terms())
+        sz.push_back(sim::expectation_zz(state, t.u, t.v));
+      EXPECT_NEAR(fast_plan->energy(theta), ham.energy(sz), 1e-10);
       const auto fz = fast_plan->zz_expectations(theta);
-      const auto sz = slow_plan->zz_expectations(theta);
       ASSERT_EQ(fz.size(), sz.size());
       for (std::size_t k = 0; k < fz.size(); ++k)
         EXPECT_NEAR(fz[k], sz[k], 1e-10) << "term " << k;
