@@ -1,5 +1,4 @@
-// Ablation: simulator engine (statevector vs tensor network) and the
-// parallel "device" contraction backend.
+// Ablation: simulator engine (statevector vs tensor network).
 //
 // Times one full QAOA energy evaluation (all |E| <ZZ> terms) per engine
 // as the qubit count grows, and reports each engine's compile/build counts
@@ -9,10 +8,12 @@
 // theta. Expected timings: statevector wins at small n but its cost doubles
 // per qubit; the TN-lightcone path depends on circuit structure rather than
 // n, so the crossover moves in its favour as n grows (at p=1 the lightcone
-// is constant-size for regular graphs). The parallel backend/inner-worker
-// rows show the intra-candidate parallelism seam.
+// is constant-size for regular graphs).
 //
-// Emits BENCH_qtensor.json section "sim_backend".
+// Emits BENCH_qtensor.json section "sim_backend". The committed file's
+// "tn_parallel" and "tn_rebuild" columns are the final records of removed
+// paths (the multithreaded contraction kernel, the rebuild-per-theta
+// network); rerun with --out to keep them.
 //
 // Flags: --p P (1) --reps R (10) --out PATH (BENCH_qtensor.json)
 #include <cstdio>
@@ -83,8 +84,8 @@ int main(int argc, char** argv) {
               p);
   std::printf("build counts are compile-time/replay-time: compiled engines "
               "must replay with 0\n\n");
-  std::printf("%-4s %-22s %-22s %-22s\n", "n", "statevector (ms|b)",
-              "tn compiled (ms|b)", "tn par 8w (ms|b)");
+  std::printf("%-4s %-22s %-22s\n", "n", "statevector (ms|b)",
+              "tn compiled (ms|b)");
 
   json::Value rows = json::Value::array();
   for (std::size_t n : {8, 10, 12, 14, 16}) {
@@ -96,13 +97,9 @@ int main(int argc, char** argv) {
     sv.engine = qaoa::EngineKind::Statevector;
     qaoa::EnergyOptions tn;
     tn.engine = qaoa::EngineKind::TensorNetwork;
-    qaoa::EnergyOptions tn_par = tn;
-    tn_par.inner_workers = 8;
-    tn_par.qtensor.backend = "parallel:4";
 
     const EngineRun r_sv = time_energy(g, c, sv, reps);
     const EngineRun r_tn = time_energy(g, c, tn, reps);
-    const EngineRun r_par = time_energy(g, c, tn_par, reps);
 
     auto cell = [](const EngineRun& r) {
       char s[64];
@@ -110,15 +107,14 @@ int main(int argc, char** argv) {
                     r.replay_builds);
       return std::string(s);
     };
-    std::printf("%-4zu %-22s %-22s %-22s\n", n, cell(r_sv).c_str(),
-                cell(r_tn).c_str(), cell(r_par).c_str());
+    std::printf("%-4zu %-22s %-22s\n", n, cell(r_sv).c_str(),
+                cell(r_tn).c_str());
 
     json::Value row = json::Value::object();
     row.set("n", n);
     row.set("edges", g.num_edges());
     add_run(row, "statevector", r_sv);
     add_run(row, "tn_compiled", r_tn);
-    add_run(row, "tn_parallel", r_par);
     rows.push_back(std::move(row));
   }
   std::printf(

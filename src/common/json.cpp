@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -335,5 +336,22 @@ class Parser {
 }  // namespace
 
 Value parse(const std::string& text) { return Parser(text).parse_document(); }
+
+std::size_t as_uint(const Value& v, const std::string& what) {
+  const double d = v.as_number();
+  QARCH_REQUIRE(d >= 0.0 && d == std::floor(d) && d <= 9.0e15,
+                what + " must be a non-negative integer");
+  return static_cast<std::size_t>(d);
+}
+
+std::uint64_t parse_u64(std::string_view text, const std::string& what) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  QARCH_REQUIRE(ec == std::errc() && stop == end,
+                what + " must be an unsigned 64-bit decimal: " +
+                    std::string(text));
+  return v;
+}
 
 }  // namespace qarch::json

@@ -6,9 +6,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qarch::json {
@@ -71,5 +73,21 @@ class Value {
 /// Parses a JSON document; throws InvalidArgument with offset context on
 /// malformed input.
 Value parse(const std::string& text);
+
+// -- checked numbers ----------------------------------------------------------
+// Every count, depth, budget, id and 64-bit word read from a file or a
+// request goes through one of these two, never a bare cast: a cast of a
+// fractional, negative or huge double to an integer silently truncates or is
+// undefined, and a lenient string parse accepts "-1" and "12abc".
+
+/// A JSON number that is a non-negative integer no larger than 9e15 (every
+/// such value is exact in a double). Throws InvalidArgument naming `what`
+/// otherwise.
+std::size_t as_uint(const Value& v, const std::string& what);
+
+/// A 64-bit word held as decimal text (JSON doubles cannot carry 64 bits):
+/// the whole string must be digits, with no sign, space or trailing text,
+/// and fit in 64 bits. Throws InvalidArgument naming `what` otherwise.
+std::uint64_t parse_u64(std::string_view text, const std::string& what);
 
 }  // namespace qarch::json

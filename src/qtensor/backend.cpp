@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/error.hpp"
-#include "parallel/parallel_for.hpp"
 #include "sim/simd.hpp"
 
 namespace qarch::qtensor {
@@ -211,79 +210,8 @@ void SerialCpuBackend::product_sum_into(
                     std::size_t{1} << (out_rank - 1), out);
 }
 
-ParallelCpuBackend::ParallelCpuBackend(std::size_t workers,
-                                       std::size_t parallel_threshold_rank)
-    : workers_(workers == 0
-                   ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-                   : workers),
-      parallel_threshold_rank_(parallel_threshold_rank) {}
-
-void ParallelCpuBackend::product_into(
-    const std::vector<const Tensor*>& factors,
-    const std::vector<VarId>& out_labels, cplx* out) const {
-  QARCH_REQUIRE(!factors.empty(), "product of zero factors");
-  const std::size_t out_rank = out_labels.size();
-  if (workers_ <= 1 || out_rank < parallel_threshold_rank_) {
-    SerialCpuBackend{}.product_into(factors, out_labels, out);
-    return;
-  }
-
-  std::vector<std::vector<std::size_t>> strides;
-  strides.reserve(factors.size());
-  for (const Tensor* f : factors)
-    strides.push_back(factor_strides(*f, out_labels));
-
-  const std::size_t total = std::size_t{1} << out_rank;
-  const std::size_t chunk = std::max<std::size_t>(1024, total / (workers_ * 8));
-  const std::size_t num_chunks = (total + chunk - 1) / chunk;
-  parallel::parallel_for(
-      0, num_chunks,
-      [&](std::size_t c) {
-        const std::size_t lo = c * chunk;
-        const std::size_t hi = std::min(total, lo + chunk);
-        product_range(factors, strides, out_rank, lo, hi, out);
-      },
-      workers_);
-}
-
-void ParallelCpuBackend::product_sum_into(
-    const std::vector<const Tensor*>& factors,
-    const std::vector<VarId>& out_labels, cplx* out) const {
-  QARCH_REQUIRE(!factors.empty(), "product of zero factors");
-  QARCH_REQUIRE(!out_labels.empty(), "product_sum_into needs a variable");
-  const std::size_t out_rank = out_labels.size();
-  if (workers_ <= 1 || out_rank < parallel_threshold_rank_) {
-    SerialCpuBackend{}.product_sum_into(factors, out_labels, out);
-    return;
-  }
-
-  std::vector<std::vector<std::size_t>> strides;
-  strides.reserve(factors.size());
-  for (const Tensor* f : factors)
-    strides.push_back(factor_strides(*f, out_labels));
-
-  const std::size_t total = std::size_t{1} << (out_rank - 1);
-  const std::size_t chunk = std::max<std::size_t>(1024, total / (workers_ * 8));
-  const std::size_t num_chunks = (total + chunk - 1) / chunk;
-  parallel::parallel_for(
-      0, num_chunks,
-      [&](std::size_t c) {
-        const std::size_t lo = c * chunk;
-        const std::size_t hi = std::min(total, lo + chunk);
-        product_sum_range(factors, strides, out_rank, lo, hi, out);
-      },
-      workers_);
-}
-
 std::unique_ptr<Backend> make_backend(const std::string& spec) {
   if (spec == "serial") return std::make_unique<SerialCpuBackend>();
-  if (spec.rfind("parallel", 0) == 0) {
-    std::size_t workers = 0;
-    const auto colon = spec.find(':');
-    if (colon != std::string::npos)
-      workers = static_cast<std::size_t>(std::stoul(spec.substr(colon + 1)));
-    return std::make_unique<ParallelCpuBackend>(workers);
-  }
   throw InvalidArgument("unknown backend spec: " + spec);
 }
 

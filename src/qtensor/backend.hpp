@@ -4,12 +4,10 @@
 // the paper; GPU backends as future work). We reproduce that seam: the
 // bucket-elimination contractor delegates its hot kernel — computing the
 // element-wise product of a bucket's tensors over the union of their labels —
-// to a Backend. Two implementations are provided:
-//
-//   * SerialCpuBackend   — plain loops (the paper's NumPy-on-CPU analogue)
-//   * ParallelCpuBackend — multithreaded over output blocks; this is our
-//                          stand-in "device" backend for the paper's GPU
-//                          integration (same interface, more lanes)
+// to a Backend. SerialCpuBackend (plain loops, the paper's NumPy-on-CPU
+// analogue) is the one implementation. Parallelism sits above the kernel, in
+// the callers' per-term and per-slice fan-out: a multithreaded kernel lost
+// to the serial one at every size in BENCH_qtensor.json's sim_backend rows.
 #pragma once
 
 #include <cstddef>
@@ -62,28 +60,7 @@ class SerialCpuBackend final : public Backend {
   [[nodiscard]] std::string name() const override { return "serial-cpu"; }
 };
 
-/// Multithreaded backend: output range split across `workers` threads.
-/// Small products (below `parallel_threshold_rank`) fall back to serial.
-class ParallelCpuBackend final : public Backend {
- public:
-  explicit ParallelCpuBackend(std::size_t workers = 0,
-                              std::size_t parallel_threshold_rank = 12);
-  void product_into(const std::vector<const Tensor*>& factors,
-                    const std::vector<VarId>& out_labels,
-                    cplx* out) const override;
-  void product_sum_into(const std::vector<const Tensor*>& factors,
-                        const std::vector<VarId>& out_labels,
-                        cplx* out) const override;
-  [[nodiscard]] std::string name() const override { return "parallel-cpu"; }
-
-  [[nodiscard]] std::size_t workers() const { return workers_; }
-
- private:
-  std::size_t workers_;
-  std::size_t parallel_threshold_rank_;
-};
-
-/// Factory: "serial" or "parallel[:N]".
+/// Factory: "serial" is the only spec; any other throws InvalidArgument.
 std::unique_ptr<Backend> make_backend(const std::string& spec);
 
 }  // namespace qarch::qtensor

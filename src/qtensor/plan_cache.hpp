@@ -6,9 +6,11 @@
 //
 //   * within a process, every evaluator and every candidate circuit with
 //     the same lightcone shape reuses one planned order, and
-//   * across processes, orders persist to disk (search::save_plan_cache /
-//     load_plan_cache use the result cache's atomic tmp+rename discipline)
-//     and a warm run plans NOTHING (planner_invocation_count() stays 0).
+//   * across processes, orders persist to disk through
+//     search::save_plan_cache / load_plan_cache — one of report_io's
+//     version-gated stores (fsync'd tmp+rename write, corruption-tolerant
+//     load) — and a warm run plans NOTHING (planner_invocation_count()
+//     stays 0).
 //
 // Reusing an order is always SOUND: an elimination order is valid for any
 // network with the same label structure regardless of tensor data, and the

@@ -51,8 +51,8 @@ struct SamplerOptions {
   /// Tensor-network engine: compile config for the per-qubit marginal
   /// programs (planner, plan cache, slicing, lightcone toggles).
   qtensor::ProgramOptions query;
-  /// Tensor-network engine: contraction backend spec ("serial",
-  /// "parallel[:N]").
+  /// Tensor-network engine: contraction backend spec (qtensor::make_backend;
+  /// "serial" is the only one).
   std::string tn_backend = "serial";
   /// Statevector engine: compile config and replay workers.
   sim::PlanOptions sv_plan;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <list>
 #include <map>
 #include <mutex>
@@ -139,18 +140,9 @@ struct ServiceState {
 
   Mutex mutex{30, "service.state"};  // guards everything below
   EvalService::Stats stats QARCH_GUARDED_BY(mutex);
-  // Result cache: key → result + provenance, LRU-bounded by
-  // config.result_cache. graph_fp / training_evals / engine ride along so
-  // entries can be persisted without re-parsing the composite key.
-  struct CachedResult {
-    CandidateResult result;
-    std::string graph_fp;
-    std::size_t training_evals = 0;
-    std::string engine;  ///< resolved engine the run used ("sv" / "tn")
-    std::string objective;    ///< ObjectiveSpec::tag(), "" = default
-    std::string hamiltonian;  ///< HamiltonianSpec::tag(), "" = default
-  };
-  std::list<std::pair<std::string, CachedResult>> done_order
+  // Result cache: key → the entry as persisted (result + RunKey),
+  // most-recently-used first, LRU-bounded by config.result_cache.
+  std::list<std::pair<std::string, CacheEntry>> done_order
       QARCH_GUARDED_BY(mutex);
   std::unordered_map<std::string, decltype(done_order)::iterator> done_by_key
       QARCH_GUARDED_BY(mutex);
@@ -359,28 +351,93 @@ std::string spec_suffix(const qaoa::ObjectiveSpec& objective,
                                              : hamiltonian.tag());
 }
 
+/// The result key of a persisted record: equal to the submit-time key of
+/// the candidate it records.
+std::string stored_key(const CacheEntry& e) {
+  return result_key(e.graph_fp, e.result.mixer, e.result.p,
+                    e.training_evals) +
+         tag_suffix(e.objective, e.hamiltonian);
+}
+
+std::string stored_key(const TrainingCheckpoint& ck) {
+  return result_key(ck.graph_fp, ck.mixer, ck.p, ck.training_evals) +
+         tag_suffix(ck.objective, ck.hamiltonian);
+}
+
 /// Identity of a persisted entry: the result key (with spec suffix) plus the
 /// engine that produced it (one candidate may have an sv and a tn twin on
 /// disk).
 std::string cache_identity(const CacheEntry& e) {
-  return result_key(e.graph_fp, e.result.mixer, e.result.p,
-                    e.training_evals) +
-         tag_suffix(e.objective, e.hamiltonian) + '\x1f' + e.engine;
+  return stored_key(e) + '\x1f' + e.engine;
+}
+
+/// The engine tag a run records ("sv" / "tn"): the name of the backend that
+/// forces that engine, so the engine gate compares like with like.
+std::string engine_tag(qaoa::EngineKind engine) {
+  return backend_name(engine == qaoa::EngineKind::Statevector
+                          ? BackendChoice::Statevector
+                          : BackendChoice::TensorNetwork);
+}
+
+/// The engine gate: a forced-engine service must not serve results another
+/// engine trained (processes sharing one cache file may run different
+/// backends). Auto accepts both — whichever engine produced an entry, it is
+/// a valid evaluation of that candidate.
+bool engine_admits(const SessionConfig& config, const std::string& tag) {
+  return config.backend == BackendChoice::Auto ||
+         tag == backend_name(config.backend);
+}
+
+/// The persisted identity of `job`'s run on the engine tagged `engine`.
+RunKey run_key(const EvalJob& job, const std::string& engine) {
+  return {job.graph_key, job.training_evals, engine,
+          job.objective.is_default() ? std::string() : job.objective.tag(),
+          job.hamiltonian.is_default() ? std::string() : job.hamiltonian.tag()};
 }
 
 /// Adds (or refreshes) one entry in the to-be-persisted overflow set:
 /// entries the in-memory cache cannot hold but the next rewrite must keep.
-/// Deduplicated by identity so eviction churn cannot grow it. Requires
-/// state.mutex held.
-void stash_foreign(ServiceState& state, CacheEntry entry)
+/// Deduplicated by identity so eviction churn cannot grow it, and a NEW
+/// identity is admitted only while the set holds fewer than `bound` entries
+/// (refreshing a stashed one always replaces it in place). Without a rewrite
+/// coming (no cache_path, or cache_write off) stashing would be dead memory,
+/// so nothing is kept. Requires state.mutex held.
+void stash_foreign(ServiceState& state, CacheEntry entry, std::size_t bound)
     QARCH_REQUIRES(state.mutex) {
-  const std::string id = cache_identity(entry);
+  if (state.config.cache_path.empty() || !state.config.cache_write) return;
+  std::string id = cache_identity(entry);
   if (const auto it = state.foreign_by_identity.find(id);
       it != state.foreign_by_identity.end()) {
     state.foreign_entries[it->second] = std::move(entry);
-  } else {
-    state.foreign_by_identity.emplace(id, state.foreign_entries.size());
+  } else if (state.foreign_entries.size() < bound) {
+    state.foreign_by_identity.emplace(std::move(id),
+                                      state.foreign_entries.size());
     state.foreign_entries.push_back(std::move(entry));
+  }
+}
+
+/// The warm-start merge, shared by the constructor's load and every
+/// cache_refresh_seconds re-read: an entry is loaded unless the engine gate
+/// rejects it, the in-memory cache is full, or this service already holds
+/// its candidate (in-memory state always wins over disk; under Auto the
+/// first of an sv/tn twin wins). Rejected entries are still on disk, so they
+/// are stashed for the next rewrite, up to `stash_bound`. A loaded entry
+/// goes to the LRU's cold end: a warm start is not a recent use, so it is
+/// first out if capacity tightens. Requires state.mutex held.
+void merge_result_entries(ServiceState& state, std::vector<CacheEntry> entries,
+                          std::size_t stash_bound) QARCH_REQUIRES(state.mutex) {
+  for (CacheEntry& e : entries) {
+    std::string key = stored_key(e);
+    if (!engine_admits(state.config, e.engine) ||
+        state.done_order.size() >= state.config.result_cache ||
+        state.done_by_key.count(key) > 0) {
+      stash_foreign(state, std::move(e), stash_bound);
+      continue;
+    }
+    state.done_order.emplace_back(std::move(key), std::move(e));
+    state.done_by_key[state.done_order.back().first] =
+        std::prev(state.done_order.end());
+    ++state.stats.cache_loaded;
   }
 }
 
@@ -397,10 +454,9 @@ std::shared_ptr<const Evaluator> evaluator_for(
     qaoa::EngineKind engine, std::size_t training_evals,
     const qaoa::ObjectiveSpec& objective,
     const qaoa::HamiltonianSpec& hamiltonian) {
-  const std::string key =
-      graph_key + '\x1f' +
-      (engine == qaoa::EngineKind::Statevector ? "sv" : "tn") + '\x1f' +
-      std::to_string(training_evals) + spec_suffix(objective, hamiltonian);
+  const std::string key = graph_key + '\x1f' + engine_tag(engine) + '\x1f' +
+                          std::to_string(training_evals) +
+                          spec_suffix(objective, hamiltonian);
   std::shared_ptr<ServiceState::EvaluatorSlot> slot;
   {
     LockGuard lock(state.mutex);
@@ -494,21 +550,11 @@ double job_cost(const EvalJob& job) {
                                  : 1);
 }
 
-/// The persistable form of a job's current checkpoint. Requires state.mutex
-/// held (reads nothing mutable, but callers are there anyway).
+/// The persistable form of a job's current checkpoint.
 TrainingCheckpoint checkpoint_record(const EvalJob& job,
                                      const std::string& engine_name,
                                      const optim::OptimState& training) {
-  TrainingCheckpoint ck;
-  ck.graph_fp = job.graph_key;
-  ck.mixer = job.mixer;
-  ck.p = job.p;
-  ck.training_evals = job.training_evals;
-  ck.engine = engine_name;
-  if (!job.objective.is_default()) ck.objective = job.objective.tag();
-  if (!job.hamiltonian.is_default()) ck.hamiltonian = job.hamiltonian.tag();
-  ck.state = training;
-  return ck;
+  return {run_key(job, engine_name), job.mixer, job.p, training};
 }
 
 /// Atomically rewrites config.checkpoint_path with the current in-flight
@@ -598,47 +644,46 @@ std::shared_ptr<EvalJob> pop_next(ServiceState& state)
   }
 }
 
+/// Withdraws a job that resolved without completing: drops its in-flight
+/// entry — by identity, not by key: a duplicate resubmission may already
+/// have replaced this key's entry with a fresh job — and its queue slot, so
+/// no drainer picks it up (a no-op when a drainer already popped it —
+/// run_job rechecks the status). Requires state.mutex held.
+void withdraw_job(ServiceState& state, const std::shared_ptr<EvalJob>& job)
+    QARCH_REQUIRES(state.mutex) {
+  const auto it = state.inflight.find(job->key);
+  if (it != state.inflight.end() && it->second.lock() == job)
+    state.inflight.erase(it);
+  const auto cit = state.clients.find(job->client_id);
+  if (cit != state.clients.end()) {
+    cit->second.jobs.erase(std::make_pair(-job->priority, job->seq));
+    if (cit->second.jobs.empty()) deactivate_client(state, job->client_id);
+  }
+}
+
 void finish_cancelled(ServiceState& state,
                       const std::shared_ptr<EvalJob>& job)
     QARCH_EXCLUDES(state.mutex) {
   {
     LockGuard lock(state.mutex);
-    // Erase by identity, not by key: a duplicate resubmission may already
-    // have replaced this key's in-flight entry with a fresh job.
-    const auto it = state.inflight.find(job->key);
-    if (it != state.inflight.end() && it->second.lock() == job)
-      state.inflight.erase(it);
+    withdraw_job(state, job);
     ++state.stats.cancelled;
-    // Withdraw from the scheduler so no drainer picks the job up (a no-op
-    // when a drainer already popped it — run_job rechecks the status).
-    const auto cit = state.clients.find(job->client_id);
-    if (cit != state.clients.end()) {
-      cit->second.jobs.erase(std::make_pair(-job->priority, job->seq));
-      if (cit->second.jobs.empty()) deactivate_client(state, job->client_id);
-    }
   }
   job->cv.notify_all();
 }
 
 /// Terminal bookkeeping of a deadline-expired job. The caller already set
-/// Status::Expired (and finished_at) under the JOB mutex; this mirrors
-/// finish_cancelled — inflight/queue withdrawal — plus the checkpoint record
-/// is dropped: past its deadline the partial training is dead weight.
+/// Status::Expired (and finished_at) under the JOB mutex. Besides the
+/// withdrawal, the checkpoint record is dropped: past its deadline the
+/// partial training is dead weight.
 void finish_expired(ServiceState& state,
                     const std::shared_ptr<EvalJob>& job)
     QARCH_EXCLUDES(state.mutex) {
   {
     LockGuard lock(state.mutex);
-    const auto it = state.inflight.find(job->key);
-    if (it != state.inflight.end() && it->second.lock() == job)
-      state.inflight.erase(it);
+    withdraw_job(state, job);
     ++state.stats.deadline_expired;
     state.checkpoints.erase(job->key);
-    const auto cit = state.clients.find(job->client_id);
-    if (cit != state.clients.end()) {
-      cit->second.jobs.erase(std::make_pair(-job->priority, job->seq));
-      if (cit->second.jobs.empty()) deactivate_client(state, job->client_id);
-    }
   }
   job->cv.notify_all();
 }
@@ -663,16 +708,10 @@ std::size_t persist_caches(ServiceState& state)
     // done_order is most-recently-used first; persist in that order so a
     // smaller result_cache on reload keeps the hottest entries.
     for (const auto& [key, cached] : state.done_order) {
-      CacheEntry e;
-      e.graph_fp = cached.graph_fp;
-      e.training_evals = cached.training_evals;
-      e.engine = cached.engine;
-      e.objective = cached.objective;
-      e.hamiltonian = cached.hamiltonian;
-      e.result = cached.result;
-      e.result.from_cache = false;  // provenance is per-submission, not disk
-      seen.insert(cache_identity(e));
-      entries.push_back(std::move(e));
+      entries.push_back(cached);
+      // Provenance is per-submission, not disk.
+      entries.back().result.from_cache = false;
+      seen.insert(cache_identity(cached));
     }
     // Re-persist what this service could not hold itself — other-backend
     // entries, over-capacity leftovers, LRU evictions (deduplicated on
@@ -704,11 +743,10 @@ bool cache_refresh_due(ServiceState& state) QARCH_EXCLUDES(state.mutex) {
 
 /// Re-reads the result-cache file and merges entries this service does not
 /// already hold — cross-pollination between concurrent processes sharing one
-/// cache_path, without waiting for either to restart. Merge rules mirror the
-/// constructor load: the engine gate and capacity bound apply, rejected
-/// entries are stashed for the next rewrite (when this service writes at
-/// all), and entries this process already holds in memory always win over
-/// disk state. File IO runs under io_mutex only; the service mutex is taken
+/// cache_path, without waiting for either to restart. The merge is the
+/// constructor's, with the stash bounded like the eviction stash
+/// (foreign_floor + result_cache) so refreshes cannot grow memory without
+/// limit. File IO runs under io_mutex only; the service mutex is taken
 /// afterwards for the merge (io_mutex-before-mutex, never nested the other
 /// way).
 void refresh_result_cache(ServiceState& state)
@@ -720,42 +758,8 @@ void refresh_result_cache(ServiceState& state)
   }
   LockGuard lock(state.mutex);
   ++state.stats.cache_refreshes;
-  const bool keep_for_rewrite = state.config.cache_write;
-  const std::size_t stash_bound =
-      state.foreign_floor + state.config.result_cache;
-  for (CacheEntry& e : entries) {
-    const bool engine_gated =
-        (state.config.backend == BackendChoice::Statevector &&
-         e.engine != "sv") ||
-        (state.config.backend == BackendChoice::TensorNetwork &&
-         e.engine != "tn");
-    const std::string key =
-        result_key(e.graph_fp, e.result.mixer, e.result.p, e.training_evals) +
-        tag_suffix(e.objective, e.hamiltonian);
-    if (engine_gated || state.done_by_key.count(key) > 0 ||
-        state.done_order.size() >= state.config.result_cache) {
-      // Not loadable here (wrong engine, already held, or over capacity) —
-      // but still on disk, so a rewriting service must carry it. Bounded
-      // like the eviction stash: refreshes cannot grow memory without limit.
-      if (keep_for_rewrite &&
-          (state.foreign_entries.size() < stash_bound ||
-           state.foreign_by_identity.count(cache_identity(e)) > 0))
-        stash_foreign(state, std::move(e));
-      continue;
-    }
-    ServiceState::CachedResult cached;
-    cached.result = e.result;
-    cached.graph_fp = std::move(e.graph_fp);
-    cached.training_evals = e.training_evals;
-    cached.engine = std::move(e.engine);
-    cached.objective = std::move(e.objective);
-    cached.hamiltonian = std::move(e.hamiltonian);
-    // Appended at the LRU's cold end: a merged entry is a warm start, not a
-    // recent use, so it is first out if capacity tightens.
-    state.done_order.emplace_back(key, std::move(cached));
-    state.done_by_key[key] = std::prev(state.done_order.end());
-    ++state.stats.cache_loaded;
-  }
+  merge_result_entries(state, std::move(entries),
+                       state.foreign_floor + state.config.result_cache);
 }
 
 /// Worker body: runs one job until it completes, parks, expires, retries, or
@@ -814,7 +818,7 @@ void run_job(const std::shared_ptr<ServiceState>& state,
                                     job->p);
         break;
     }
-    engine_name = engine == qaoa::EngineKind::Statevector ? "sv" : "tn";
+    engine_name = engine_tag(engine);
     int attempt = 0;
     {
       LockGuard lock(state->mutex);
@@ -973,43 +977,19 @@ void run_job(const std::shared_ptr<ServiceState>& state,
       state->checkpoints.erase(job->key);
       job->checkpoint.clear();
       if (state->config.result_cache > 0) {
-        ServiceState::CachedResult cached;
-        cached.result = result;
-        cached.graph_fp = job->graph_key;
-        cached.training_evals = job->training_evals;
-        cached.engine =
-            engine == qaoa::EngineKind::Statevector ? "sv" : "tn";
-        if (!job->objective.is_default())
-          cached.objective = job->objective.tag();
-        if (!job->hamiltonian.is_default())
-          cached.hamiltonian = job->hamiltonian.tag();
-        state->done_order.emplace_front(job->key, std::move(cached));
+        state->done_order.emplace_front(
+            job->key, CacheEntry{run_key(*job, engine_name), result});
         state->done_by_key[job->key] = state->done_order.begin();
         while (state->done_order.size() > state->config.result_cache) {
           // When a rewrite is coming, LRU-evicted results stay eligible for
           // persistence (dropping them would erase warm starts from the
-          // shared cache file); without one, hoarding them would just grow
-          // memory past the LRU bound for nothing. The stash itself is
-          // bounded (foreign_floor + result_cache): a run that churns far
-          // past its capacity sheds the excess instead of growing without
-          // limit, though refreshing an already-stashed identity is always
-          // allowed (it replaces in place).
-          ServiceState::CachedResult& old = state->done_order.back().second;
-          if (!state->config.cache_path.empty() &&
-              state->config.cache_write) {
-            CacheEntry evicted;  // moving is fine: `old` is dropped below
-            evicted.graph_fp = std::move(old.graph_fp);
-            evicted.training_evals = old.training_evals;
-            evicted.engine = std::move(old.engine);
-            evicted.objective = std::move(old.objective);
-            evicted.hamiltonian = std::move(old.hamiltonian);
-            evicted.result = std::move(old.result);
-            if (state->foreign_entries.size() <
-                    state->foreign_floor + state->config.result_cache ||
-                state->foreign_by_identity.count(cache_identity(evicted)) > 0)
-              stash_foreign(*state, std::move(evicted));
-          }
-          state->done_by_key.erase(state->done_order.back().first);
+          // shared cache file). The stash is bounded (foreign_floor +
+          // result_cache): a run that churns far past its capacity sheds
+          // the excess instead of growing without limit.
+          auto& [old_key, old] = state->done_order.back();
+          stash_foreign(*state, std::move(old),
+                        state->foreign_floor + state->config.result_cache);
+          state->done_by_key.erase(old_key);
           state->done_order.pop_back();
         }
       }
@@ -1274,55 +1254,13 @@ EvalService::EvalService(SessionConfig config)
     fallback.weight = 1.0;
   }
   if (!state_->config.cache_path.empty() && state_->config.result_cache > 0) {
-    const auto entries =
-        load_result_cache(state_->config.cache_path,
-                          detail::kCacheCodeVersion);
+    auto entries = load_result_cache(state_->config.cache_path,
+                                     detail::kCacheCodeVersion);
     LockGuard lock(state_->mutex);
-    // A read-only service (cache_write = false) never rewrites the file, so
-    // stashing unloadable entries for re-persistence would be dead memory.
-    const bool keep_for_rewrite = state_->config.cache_write;
-    for (const CacheEntry& e : entries) {
-      // Engine gate: a forced-engine service must not warm-start from
-      // results another engine trained (processes sharing one cache file
-      // may run different backends). Auto accepts both — whichever engine
-      // produced an entry, it is a valid evaluation of that candidate.
-      // Filtered entries are kept aside so save_cache() re-persists them
-      // instead of erasing the other engine's warm starts.
-      if ((state_->config.backend == BackendChoice::Statevector &&
-           e.engine != "sv") ||
-          (state_->config.backend == BackendChoice::TensorNetwork &&
-           e.engine != "tn")) {
-        if (keep_for_rewrite) detail::stash_foreign(*state_, e);
-        continue;
-      }
-      if (state_->done_order.size() >= state_->config.result_cache) {
-        // Beyond this service's in-memory bound, but still someone else's
-        // warm start: preserved across the rewrite like engine-filtered
-        // entries.
-        if (keep_for_rewrite) detail::stash_foreign(*state_, e);
-        continue;
-      }
-      const std::string key =
-          detail::result_key(e.graph_fp, e.result.mixer, e.result.p,
-                             e.training_evals) +
-          detail::tag_suffix(e.objective, e.hamiltonian);
-      if (state_->done_by_key.count(key) > 0) {
-        // Same candidate from the other engine (Auto accepted the first
-        // twin): not loaded, but preserved across this service's rewrite.
-        if (keep_for_rewrite) detail::stash_foreign(*state_, e);
-        continue;
-      }
-      detail::ServiceState::CachedResult cached;
-      cached.result = e.result;
-      cached.graph_fp = e.graph_fp;
-      cached.training_evals = e.training_evals;
-      cached.engine = e.engine;
-      cached.objective = e.objective;
-      cached.hamiltonian = e.hamiltonian;
-      state_->done_order.emplace_back(key, std::move(cached));
-      state_->done_by_key[key] = std::prev(state_->done_order.end());
-      ++state_->stats.cache_loaded;
-    }
+    // Everything the file holds is kept for the rewrite (no stash bound);
+    // that size becomes the floor of the eviction and refresh bound.
+    detail::merge_result_entries(*state_, std::move(entries),
+                                 std::numeric_limits<std::size_t>::max());
     state_->foreign_floor = state_->foreign_entries.size();
   }
   if (!state_->config.plan_cache_path.empty()) {
@@ -1341,11 +1279,8 @@ EvalService::EvalService(SessionConfig config)
                                     detail::kCheckpointCodeVersion);
     LockGuard lock(state_->mutex);
     for (TrainingCheckpoint& ck : entries) {
-      const std::string key =
-          detail::result_key(ck.graph_fp, ck.mixer, ck.p,
-                             ck.training_evals) +
-          detail::tag_suffix(ck.objective, ck.hamiltonian);
-      state_->checkpoints[key] = std::move(ck);
+      std::string key = detail::stored_key(ck);
+      state_->checkpoints[std::move(key)] = std::move(ck);
       ++state_->stats.checkpoints_loaded;
     }
   }
@@ -1500,6 +1435,9 @@ EvalTicket EvalService::submit(const graph::Graph& g,
                                const JobOptions& options) {
   QARCH_REQUIRE(p >= 1, "candidate depth p must be >= 1");
   QARCH_REQUIRE(g.num_edges() >= 1, "evaluation graph needs edges");
+  // The client queue orders by -priority, which INT_MIN cannot take.
+  QARCH_REQUIRE(options.priority > std::numeric_limits<int>::min(),
+                "priority must be in ±(2^31 - 1)");
   const std::size_t evals = options.training_evals > 0
                                 ? options.training_evals
                                 : state_->config.training_evals;

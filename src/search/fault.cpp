@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace qarch::search {
 
@@ -41,10 +42,7 @@ double parse_double(const std::string& s, const std::string& what) {
 
 std::uint64_t parse_u64(const std::string& s, const std::string& what) {
   try {
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(s, &used);
-    QARCH_REQUIRE(used == s.size(), "trailing junk");
-    return v;
+    return json::parse_u64(s, what);
   } catch (const std::exception&) {
     QARCH_REQUIRE(false, "QARCH_FAULT: bad integer for " + what + ": " + s);
   }

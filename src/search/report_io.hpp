@@ -1,8 +1,25 @@
-// Search report persistence: JSON round-trip for SearchReport.
+// Search report persistence and the evaluation service's persisted stores.
 //
 // Long HPC searches checkpoint their results; this module serializes every
 // evaluated candidate (mixer, depth, energies, trained parameters) so a
 // report can be reloaded for later analysis without re-running the search.
+//
+// It also keeps the three stores an EvalService carries across processes:
+// candidate results, contraction plans and in-flight training checkpoints.
+// All three share one file discipline:
+//   * the envelope {"format": <store tag>, "code_version": <version>,
+//     "entries": [...]}. A file of another format or code version loads as
+//     no entries, because its contents are not comparable across semantics
+//     changes. One malformed entry is skipped; the rest still load.
+//   * the write: the whole file goes to a unique tmp name, is fsync'd, and
+//     is renamed over the target, so readers see the old file or the new
+//     one, never a torn mix. A failed write throws Error.
+//   * the read is tolerant: a missing, unreadable or unparsable file loads
+//     as no entries. Warm starts are an optimization, never a correctness
+//     requirement.
+// Each store supplies only its entry codec. save_report / load_report use
+// the same write and file read, but load_report throws on a missing or
+// corrupt file: a report is a result, not a cache.
 #pragma once
 
 #include <string>
@@ -26,24 +43,29 @@ json::Value report_to_json(const SearchReport& report);
 /// Parses a report from JSON (inverse of report_to_json).
 SearchReport report_from_json(const json::Value& value);
 
-/// Writes a report to `path` as pretty-printed JSON.
+/// Atomically writes a report to `path` as pretty-printed JSON.
 void save_report(const SearchReport& report, const std::string& path);
 
 /// Loads a report previously written by save_report.
 SearchReport load_report(const std::string& path);
 
-// -- EvalService persistent result cache -------------------------------------
+/// The identity every persisted evaluation record carries, in the result
+/// cache and the checkpoints alike. With the record's mixer and depth it
+/// keys the candidate on disk; the code version lives in the envelope.
+struct RunKey {
+  std::string graph_fp;            ///< raw graph_fingerprint() bytes (hex
+                                   ///< on disk)
+  std::size_t training_evals = 0;  ///< COBYLA budget of the run
+  std::string engine;              ///< resolved engine ("sv" / "tn")
+  std::string objective;           ///< ObjectiveSpec::tag(), "" = default
+  std::string hamiltonian;         ///< HamiltonianSpec::tag(), "" = default
+};
 
-/// One persisted candidate-result cache entry. Together with the mixer and
-/// depth riding inside `result`, the on-disk key is (graph fingerprint,
-/// mixer encoding, p, training budget, engine, cache code version) — the
-/// fingerprint is raw bytes here and hex-encoded on disk.
-struct CacheEntry {
-  std::string graph_fp;             ///< raw graph_fingerprint() bytes
-  std::size_t training_evals = 0;   ///< COBYLA budget the result was run at
-  std::string engine;               ///< resolved engine ("sv" / "tn")
-  std::string objective;            ///< ObjectiveSpec::tag(), "" = default
-  std::string hamiltonian;          ///< HamiltonianSpec::tag(), "" = default
+// -- candidate-result cache ---------------------------------------------------
+
+/// One cached candidate result: what EvalService holds in memory and
+/// persists. The mixer and depth ride inside `result`.
+struct CacheEntry : RunKey {
   CandidateResult result;
 };
 
@@ -51,58 +73,41 @@ struct CacheEntry {
 json::Value result_cache_to_json(const std::vector<CacheEntry>& entries,
                                  const std::string& code_version);
 
-/// Parses cache entries. A file written under a DIFFERENT code version
-/// yields no entries (results are not comparable across evaluation-semantics
-/// changes); individually malformed entries are skipped, not fatal.
+/// Parses cache entries (see the envelope rules above).
 std::vector<CacheEntry> result_cache_from_json(const json::Value& value,
                                                const std::string& code_version);
 
-/// Atomically rewrites `path` (tmp file + rename) with the given entries.
-/// Throws Error when the file cannot be written.
+/// Atomically rewrites a result-cache file; throws Error on failure.
 void save_result_cache(const std::vector<CacheEntry>& entries,
                        const std::string& path,
                        const std::string& code_version);
 
-/// Loads a cache file. Corruption-tolerant: a missing, unparsable, or
-/// version-mismatched file yields an empty vector (warm starts are an
-/// optimization, never a correctness requirement).
+/// Loads a result-cache file; a missing, corrupt or other-version file
+/// yields no entries.
 std::vector<CacheEntry> load_result_cache(const std::string& path,
                                           const std::string& code_version);
 
-// -- persistent contraction-plan cache ----------------------------------------
+// -- contraction-plan cache ---------------------------------------------------
 //
-// Same file discipline as the result cache — atomic tmp+rename writes,
-// corruption-tolerant version-gated loads — but for qtensor planning
-// decisions: (lightcone shape key, network structure hash) -> elimination
-// order. Reloading an order is sound regardless of tensor data; the guard
-// hash only protects against applying an order to a structurally different
-// network.
+// (lightcone shape key, network structure hash) -> elimination order.
+// Reloading an order is sound regardless of tensor data; the structure hash
+// only guards against applying an order to a different network.
 
-/// Serializes plan-cache entries under the given cache code version.
-json::Value plan_cache_to_json(const std::vector<qtensor::CachedPlan>& plans,
-                               const std::string& code_version);
-
-/// Parses plan-cache entries; version mismatch yields no entries and
-/// individually malformed entries are skipped.
-std::vector<qtensor::CachedPlan> plan_cache_from_json(
-    const json::Value& value, const std::string& code_version);
-
-/// Atomically rewrites `path` (tmp file + rename) with the given plans.
+/// Atomically rewrites a plan-cache file; throws Error on failure.
 void save_plan_cache(const std::vector<qtensor::CachedPlan>& plans,
                      const std::string& path, const std::string& code_version);
 
-/// Loads a plan-cache file; missing/corrupt/mismatched files yield {}.
+/// Loads a plan-cache file; a missing, corrupt or other-version file yields
+/// no plans.
 std::vector<qtensor::CachedPlan> load_plan_cache(
     const std::string& path, const std::string& code_version);
 
 // -- in-flight training checkpoints -------------------------------------------
 //
-// Same file discipline again (atomic fsync'd tmp+rename, version-gated,
-// corruption-tolerant load) for the evaluation service's in-flight training
-// checkpoints: a killed process restarted on the same checkpoint_path
-// resumes every parked/running candidate mid-training instead of from
-// step 0. A checkpoint is tiny — theta-sized vectors plus optimizer
-// counters — so persisting on every capture is cheap.
+// A killed process restarted on the same checkpoint_path resumes every
+// parked or running candidate mid-training instead of from step 0. A
+// checkpoint is tiny (theta-sized vectors plus optimizer counters), so
+// persisting on every capture is cheap.
 
 /// Serializes an opaque optimizer state. Doubles round-trip bit-exactly
 /// (%.17g); non-finite values (e.g. an untouched +inf incumbent) and 64-bit
@@ -112,35 +117,21 @@ json::Value optim_state_to_json(const optim::OptimState& state);
 /// Parses an optimizer state (inverse of optim_state_to_json).
 optim::OptimState optim_state_from_json(const json::Value& value);
 
-/// One persisted in-flight training run, keyed like the result cache —
-/// (graph fingerprint, mixer, p, budget, engine) — plus the optimizer state
-/// that resumes it.
-struct TrainingCheckpoint {
-  std::string graph_fp;            ///< raw graph_fingerprint() bytes
+/// One persisted in-flight training run: the candidate's RunKey, mixer and
+/// depth, plus the optimizer state that resumes it.
+struct TrainingCheckpoint : RunKey {
   qaoa::MixerSpec mixer;
   std::size_t p = 0;
-  std::size_t training_evals = 0;  ///< full budget of the checkpointed run
-  std::string engine;              ///< resolved engine ("sv" / "tn")
-  std::string objective;           ///< ObjectiveSpec::tag(), "" = default
-  std::string hamiltonian;         ///< HamiltonianSpec::tag(), "" = default
   optim::OptimState state;
 };
 
-/// Serializes checkpoints under the given checkpoint code version.
-json::Value checkpoints_to_json(const std::vector<TrainingCheckpoint>& entries,
-                                const std::string& code_version);
-
-/// Parses checkpoints; version mismatch yields no entries and individually
-/// malformed entries are skipped.
-std::vector<TrainingCheckpoint> checkpoints_from_json(
-    const json::Value& value, const std::string& code_version);
-
-/// Atomically rewrites `path` with the given checkpoints.
+/// Atomically rewrites a checkpoint file; throws Error on failure.
 void save_checkpoints(const std::vector<TrainingCheckpoint>& entries,
                       const std::string& path,
                       const std::string& code_version);
 
-/// Loads a checkpoint file; missing/corrupt/mismatched files yield {}.
+/// Loads a checkpoint file; a missing, corrupt or other-version file yields
+/// no checkpoints.
 std::vector<TrainingCheckpoint> load_checkpoints(
     const std::string& path, const std::string& code_version);
 

@@ -12,6 +12,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/json.hpp"
+
 namespace qarch::server {
 
 namespace {
@@ -172,14 +174,9 @@ std::size_t parse_content_length(
     throw HttpError(400, "transfer-encoding not supported");
   const auto it = headers.find("content-length");
   if (it == headers.end()) return 0;
-  const std::string& text = it->second;
-  if (text.empty() ||
-      !std::all_of(text.begin(), text.end(),
-                   [](unsigned char c) { return std::isdigit(c); }))
-    throw HttpError(400, "malformed content-length");
-  unsigned long long n = 0;
+  std::uint64_t n = 0;
   try {
-    n = std::stoull(text);
+    n = json::parse_u64(it->second, "content-length");
   } catch (const std::exception&) {
     throw HttpError(400, "malformed content-length");
   }
@@ -381,7 +378,12 @@ void read_http_response(Socket& socket, HttpResponse& out,
     if (sp1 == std::string::npos || line.rfind("HTTP/1.", 0) != 0)
       throw HttpError(502, "malformed status line");
     try {
-      out.status = std::stoi(line.substr(sp1 + 1));
+      const std::size_t sp2 = line.find(' ', sp1 + 1);
+      const std::uint64_t status = json::parse_u64(
+          line.substr(sp1 + 1, sp2 - sp1 - 1), "status code");
+      QARCH_REQUIRE(status >= 100 && status <= 999,
+                    "status code out of range");
+      out.status = static_cast<int>(status);
     } catch (const std::exception&) {
       throw HttpError(502, "malformed status code");
     }

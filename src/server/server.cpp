@@ -39,18 +39,19 @@ double parse_spec_double(const std::string& s, const std::string& what) {
   }
 }
 
-/// A JSON number that must be a non-negative integer (graph sizes, depths,
-/// budgets). Throws InvalidArgument — mapped to 400 — otherwise.
-std::size_t as_uint(const json::Value& v, const std::string& what) {
+/// "priority": an integer in ±(2^31 − 1). The scheduler orders by its
+/// negation, so INT_MIN is out of range too. Throws InvalidArgument — mapped
+/// to 400 — otherwise.
+int as_priority(const json::Value& v) {
   const double d = v.as_number();
-  QARCH_REQUIRE(d >= 0.0 && d == std::floor(d) && d <= 9.0e15,
-                what + " must be a non-negative integer");
-  return static_cast<std::size_t>(d);
+  QARCH_REQUIRE(d == std::floor(d) && std::fabs(d) <= 2147483647.0,
+                "\"priority\" must be an integer in ±(2^31 - 1)");
+  return static_cast<int>(d);
 }
 
 std::size_t require_uint(const json::Value& body, const std::string& key) {
   QARCH_REQUIRE(body.contains(key), "submit body is missing \"" + key + "\"");
-  return as_uint(body.at(key), "\"" + key + "\"");
+  return json::as_uint(body.at(key), "\"" + key + "\"");
 }
 
 HttpResponse json_response(int status, const json::Value& body) {
@@ -88,7 +89,8 @@ std::optional<qaoa::ObjectiveSpec> objective_spec_from_json(
                   "\"cvar_alpha\" must be in (0, 1]");
   }
   if (body.contains("objective_shots"))
-    spec.shots = as_uint(body.at("objective_shots"), "\"objective_shots\"");
+    spec.shots =
+        json::as_uint(body.at("objective_shots"), "\"objective_shots\"");
   return spec;
 }
 
@@ -171,8 +173,10 @@ graph::Graph graph_from_submit_json(const json::Value& body,
       const json::Value& e = edges.at(i);
       QARCH_REQUIRE(e.size() == 2 || e.size() == 3,
                     "edge must be [u, v] or [u, v, weight]");
-      const std::size_t u = as_uint(e.at(std::size_t{0}), "edge endpoint");
-      const std::size_t v = as_uint(e.at(std::size_t{1}), "edge endpoint");
+      const std::size_t u =
+          json::as_uint(e.at(std::size_t{0}), "edge endpoint");
+      const std::size_t v =
+          json::as_uint(e.at(std::size_t{1}), "edge endpoint");
       const double w = e.size() == 3 ? e.at(std::size_t{2}).as_number() : 1.0;
       out.add_edge(u, v, w);
     }
@@ -184,7 +188,7 @@ graph::Graph graph_from_submit_json(const json::Value& body,
   QARCH_REQUIRE(spec.contains("name"), "\"generator\" is missing \"name\"");
   const std::string& name = spec.at("name").as_string();
   const std::uint64_t seed =
-      spec.contains("seed") ? as_uint(spec.at("seed"), "\"seed\"") : 7;
+      spec.contains("seed") ? json::as_uint(spec.at("seed"), "\"seed\"") : 7;
   const auto checked_n = [&](std::size_t n) {
     QARCH_REQUIRE(n <= max_vertices,
                   "generator asks for " + std::to_string(n) +
@@ -386,9 +390,9 @@ struct QarchServer::Impl {
     search::JobOptions options;
     options.client = tenant.client.id();
     if (body.contains("budget"))
-      options.training_evals = as_uint(body.at("budget"), "\"budget\"");
+      options.training_evals = json::as_uint(body.at("budget"), "\"budget\"");
     if (body.contains("priority"))
-      options.priority = static_cast<int>(body.at("priority").as_number());
+      options.priority = as_priority(body.at("priority"));
     if (body.contains("deadline_ms")) {
       const double deadline_ms = body.at("deadline_ms").as_number();
       QARCH_REQUIRE(deadline_ms >= 0.0, "\"deadline_ms\" must be >= 0");
@@ -464,7 +468,7 @@ struct QarchServer::Impl {
     QARCH_REQUIRE(shots >= 1 && shots <= 1000000,
                   "\"shots\" must be in [1, 1000000]");
     const std::uint64_t seed =
-        body.contains("seed") ? as_uint(body.at("seed"), "\"seed\"") : 0;
+        body.contains("seed") ? json::as_uint(body.at("seed"), "\"seed\"") : 0;
 
     BackendChoice choice = config.session.backend;
     if (body.contains("engine"))

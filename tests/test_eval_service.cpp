@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -504,6 +506,11 @@ TEST(EvalService, JobPriorityOrdersWithinOneClient) {
   (void)service.collect(tickets);
   EXPECT_LT(tickets[2].finished_at(), tickets[0].finished_at());
   EXPECT_LT(tickets[2].finished_at(), tickets[1].finished_at());
+
+  // The queue orders by -priority, so INT_MIN has no place in it.
+  search::JobOptions unorderable;
+  unorderable.priority = std::numeric_limits<int>::min();
+  EXPECT_THROW((void)service.submit(g, cohort[0], 1, unorderable), Error);
 }
 
 TEST(EvalService, RegisterClientRejectsBadWeights) {
@@ -695,6 +702,394 @@ TEST(ReportIo, ResultCacheRoundTripsEntries) {
   EXPECT_TRUE(search::result_cache_from_json(parsed, "vY").empty());
 }
 
+// ---------------------------------------------------------------------------
+// The persisted stores' bytes, pinned. Each literal is a file exactly as this
+// library writes it. Loading it must recover the entries below, and saving
+// those entries must reproduce the literal byte for byte: a store change
+// that moves a byte fails here rather than silently needing a code-version
+// bump.
+// ---------------------------------------------------------------------------
+
+namespace pinned {
+
+search::CandidateResult candidate(bool tn) {
+  search::CandidateResult c;
+  if (tn) {
+    c.mixer = qaoa::MixerSpec{{circuit::GateKind::RY, circuit::GateKind::RX,
+                               circuit::GateKind::RZ}};
+    c.p = 2;
+    c.energy = -1.75;
+    c.ratio = 0.1;
+    c.sampled_ratio = 1.0;
+    c.theta = {0.1, -0.375, 2.5, 0.0};
+    c.evaluations = 200;
+    c.eval_seconds = 3.0625;
+  } else {
+    c.mixer = qaoa::MixerSpec::qnas();
+    c.p = 1;
+    c.energy = 4.5;
+    c.ratio = 0.75;
+    c.sampled_ratio = 0.875;
+    c.theta = {0.5, -1.25};
+    c.evaluations = 30;
+    c.queue_seconds = 0.125;
+    c.eval_seconds = 0.25;
+  }
+  return c;
+}
+
+std::vector<search::CacheEntry> result_entries() {
+  search::CacheEntry sv;
+  sv.graph_fp = std::string("\x06\x00\x00\x00\xff\x1e", 6);
+  sv.training_evals = 30;
+  sv.engine = "sv";
+  sv.result = candidate(false);
+  search::CacheEntry tn;
+  tn.graph_fp = std::string("\x08\x00\x7f", 3);
+  tn.training_evals = 200;
+  tn.engine = "tn";
+  tn.objective = "cvar@0.25";
+  tn.hamiltonian = "mis@2";
+  tn.result = candidate(true);
+  return {sv, tn};
+}
+
+std::vector<qtensor::CachedPlan> plans() {
+  qtensor::CachedPlan wide;
+  wide.structure_hash = 18446744073709551615ull;
+  wide.order = {3, 0, 2, 1};
+  wide.heuristic = "greedy";
+  qtensor::CachedPlan empty;
+  empty.shape_key = "wl:1a2b";
+  empty.structure_hash = 42;
+  empty.heuristic = "min-fill";
+  return {wide, empty};
+}
+
+std::vector<search::TrainingCheckpoint> checkpoints() {
+  search::TrainingCheckpoint ck;
+  ck.graph_fp = std::string("\x06\x00\x00\x00\xff\x1e", 6);
+  ck.mixer = qaoa::MixerSpec::baseline();
+  ck.p = 2;
+  ck.training_evals = 50;
+  ck.engine = "sv";
+  ck.hamiltonian = "ising@1@0.5";
+  ck.state.optimizer = "multi-start";
+  ck.state.evaluations = 17;
+  ck.state.history = {2.0, 1.5};
+  ck.state.numbers = {0.25, std::numeric_limits<double>::infinity(),
+                      -std::numeric_limits<double>::infinity(),
+                      std::numeric_limits<double>::quiet_NaN()};
+  ck.state.words = {0, 18446744073709551615ull};
+  optim::OptimState child;
+  child.optimizer = "cobyla";
+  child.evaluations = 5;
+  child.numbers = {3.0};
+  child.words = {7};
+  ck.state.child.push_back(child);
+  return {ck};
+}
+
+search::SearchReport report() {
+  search::SearchReport r;
+  r.best = candidate(false);
+  r.evaluated = {candidate(true)};
+  r.seconds = 1.5;
+  r.num_candidates = 1;
+  r.cache_misses = 1;
+  r.rejections["depth"] = 3;
+  return r;
+}
+
+void expect_same(const search::CandidateResult& a,
+                 const search::CandidateResult& b) {
+  EXPECT_EQ(a.mixer, b.mixer);
+  EXPECT_EQ(a.p, b.p);
+  EXPECT_EQ(a.energy, b.energy);
+  EXPECT_EQ(a.ratio, b.ratio);
+  EXPECT_EQ(a.sampled_ratio, b.sampled_ratio);
+  EXPECT_EQ(a.theta, b.theta);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.queue_seconds, b.queue_seconds);
+  EXPECT_EQ(a.eval_seconds, b.eval_seconds);
+  EXPECT_EQ(a.from_cache, b.from_cache);
+}
+
+void expect_same(const optim::OptimState& a, const optim::OptimState& b) {
+  EXPECT_EQ(a.optimizer, b.optimizer);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.history, b.history);
+  ASSERT_EQ(a.numbers.size(), b.numbers.size());
+  for (std::size_t i = 0; i < a.numbers.size(); ++i)
+    EXPECT_TRUE(a.numbers[i] == b.numbers[i] ||
+                (std::isnan(a.numbers[i]) && std::isnan(b.numbers[i])));
+  EXPECT_EQ(a.words, b.words);
+  ASSERT_EQ(a.child.size(), b.child.size());
+  for (std::size_t i = 0; i < a.child.size(); ++i)
+    expect_same(a.child[i], b.child[i]);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void write_file(const std::string& path, const char* text) {
+  std::ofstream(path) << text;
+}
+
+const char* const kResultCache = R"json({
+  "code_version": "qarch-eval-v7",
+  "entries": [
+    {
+      "engine": "sv",
+      "graph_fp": "06000000ff1e",
+      "result": {
+        "energy": 4.5,
+        "eval_seconds": 0.25,
+        "evaluations": 30,
+        "from_cache": false,
+        "mixer": [
+          "rx",
+          "ry"
+        ],
+        "p": 1,
+        "queue_seconds": 0.125,
+        "ratio": 0.75,
+        "sampled_ratio": 0.875,
+        "theta": [
+          0.5,
+          -1.25
+        ]
+      },
+      "training_evals": 30
+    },
+    {
+      "engine": "tn",
+      "graph_fp": "08007f",
+      "hamiltonian": "mis@2",
+      "objective": "cvar@0.25",
+      "result": {
+        "energy": -1.75,
+        "eval_seconds": 3.0625,
+        "evaluations": 200,
+        "from_cache": false,
+        "mixer": [
+          "ry",
+          "rx",
+          "rz"
+        ],
+        "p": 2,
+        "queue_seconds": 0,
+        "ratio": 0.10000000000000001,
+        "sampled_ratio": 1,
+        "theta": [
+          0.10000000000000001,
+          -0.375,
+          2.5,
+          0
+        ]
+      },
+      "training_evals": 200
+    }
+  ],
+  "format": "qarch-result-cache"
+}
+)json";
+
+const char* const kPlanCache = R"json({
+  "code_version": "qarch-plan-v1",
+  "entries": [
+    {
+      "heuristic": "greedy",
+      "order": [
+        3,
+        0,
+        2,
+        1
+      ],
+      "shape_key": "",
+      "structure_hash": "18446744073709551615"
+    },
+    {
+      "heuristic": "min-fill",
+      "order": [],
+      "shape_key": "wl:1a2b",
+      "structure_hash": "42"
+    }
+  ],
+  "format": "qarch-plan-cache"
+}
+)json";
+
+const char* const kCheckpoints = R"json({
+  "code_version": "qarch-ckpt-v1",
+  "entries": [
+    {
+      "engine": "sv",
+      "graph_fp": "06000000ff1e",
+      "hamiltonian": "ising@1@0.5",
+      "mixer": [
+        "rx"
+      ],
+      "p": 2,
+      "state": {
+        "child": [
+          {
+            "child": [],
+            "evaluations": 5,
+            "history": [],
+            "numbers": [
+              3
+            ],
+            "optimizer": "cobyla",
+            "words": [
+              "7"
+            ]
+          }
+        ],
+        "evaluations": 17,
+        "history": [
+          2,
+          1.5
+        ],
+        "numbers": [
+          0.25,
+          "inf",
+          "-inf",
+          "nan"
+        ],
+        "optimizer": "multi-start",
+        "words": [
+          "0",
+          "18446744073709551615"
+        ]
+      },
+      "training_evals": 50
+    }
+  ],
+  "format": "qarch-checkpoints"
+}
+)json";
+
+const char* const kReport = R"json({
+  "best": {
+    "energy": 4.5,
+    "eval_seconds": 0.25,
+    "evaluations": 30,
+    "from_cache": false,
+    "mixer": [
+      "rx",
+      "ry"
+    ],
+    "p": 1,
+    "queue_seconds": 0.125,
+    "ratio": 0.75,
+    "sampled_ratio": 0.875,
+    "theta": [
+      0.5,
+      -1.25
+    ]
+  },
+  "cache_hits": 0,
+  "cache_misses": 1,
+  "evaluated": [
+    {
+      "energy": -1.75,
+      "eval_seconds": 3.0625,
+      "evaluations": 200,
+      "from_cache": false,
+      "mixer": [
+        "ry",
+        "rx",
+        "rz"
+      ],
+      "p": 2,
+      "queue_seconds": 0,
+      "ratio": 0.10000000000000001,
+      "sampled_ratio": 1,
+      "theta": [
+        0.10000000000000001,
+        -0.375,
+        2.5,
+        0
+      ]
+    }
+  ],
+  "num_candidates": 1,
+  "rejections": {
+    "depth": 3
+  },
+  "seconds": 1.5
+}
+)json";
+
+}  // namespace pinned
+
+TEST(ReportIo, OnDiskFormatIsPinned) {
+  const std::string path = persist::temp_path("qarch_pinned_store.json");
+
+  pinned::write_file(path, pinned::kResultCache);
+  const auto results = search::load_result_cache(path, "qarch-eval-v7");
+  const auto want_results = pinned::result_entries();
+  ASSERT_EQ(results.size(), want_results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].graph_fp, want_results[i].graph_fp);
+    EXPECT_EQ(results[i].training_evals, want_results[i].training_evals);
+    EXPECT_EQ(results[i].engine, want_results[i].engine);
+    EXPECT_EQ(results[i].objective, want_results[i].objective);
+    EXPECT_EQ(results[i].hamiltonian, want_results[i].hamiltonian);
+    pinned::expect_same(results[i].result, want_results[i].result);
+  }
+  search::save_result_cache(results, path, "qarch-eval-v7");
+  EXPECT_EQ(pinned::read_file(path), pinned::kResultCache);
+
+  pinned::write_file(path, pinned::kPlanCache);
+  const auto plans = search::load_plan_cache(path, "qarch-plan-v1");
+  const auto want_plans = pinned::plans();
+  ASSERT_EQ(plans.size(), want_plans.size());
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_EQ(plans[i].shape_key, want_plans[i].shape_key);
+    EXPECT_EQ(plans[i].structure_hash, want_plans[i].structure_hash);
+    EXPECT_EQ(plans[i].order, want_plans[i].order);
+    EXPECT_EQ(plans[i].heuristic, want_plans[i].heuristic);
+  }
+  search::save_plan_cache(plans, path, "qarch-plan-v1");
+  EXPECT_EQ(pinned::read_file(path), pinned::kPlanCache);
+
+  pinned::write_file(path, pinned::kCheckpoints);
+  const auto cks = search::load_checkpoints(path, "qarch-ckpt-v1");
+  const auto want_cks = pinned::checkpoints();
+  ASSERT_EQ(cks.size(), want_cks.size());
+  for (std::size_t i = 0; i < cks.size(); ++i) {
+    EXPECT_EQ(cks[i].graph_fp, want_cks[i].graph_fp);
+    EXPECT_EQ(cks[i].mixer, want_cks[i].mixer);
+    EXPECT_EQ(cks[i].p, want_cks[i].p);
+    EXPECT_EQ(cks[i].training_evals, want_cks[i].training_evals);
+    EXPECT_EQ(cks[i].engine, want_cks[i].engine);
+    EXPECT_EQ(cks[i].objective, want_cks[i].objective);
+    EXPECT_EQ(cks[i].hamiltonian, want_cks[i].hamiltonian);
+    pinned::expect_same(cks[i].state, want_cks[i].state);
+  }
+  search::save_checkpoints(cks, path, "qarch-ckpt-v1");
+  EXPECT_EQ(pinned::read_file(path), pinned::kCheckpoints);
+
+  pinned::write_file(path, pinned::kReport);
+  const auto report = search::load_report(path);
+  const auto want_report = pinned::report();
+  pinned::expect_same(report.best, want_report.best);
+  ASSERT_EQ(report.evaluated.size(), want_report.evaluated.size());
+  pinned::expect_same(report.evaluated[0], want_report.evaluated[0]);
+  EXPECT_EQ(report.seconds, want_report.seconds);
+  EXPECT_EQ(report.num_candidates, want_report.num_candidates);
+  EXPECT_EQ(report.cache_hits, want_report.cache_hits);
+  EXPECT_EQ(report.cache_misses, want_report.cache_misses);
+  EXPECT_EQ(report.rejections, want_report.rejections);
+  search::save_report(report, path);
+  EXPECT_EQ(pinned::read_file(path), pinned::kReport);
+  std::remove(path.c_str());
+}
+
 TEST(EvalService, PersistentCacheWarmStartsAcrossServices) {
   const std::string path = persist::temp_path("qarch_warm_start.json");
   std::remove(path.c_str());
@@ -842,8 +1237,36 @@ TEST(EvalService, PersistentCacheToleratesCorruptFiles) {
     (void)service.submit(g, qaoa::MixerSpec::qnas(), 1).wait();
   }
   // The corrupt file was atomically replaced with a valid cache.
-  search::EvalService reloaded(session);
-  EXPECT_EQ(reloaded.stats().cache_loaded, 1u);
+  {
+    search::EvalService reloaded(session);
+    EXPECT_EQ(reloaded.stats().cache_loaded, 1u);
+  }
+
+  // One good and one malformed entry (fractional depth and budget, which a
+  // truncating loader would key as another candidate): exactly the good one
+  // loads, and it serves its own candidate.
+  const auto with = [](const json::Value& obj, const std::string& key,
+                       json::Value v) {
+    json::Value out = json::Value::object();
+    for (const auto& [k, x] : obj.items()) out.set(k, x);
+    out.set(key, std::move(v));
+    return out;
+  };
+  json::Value doc;
+  {
+    std::ifstream in(path);
+    doc = json::parse(std::string(std::istreambuf_iterator<char>(in), {}));
+  }
+  const json::Value& good = doc.at("entries").at(0);
+  json::Value entries = json::Value::array();
+  entries.push_back(good);
+  entries.push_back(with(with(good, "training_evals", 40.7), "result",
+                         with(good.at("result"), "p", 1.5)));
+  { std::ofstream(path) << with(doc, "entries", entries).dump(2); }
+  session.cache_write = false;
+  search::EvalService mixed(session);
+  EXPECT_EQ(mixed.stats().cache_loaded, 1u);
+  EXPECT_TRUE(mixed.submit(g, qaoa::MixerSpec::qnas(), 1).cache_hit());
   std::remove(path.c_str());
 }
 

@@ -296,6 +296,23 @@ TEST(FaultRecovery, CheckpointFileCorruptionTolerated) {
   EXPECT_EQ(loaded[0].state.evaluations, 7u);
   EXPECT_EQ(loaded[0].state.numbers, ck.state.numbers);
 
+  // One good and one malformed checkpoint (a 64-bit word with trailing
+  // text): exactly the good one loads.
+  search::TrainingCheckpoint bad = ck;
+  bad.graph_fp = "fq";
+  bad.state.words = {12};
+  search::save_checkpoints({ck, bad}, path, "v-a");
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  text.replace(text.find("\"12\""), 4, "\"12abc\"");
+  { std::ofstream(path) << text; }
+  const auto survivors = search::load_checkpoints(path, "v-a");
+  ASSERT_EQ(survivors.size(), 1u);
+  EXPECT_EQ(survivors[0].graph_fp, "fp");
+
   // A service pointed at a corrupt checkpoint file starts clean, no throw.
   { std::ofstream(path) << "]]]"; }
   SessionConfig session = fast_session();

@@ -17,6 +17,16 @@ TEST(Json, ScalarConstruction) {
   EXPECT_EQ(Value("hi").as_string(), "hi");
   EXPECT_THROW(Value(1.0).as_string(), Error);
   EXPECT_THROW(Value("x").as_number(), Error);
+  // Checked integers: whole, non-negative and at most 9e15; 64-bit words as
+  // strict decimal text.
+  EXPECT_EQ(json::as_uint(Value(40.0), "n"), 40u);
+  for (const double bad : {40.7, -1.0, 1e16})
+    EXPECT_THROW(json::as_uint(Value(bad), "n"), Error) << bad;
+  EXPECT_EQ(json::parse_u64("18446744073709551615", "w"),
+            18446744073709551615ull);
+  for (const char* bad :
+       {"", "-1", "+1", " 1", "12abc", "18446744073709551616"})
+    EXPECT_THROW(json::parse_u64(bad, "w"), Error) << bad;
 }
 
 TEST(Json, ArrayAndObjectBuilding) {

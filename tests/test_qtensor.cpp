@@ -75,25 +75,6 @@ TEST(Backend, SharedLabelProductIsElementwise) {
   EXPECT_EQ(p.data()[1], cplx(300.0, 0.0));
 }
 
-TEST(Backend, ParallelMatchesSerial) {
-  Rng rng(11);
-  // Build a random rank-6 product from three rank-3 factors.
-  auto random_tensor = [&](std::vector<VarId> labels) {
-    std::vector<cplx> data(std::size_t{1} << labels.size());
-    for (auto& x : data) x = cplx{rng.uniform(-1, 1), rng.uniform(-1, 1)};
-    return Tensor(std::move(labels), std::move(data));
-  };
-  const Tensor t1 = random_tensor({0, 1, 2});
-  const Tensor t2 = random_tensor({2, 3, 4});
-  const Tensor t3 = random_tensor({4, 5, 0});
-  const std::vector<VarId> out = {0, 1, 2, 3, 4, 5};
-  qtensor::SerialCpuBackend serial;
-  qtensor::ParallelCpuBackend par(4, /*parallel_threshold_rank=*/0);
-  const Tensor ps = serial.product({&t1, &t2, &t3}, out);
-  const Tensor pp = par.product({&t1, &t2, &t3}, out);
-  EXPECT_LT(ps.distance(pp), 1e-12);
-}
-
 // ---------------------------------------------------------------------------
 // Circuit-network equivalence against the statevector oracle.
 // ---------------------------------------------------------------------------

@@ -247,6 +247,21 @@ TEST(PlanCache, CorruptMissingAndMismatchedFilesLoadEmpty) {
   search::save_plan_cache({sample_plan("s", 1, {0})}, path, "test-v1");
   EXPECT_TRUE(search::load_plan_cache(path, "test-v2").empty());
   EXPECT_EQ(search::load_plan_cache(path, "test-v1").size(), 1u);
+
+  // One good and one malformed entry (a signed structure hash): exactly the
+  // good one loads.
+  {
+    std::ofstream out(path);
+    out << R"({"format": "qarch-plan-cache", "code_version": "test-v1",
+               "entries": [
+      {"shape_key": "s", "structure_hash": "1", "heuristic": "greedy-fill",
+       "order": [0]},
+      {"shape_key": "t", "structure_hash": "-1", "heuristic": "greedy-fill",
+       "order": [0]}]})";
+  }
+  const auto survivors = search::load_plan_cache(path, "test-v1");
+  ASSERT_EQ(survivors.size(), 1u);
+  EXPECT_EQ(survivors[0].shape_key, "s");
   std::remove(path.c_str());
 }
 

@@ -177,24 +177,19 @@ TEST(Backend, ProductIntoMatchesProduct) {
   const Tensor t2 = random_tensor({2, 3});
   const std::vector<VarId> out_labels = {3, 0, 1, 2};
   const qtensor::SerialCpuBackend serial;
-  const qtensor::ParallelCpuBackend par(4, /*parallel_threshold_rank=*/0);
   const Tensor expected = serial.product({&t1, &t2}, out_labels);
   // The fused kernel must equal "materialize the product, then fold the
   // first (eliminated) variable" exactly.
   const Tensor folded = expected.sum_over(out_labels[0]);
-  for (const qtensor::Backend* b :
-       {static_cast<const qtensor::Backend*>(&serial),
-        static_cast<const qtensor::Backend*>(&par)}) {
-    std::vector<cplx> out(expected.size(), cplx{9.0, 9.0});
-    b->product_into({&t1, &t2}, out_labels, out.data());
-    for (std::size_t i = 0; i < out.size(); ++i)
-      EXPECT_LT(std::abs(out[i] - expected.data()[i]), 1e-12) << b->name();
+  std::vector<cplx> out(expected.size(), cplx{9.0, 9.0});
+  serial.product_into({&t1, &t2}, out_labels, out.data());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    EXPECT_LT(std::abs(out[i] - expected.data()[i]), 1e-12);
 
-    std::vector<cplx> summed(folded.size(), cplx{9.0, 9.0});
-    b->product_sum_into({&t1, &t2}, out_labels, summed.data());
-    for (std::size_t i = 0; i < summed.size(); ++i)
-      EXPECT_LT(std::abs(summed[i] - folded.data()[i]), 1e-12) << b->name();
-  }
+  std::vector<cplx> summed(folded.size(), cplx{9.0, 9.0});
+  serial.product_sum_into({&t1, &t2}, out_labels, summed.data());
+  for (std::size_t i = 0; i < summed.size(); ++i)
+    EXPECT_LT(std::abs(summed[i] - folded.data()[i]), 1e-12);
 }
 
 // ---------------------------------------------------------------------------

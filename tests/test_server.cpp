@@ -204,12 +204,17 @@ TEST(QarchServer, MalformedJsonIs400) {
   json::Value typo = ring_body();
   typo.set("bugdet", 50);
   EXPECT_EQ(api_status(alice, "POST", "/v1/submit", typo.dump()), 400);
+  // A priority outside ±(2^31 - 1) cannot be negated into the scheduler.
+  json::Value huge_priority = ring_body();
+  huge_priority.set("priority", -1e10);
+  EXPECT_EQ(api_status(alice, "POST", "/v1/submit", huge_priority.dump()),
+            400);
   // Bad wait_ms on an otherwise fine request.
   const std::string ticket = alice.submit(ring_body());
   EXPECT_EQ(api_status(alice, "GET", "/v1/result/" + ticket + "?wait_ms=soon",
                        ""),
             400);
-  EXPECT_EQ(server.counters().bad_requests, 4u);
+  EXPECT_EQ(server.counters().bad_requests, 5u);
 }
 
 TEST(QarchServer, UnknownTicketAndEndpointAre404) {

@@ -26,6 +26,11 @@ where it CAN see) with grep-level rules for what it cannot:
   R6  no file under src/qtensor/ includes a query/ header — the contraction
       core (ContractionProgram) sits below the query wrappers that use it,
       never the other way round.
+  R7  no integer std::sto* call and no static_cast<...>(... .as_number())
+      in src/search/ or src/server/ — numbers from disk and the wire go
+      through json::as_uint / json::parse_u64 (or a range-checked local
+      helper), because a lenient parse accepts "-1" and "12abc" and a cast
+      of a fractional, negative or huge double truncates or is undefined.
 
 Usage: python3 tools/qarch_lint.py [--root DIR]
 Exits nonzero if any rule fires; prints one line per violation.
@@ -57,6 +62,9 @@ R3_TOKEN = re.compile(r"\.detach\s*\(")
 R4_TOKEN = re.compile(r"\bsleep_(?:for|until)\s*\(")
 R4_SANCTIONED = "src/search/fault.cpp"
 R6_TOKEN = re.compile(r'#\s*include\s*["<]query/')
+R7_STO = re.compile(r"\bstd::sto(?:i|l|ll|ul|ull)\b")
+R7_CAST = re.compile(r"\bstatic_cast\s*<[^;]*?>\s*\(")
+R7_AS_NUMBER = re.compile(r"\.\s*as_number\s*\(")
 
 KNOWN_ARRAY = re.compile(
     r"kKnown\s*=\s*\{(.*?)\}\s*;", re.DOTALL)
@@ -75,6 +83,20 @@ def strip_comments(text):
         return "\n" * m.group(0).count("\n")
     text = re.sub(r"/\*.*?\*/", keep_newlines, text, flags=re.DOTALL)
     return re.sub(r"//[^\n]*", "", text)
+
+
+def cast_arguments(code):
+    """Yields (offset, argument text) of every static_cast<...>(...).
+
+    The argument runs to the matching parenthesis, so a cast that spans
+    lines is seen whole and a number read outside the cast is not.
+    """
+    for m in R7_CAST.finditer(code):
+        depth, i = 1, m.end()
+        while i < len(code) and depth:
+            depth += {"(": 1, ")": -1}.get(code[i], 0)
+            i += 1
+        yield m.start(), code[m.end():i - 1]
 
 
 def iter_sources(root):
@@ -123,6 +145,18 @@ def scan(root):
                 flag(rel, lineno, "R6",
                      "src/qtensor/ includes a query/ header; the contraction "
                      "core must not depend on the query layer")
+            if (R7_STO.search(line)
+                    and (rel.startswith("src/search/")
+                         or rel.startswith("src/server/"))):
+                flag(rel, lineno, "R7",
+                     "integer std::sto* accepts signs and trailing text; "
+                     "use json::parse_u64")
+        if rel.startswith("src/search/") or rel.startswith("src/server/"):
+            for offset, argument in cast_arguments(code):
+                if R7_AS_NUMBER.search(argument):
+                    flag(rel, code.count("\n", 0, offset) + 1, "R7",
+                         "static_cast of a JSON number; use json::as_uint "
+                         "or a range-checked helper")
 
     server_cpp = os.path.join(root, "src", "server", "server.cpp")
     if os.path.exists(server_cpp):
@@ -158,6 +192,13 @@ def self_test():
             "// std::mutex in a comment is fine\n"
         ),
         "src/qtensor/bad.cpp": '#include "query/program.hpp"\n',
+        "src/server/bad.cpp": (
+            "int n = std::stoi(text);\n"
+            "auto k = static_cast<std::size_t>(\n"
+            "    v.at(\"k\").as_number());\n"
+            "double ok = std::stod(text);\n"
+            "double fine = static_cast<double>(n) * v.as_number();\n"
+        ),
     }
     with tempfile.TemporaryDirectory() as tmp:
         for rel, text in bad.items():
@@ -167,7 +208,7 @@ def self_test():
                 f.write(text)
         _, violations = scan(tmp)
     rules = {v.split("[")[1][:2] for v in violations}
-    expected = {"R1", "R2", "R3", "R4", "R6"}
+    expected = {"R1", "R2", "R3", "R4", "R6", "R7"}
     if not expected <= rules:
         print("self-test FAILED: expected rules %s, got %s"
               % (sorted(expected), sorted(rules)), file=sys.stderr)
@@ -175,6 +216,11 @@ def self_test():
     if len([v for v in violations if "[R1]" in v]) != 2:
         print("self-test FAILED: comment line was not exempted",
               file=sys.stderr)
+        return 1
+    r7 = sorted(v.split(": [")[0] for v in violations if "[R7]" in v)
+    if r7 != ["src/server/bad.cpp:1", "src/server/bad.cpp:2"]:
+        print("self-test FAILED: R7 should flag exactly the stoi and the "
+              "cast, got %s" % r7, file=sys.stderr)
         return 1
     print("self-test passed (%d violations flagged in fixture)"
           % len(violations))
