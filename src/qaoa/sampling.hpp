@@ -48,7 +48,7 @@ double expected_best_cut(const sim::State& state, const graph::Graph& g,
 
 /// The same estimate for the circuit run from |+>^n with `theta`: the state
 /// comes from a one-shot sim::SimProgram compiled without phase tables
-/// (their per-amplitude compile scratch does not pay for a single replay).
+/// (building them does not pay for a single replay).
 double expected_best_cut(const circuit::Circuit& ansatz,
                          std::span<const double> theta, const graph::Graph& g,
                          std::size_t shots, std::size_t trials, Rng& rng);

@@ -28,21 +28,12 @@ std::vector<std::size_t> factor_strides(const Tensor& factor,
   return strides;
 }
 
-/// Factor flat index for output index i given position strides.
-std::size_t decode_index(std::size_t i, const std::vector<std::size_t>& st,
-                         std::size_t out_rank) {
-  std::size_t idx = 0;
-  for (std::size_t p = 0; p < out_rank; ++p)
-    if ((i >> (out_rank - 1 - p)) & 1) idx += st[p];
-  return idx;
-}
-
+/// Writes all 2^out_rank entries of the factors' elementwise product.
 void product_range(const std::vector<const Tensor*>& factors,
                    const std::vector<std::vector<std::size_t>>& strides,
-                   std::size_t out_rank, std::size_t begin, std::size_t end,
-                   cplx* out) {
+                   std::size_t out_rank, cplx* out) {
   const std::size_t num_factors = factors.size();
-  if (begin >= end) return;
+  const std::size_t end = std::size_t{1} << out_rank;
 
   // Odometer walk: incrementing i flips its trailing one-bits to zero and
   // sets the next bit; the change to each factor's flat index is therefore a
@@ -51,7 +42,7 @@ void product_range(const std::vector<const Tensor*>& factors,
   // corresponds to output position out_rank-1-b.
   std::vector<std::vector<std::ptrdiff_t>> delta(num_factors);
   std::vector<const cplx*> data(num_factors);
-  std::vector<std::size_t> idx(num_factors);
+  std::vector<std::size_t> idx(num_factors, 0);
   for (std::size_t f = 0; f < num_factors; ++f) {
     const auto& st = strides[f];
     auto& d = delta[f];
@@ -63,10 +54,9 @@ void product_range(const std::vector<const Tensor*>& factors,
       prefix += s;
     }
     data[f] = factors[f]->data().data();
-    idx[f] = decode_index(begin, st, out_rank);
   }
 
-  for (std::size_t i = begin;;) {
+  for (std::size_t i = 0;;) {
     cplx acc = data[0][idx[0]];
     for (std::size_t f = 1; f < num_factors; ++f) acc *= data[f][idx[f]];
     out[i] = acc;
@@ -85,15 +75,14 @@ void product_range(const std::vector<const Tensor*>& factors,
 /// in a bucket, but broadcasting keeps the code uniform).
 void product_sum_range(const std::vector<const Tensor*>& factors,
                        const std::vector<std::vector<std::size_t>>& strides,
-                       std::size_t out_rank, std::size_t begin,
-                       std::size_t end, cplx* out) {
+                       std::size_t out_rank, cplx* out) {
   const std::size_t num_factors = factors.size();
   const std::size_t reduced_rank = out_rank - 1;
-  if (begin >= end) return;
+  const std::size_t end = std::size_t{1} << reduced_rank;
 
   std::vector<std::vector<std::ptrdiff_t>> delta(num_factors);
   std::vector<const cplx*> data(num_factors);
-  std::vector<std::size_t> idx(num_factors);
+  std::vector<std::size_t> idx(num_factors, 0);
   std::vector<std::size_t> v_stride(num_factors);
   for (std::size_t f = 0; f < num_factors; ++f) {
     const auto& st = strides[f];
@@ -109,10 +98,6 @@ void product_sum_range(const std::vector<const Tensor*>& factors,
       prefix += s;
     }
     data[f] = factors[f]->data().data();
-    std::size_t i0 = 0;
-    for (std::size_t p = 0; p < reduced_rank; ++p)
-      if ((begin >> (reduced_rank - 1 - p)) & 1) i0 += st[p + 1];
-    idx[f] = i0;
   }
 
   // Vectorized path: per factor, walk the odometer once to GATHER the
@@ -125,10 +110,10 @@ void product_sum_range(const std::vector<const Tensor*>& factors,
   // sim::simd::active() folds in the QARCH_SIMD=0 override and the CPU
   // check, so this block self-disables into the scalar walk.
   constexpr std::size_t kBlock = 64;
-  if (sim::simd::active() && end - begin >= 32) {
+  if (sim::simd::active() && end >= 32) {
     cplx lo_acc[kBlock], hi_acc[kBlock];
     cplx lo_t[kBlock], hi_t[kBlock];
-    std::size_t i = begin;
+    std::size_t i = 0;
     while (i < end) {
       const std::size_t len = std::min(kBlock, end - i);
       for (std::size_t f = 0; f < num_factors; ++f) {
@@ -158,7 +143,7 @@ void product_sum_range(const std::vector<const Tensor*>& factors,
     return;
   }
 
-  for (std::size_t i = begin;;) {
+  for (std::size_t i = 0;;) {
     cplx lo = data[0][idx[0]];
     cplx hi = data[0][idx[0] + v_stride[0]];
     for (std::size_t f = 1; f < num_factors; ++f) {
@@ -192,8 +177,7 @@ void SerialCpuBackend::product_into(const std::vector<const Tensor*>& factors,
   strides.reserve(factors.size());
   for (const Tensor* f : factors)
     strides.push_back(factor_strides(*f, out_labels));
-  product_range(factors, strides, out_rank, 0, std::size_t{1} << out_rank,
-                out);
+  product_range(factors, strides, out_rank, out);
 }
 
 void SerialCpuBackend::product_sum_into(
@@ -206,8 +190,7 @@ void SerialCpuBackend::product_sum_into(
   strides.reserve(factors.size());
   for (const Tensor* f : factors)
     strides.push_back(factor_strides(*f, out_labels));
-  product_sum_range(factors, strides, out_rank, 0,
-                    std::size_t{1} << (out_rank - 1), out);
+  product_sum_range(factors, strides, out_rank, out);
 }
 
 std::unique_ptr<Backend> make_backend(const std::string& spec) {

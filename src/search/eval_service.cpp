@@ -29,7 +29,7 @@ namespace detail {
 /// numerics): a persisted result cache written under a different version is
 /// ignored wholesale, because its results are no longer reproducible by a
 /// fresh run.
-constexpr const char* kCacheCodeVersion = "qarch-eval-v7";
+constexpr const char* kCacheCodeVersion = "qarch-eval-v8";
 
 /// Version gate of the persisted contraction-plan cache. Independent of the
 /// result-cache version: planning decisions stay valid across evaluation-
@@ -369,14 +369,6 @@ std::string stored_key(const TrainingCheckpoint& ck) {
 /// disk).
 std::string cache_identity(const CacheEntry& e) {
   return stored_key(e) + '\x1f' + e.engine;
-}
-
-/// The engine tag a run records ("sv" / "tn"): the name of the backend that
-/// forces that engine, so the engine gate compares like with like.
-std::string engine_tag(qaoa::EngineKind engine) {
-  return backend_name(engine == qaoa::EngineKind::Statevector
-                          ? BackendChoice::Statevector
-                          : BackendChoice::TensorNetwork);
 }
 
 /// The engine gate: a forced-engine service must not serve results another

@@ -526,8 +526,7 @@ struct QarchServer::Impl {
     json::Value out = json::Value::object();
     out.set("samples", std::move(samples_json));
     out.set("values", std::move(values_json));
-    out.set("engine",
-            engine == qaoa::EngineKind::Statevector ? "sv" : "tn");
+    out.set("engine", engine_tag(engine));
     out.set("shots", shots);
     return json_response(200, out);
   }

@@ -21,6 +21,12 @@ std::string backend_name(BackendChoice backend) {
   throw InvalidArgument("invalid BackendChoice");
 }
 
+std::string engine_tag(qaoa::EngineKind engine) {
+  return backend_name(engine == qaoa::EngineKind::Statevector
+                          ? BackendChoice::Statevector
+                          : BackendChoice::TensorNetwork);
+}
+
 search::EvaluatorOptions SessionConfig::evaluator_options(
     qaoa::EngineKind engine, std::size_t training) const {
   search::EvaluatorOptions opt = base;

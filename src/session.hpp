@@ -38,6 +38,10 @@ BackendChoice backend_from_name(const std::string& name);
 /// Canonical short name: "sv", "tn", or "auto".
 std::string backend_name(BackendChoice backend);
 
+/// The engine tag a run records ("sv" / "tn"): the name of the backend that
+/// forces that engine, so engine gates compare like with like.
+std::string engine_tag(qaoa::EngineKind engine);
+
 /// The one configuration struct every search driver and example wires.
 struct SessionConfig {
   // -- backend selection -----------------------------------------------------

@@ -1,5 +1,6 @@
 #include "sim/sim_program.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <optional>
@@ -152,14 +153,15 @@ bool any_symbolic(const std::vector<Gate>& gates) {
 // -- phase-table folding -----------------------------------------------------
 //
 // Every diagonal gate here has unit-modulus entries whose phase ANGLE is
-// affine in the bound parameter: angle(sel) = factor(sel) * theta for
+// affine in its bound parameter: angle(sel) = factor(sel) * theta for
 // RZ/P/RZZ (no intercept) and a constant for Z/S/Sdg/T/Tdg/CZ/I. A run of
 // consecutive diagonal ops therefore applies, per amplitude i,
-//   state[i] *= exp(i * (base(i) + coef(i) * theta_sym))
-// where base/coef depend only on circuit structure. We bake the distinct
-// (base, coef) pairs into a per-amplitude class table once at compile time;
-// a new theta then costs one exp() per CLASS (e.g. 41 classes for a 40-edge
-// unweighted cost layer) plus a single streaming multiply pass.
+//   state[i] *= exp(i * (base(i) + sum_s coef_s(i) * theta[symbols[s]]))
+// where base/coef_s depend only on circuit structure. We bake the distinct
+// (base, coef_0, ..., coef_{S-1}) rows into a per-amplitude class table once
+// at compile time; a new theta then costs one exp() per CLASS (e.g. 41
+// classes for a 40-edge unweighted cost layer) plus a single streaming
+// multiply pass.
 
 bool is_diag_op(const CompiledOp& op) {
   return op.kind == CompiledOp::Kind::Diag1 ||
@@ -176,104 +178,169 @@ struct AngleKeyHash {
   }
 };
 
+/// One source gate's angle term per selector sel (its qubits' bits): a
+/// constant angle (`slot` = kNoSlot) or the coefficient of
+/// theta[symbols[slot]]. A symbolic gate's constant part is exactly zero.
+struct GateAngles {
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  std::size_t q0 = 0;
+  std::size_t q1 = 0;
+  bool two = false;
+  double terms[4] = {0, 0, 0, 0};
+  std::size_t slot = kNoSlot;
+};
+
+GateAngles gate_angles(const Gate& g, std::span<const std::size_t> symbols) {
+  GateAngles out;
+  out.q0 = g.q0;
+  out.q1 = g.q1;
+  out.two = g.arity() == 2;
+  const std::size_t sels = out.two ? 4 : 2;
+  // Phase angles of the entries at angle 1 (parameterized kinds, whose
+  // angles are linear in it) or of the fixed entries.
+  const double at = circuit::is_parameterized(g.kind) ? 1.0 : 0.0;
+  double arg[4] = {0, 0, 0, 0};
+  if (!out.two) {
+    const auto e = diag1_entries(g.kind, at);
+    for (std::size_t s = 0; s < 2; ++s) arg[s] = std::arg(e[s]);
+  } else {
+    const auto e = diag2_entries(g.kind, at);
+    for (std::size_t s = 0; s < 4; ++s) arg[s] = std::arg(e[s]);
+  }
+  if (!circuit::is_parameterized(g.kind)) {
+    for (std::size_t s = 0; s < sels; ++s) out.terms[s] = arg[s];
+    return out;
+  }
+  switch (g.param.kind) {
+    case circuit::ParamExpr::Kind::None:
+      break;  // angle 0 contributes nothing
+    case circuit::ParamExpr::Kind::Constant:
+      for (std::size_t s = 0; s < sels; ++s)
+        out.terms[s] = arg[s] * g.param.constant;
+      break;
+    case circuit::ParamExpr::Kind::Symbol:
+      for (std::size_t s = 0; s < sels; ++s)
+        out.terms[s] = arg[s] * g.param.scale;
+      out.slot = static_cast<std::size_t>(
+          std::lower_bound(symbols.begin(), symbols.end(), g.param.index) -
+          symbols.begin());
+      break;
+  }
+  return out;
+}
+
+/// Adds `g`'s term to dst[k] for each amplitude lo + k of [lo, lo + len),
+/// where len is a power of two and lo a multiple of it. The selector is
+/// constant on aligned runs of 2^(lowest gate qubit) amplitudes, so each run
+/// adds one value.
+void add_gate_terms(const GateAngles& g, std::size_t lo, std::size_t len,
+                    double* dst) {
+  const std::size_t low = g.two ? std::min(g.q0, g.q1) : g.q0;
+  const std::size_t run = std::min(std::size_t{1} << low, len);
+  for (std::size_t b = 0; b < len; b += run) {
+    const std::size_t i = lo + b;
+    const std::size_t sel =
+        g.two ? ((((i >> g.q0) & 1) << 1) | ((i >> g.q1) & 1))
+              : ((i >> g.q0) & 1);
+    const double term = g.terms[sel];
+    for (std::size_t k = b; k < b + run; ++k) dst[k] += term;
+  }
+}
+
 /// Builds one DiagTable op replacing the diagonal ops in `run`, or nullopt
-/// when the run is ineligible (more than one distinct symbolic parameter,
-/// or more phase classes than the table can index).
+/// when the run has more phase classes than the table can index.
+///
+/// Classes are numbered by refinement, one round per symbol: round 0 keys on
+/// (constant angle, coefficient of symbols[0]); round r keys on (class from
+/// round r - 1, coefficient of symbols[r]). Each round refines the last, so
+/// the final round's ids are the distinct rows and no round outgrows the
+/// final class count. The amplitudes are walked chunk by chunk with one
+/// coefficient buffer reused across rounds, so the build's scratch is a few
+/// chunk-sized buffers whatever the number of symbols; each amplitude's
+/// angles sum their gates' terms in gate order.
 std::optional<CompiledOp> build_phase_table(
     std::span<const CompiledOp> run, std::size_t num_qubits) {
-  bool has_sym = false;
-  std::size_t sym_index = 0;
-  for (const CompiledOp& op : run) {
-    for (const Gate& g : op.sources) {
-      if (g.param.kind != circuit::ParamExpr::Kind::Symbol) continue;
-      if (!has_sym) {
-        has_sym = true;
-        sym_index = g.param.index;
-      } else if (g.param.index != sym_index) {
-        return std::nullopt;
-      }
-    }
-  }
-
-  const std::size_t dim = std::size_t{1} << num_qubits;
-  std::vector<double> base(dim, 0.0), coef(dim, 0.0);
-  for (const CompiledOp& op : run) {
-    for (const Gate& g : op.sources) {
-      // Per-selector decomposition angle(sel) = bconst[sel] + bscale[sel]*θ.
-      double bconst[4] = {0, 0, 0, 0}, bscale[4] = {0, 0, 0, 0};
-      const std::size_t sels = g.arity() == 1 ? 2 : 4;
-      if (circuit::is_parameterized(g.kind)) {
-        double factor[4] = {0, 0, 0, 0};
-        if (g.arity() == 1) {
-          const auto e = diag1_entries(g.kind, 1.0);
-          factor[0] = std::arg(e[0]);
-          factor[1] = std::arg(e[1]);
-        } else {
-          const auto e = diag2_entries(g.kind, 1.0);
-          for (std::size_t s = 0; s < 4; ++s) factor[s] = std::arg(e[s]);
-        }
-        switch (g.param.kind) {
-          case circuit::ParamExpr::Kind::None:
-            break;  // angle 0 contributes nothing
-          case circuit::ParamExpr::Kind::Constant:
-            for (std::size_t s = 0; s < sels; ++s)
-              bconst[s] = factor[s] * g.param.constant;
-            break;
-          case circuit::ParamExpr::Kind::Symbol:
-            for (std::size_t s = 0; s < sels; ++s)
-              bscale[s] = factor[s] * g.param.scale;
-            break;
-        }
-      } else if (g.arity() == 1) {
-        const auto e = diag1_entries(g.kind, 0.0);
-        bconst[0] = std::arg(e[0]);
-        bconst[1] = std::arg(e[1]);
-      } else {
-        const auto e = diag2_entries(g.kind, 0.0);
-        for (std::size_t s = 0; s < 4; ++s) bconst[s] = std::arg(e[s]);
-      }
-
-      if (g.arity() == 1) {
-        const std::size_t q = g.q0;
-        for (std::size_t i = 0; i < dim; ++i) {
-          const std::size_t sel = (i >> q) & 1;
-          base[i] += bconst[sel];
-          coef[i] += bscale[sel];
-        }
-      } else {
-        const std::size_t q0 = g.q0, q1 = g.q1;
-        for (std::size_t i = 0; i < dim; ++i) {
-          const std::size_t sel = (((i >> q0) & 1) << 1) | ((i >> q1) & 1);
-          base[i] += bconst[sel];
-          coef[i] += bscale[sel];
-        }
-      }
-    }
-  }
+  constexpr std::size_t kMaxClasses = 65535;
+  constexpr std::size_t kChunk = 4096;
 
   CompiledOp out;
   out.kind = CompiledOp::Kind::DiagTable;
-  out.has_symbol = has_sym;
-  out.symbol_index = sym_index;
-  out.parameterized = has_sym;
+  for (const CompiledOp& op : run)
+    for (const Gate& g : op.sources)
+      if (g.param.kind == circuit::ParamExpr::Kind::Symbol)
+        out.symbols.push_back(g.param.index);
+  std::sort(out.symbols.begin(), out.symbols.end());
+  out.symbols.erase(std::unique(out.symbols.begin(), out.symbols.end()),
+                    out.symbols.end());
+  out.parameterized = !out.symbols.empty();
+  const std::size_t num_syms = out.symbols.size();
+  const std::size_t rounds = std::max<std::size_t>(num_syms, 1);
+
+  std::vector<GateAngles> gates;
+  for (const CompiledOp& op : run)
+    for (const Gate& g : op.sources)
+      gates.push_back(gate_angles(g, out.symbols));
+
+  struct Round {
+    std::unordered_map<std::pair<double, double>, std::uint16_t, AngleKeyHash>
+        ids;
+    std::vector<std::pair<double, double>> keys;  ///< keys[id], first seen
+  };
+  std::vector<Round> numbering(rounds);
+
+  const std::size_t dim = std::size_t{1} << num_qubits;
+  const std::size_t chunk = std::min(dim, kChunk);
+  std::vector<double> base(chunk), coef(chunk);
   out.classes.resize(dim);
-  std::unordered_map<std::pair<double, double>, std::uint16_t, AngleKeyHash>
-      ids;
-  for (std::size_t i = 0; i < dim; ++i) {
-    const std::pair<double, double> key{base[i], coef[i]};
-    auto it = ids.find(key);
-    if (it == ids.end()) {
-      if (ids.size() >= 65535) return std::nullopt;  // table cannot index
-      it = ids.emplace(key, static_cast<std::uint16_t>(ids.size())).first;
-      out.class_const.push_back(key.first);
-      out.class_scale.push_back(key.second);
+  for (std::size_t lo = 0; lo < dim; lo += chunk) {
+    std::uint16_t* cls = out.classes.data() + lo;
+    for (std::size_t r = 0; r < rounds; ++r) {
+      if (r == 0) std::fill(base.begin(), base.end(), 0.0);
+      std::fill(coef.begin(), coef.end(), 0.0);
+      for (const GateAngles& g : gates) {
+        if (g.slot == r)
+          add_gate_terms(g, lo, chunk, coef.data());
+        else if (r == 0 && g.slot == GateAngles::kNoSlot)
+          add_gate_terms(g, lo, chunk, base.data());
+      }
+      Round& round = numbering[r];
+      for (std::size_t k = 0; k < chunk; ++k) {
+        const std::pair<double, double> key{
+            r == 0 ? base[k] : static_cast<double>(cls[k]), coef[k]};
+        auto it = round.ids.find(key);
+        if (it == round.ids.end()) {
+          if (round.keys.size() >= kMaxClasses) return std::nullopt;
+          it = round.ids
+                   .emplace(key, static_cast<std::uint16_t>(round.keys.size()))
+                   .first;
+          round.keys.push_back(key);
+        }
+        cls[k] = it->second;
+      }
     }
-    out.classes[i] = it->second;
   }
-  if (!has_sym) {
+
+  // Unwind each final class through the rounds into its (constant,
+  // coefficients) row.
+  const std::size_t num_classes = numbering.back().keys.size();
+  out.class_const.resize(num_classes);
+  out.class_scale.resize(num_classes * num_syms);
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    std::size_t id = c;
+    for (std::size_t r = rounds; r-- > 0;) {
+      const auto& [prev, scale] = numbering[r].keys[id];
+      if (num_syms > 0) out.class_scale[c * num_syms + r] = scale;
+      if (r == 0)
+        out.class_const[c] = prev;
+      else
+        id = static_cast<std::size_t>(prev);
+    }
+  }
+  if (num_syms == 0) {
     // Fully constant run: bake the per-class phases once at compile time.
-    out.lut.resize(out.class_const.size());
-    for (std::size_t c = 0; c < out.lut.size(); ++c)
+    out.lut.resize(num_classes);
+    for (std::size_t c = 0; c < num_classes; ++c)
       out.lut[c] = std::polar(1.0, out.class_const[c]);
   }
   for (const CompiledOp& op : run)
@@ -542,13 +609,18 @@ void SimProgram::apply_inplace(State& state, std::span<const double> theta,
   std::size_t num_sym_tables = 0;
   for (const CompiledOp& op : ops_) {
     if (op.kind == CompiledOp::Kind::DiagTable) {
-      if (!op.has_symbol) continue;
+      if (op.symbols.empty()) continue;
       if (scratch.luts.size() <= num_sym_tables) scratch.luts.emplace_back();
       std::vector<cplx>& bound = scratch.luts[num_sym_tables++];
-      const double t = theta[op.symbol_index];
+      const std::size_t num_syms = op.symbols.size();
       bound.resize(op.class_const.size());
-      for (std::size_t c = 0; c < bound.size(); ++c)
-        bound[c] = std::polar(1.0, op.class_const[c] + op.class_scale[c] * t);
+      for (std::size_t c = 0; c < bound.size(); ++c) {
+        const double* scale = op.class_scale.data() + c * num_syms;
+        double angle = op.class_const[c];
+        for (std::size_t s = 0; s < num_syms; ++s)
+          angle += scale[s] * theta[op.symbols[s]];
+        bound[c] = std::polar(1.0, angle);
+      }
     } else if (op.parameterized) {
       scratch.coeffs.push_back(bind_op(op, theta));
     }
@@ -561,7 +633,7 @@ void SimProgram::apply_inplace(State& state, std::span<const double> theta,
       const CompiledOp& op = ops_[oi];
       if (op.kind == CompiledOp::Kind::DiagTable)
         scratch.lut[oi] =
-            op.has_symbol ? scratch.luts[nl++].data() : op.lut.data();
+            op.symbols.empty() ? op.lut.data() : scratch.luts[nl++].data();
       else
         scratch.cf[oi] = op.parameterized ? scratch.coeffs[nc++].data()
                                           : op.coeffs.data();

@@ -47,10 +47,12 @@ struct PlanOptions {
   /// off when it already pre-simplified the candidate
   /// (EvaluatorOptions::effective_energy).
   bool presimplify = true;
-  /// Fold each run of consecutive diagonal ops sharing at most one symbolic
-  /// parameter (e.g. an entire QAOA cost layer) into ONE streaming pass: a
-  /// per-amplitude phase-class table baked at compile time plus a per-theta
-  /// phase lookup rebuilt from a handful of scalars. Requires
+  /// Fold each run of consecutive diagonal ops, whatever symbolic
+  /// parameters it carries (an entire QAOA cost layer, or a whole
+  /// all-diagonal ansatz), into ONE streaming pass: a per-amplitude
+  /// phase-class table baked at compile time plus a per-theta phase lookup
+  /// rebuilt from a few scalars per class. A run whose classes overflow the
+  /// table's 16-bit index stays plain Diag1/Diag2 ops. Requires
   /// diagonal_kernels.
   bool phase_tables = true;
   /// Per-amplitude table memory guard: above this many qubits a program
@@ -104,16 +106,16 @@ struct CompiledOp {
   std::array<linalg::cplx, 16> coeffs{};
   std::vector<circuit::Gate> sources;  ///< gates fused into this op
 
-  // DiagTable payload. The op applies state[i] *= exp(i * (class_const[c] +
-  // class_scale[c] * theta[symbol_index])) with c = classes[i]; the class
-  // table depends only on circuit structure, so a new theta costs one
-  // exp() per CLASS instead of per amplitude.
+  // DiagTable payload. With S = symbols.size(), the op applies
+  //   state[i] *= exp(i * (class_const[c] +
+  //                        sum_s class_scale[c * S + s] * theta[symbols[s]]))
+  // with c = classes[i]; the class table depends only on circuit structure,
+  // so a new theta costs one exp() per CLASS instead of per amplitude.
   std::vector<std::uint16_t> classes;  ///< per-amplitude phase-class id
   std::vector<double> class_const;     ///< per-class constant angle
-  std::vector<double> class_scale;     ///< per-class theta coefficient
-  std::vector<linalg::cplx> lut;       ///< baked phases when !has_symbol
-  bool has_symbol = false;
-  std::size_t symbol_index = 0;
+  std::vector<double> class_scale;     ///< classes x S theta coefficients
+  std::vector<std::size_t> symbols;    ///< ascending theta indices
+  std::vector<linalg::cplx> lut;       ///< baked phases when S == 0
 };
 
 /// Per-program compilation statistics (reported by the benches).

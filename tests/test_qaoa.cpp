@@ -292,7 +292,9 @@ TEST(Energy, StatevectorEnergyIsBitIdenticalAcrossInnerWorkersAndSimd) {
   };
   const Config configs[] = {{1, true}, {2, true},  {4, true},
                             {1, false}, {2, false}, {4, false}};
-  for (const auto& mixer : {MixerSpec::baseline(), MixerSpec::qnas()}) {
+  // rz makes the ansatz all-diagonal: one multi-symbol phase-table pass.
+  for (const auto& mixer : {MixerSpec::baseline(), MixerSpec::qnas(),
+                            MixerSpec{{GateKind::RZ}}}) {
     for (std::size_t p = 1; p <= 2; ++p) {
       const auto c = qaoa::build_qaoa_circuit(g, p, mixer);
       std::vector<std::vector<double>> thetas(3);

@@ -187,15 +187,36 @@ TEST(SimProgram, QaoaAnsatzCompilesToStreamingCostLayer) {
   const std::vector<double> theta = {0.7, -0.4, 1.2, 0.3};
   expect_states_close(program.run_from_plus(theta),
                       naive.run_from_plus(c, theta), 1e-10, "qaoa ansatz");
+
+  // An all-diagonal ansatz is one commuting run whatever its parameters:
+  // rz and p mixers carry γ_l and β_l in every layer, and h·h cancels in
+  // the presimplify pass, leaving the γ layers. Each compiles to a single
+  // phase-table pass.
+  for (const char* mixer : {"rz", "p", "h,h"}) {
+    for (const std::size_t p : {std::size_t{1}, std::size_t{2}}) {
+      const auto ansatz =
+          qaoa::build_qaoa_circuit(g, p, qaoa::MixerSpec::parse(mixer));
+      const sim::SimProgram diagonal(ansatz);
+      const std::string context =
+          std::string(mixer) + " p=" + std::to_string(p);
+      EXPECT_EQ(diagonal.stats().ops, 1u) << context;
+      EXPECT_EQ(diagonal.stats().diag_table_ops, 1u) << context;
+      expect_states_close(diagonal.run_from_plus(theta),
+                          naive.run_from_plus(ansatz, theta), 1e-10, context);
+    }
+  }
 }
 
 TEST(SimProgram, PhaseTablesMatchPerGateDiagonalKernels) {
   Rng rng(909);
-  for (int trial = 0; trial < 12; ++trial) {
+  for (int trial = 0; trial < 24; ++trial) {
     const std::size_t n = 2 + rng.uniform_int(11);
-    // One shared symbol keeps every diagonal run table-eligible.
-    const auto c = random_circuit(rng, n, 30, 1, kDiagonalPool);
-    const std::vector<double> theta = {rng.uniform(-3.0, 3.0)};
+    // The first half shares one symbol, the second carries 2-4: a table
+    // takes any number, so the whole all-diagonal circuit folds either way.
+    const std::size_t num_params = trial < 12 ? 1 : 2 + rng.uniform_int(3);
+    const auto c = random_circuit(rng, n, 30, num_params, kDiagonalPool);
+    std::vector<double> theta(num_params);
+    for (auto& t : theta) t = rng.uniform(-3.0, 3.0);
 
     sim::PlanOptions tables;
     tables.parallel_threshold_qubits = 2;
@@ -205,6 +226,8 @@ TEST(SimProgram, PhaseTablesMatchPerGateDiagonalKernels) {
     const sim::SimProgram folded(c, tables);
     const sim::SimProgram unfolded(c, no_tables);
     EXPECT_GT(folded.stats().diag_table_ops, 0u) << "trial " << trial;
+    EXPECT_EQ(folded.stats().diag1_ops + folded.stats().diag2_ops, 0u)
+        << "trial " << trial;
     for (const std::size_t workers : {std::size_t{1}, std::size_t{4}})
       expect_states_close(folded.run_from_plus(theta, workers),
                           unfolded.run_from_plus(theta, workers), 1e-10,

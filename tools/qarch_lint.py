@@ -31,6 +31,9 @@ where it CAN see) with grep-level rules for what it cannot:
       through json::as_uint / json::parse_u64 (or a range-checked local
       helper), because a lenient parse accepts "-1" and "12abc" and a cast
       of a fractional, negative or huge double truncates or is undefined.
+  R8  no "sv" or "tn" string literal in any src/ file but src/session.cpp —
+      engine and backend tags are spelled once, by qarch::backend_name and
+      qarch::engine_tag, so a persisted or wire tag cannot drift.
 
 Usage: python3 tools/qarch_lint.py [--root DIR]
 Exits nonzero if any rule fires; prints one line per violation.
@@ -65,6 +68,8 @@ R6_TOKEN = re.compile(r'#\s*include\s*["<]query/')
 R7_STO = re.compile(r"\bstd::sto(?:i|l|ll|ul|ull)\b")
 R7_CAST = re.compile(r"\bstatic_cast\s*<[^;]*?>\s*\(")
 R7_AS_NUMBER = re.compile(r"\.\s*as_number\s*\(")
+R8_TOKEN = re.compile(r'(?<![\w\\])"(?:sv|tn)"')
+R8_SANCTIONED = "src/session.cpp"
 
 KNOWN_ARRAY = re.compile(
     r"kKnown\s*=\s*\{(.*?)\}\s*;", re.DOTALL)
@@ -151,6 +156,11 @@ def scan(root):
                 flag(rel, lineno, "R7",
                      "integer std::sto* accepts signs and trailing text; "
                      "use json::parse_u64")
+            m = R8_TOKEN.search(line)
+            if m and rel != R8_SANCTIONED:
+                flag(rel, lineno, "R8",
+                     "engine tag literal %s; use qarch::engine_tag or "
+                     "qarch::backend_name (src/session.cpp)" % m.group(0))
         if rel.startswith("src/search/") or rel.startswith("src/server/"):
             for offset, argument in cast_arguments(code):
                 if R7_AS_NUMBER.search(argument):
@@ -199,6 +209,11 @@ def self_test():
             "double ok = std::stod(text);\n"
             "double fine = static_cast<double>(n) * v.as_number();\n"
         ),
+        "src/search/engine.cpp": (
+            "// \"sv\" in a comment is fine\n"
+            "std::string tag = ok ? \"sv_plan\" : \"tn\";\n"
+        ),
+        "src/session.cpp": 'std::string name() { return "sv"; }\n',
     }
     with tempfile.TemporaryDirectory() as tmp:
         for rel, text in bad.items():
@@ -208,7 +223,7 @@ def self_test():
                 f.write(text)
         _, violations = scan(tmp)
     rules = {v.split("[")[1][:2] for v in violations}
-    expected = {"R1", "R2", "R3", "R4", "R6", "R7"}
+    expected = {"R1", "R2", "R3", "R4", "R6", "R7", "R8"}
     if not expected <= rules:
         print("self-test FAILED: expected rules %s, got %s"
               % (sorted(expected), sorted(rules)), file=sys.stderr)
@@ -221,6 +236,11 @@ def self_test():
     if r7 != ["src/server/bad.cpp:1", "src/server/bad.cpp:2"]:
         print("self-test FAILED: R7 should flag exactly the stoi and the "
               "cast, got %s" % r7, file=sys.stderr)
+        return 1
+    r8 = sorted(v.split(": [")[0] for v in violations if "[R8]" in v)
+    if r8 != ["src/search/engine.cpp:2"]:
+        print("self-test FAILED: R8 should flag only the \"tn\" literal "
+              "outside src/session.cpp, got %s" % r8, file=sys.stderr)
         return 1
     print("self-test passed (%d violations flagged in fixture)"
           % len(violations))
