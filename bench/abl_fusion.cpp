@@ -10,12 +10,21 @@
 // larger statevector workload (diagonal kernels stay on in both variants) to
 // isolate what fusing adjacent 2x2s into one cached matrix buys.
 //
-// Both parts append to the machine-readable BENCH_sim_kernels.json (section
-// "fusion") shared with abl_diagonal_gates.
+// Part 3 (section "kernels_by_qubit"): the streaming Single, Diag1 and
+// Diag2 passes on one 2^N state, 1 thread, unblocked, in ns per amplitude
+// per pass at each qubit q: Single and Diag1 on q, Diag2 with lowest qubit q
+// and partner N-1, and Diag2 on qubits 0 and q. Low qubits have short
+// aligned runs, so this table shows what a pass pays beyond its bytes.
 //
-// Flags: --p (2) --reps (10) --qubits N (16) for part 2
-//        --out PATH (BENCH_sim_kernels.json)
+// Parts 1-2 append to the machine-readable BENCH_sim_kernels.json (section
+// "fusion") shared with abl_diagonal_gates; part 3 writes its own section.
+//
+// Flags: --p (2) --reps (10; part 3 takes the median of this many trials)
+//        --qubits N (16) for parts 2-3 --out PATH (BENCH_sim_kernels.json)
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <functional>
 
 #include "bench_util.hpp"
 #include "circuit/optimizer.hpp"
@@ -23,8 +32,87 @@
 #include "common/timer.hpp"
 #include "qaoa/ansatz.hpp"
 #include "sim/sim_program.hpp"
+#include "sim/simd.hpp"
+#include "sim/statevector.hpp"
 
 using namespace qarch;
+
+namespace {
+
+/// Median over `trials` of the ns per amplitude of one `pass` over a
+/// 2^n-amplitude state (each trial repeats the pass enough times to span
+/// about 2^22 amplitudes).
+double ns_per_amplitude(std::size_t n, std::size_t trials,
+                        const std::function<void()>& pass) {
+  const std::size_t dim = std::size_t{1} << n;
+  const std::size_t passes =
+      std::max<std::size_t>(8, (std::size_t{1} << 22) / dim);
+  pass();  // warm-up
+  std::vector<double> ns;
+  for (std::size_t t = 0; t < trials; ++t) {
+    Timer timer;
+    for (std::size_t r = 0; r < passes; ++r) pass();
+    ns.push_back(timer.seconds() * 1e9 / static_cast<double>(passes * dim));
+  }
+  std::sort(ns.begin(), ns.end());
+  return ns[ns.size() / 2];
+}
+
+/// Part 3: the kernels_by_qubit table.
+json::Value kernels_by_qubit(std::size_t n, std::size_t trials) {
+  const double c = std::cos(0.3), s = std::sin(0.3);
+  const sim::cplx m[4] = {{c, 0}, {0, -s}, {0, -s}, {c, 0}};  // rx(0.6)
+  const sim::cplx d[4] = {std::polar(1.0, 0.1), std::polar(1.0, -0.2),
+                          std::polar(1.0, 0.3), std::polar(1.0, -0.4)};
+  sim::State state = sim::plus_state(n);
+  const std::size_t serial = n + 1;  // parallel threshold above n: 1 thread
+  std::printf("\nkernels by qubit (%zu qubits, 1 thread, unblocked, "
+              "ns/amplitude/pass):\n  q   single   diag1  diag2(q,%zu)  "
+              "diag2(0,q)\n",
+              n, n - 1);
+  json::Value rows = json::Value::array();
+  for (std::size_t q = 0; q < n; ++q) {
+    json::Value row = json::Value::object();
+    row.set("q", q);
+    const double single = ns_per_amplitude(n, trials, [&] {
+      sim::kernel_single(state, q, m, 1, serial);
+    });
+    const double diag1 = ns_per_amplitude(n, trials, [&] {
+      sim::kernel_diag1(state, q, d[0], d[1], 1, serial);
+    });
+    row.set("single_ns", single);
+    row.set("diag1_ns", diag1);
+    std::printf("%3zu %8.3f %7.3f", q, single, diag1);
+    if (q + 1 < n) {
+      const double low = ns_per_amplitude(n, trials, [&] {
+        sim::kernel_diag2(state, q, n - 1, d, 1, serial);
+      });
+      row.set("diag2_low_ns", low);
+      std::printf(" %12.3f", low);
+    } else {
+      std::printf(" %12s", "-");
+    }
+    if (q > 0) {
+      const double q0 = ns_per_amplitude(n, trials, [&] {
+        sim::kernel_diag2(state, 0, q, d, 1, serial);
+      });
+      row.set("diag2_q0_ns", q0);
+      std::printf(" %11.3f", q0);
+    }
+    std::printf("\n");
+    rows.push_back(std::move(row));
+  }
+  json::Value section = json::Value::object();
+  section.set("qubits", n);
+  section.set("threads", 1);
+  section.set("blocked", false);
+  section.set("trials", trials);
+  section.set("avx2_active", sim::simd::active());
+  section.set("rows", std::move(rows));
+  return section;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
@@ -147,5 +235,9 @@ int main(int argc, char** argv) {
   kernel.set("fused_gates", fused_prog.stats().fused_gates);
   section.set("kernel_fusion", std::move(kernel));
   bench::update_bench_json(out, "fusion", std::move(section));
+
+  // -- part 3: streaming passes by target qubit -----------------------------
+  bench::update_bench_json(out, "kernels_by_qubit",
+                           kernels_by_qubit(big_n, reps));
   return 0;
 }

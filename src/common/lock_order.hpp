@@ -48,6 +48,9 @@
 //    52   cache.orders         qtensor::PlanCache::mutex_ (persistent
 //                              elimination-order cache; taken under
 //                              service.io during persistence)
+//    55   cache.phasetables    sim::PhaseTableCache::mutex_ (a graph's
+//                              shared statevector phase tables; taken
+//                              only while a SimProgram compiles, a leaf)
 //    60   cache.scratch        qtensor::ContractionProgram scratch pools
 //                              (pool_mutex_; energies and queries alike)
 //    70   pool.queue           parallel::ThreadPool::mutex_ (task queue;

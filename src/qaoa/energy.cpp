@@ -20,7 +20,8 @@ namespace qarch::qaoa {
 namespace {
 
 /// Statevector plan: the ansatz is compiled once into a SimProgram
-/// (specialized kernels, fused gates, cached matrices); every energy(theta)
+/// (specialized kernels, fused gates, cached matrices, phase tables shared
+/// through the evaluator's PhaseTableCache); every energy(theta)
 /// replays it and reads <C> off the final state as one serial dot product
 /// with the evaluator's cost diagonal `diag`. `inner_workers` drives the gate
 /// kernels and the batched <ZZ> sweep behind zz_expectations(); energy()
@@ -28,11 +29,12 @@ namespace {
 class StatevectorPlan final : public EnergyPlan {
  public:
   StatevectorPlan(const circuit::Circuit& ansatz, const MaxCutHamiltonian& ham,
-                  std::span<const double> diag, const EnergyOptions& options)
+                  std::span<const double> diag, const EnergyOptions& options,
+                  sim::PhaseTableCache* tables)
       : ham_(ham),
         diag_(diag),
         options_(options),
-        program_(ansatz, options_.sv_plan) {
+        program_(ansatz, options_.sv_plan, tables) {
     pairs_.reserve(ham_.terms().size());
     for (const auto& t : ham_.terms()) pairs_.push_back({t.u, t.v});
   }
@@ -318,8 +320,9 @@ EnergyEvaluator::EnergyEvaluator(Hamiltonian ham, EnergyOptions options)
     : ham_(std::move(ham)),
       options_(std::move(options)),
       cache_(std::make_unique<PlanCache>()) {
-  if (options_.engine == EngineKind::Statevector &&
-      ham_.num_qubits() <= options_.sv_plan.phase_table_max_qubits)
+  if (ham_.num_qubits() > options_.sv_plan.phase_table_max_qubits) return;
+  tables_ = std::make_unique<sim::PhaseTableCache>();
+  if (options_.engine == EngineKind::Statevector)
     diag_ = build_cost_diagonal(ham_);
 }
 
@@ -331,7 +334,7 @@ std::unique_ptr<EnergyPlan> EnergyEvaluator::make_plan(
                 "ansatz/Hamiltonian qubit mismatch");
   if (options_.engine == EngineKind::Statevector)
     return std::make_unique<StatevectorPlan>(ansatz, ham_, cost_diagonal(),
-                                             options_);
+                                             options_, phase_tables());
   return std::make_unique<TensorNetworkPlan>(ansatz, ham_, options_);
 }
 

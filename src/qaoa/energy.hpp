@@ -171,10 +171,20 @@ class EnergyEvaluator {
   /// its maximum is the exact classical optimum.
   [[nodiscard]] std::span<const double> cost_diagonal() const { return diag_; }
 
+  /// The phase tables of this graph's programs, on either engine up to
+  /// sv_plan.phase_table_max_qubits (nullptr above it). Statevector plans
+  /// compile through it, and so does search::Evaluator's one-shot scoring
+  /// program, so the cost-layer table is built once for every candidate
+  /// and every layer.
+  [[nodiscard]] sim::PhaseTableCache* phase_tables() const {
+    return tables_.get();
+  }
+
  private:
   MaxCutHamiltonian ham_;
   EnergyOptions options_;
   std::vector<double> diag_;
+  std::unique_ptr<sim::PhaseTableCache> tables_;
   struct PlanCache;
   std::unique_ptr<PlanCache> cache_;
 };

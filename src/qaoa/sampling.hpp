@@ -48,7 +48,10 @@ double expected_best_cut(const sim::State& state, const graph::Graph& g,
 
 /// The same estimate for the circuit run from |+>^n with `theta`: the state
 /// comes from a one-shot sim::SimProgram compiled without phase tables
-/// (building them does not pay for a single replay).
+/// (building one does not pay for a single replay). search::Evaluator
+/// scores through a program compiled with its energy evaluator's
+/// sim::PhaseTableCache instead, whose cost-layer table every candidate of
+/// the graph shares.
 double expected_best_cut(const circuit::Circuit& ansatz,
                          std::span<const double> theta, const graph::Graph& g,
                          std::size_t shots, std::size_t trials, Rng& rng);

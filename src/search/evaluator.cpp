@@ -10,6 +10,7 @@
 #include "optim/multistart.hpp"
 #include "qaoa/ansatz.hpp"
 #include "qaoa/sampling.hpp"
+#include "sim/sim_program.hpp"
 
 namespace qarch::search {
 
@@ -69,7 +70,8 @@ ResumableEvaluation Evaluator::evaluate_resumable(
   // Restarts split the COBYLA budget; the one shared objective means the
   // candidate's training compiles exactly once on EITHER engine: one
   // SimProgram (statevector, which scoring replays too) or one per-edge set
-  // of ContractionPrograms (qtensor, scored by one one-shot SimProgram) —
+  // of ContractionPrograms (qtensor, scored by one one-shot SimProgram whose
+  // cost-layer table comes from the evaluator's phase-table cache) —
   // probes: sim::program_compile_count() and qtensor::network_build_count().
   std::optional<optim::MultiStart> multistart;
   const optim::Optimizer* optimizer = &cobyla_;
@@ -142,8 +144,10 @@ ResumableEvaluation Evaluator::evaluate_resumable(
   // Eq. 3 numerator: expected best value among sampled measurements. Seeded
   // per-candidate for determinism regardless of evaluation order. The
   // default MaxCut spec draws from the trained state of a compiled replay:
-  // the statevector plan's own program when training used one, otherwise a
-  // one-shot program (tensor-network engine, sampled objectives).
+  // the statevector plan's own program when training used one, otherwise
+  // (tensor-network engine, sampled objectives) a one-shot program compiled
+  // through the energy evaluator's phase-table cache, so its cost-layer
+  // table is the one every other candidate of this graph replays.
   // Generalized Hamiltonians score through the compiled sampler on the
   // configured engine.
   Rng sample_rng(options_.sample_seed ^ (p * 0x9e3779b97f4a7c15ULL) ^
@@ -151,14 +155,16 @@ ResumableEvaluation Evaluator::evaluate_resumable(
   if (options_.hamiltonian.is_default()) {
     const sim::State* compiled =
         plan != nullptr ? plan->state(trained.theta) : nullptr;
-    const double best_cut =
-        compiled != nullptr
-            ? qaoa::expected_best_cut(*compiled, graph_, options_.shots,
-                                      options_.sample_trials, sample_rng)
-            : qaoa::expected_best_cut(ansatz, trained.theta, graph_,
-                                      options_.shots, options_.sample_trials,
-                                      sample_rng);
-    r.sampled_ratio = ratio_of(best_cut);
+    sim::State one_shot;
+    if (compiled == nullptr) {
+      const qaoa::EnergyOptions& energy = energy_.options();
+      one_shot = sim::SimProgram(ansatz, energy.sv_plan, energy_.phase_tables())
+                     .run_from_plus(trained.theta, energy.inner_workers);
+      compiled = &one_shot;
+    }
+    r.sampled_ratio = ratio_of(qaoa::expected_best_cut(
+        *compiled, graph_, options_.shots, options_.sample_trials,
+        sample_rng));
   } else {
     if (!sampler.has_value()) sampler.emplace(ansatz, sampler_options());
     const double best_value = qaoa::expected_best_value(

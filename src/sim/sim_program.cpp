@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include <atomic>
@@ -168,16 +167,6 @@ bool is_diag_op(const CompiledOp& op) {
          op.kind == CompiledOp::Kind::Diag2;
 }
 
-struct AngleKeyHash {
-  std::size_t operator()(const std::pair<double, double>& p) const {
-    const auto a = std::bit_cast<std::uint64_t>(p.first);
-    const auto b = std::bit_cast<std::uint64_t>(p.second);
-    std::uint64_t h = a * 0x9e3779b97f4a7c15ULL;
-    h ^= b + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return static_cast<std::size_t>(h);
-  }
-};
-
 /// One source gate's angle term per selector sel (its qubits' bits): a
 /// constant angle (`slot` = kNoSlot) or the coefficient of
 /// theta[symbols[slot]]. A symbolic gate's constant part is exactly zero.
@@ -185,7 +174,7 @@ struct GateAngles {
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
   std::size_t q0 = 0;
-  std::size_t q1 = 0;
+  std::size_t q1 = 0;  ///< 0 for a one-qubit gate
   bool two = false;
   double terms[4] = {0, 0, 0, 0};
   std::size_t slot = kNoSlot;
@@ -193,9 +182,9 @@ struct GateAngles {
 
 GateAngles gate_angles(const Gate& g, std::span<const std::size_t> symbols) {
   GateAngles out;
-  out.q0 = g.q0;
-  out.q1 = g.q1;
   out.two = g.arity() == 2;
+  out.q0 = g.q0;
+  out.q1 = out.two ? g.q1 : 0;
   const std::size_t sels = out.two ? 4 : 2;
   // Phase angles of the entries at angle 1 (parameterized kinds, whose
   // angles are linear in it) or of the fixed entries.
@@ -230,40 +219,207 @@ GateAngles gate_angles(const Gate& g, std::span<const std::size_t> symbols) {
   return out;
 }
 
+std::size_t gate_sel(const GateAngles& g, std::size_t i) {
+  return g.two ? ((((i >> g.q0) & 1) << 1) | ((i >> g.q1) & 1))
+               : ((i >> g.q0) & 1);
+}
+
 /// Adds `g`'s term to dst[k] for each amplitude lo + k of [lo, lo + len),
 /// where len is a power of two and lo a multiple of it. The selector is
-/// constant on aligned runs of 2^(lowest gate qubit) amplitudes, so each run
-/// adds one value.
+/// constant on aligned runs of 2^(lowest gate qubit) amplitudes. Runs
+/// shorter than kPattern amplitudes add a fixed kPattern-amplitude pattern
+/// instead, which holds across each aligned 2^(other gate qubit) stretch
+/// (or the whole range).
 void add_gate_terms(const GateAngles& g, std::size_t lo, std::size_t len,
                     double* dst) {
+  constexpr std::size_t kPattern = 8;
   const std::size_t low = g.two ? std::min(g.q0, g.q1) : g.q0;
+  if ((std::size_t{1} << low) < kPattern && len >= kPattern) {
+    const std::size_t high = g.two ? std::max(g.q0, g.q1) : 0;
+    const std::size_t period = (std::size_t{1} << high) >= kPattern
+                                   ? std::min(std::size_t{1} << high, len)
+                                   : len;
+    for (std::size_t b = 0; b < len; b += period) {
+      double t[kPattern];
+      for (std::size_t j = 0; j < kPattern; ++j)
+        t[j] = g.terms[gate_sel(g, lo + b + j)];
+      for (std::size_t k = b; k < b + period; k += kPattern)
+        for (std::size_t j = 0; j < kPattern; ++j) dst[k + j] += t[j];
+    }
+    return;
+  }
   const std::size_t run = std::min(std::size_t{1} << low, len);
   for (std::size_t b = 0; b < len; b += run) {
-    const std::size_t i = lo + b;
-    const std::size_t sel =
-        g.two ? ((((i >> g.q0) & 1) << 1) | ((i >> g.q1) & 1))
-              : ((i >> g.q0) & 1);
-    const double term = g.terms[sel];
+    const double term = g.terms[gate_sel(g, lo + b)];
     for (std::size_t k = b; k < b + run; ++k) dst[k] += term;
   }
 }
 
-/// Builds one DiagTable op replacing the diagonal ops in `run`, or nullopt
-/// when the run has more phase classes than the table can index.
+/// First-seen numbering of (double, double) keys, compared by bit pattern
+/// in an open-addressing table with linear probing. The build's sums start
+/// from +0.0 and class ids are non-negative, so no key holds a -0.0 and
+/// bit equality is value equality.
+class FirstSeenIds {
+ public:
+  static constexpr std::uint32_t kFull = static_cast<std::uint32_t>(-1);
+
+  explicit FirstSeenIds(std::size_t max_ids)
+      : max_ids_(max_ids), slots_(64, kEmpty) {}
+
+  /// The id of (a, b), numbering it next when unseen; kFull when unseen and
+  /// max_ids keys are numbered already.
+  std::uint32_t id(double a, double b) {
+    const Key key{std::bit_cast<std::uint64_t>(a),
+                  std::bit_cast<std::uint64_t>(b)};
+    std::size_t s = slot_of(key);
+    for (; slots_[s] != kEmpty; s = (s + 1) & (slots_.size() - 1))
+      if (keys_[slots_[s]] == key) return slots_[s];
+    if (keys_.size() >= max_ids_) return kFull;
+    const auto fresh = static_cast<std::uint32_t>(keys_.size());
+    keys_.push_back(key);
+    slots_[s] = fresh;
+    if (2 * keys_.size() > slots_.size()) grow();
+    return fresh;
+  }
+
+  [[nodiscard]] std::size_t size() const { return keys_.size(); }
+
+  /// The key numbered `id`.
+  [[nodiscard]] std::pair<double, double> key(std::size_t id) const {
+    return {std::bit_cast<double>(keys_[id].first),
+            std::bit_cast<double>(keys_[id].second)};
+  }
+
+ private:
+  using Key = std::pair<std::uint64_t, std::uint64_t>;
+  static constexpr std::uint32_t kEmpty = static_cast<std::uint32_t>(-1);
+
+  /// The keys' entropy sits in their high bits (exponents, leading
+  /// mantissa bits, small class ids), so a splitmix64 finalizer folds it
+  /// down into the slot bits.
+  std::size_t slot_of(const Key& key) const {
+    std::uint64_t h = key.first * 0x9e3779b97f4a7c15ULL + key.second;
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+    return static_cast<std::size_t>(h) & (slots_.size() - 1);
+  }
+
+  void grow() {
+    slots_.assign(2 * slots_.size(), kEmpty);
+    for (std::uint32_t id = 0; id < keys_.size(); ++id) {
+      std::size_t s = slot_of(keys_[id]);
+      while (slots_[s] != kEmpty) s = (s + 1) & (slots_.size() - 1);
+      slots_[s] = id;
+    }
+  }
+
+  std::size_t max_ids_;
+  std::vector<std::uint32_t> slots_;  ///< id per slot, or kEmpty
+  std::vector<Key> keys_;             ///< keys_[id], first seen first
+};
+
+std::atomic<std::uint64_t> g_phase_table_builds{0};
+
+/// Builds the phase table of a diagonal run from its gates' angle terms, or
+/// null when the run has more phase classes than the table can index.
 ///
 /// Classes are numbered by refinement, one round per symbol: round 0 keys on
-/// (constant angle, coefficient of symbols[0]); round r keys on (class from
-/// round r - 1, coefficient of symbols[r]). Each round refines the last, so
-/// the final round's ids are the distinct rows and no round outgrows the
-/// final class count. The amplitudes are walked chunk by chunk with one
+/// (constant angle, coefficient of slot 0); round r keys on (class from
+/// round r - 1, coefficient of slot r). Each round refines the last, so the
+/// final round's ids are the distinct rows and no round outgrows the final
+/// class count. The amplitudes are walked chunk by chunk with one
 /// coefficient buffer reused across rounds, so the build's scratch is a few
 /// chunk-sized buffers whatever the number of symbols; each amplitude's
 /// angles sum their gates' terms in gate order.
-std::optional<CompiledOp> build_phase_table(
-    std::span<const CompiledOp> run, std::size_t num_qubits) {
+std::shared_ptr<const PhaseTable> build_phase_table(
+    std::span<const GateAngles> gates, std::size_t num_qubits,
+    std::size_t num_syms) {
   constexpr std::size_t kMaxClasses = 65535;
-  constexpr std::size_t kChunk = 4096;
+  constexpr std::size_t kChunk = 1024;
+  const std::size_t rounds = std::max<std::size_t>(num_syms, 1);
+  g_phase_table_builds.fetch_add(1, std::memory_order_relaxed);
 
+  auto out = std::make_shared<PhaseTable>();
+  std::vector<FirstSeenIds> numbering(rounds, FirstSeenIds(kMaxClasses));
+  const std::size_t dim = std::size_t{1} << num_qubits;
+  const std::size_t chunk = std::min(dim, kChunk);
+  std::vector<double> base(chunk), coef(chunk);
+  out->classes.resize(dim);
+  for (std::size_t lo = 0; lo < dim; lo += chunk) {
+    std::uint16_t* cls = out->classes.data() + lo;
+    for (std::size_t r = 0; r < rounds; ++r) {
+      if (r == 0) std::fill(base.begin(), base.end(), 0.0);
+      std::fill(coef.begin(), coef.end(), 0.0);
+      for (const GateAngles& g : gates) {
+        if (g.slot == r)
+          add_gate_terms(g, lo, chunk, coef.data());
+        else if (r == 0 && g.slot == GateAngles::kNoSlot)
+          add_gate_terms(g, lo, chunk, base.data());
+      }
+      FirstSeenIds& ids = numbering[r];
+      for (std::size_t k = 0; k < chunk; ++k) {
+        const std::uint32_t id =
+            ids.id(r == 0 ? base[k] : static_cast<double>(cls[k]), coef[k]);
+        if (id == FirstSeenIds::kFull) return nullptr;
+        cls[k] = static_cast<std::uint16_t>(id);
+      }
+    }
+  }
+
+  // Unwind each final class through the rounds into its (constant,
+  // coefficients) row.
+  const std::size_t num_classes = numbering.back().size();
+  out->class_const.resize(num_classes);
+  out->class_scale.resize(num_classes * num_syms);
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    std::size_t id = c;
+    for (std::size_t r = rounds; r-- > 0;) {
+      const auto [prev, scale] = numbering[r].key(id);
+      if (num_syms > 0) out->class_scale[c * num_syms + r] = scale;
+      if (r == 0)
+        out->class_const[c] = prev;
+      else
+        id = static_cast<std::size_t>(prev);
+    }
+  }
+  if (num_syms == 0) {
+    // Fully constant run: bake the per-class phases once at compile time.
+    out->lut.resize(num_classes);
+    for (std::size_t c = 0; c < num_classes; ++c)
+      out->lut[c] = std::polar(1.0, out->class_const[c]);
+  }
+  return out;
+}
+
+/// The PhaseTableCache key of a run: exactly the inputs of
+/// build_phase_table, byte for byte.
+std::string phase_table_key(std::span<const GateAngles> gates,
+                            std::size_t num_qubits, std::size_t num_syms) {
+  std::string key;
+  key.reserve(16 + gates.size() * 64);
+  const auto put = [&key](const void* p, std::size_t n) {
+    key.append(static_cast<const char*>(p), n);
+  };
+  const std::uint64_t head[2] = {num_qubits, num_syms};
+  put(head, sizeof(head));
+  for (const GateAngles& g : gates) {
+    const std::uint64_t ids[4] = {g.q0, g.q1, g.two ? 1u : 0u, g.slot};
+    put(ids, sizeof(ids));
+    put(g.terms, sizeof(g.terms));
+  }
+  return key;
+}
+
+/// One DiagTable op replacing the diagonal ops in `run`, or nullopt when
+/// the run overflows the table. A run of at most one symbol takes its table
+/// from `cache` when there is one; in a QAOA ansatz a run over more spans a
+/// mixer's angles, which no other candidate shares, so it builds its own.
+std::optional<CompiledOp> fold_run(std::span<const CompiledOp> run,
+                                   std::size_t num_qubits,
+                                   PhaseTableCache* cache) {
   CompiledOp out;
   out.kind = CompiledOp::Kind::DiagTable;
   for (const CompiledOp& op : run)
@@ -274,75 +430,20 @@ std::optional<CompiledOp> build_phase_table(
   out.symbols.erase(std::unique(out.symbols.begin(), out.symbols.end()),
                     out.symbols.end());
   out.parameterized = !out.symbols.empty();
-  const std::size_t num_syms = out.symbols.size();
-  const std::size_t rounds = std::max<std::size_t>(num_syms, 1);
 
   std::vector<GateAngles> gates;
   for (const CompiledOp& op : run)
     for (const Gate& g : op.sources)
       gates.push_back(gate_angles(g, out.symbols));
-
-  struct Round {
-    std::unordered_map<std::pair<double, double>, std::uint16_t, AngleKeyHash>
-        ids;
-    std::vector<std::pair<double, double>> keys;  ///< keys[id], first seen
+  const auto build = [&] {
+    return build_phase_table(gates, num_qubits, out.symbols.size());
   };
-  std::vector<Round> numbering(rounds);
-
-  const std::size_t dim = std::size_t{1} << num_qubits;
-  const std::size_t chunk = std::min(dim, kChunk);
-  std::vector<double> base(chunk), coef(chunk);
-  out.classes.resize(dim);
-  for (std::size_t lo = 0; lo < dim; lo += chunk) {
-    std::uint16_t* cls = out.classes.data() + lo;
-    for (std::size_t r = 0; r < rounds; ++r) {
-      if (r == 0) std::fill(base.begin(), base.end(), 0.0);
-      std::fill(coef.begin(), coef.end(), 0.0);
-      for (const GateAngles& g : gates) {
-        if (g.slot == r)
-          add_gate_terms(g, lo, chunk, coef.data());
-        else if (r == 0 && g.slot == GateAngles::kNoSlot)
-          add_gate_terms(g, lo, chunk, base.data());
-      }
-      Round& round = numbering[r];
-      for (std::size_t k = 0; k < chunk; ++k) {
-        const std::pair<double, double> key{
-            r == 0 ? base[k] : static_cast<double>(cls[k]), coef[k]};
-        auto it = round.ids.find(key);
-        if (it == round.ids.end()) {
-          if (round.keys.size() >= kMaxClasses) return std::nullopt;
-          it = round.ids
-                   .emplace(key, static_cast<std::uint16_t>(round.keys.size()))
-                   .first;
-          round.keys.push_back(key);
-        }
-        cls[k] = it->second;
-      }
-    }
-  }
-
-  // Unwind each final class through the rounds into its (constant,
-  // coefficients) row.
-  const std::size_t num_classes = numbering.back().keys.size();
-  out.class_const.resize(num_classes);
-  out.class_scale.resize(num_classes * num_syms);
-  for (std::size_t c = 0; c < num_classes; ++c) {
-    std::size_t id = c;
-    for (std::size_t r = rounds; r-- > 0;) {
-      const auto& [prev, scale] = numbering[r].keys[id];
-      if (num_syms > 0) out.class_scale[c * num_syms + r] = scale;
-      if (r == 0)
-        out.class_const[c] = prev;
-      else
-        id = static_cast<std::size_t>(prev);
-    }
-  }
-  if (num_syms == 0) {
-    // Fully constant run: bake the per-class phases once at compile time.
-    out.lut.resize(num_classes);
-    for (std::size_t c = 0; c < num_classes; ++c)
-      out.lut[c] = std::polar(1.0, out.class_const[c]);
-  }
+  out.table = cache != nullptr && out.symbols.size() <= 1
+                  ? cache->get(phase_table_key(gates, num_qubits,
+                                               out.symbols.size()),
+                               build)
+                  : build();
+  if (out.table == nullptr) return std::nullopt;
   for (const CompiledOp& op : run)
     out.sources.insert(out.sources.end(), op.sources.begin(),
                        op.sources.end());
@@ -354,7 +455,8 @@ std::optional<CompiledOp> build_phase_table(
 /// (they commute, so the gathered diagonals legally move to the run's start);
 /// any op touching a qubit blocks it for the rest of the gather.
 std::vector<CompiledOp> fold_phase_tables(std::vector<CompiledOp> ops,
-                                          std::size_t num_qubits) {
+                                          std::size_t num_qubits,
+                                          PhaseTableCache* cache) {
   std::vector<CompiledOp> out;
   out.reserve(ops.size());
   std::size_t i = 0;
@@ -386,8 +488,7 @@ std::vector<CompiledOp> fold_phase_tables(std::vector<CompiledOp> ops,
     }
     std::optional<CompiledOp> table;
     if (run.size() >= 2)
-      table = build_phase_table(
-          std::span<const CompiledOp>(run.data(), run.size()), num_qubits);
+      table = fold_run(run, num_qubits, cache);
     if (table.has_value()) {
       out.push_back(std::move(*table));
     } else {
@@ -432,7 +533,36 @@ void reset_program_compile_count() {
   g_program_compiles.store(0, std::memory_order_relaxed);
 }
 
-SimProgram::SimProgram(const circuit::Circuit& circuit, PlanOptions options)
+std::uint64_t phase_table_build_count() {
+  return g_phase_table_builds.load(std::memory_order_relaxed);
+}
+
+bool PhaseTableCache::touch(const std::string& key) {
+  for (auto it = entries_.begin(); it != entries_.end(); ++it)
+    if (it->first == key) {
+      entries_.splice(entries_.begin(), entries_, it);
+      return true;
+    }
+  return false;
+}
+
+std::shared_ptr<const PhaseTable> PhaseTableCache::get(
+    const std::string& key,
+    const std::function<std::shared_ptr<const PhaseTable>()>& build) {
+  {
+    LockGuard lock(mutex_);
+    if (touch(key)) return entries_.front().second;
+  }
+  std::shared_ptr<const PhaseTable> table = build();
+  LockGuard lock(mutex_);
+  if (touch(key)) return entries_.front().second;
+  entries_.emplace_front(key, std::move(table));
+  if (entries_.size() > kCapacity) entries_.pop_back();
+  return entries_.front().second;
+}
+
+SimProgram::SimProgram(const circuit::Circuit& circuit, PlanOptions options,
+                       PhaseTableCache* tables)
     : num_qubits_(circuit.num_qubits()),
       num_params_(circuit.num_params()),
       options_(options) {
@@ -533,7 +663,7 @@ SimProgram::SimProgram(const circuit::Circuit& circuit, PlanOptions options)
     // adjacency; iterate to a fixed point (a handful of rounds at most).
     for (int round = 0; round < 4; ++round) {
       const std::size_t before = ops_.size();
-      ops_ = fold_phase_tables(std::move(ops_), num_qubits_);
+      ops_ = fold_phase_tables(std::move(ops_), num_qubits_, tables);
       if (ops_.size() == before) break;
     }
   }
@@ -613,10 +743,11 @@ void SimProgram::apply_inplace(State& state, std::span<const double> theta,
       if (scratch.luts.size() <= num_sym_tables) scratch.luts.emplace_back();
       std::vector<cplx>& bound = scratch.luts[num_sym_tables++];
       const std::size_t num_syms = op.symbols.size();
-      bound.resize(op.class_const.size());
+      const PhaseTable& table = *op.table;
+      bound.resize(table.class_const.size());
       for (std::size_t c = 0; c < bound.size(); ++c) {
-        const double* scale = op.class_scale.data() + c * num_syms;
-        double angle = op.class_const[c];
+        const double* scale = table.class_scale.data() + c * num_syms;
+        double angle = table.class_const[c];
         for (std::size_t s = 0; s < num_syms; ++s)
           angle += scale[s] * theta[op.symbols[s]];
         bound[c] = std::polar(1.0, angle);
@@ -633,7 +764,8 @@ void SimProgram::apply_inplace(State& state, std::span<const double> theta,
       const CompiledOp& op = ops_[oi];
       if (op.kind == CompiledOp::Kind::DiagTable)
         scratch.lut[oi] =
-            op.symbols.empty() ? op.lut.data() : scratch.luts[nl++].data();
+            op.symbols.empty() ? op.table->lut.data()
+                               : scratch.luts[nl++].data();
       else
         scratch.cf[oi] = op.parameterized ? scratch.coeffs[nc++].data()
                                           : op.coeffs.data();
@@ -653,7 +785,8 @@ void SimProgram::apply_inplace(State& state, std::span<const double> theta,
         simd::diag2_slice(z, len, base, op.q0, op.q1, cf[oi], use_simd);
         break;
       case CompiledOp::Kind::DiagTable:
-        simd::table_slice(z, op.classes.data() + base, lut[oi], len, use_simd);
+        simd::table_slice(z, op.table->classes.data() + base, lut[oi], len,
+                          use_simd);
         break;
       case CompiledOp::Kind::Single:
         // Valid because base is aligned to the block size and q0 lies below
@@ -701,13 +834,13 @@ void SimProgram::apply_inplace(State& state, std::span<const double> theta,
                 0, state.size(),
                 [&](std::size_t lo, std::size_t hi) {
                   simd::table_slice(state.data() + lo,
-                                    op.classes.data() + lo, lut[oi], hi - lo,
-                                    use_simd);
+                                    op.table->classes.data() + lo, lut[oi],
+                                    hi - lo, use_simd);
                 },
                 workers, 4096);
           else
-            simd::table_slice(state.data(), op.classes.data(), lut[oi],
-                              state.size(), use_simd);
+            simd::table_slice(state.data(), op.table->classes.data(),
+                              lut[oi], state.size(), use_simd);
           break;
         case CompiledOp::Kind::Single:
           kernel_single(state, op.q0, cf[oi], workers, threshold, use_simd);

@@ -23,10 +23,16 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <list>
+#include <memory>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "common/annotations.hpp"
 #include "sim/statevector.hpp"
 
 namespace qarch::sim {
@@ -50,10 +56,12 @@ struct PlanOptions {
   /// Fold each run of consecutive diagonal ops, whatever symbolic
   /// parameters it carries (an entire QAOA cost layer, or a whole
   /// all-diagonal ansatz), into ONE streaming pass: a per-amplitude
-  /// phase-class table baked at compile time plus a per-theta phase lookup
-  /// rebuilt from a few scalars per class. A run whose classes overflow the
-  /// table's 16-bit index stays plain Diag1/Diag2 ops. Requires
-  /// diagonal_kernels.
+  /// phase-class table (a PhaseTable) baked at compile time plus a
+  /// per-theta phase lookup rebuilt from a few scalars per class. A run
+  /// whose classes overflow the table's 16-bit index stays plain
+  /// Diag1/Diag2 ops. Requires diagonal_kernels. A program compiled through
+  /// a PhaseTableCache shares the table of each run of at most one symbol
+  /// with every other program of that cache that folds an equal run.
   bool phase_tables = true;
   /// Per-amplitude table memory guard: above this many qubits a program
   /// bakes no phase tables, and a statevector qaoa::EnergyEvaluator builds
@@ -87,6 +95,18 @@ struct PlanOptions {
   }
 };
 
+/// The structural half of a DiagTable op: per-amplitude phase-class ids and
+/// each class's angle terms. It depends only on which gates the diagonal
+/// run holds and on which symbol SLOT (rank among the run's symbols) each
+/// gate reads, never on the theta indices, so one table serves every cost
+/// layer of a graph: γ₁'s layer and γ₂'s alike.
+struct PhaseTable {
+  std::vector<std::uint16_t> classes;  ///< per-amplitude phase-class id
+  std::vector<double> class_const;     ///< per-class constant angle
+  std::vector<double> class_scale;     ///< classes x S slot coefficients
+  std::vector<linalg::cplx> lut;       ///< baked phases when S == 0
+};
+
 /// One compiled operation. Non-parameterized ops carry their final
 /// coefficients; parameterized ops additionally keep the source gates they
 /// were fused from and recompute the coefficients per theta.
@@ -106,16 +126,16 @@ struct CompiledOp {
   std::array<linalg::cplx, 16> coeffs{};
   std::vector<circuit::Gate> sources;  ///< gates fused into this op
 
-  // DiagTable payload. With S = symbols.size(), the op applies
-  //   state[i] *= exp(i * (class_const[c] +
-  //                        sum_s class_scale[c * S + s] * theta[symbols[s]]))
-  // with c = classes[i]; the class table depends only on circuit structure,
-  // so a new theta costs one exp() per CLASS instead of per amplitude.
-  std::vector<std::uint16_t> classes;  ///< per-amplitude phase-class id
-  std::vector<double> class_const;     ///< per-class constant angle
-  std::vector<double> class_scale;     ///< classes x S theta coefficients
-  std::vector<std::size_t> symbols;    ///< ascending theta indices
-  std::vector<linalg::cplx> lut;       ///< baked phases when S == 0
+  // DiagTable payload. With S = symbols.size() and t = *table, the op
+  // applies
+  //   state[i] *= exp(i * (t.class_const[c] +
+  //                        sum_s t.class_scale[c * S + s] * theta[symbols[s]]))
+  // with c = t.classes[i]; a new theta costs one exp() per CLASS instead of
+  // per amplitude. The theta indices stay per op; the table is read-only
+  // and may be shared with every op (of this program, or of another
+  // compiled through the same PhaseTableCache) that folds an equal run.
+  std::vector<std::size_t> symbols;  ///< ascending theta indices
+  std::shared_ptr<const PhaseTable> table;
 };
 
 /// Per-program compilation statistics (reported by the benches).
@@ -140,6 +160,50 @@ struct ProgramStats {
 std::uint64_t program_compile_count();
 void reset_program_compile_count();
 
+/// Number of phase tables built since the process started, through a
+/// PhaseTableCache or not. Thread-safe. Tests take differences of it to
+/// prove that a graph's cost-layer table is built once for all its
+/// candidates.
+std::uint64_t phase_table_build_count();
+
+/// A fixed-capacity LRU of the phase tables that recur across programs,
+/// keyed by everything a table's build reads: the qubit count, the number
+/// of symbols, and per source gate its qubits, arity, four per-selector
+/// angle terms and symbol slot. Equal keys give bit-identical tables, so
+/// every program compiled through one cache shares one table per distinct
+/// diagonal run; a graph's cost-layer table is built once for all its
+/// candidates (qaoa::EnergyEvaluator owns one cache per graph). Only runs
+/// of at most one symbol go through it: in a QAOA ansatz a run over two or
+/// more spans a mixer's angles, so its table belongs to one candidate and
+/// its program keeps it alone.
+///
+/// Thread-safe. Tables build outside the lock; when two compilations race
+/// on one key, both build and the table cached first is the one both get.
+/// Lock tier cache.phasetables (rank 55 in common/lock_order.hpp): taken
+/// only while a SimProgram compiles, never on the replay path.
+class PhaseTableCache {
+ public:
+  /// Tables kept: a graph's cost layer plus a few one-symbol mixer runs (a
+  /// diagonal mixer gate after a non-diagonal one). Each holds 2 bytes per
+  /// amplitude.
+  static constexpr std::size_t kCapacity = 4;
+
+  /// The table cached under `key`, or `build()` (cached in its place) on a
+  /// miss. A null table, for a run whose classes overflow, is cached too.
+  std::shared_ptr<const PhaseTable> get(
+      const std::string& key,
+      const std::function<std::shared_ptr<const PhaseTable>()>& build);
+
+ private:
+  /// Moves `key`'s entry to the front; false when there is none.
+  bool touch(const std::string& key) QARCH_REQUIRES(mutex_);
+
+  Mutex mutex_{55, "cache.phasetables"};
+  /// Most recently used first.
+  std::list<std::pair<std::string, std::shared_ptr<const PhaseTable>>>
+      entries_ QARCH_GUARDED_BY(mutex_);
+};
+
 /// A circuit compiled against fixed structure, replayable for any theta.
 /// Thread-safe after construction: run() binds parameterized coefficients
 /// into locals, so one program may be shared across search workers.
@@ -147,12 +211,16 @@ void reset_program_compile_count();
 /// Thread-safety contract: SimProgram owns NO qarch::Mutex — all members
 /// are immutable after the constructor returns, so concurrent run() calls
 /// need no synchronization (the compile counter above is a lone
-/// std::atomic, and per-replay scratch is thread_local). If a future change
-/// adds mutable shared state, it must take an annotated qarch::Mutex with a
-/// rank from common/lock_order.hpp, not a raw std::mutex.
+/// std::atomic, per-replay scratch is thread_local, and shared phase tables
+/// are const). If a future change adds mutable shared state, it must take
+/// an annotated qarch::Mutex with a rank from common/lock_order.hpp, not a
+/// raw std::mutex.
 class SimProgram {
  public:
-  explicit SimProgram(const circuit::Circuit& circuit, PlanOptions options = {});
+  /// Compiles `circuit`. With a `tables` cache, phase tables come from (and
+  /// go to) it; the program keeps only the tables, not the cache.
+  explicit SimProgram(const circuit::Circuit& circuit, PlanOptions options = {},
+                      PhaseTableCache* tables = nullptr);
 
   [[nodiscard]] std::size_t num_qubits() const { return num_qubits_; }
   [[nodiscard]] std::size_t num_params() const { return num_params_; }

@@ -219,28 +219,65 @@ QARCH_AVX2_FN void table_slice_avx2(cplx* z, const std::uint16_t* cls,
   }
 }
 
+/// The four entries of a row-major 2x2, each broadcast as (re, im).
+struct Bcast2x2 {
+  __m256d r[4];
+  __m256d i[4];
+};
+
+QARCH_AVX2_FN inline Bcast2x2 bcast_2x2(const cplx* m) {
+  Bcast2x2 b;
+  for (std::size_t k = 0; k < 4; ++k) {
+    b.r[k] = _mm256_set1_pd(m[k].real());
+    b.i[k] = _mm256_set1_pd(m[k].imag());
+  }
+  return b;
+}
+
+/// (a, b) <- M (a, b) on two registers of two complex lanes each.
+QARCH_AVX2_FN inline void pair_step(__m256d& za, __m256d& zb,
+                                    const Bcast2x2& m) {
+  const __m256d na = _mm256_add_pd(cmul_bcast(za, m.r[0], m.i[0]),
+                                   cmul_bcast(zb, m.r[1], m.i[1]));
+  const __m256d nb = _mm256_add_pd(cmul_bcast(za, m.r[2], m.i[2]),
+                                   cmul_bcast(zb, m.r[3], m.i[3]));
+  za = na;
+  zb = nb;
+}
+
 /// n must be a multiple of 2.
 QARCH_AVX2_FN void single_pairs_avx2(cplx* a, cplx* b, std::size_t n,
                                      const cplx* m) {
   double* da = reinterpret_cast<double*>(a);
   double* db = reinterpret_cast<double*>(b);
-  const __m256d m00r = _mm256_set1_pd(m[0].real()),
-                m00i = _mm256_set1_pd(m[0].imag());
-  const __m256d m01r = _mm256_set1_pd(m[1].real()),
-                m01i = _mm256_set1_pd(m[1].imag());
-  const __m256d m10r = _mm256_set1_pd(m[2].real()),
-                m10i = _mm256_set1_pd(m[2].imag());
-  const __m256d m11r = _mm256_set1_pd(m[3].real()),
-                m11i = _mm256_set1_pd(m[3].imag());
+  const Bcast2x2 mb = bcast_2x2(m);
   for (std::size_t i = 0; i < n; i += 2) {
-    const __m256d za = _mm256_loadu_pd(da + 2 * i);
-    const __m256d zb = _mm256_loadu_pd(db + 2 * i);
-    const __m256d na =
-        _mm256_add_pd(cmul_bcast(za, m00r, m00i), cmul_bcast(zb, m01r, m01i));
-    const __m256d nb =
-        _mm256_add_pd(cmul_bcast(za, m10r, m10i), cmul_bcast(zb, m11r, m11i));
-    _mm256_storeu_pd(da + 2 * i, na);
-    _mm256_storeu_pd(db + 2 * i, nb);
+    __m256d za = _mm256_loadu_pd(da + 2 * i);
+    __m256d zb = _mm256_loadu_pd(db + 2 * i);
+    pair_step(za, zb, mb);
+    _mm256_storeu_pd(da + 2 * i, za);
+    _mm256_storeu_pd(db + 2 * i, zb);
+  }
+}
+
+/// The Single pair walk for q >= 1 over WHOLE runs: pair run r couples the
+/// 2^q amplitudes at 2^(q+1)·r with the 2^q above them. klo and khi must be
+/// multiples of 2^q.
+QARCH_AVX2_FN void single_runs_avx2(cplx* z, std::size_t q, const cplx* m,
+                                    std::size_t klo, std::size_t khi) {
+  double* d = reinterpret_cast<double*>(z);
+  const Bcast2x2 mb = bcast_2x2(m);
+  const std::size_t half = std::size_t{1} << q;
+  for (std::size_t k = klo; k < khi; k += half) {
+    double* da = d + 2 * ((k >> q) << (q + 1));
+    double* db = da + 2 * half;
+    for (std::size_t j = 0; j < 2 * half; j += 4) {
+      __m256d za = _mm256_loadu_pd(da + j);
+      __m256d zb = _mm256_loadu_pd(db + j);
+      pair_step(za, zb, mb);
+      _mm256_storeu_pd(da + j, za);
+      _mm256_storeu_pd(db + j, zb);
+    }
   }
 }
 
@@ -250,25 +287,15 @@ QARCH_AVX2_FN void single_pairs_avx2(cplx* a, cplx* b, std::size_t n,
 QARCH_AVX2_FN void single_q0_avx2(cplx* z, const cplx* m, std::size_t klo,
                                   std::size_t khi) {
   double* d = reinterpret_cast<double*>(z);
-  const __m256d m00r = _mm256_set1_pd(m[0].real()),
-                m00i = _mm256_set1_pd(m[0].imag());
-  const __m256d m01r = _mm256_set1_pd(m[1].real()),
-                m01i = _mm256_set1_pd(m[1].imag());
-  const __m256d m10r = _mm256_set1_pd(m[2].real()),
-                m10i = _mm256_set1_pd(m[2].imag());
-  const __m256d m11r = _mm256_set1_pd(m[3].real()),
-                m11i = _mm256_set1_pd(m[3].imag());
+  const Bcast2x2 mb = bcast_2x2(m);
   for (std::size_t k = klo; k < khi; k += 2) {
     const __m256d v0 = _mm256_loadu_pd(d + 4 * k);      // [a0, b0]
     const __m256d v1 = _mm256_loadu_pd(d + 4 * k + 4);  // [a1, b1]
-    const __m256d za = _mm256_permute2f128_pd(v0, v1, 0x20);  // [a0, a1]
-    const __m256d zb = _mm256_permute2f128_pd(v0, v1, 0x31);  // [b0, b1]
-    const __m256d na =
-        _mm256_add_pd(cmul_bcast(za, m00r, m00i), cmul_bcast(zb, m01r, m01i));
-    const __m256d nb =
-        _mm256_add_pd(cmul_bcast(za, m10r, m10i), cmul_bcast(zb, m11r, m11i));
-    _mm256_storeu_pd(d + 4 * k, _mm256_permute2f128_pd(na, nb, 0x20));
-    _mm256_storeu_pd(d + 4 * k + 4, _mm256_permute2f128_pd(na, nb, 0x31));
+    __m256d za = _mm256_permute2f128_pd(v0, v1, 0x20);  // [a0, a1]
+    __m256d zb = _mm256_permute2f128_pd(v0, v1, 0x31);  // [b0, b1]
+    pair_step(za, zb, mb);
+    _mm256_storeu_pd(d + 4 * k, _mm256_permute2f128_pd(za, zb, 0x20));
+    _mm256_storeu_pd(d + 4 * k + 4, _mm256_permute2f128_pd(za, zb, 0x31));
   }
 }
 
@@ -482,6 +509,26 @@ void single_pairs(cplx* a, cplx* b, std::size_t n, const cplx* m,
   single_pairs_scalar(a, b, n, m);
 }
 
+namespace {
+
+/// Pair index k walks bit-q=0 amplitudes in order; consecutive k within one
+/// 2^q run map to CONTIGUOUS i0, so the walk decomposes into paired
+/// contiguous segments, one dispatched call each. q >= 1.
+void single_runs(cplx* z, std::size_t q, const cplx* m, std::size_t klo,
+                 std::size_t khi, bool use_simd) {
+  const std::size_t half = std::size_t{1} << q;
+  std::size_t k = klo;
+  while (k < khi) {
+    const std::size_t off = k & (half - 1);
+    const std::size_t i0 = ((k >> q) << (q + 1)) | off;
+    const std::size_t len = std::min(khi - k, half - off);
+    single_pairs(z + i0, z + i0 + half, len, m, use_simd);
+    k += len;
+  }
+}
+
+}  // namespace
+
 void single_pair_range(cplx* z, std::size_t q, const cplx* m, std::size_t klo,
                        std::size_t khi, bool use_simd) {
   if (q == 0) {
@@ -499,18 +546,21 @@ void single_pair_range(cplx* z, std::size_t q, const cplx* m, std::size_t klo,
     }
     return;
   }
-  // Pair index k walks bit-q=0 amplitudes in order; consecutive k within one
-  // 2^q run map to CONTIGUOUS i0, so the walk decomposes into paired
-  // contiguous segments.
-  const std::size_t half = std::size_t{1} << q;
-  std::size_t k = klo;
-  while (k < khi) {
-    const std::size_t off = k & (half - 1);
-    const std::size_t i0 = ((k >> q) << (q + 1)) | off;
-    const std::size_t len = std::min(khi - k, half - off);
-    single_pairs(z + i0, z + i0 + half, len, m, use_simd);
-    k += len;
+#if QARCH_SIMD_X86
+  if (use_simd && active()) {
+    // Every whole 2^q run of the range goes to one AVX2 call (one set of
+    // broadcasts per slice, not per run); the partial runs at either end
+    // keep the run-wise walk, since an AVX2 body may hold no scalar loop.
+    const std::size_t mask = (std::size_t{1} << q) - 1;
+    const std::size_t head = std::min(khi, (klo + mask) & ~mask);
+    const std::size_t tail = std::max(head, khi & ~mask);
+    single_runs(z, q, m, klo, head, use_simd);
+    single_runs_avx2(z, q, m, head, tail);
+    single_runs(z, q, m, tail, khi, use_simd);
+    return;
   }
+#endif
+  single_runs(z, q, m, klo, khi, use_simd);
 }
 
 void two_quad_range(cplx* z, std::size_t q0, std::size_t q1, const cplx* m,

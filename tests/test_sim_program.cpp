@@ -9,6 +9,7 @@
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
+#include "parallel/parallel_for.hpp"
 #include "qaoa/ansatz.hpp"
 #include "qaoa/energy.hpp"
 #include "search/evaluator.hpp"
@@ -233,6 +234,159 @@ TEST(SimProgram, PhaseTablesMatchPerGateDiagonalKernels) {
                           unfolded.run_from_plus(theta, workers), 1e-10,
                           "trial " + std::to_string(trial));
   }
+}
+
+/// The phase tables of a program's DiagTable ops, in op order.
+std::vector<const sim::PhaseTable*> tables_of(const sim::SimProgram& program) {
+  std::vector<const sim::PhaseTable*> out;
+  for (const auto& op : program.ops())
+    if (op.kind == sim::CompiledOp::Kind::DiagTable)
+      out.push_back(op.table.get());
+  return out;
+}
+
+TEST(PhaseTableCache, CandidatesAndLayersShareOneCostLayerTable) {
+  Rng rng(606);
+  const auto g = graph::random_regular(10, 3, rng);
+  sim::PhaseTableCache cache;
+  const auto qnas1 = qaoa::build_qaoa_circuit(g, 1, qaoa::MixerSpec::qnas());
+  const auto rx1 = qaoa::build_qaoa_circuit(g, 1, qaoa::MixerSpec::baseline());
+  const auto qnas2 = qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::qnas());
+  const std::uint64_t before = sim::phase_table_build_count();
+  const sim::SimProgram a(qnas1, {}, &cache);
+  const sim::SimProgram b(rx1, {}, &cache);
+  const sim::SimProgram c(qnas2, {}, &cache);
+
+  // Two candidates on one graph share one cost-layer table object, and so
+  // do both cost layers of a p = 2 program, whose ops keep their own γ.
+  ASSERT_EQ(tables_of(a).size(), 1u);
+  ASSERT_EQ(tables_of(b).size(), 1u);
+  ASSERT_EQ(tables_of(c).size(), 2u);
+  EXPECT_EQ(tables_of(a)[0], tables_of(b)[0]);
+  EXPECT_EQ(tables_of(c)[0], tables_of(a)[0]);
+  EXPECT_EQ(tables_of(c)[1], tables_of(a)[0]);
+  EXPECT_EQ(sim::phase_table_build_count() - before, 1u);
+  std::vector<std::vector<std::size_t>> gammas;
+  for (const auto& op : c.ops())
+    if (op.kind == sim::CompiledOp::Kind::DiagTable)
+      gammas.push_back(op.symbols);
+  EXPECT_EQ(gammas, (std::vector<std::vector<std::size_t>>{{0}, {2}}));
+
+  // Replays through the shared table equal a cache-free compile bit for bit.
+  const std::vector<double> theta = {0.7, -0.4, 1.2, 0.3};
+  for (const auto* circuit : {&qnas1, &rx1, &qnas2}) {
+    const std::uint64_t mark = sim::phase_table_build_count();
+    const sim::SimProgram shared(*circuit, {}, &cache);
+    EXPECT_EQ(sim::phase_table_build_count(), mark);
+    const sim::SimProgram fresh(*circuit);
+    expect_states_close(shared.run_from_plus(theta),
+                        fresh.run_from_plus(theta), 0.0,
+                        "p=" + std::to_string(circuit->num_params() / 2));
+  }
+
+  // An all-diagonal candidate's one table spans its mixer's angle too: each
+  // compile builds its own and the cache keeps only the cost layer's.
+  const auto rz1 = qaoa::build_qaoa_circuit(g, 1, qaoa::MixerSpec::parse("rz"));
+  const std::uint64_t mark = sim::phase_table_build_count();
+  const sim::SimProgram d(rz1, {}, &cache);
+  const sim::SimProgram e(rz1, {}, &cache);
+  ASSERT_EQ(tables_of(d).size(), 1u);
+  ASSERT_EQ(tables_of(e).size(), 1u);
+  EXPECT_NE(tables_of(d)[0], tables_of(e)[0]);
+  const sim::SimProgram f(rx1, {}, &cache);
+  EXPECT_EQ(tables_of(f)[0], tables_of(a)[0]);
+  EXPECT_EQ(sim::phase_table_build_count() - mark, 2u);
+
+  // A statevector energy evaluator compiles every plan through its cache.
+  qaoa::EnergyOptions sv;
+  sv.engine = qaoa::EngineKind::Statevector;
+  const qaoa::EnergyEvaluator ev(g, sv);
+  ASSERT_NE(ev.phase_tables(), nullptr);
+  const std::uint64_t plans = sim::phase_table_build_count();
+  (void)ev.plan_for(qnas1);
+  (void)ev.plan_for(rx1);
+  (void)ev.plan_for(qnas2);
+  EXPECT_EQ(sim::phase_table_build_count() - plans, 1u);
+}
+
+TEST(PhaseTableCache, KeepsTheMostRecentlyUsedTables) {
+  sim::PhaseTableCache cache;
+  std::size_t built = 0;
+  const auto build = [&] {
+    ++built;
+    return std::make_shared<const sim::PhaseTable>();
+  };
+  const auto first = cache.get("k0", build);
+  for (std::size_t k = 1; k < sim::PhaseTableCache::kCapacity; ++k)
+    (void)cache.get("k" + std::to_string(k), build);
+  EXPECT_EQ(cache.get("k0", build), first);  // a hit moves k0 to the front
+  (void)cache.get("new", build);             // evicts k1, the oldest
+  EXPECT_EQ(cache.get("k0", build), first);
+  EXPECT_EQ(built, sim::PhaseTableCache::kCapacity + 1);
+  (void)cache.get("k1", build);
+  EXPECT_EQ(built, sim::PhaseTableCache::kCapacity + 2);
+
+  // A run whose classes overflow caches its null table like any other.
+  const auto overflow = [&] {
+    ++built;
+    return std::shared_ptr<const sim::PhaseTable>();
+  };
+  EXPECT_EQ(cache.get("overflow", overflow), nullptr);
+  EXPECT_EQ(cache.get("overflow", overflow), nullptr);
+  EXPECT_EQ(built, sim::PhaseTableCache::kCapacity + 3);
+}
+
+TEST(PhaseTableCache, ConcurrentCompilesShareOneTable) {
+  Rng rng(707);
+  const auto g = graph::random_regular(12, 3, rng);
+  const auto ansatz = qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::qnas());
+  const std::vector<double> theta = {0.3, 0.9, -0.6, 0.2};
+  const sim::State want = sim::SimProgram(ansatz).run_from_plus(theta);
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    sim::PhaseTableCache cache;
+    std::vector<std::unique_ptr<sim::SimProgram>> programs(2 * threads);
+    const std::uint64_t before = sim::phase_table_build_count();
+    parallel::parallel_for(
+        0, programs.size(),
+        [&](std::size_t i) {
+          programs[i] =
+              std::make_unique<sim::SimProgram>(ansatz, sim::PlanOptions{},
+                                                &cache);
+        },
+        threads, 1);
+    // Racing misses may each build, but every program keeps the table the
+    // cache held first.
+    const std::uint64_t builds = sim::phase_table_build_count() - before;
+    EXPECT_GE(builds, 1u);
+    EXPECT_LE(builds, threads);
+    const auto* table = tables_of(*programs[0]).at(0);
+    for (const auto& program : programs) {
+      const auto tables = tables_of(*program);
+      ASSERT_EQ(tables.size(), 2u);
+      EXPECT_EQ(tables[0], table);
+      EXPECT_EQ(tables[1], table);
+      expect_states_close(program->run_from_plus(theta), want, 0.0,
+                          std::to_string(threads) + " threads");
+    }
+  }
+}
+
+TEST(PhaseTableCache, TensorNetworkScorerBuildsTheCostLayerOnce) {
+  // The TN engine's Eq. 3 scoring pass replays a one-shot statevector
+  // program per candidate; its cost-layer table comes from the energy
+  // evaluator's cache, built for the first candidate only.
+  Rng rng(808);
+  const auto g = graph::random_regular(8, 3, rng);
+  search::EvaluatorOptions opt;
+  opt.energy.engine = qaoa::EngineKind::TensorNetwork;
+  opt.cobyla.max_evals = 20;
+  const search::Evaluator evaluator(g, opt);
+  const std::uint64_t before = sim::phase_table_build_count();
+  const auto a = evaluator.evaluate(qaoa::MixerSpec::baseline(), 1);
+  const auto b = evaluator.evaluate(qaoa::MixerSpec::qnas(), 2);
+  EXPECT_EQ(sim::phase_table_build_count() - before, 1u);
+  EXPECT_GT(a.sampled_ratio, 0.0);
+  EXPECT_GT(b.sampled_ratio, 0.0);
 }
 
 TEST(BatchedZZ, MatchesPerEdgeExpectationOnRandomStates) {

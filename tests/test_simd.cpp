@@ -1,14 +1,20 @@
-// SIMD streaming passes: randomized equivalence of the AVX2/FMA bodies
-// against the scalar fallback on deliberately awkward shapes — lengths below
-// the vector width, odd lengths, unaligned slice bases, and every qubit
-// target including q = 0 where complex lanes interleave inside one register.
-// On a scalar build (QARCH_ENABLE_AVX2=OFF) or a non-AVX2 CPU both paths run
-// the same body and the tests simply pin the fallback's semantics.
+// SIMD streaming passes: randomized bit-for-bit equivalence of the AVX2/FMA
+// bodies against the scalar fallback on deliberately awkward shapes —
+// lengths below the vector width, odd lengths, unaligned slice bases, slices
+// that start and end inside a 2^q run, and every qubit target and pair of
+// states up to 10 qubits, including q = 0 where complex lanes interleave
+// inside one register and q >= 1 where one body walks every whole run. On a
+// scalar build (QARCH_ENABLE_AVX2=OFF) or a non-AVX2 CPU both paths run the
+// same body and the tests pin the fallback's semantics.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <complex>
 #include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -32,18 +38,43 @@ cplx random_phase(Rng& rng) {
 }
 
 /// The multiplicative passes perform the same operations per amplitude in
-/// both bodies, so scalar/SIMD results agree to the last ulp or two: the
-/// only permitted divergence is compiler FMA-contraction of the scalar body
-/// on -mfma builds (the AVX2 body never contracts). 1e-14 is ~50 ulp at
-/// |z| <= 2 — far below any algorithmic difference, far above contraction
-/// noise.
-void expect_ulp_close(const std::vector<cplx>& a, const std::vector<cplx>& b,
-                      const char* what) {
+/// both bodies, and simd.cpp is built without FP contraction or
+/// auto-vectorization, so scalar and SIMD results are the same bits.
+void expect_bit_equal(const std::vector<cplx>& a, const std::vector<cplx>& b,
+                      const std::string& what) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a[i].real(), b[i].real(), 1e-14) << what << " re @" << i;
-    EXPECT_NEAR(a[i].imag(), b[i].imag(), 1e-14) << what << " im @" << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i].real()),
+              std::bit_cast<std::uint64_t>(b[i].real()))
+        << what << " re @" << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i].imag()),
+              std::bit_cast<std::uint64_t>(b[i].imag()))
+        << what << " im @" << i;
   }
+}
+
+/// Sub-ranges [lo, hi) of [0, total) against runs of `run` elements: the
+/// whole range, ranges that start and end inside a run, ranges shorter
+/// than a vector register, and a few random ones.
+std::vector<std::pair<std::size_t, std::size_t>> ranges_over(
+    Rng& rng, std::size_t total, std::size_t run) {
+  std::vector<std::pair<std::size_t, std::size_t>> out = {{0, total}};
+  const auto add = [&](std::size_t lo, std::size_t hi) {
+    if (lo < hi && hi <= total) out.push_back({lo, hi});
+  };
+  add(1, total - 1);
+  add(1, total);
+  add(0, total - 1);
+  add(run / 2 + 1, total - run / 2);
+  add(run + 1, 3 * run - 1);
+  add(run - 1, run + 1);
+  add(total / 2 + 1, total / 2 + 2);
+  add(total / 2 + 1, total / 2 + 4);
+  for (int r = 0; r < 4; ++r) {
+    const std::size_t lo = rng.uniform_int(total);
+    add(lo, lo + 1 + rng.uniform_int(total - lo));
+  }
+  return out;
 }
 
 // Sizes straddling every vector-width boundary: below one register (1..3),
@@ -58,7 +89,7 @@ TEST(Simd, ScaleRunMatchesScalarOnOddSizes) {
     auto a = src, b = src;
     sim::simd::scale_run(a.data(), n, w, /*use_simd=*/true);
     sim::simd::scale_run(b.data(), n, w, /*use_simd=*/false);
-    expect_ulp_close(a, b, "scale_run");
+    expect_bit_equal(a, b, "scale_run");
   }
 }
 
@@ -70,7 +101,7 @@ TEST(Simd, Pattern2MatchesScalarOnOddSizes) {
     auto a = src, b = src;
     sim::simd::mul_pattern2(a.data(), n, w0, w1, true);
     sim::simd::mul_pattern2(b.data(), n, w0, w1, false);
-    expect_ulp_close(a, b, "mul_pattern2");
+    expect_bit_equal(a, b, "mul_pattern2");
   }
 }
 
@@ -82,7 +113,7 @@ TEST(Simd, CplxMulRunsMatchesScalarOnOddSizes) {
     auto a = acc0, b = acc0;
     sim::simd::cplx_mul_runs(a.data(), x.data(), n, true);
     sim::simd::cplx_mul_runs(b.data(), x.data(), n, false);
-    expect_ulp_close(a, b, "cplx_mul_runs");
+    expect_bit_equal(a, b, "cplx_mul_runs");
   }
 }
 
@@ -94,7 +125,7 @@ TEST(Simd, CplxAddRunsMatchesScalarOnOddSizes) {
     std::vector<cplx> a(n), b(n);
     sim::simd::cplx_add_runs(a.data(), x.data(), y.data(), n, true);
     sim::simd::cplx_add_runs(b.data(), x.data(), y.data(), n, false);
-    expect_ulp_close(a, b, "cplx_add_runs");
+    expect_bit_equal(a, b, "cplx_add_runs");
     for (std::size_t i = 0; i < n; ++i)
       EXPECT_EQ(b[i], x[i] + y[i]) << "scalar add @" << i;
   }
@@ -111,7 +142,34 @@ TEST(Simd, Diag1SliceMatchesScalarOnUnalignedBases) {
         auto a = src, b = src;
         sim::simd::diag1_slice(a.data(), n, base, q, d0, d1, true);
         sim::simd::diag1_slice(b.data(), n, base, q, d0, d1, false);
-        expect_ulp_close(a, b, "diag1_slice");
+        expect_bit_equal(a, b, "diag1_slice");
+      }
+    }
+  }
+  // Every target of states up to 10 qubits, on slices that start and end
+  // inside a 2^q run; amplitudes outside the slice stay untouched.
+  for (std::size_t nq = 1; nq <= 10; ++nq) {
+    const std::size_t dim = std::size_t{1} << nq;
+    for (std::size_t q = 0; q < nq; ++q) {
+      const auto src = random_state(rng, dim);
+      const cplx d0 = random_phase(rng), d1 = random_phase(rng);
+      for (const auto& [lo, hi] : ranges_over(rng, dim, std::size_t{1} << q)) {
+        auto a = src, b = src;
+        sim::simd::diag1_slice(a.data() + lo, hi - lo, lo, q, d0, d1, true);
+        sim::simd::diag1_slice(b.data() + lo, hi - lo, lo, q, d0, d1, false);
+        const std::string what = "diag1_slice nq=" + std::to_string(nq) +
+                                 " q=" + std::to_string(q) + " [" +
+                                 std::to_string(lo) + "," +
+                                 std::to_string(hi) + ")";
+        expect_bit_equal(a, b, what);
+        for (std::size_t i = 0; i < dim; ++i) {
+          if (i < lo || i >= hi) {
+            ASSERT_EQ(a[i], src[i]) << what << " outside @" << i;
+          } else {
+            const cplx want = src[i] * (((i >> q) & 1) ? d1 : d0);
+            ASSERT_NEAR(std::abs(a[i] - want), 0.0, 1e-15) << what << " @" << i;
+          }
+        }
       }
     }
   }
@@ -130,7 +188,44 @@ TEST(Simd, Diag2SliceMatchesScalarOnUnalignedBases) {
     auto a = src, b = src;
     sim::simd::diag2_slice(a.data(), n, base, q0, q1, d, true);
     sim::simd::diag2_slice(b.data(), n, base, q0, q1, d, false);
-    expect_ulp_close(a, b, "diag2_slice");
+    expect_bit_equal(a, b, "diag2_slice");
+  }
+  // Every ordered qubit pair of states up to 10 qubits, on slices that
+  // start and end inside a run of the pattern's period.
+  for (std::size_t nq = 2; nq <= 10; ++nq) {
+    const std::size_t dim = std::size_t{1} << nq;
+    for (std::size_t q0 = 0; q0 < nq; ++q0) {
+      for (std::size_t q1 = 0; q1 < nq; ++q1) {
+        if (q0 == q1) continue;
+        const auto src = random_state(rng, dim);
+        const cplx d[4] = {random_phase(rng), random_phase(rng),
+                           random_phase(rng), random_phase(rng)};
+        const std::size_t low = std::min(q0, q1);
+        const std::size_t run = std::size_t{1}
+                                << (low > 0 ? low : std::max(q0, q1));
+        for (const auto& [lo, hi] : ranges_over(rng, dim, run)) {
+          auto a = src, b = src;
+          sim::simd::diag2_slice(a.data() + lo, hi - lo, lo, q0, q1, d, true);
+          sim::simd::diag2_slice(b.data() + lo, hi - lo, lo, q0, q1, d,
+                                 false);
+          const std::string what =
+              "diag2_slice nq=" + std::to_string(nq) + " q=(" +
+              std::to_string(q0) + "," + std::to_string(q1) + ") [" +
+              std::to_string(lo) + "," + std::to_string(hi) + ")";
+          expect_bit_equal(a, b, what);
+          for (std::size_t i = 0; i < dim; ++i) {
+            if (i < lo || i >= hi) {
+              ASSERT_EQ(a[i], src[i]) << what << " outside @" << i;
+            } else {
+              const cplx want =
+                  src[i] * d[(((i >> q0) & 1) << 1) | ((i >> q1) & 1)];
+              ASSERT_NEAR(std::abs(a[i] - want), 0.0, 1e-15)
+                  << what << " @" << i;
+            }
+          }
+        }
+      }
+    }
   }
 }
 
@@ -146,27 +241,49 @@ TEST(Simd, TableSliceMatchesScalar) {
     auto a = src, b = src;
     sim::simd::table_slice(a.data(), cls.data(), lut.data(), n, true);
     sim::simd::table_slice(b.data(), cls.data(), lut.data(), n, false);
-    expect_ulp_close(a, b, "table_slice");
+    expect_bit_equal(a, b, "table_slice");
   }
 }
 
 TEST(Simd, SinglePairRangeMatchesScalarOnAllTargets) {
   Rng rng(16);
-  for (std::size_t nq = 1; nq <= 7; ++nq) {
+  for (std::size_t nq = 1; nq <= 10; ++nq) {
     const std::size_t dim = std::size_t{1} << nq;
+    const std::size_t pairs = dim / 2;
     for (std::size_t q = 0; q < nq; ++q) {
       // Random (non-unitary is fine — the kernel is plain linear algebra).
       cplx m[4];
       for (auto& c : m) c = cplx{rng.uniform(-1, 1), rng.uniform(-1, 1)};
-      // Unaligned pair sub-ranges, including a 1-pair range.
-      const std::size_t pairs = dim / 2;
-      const std::size_t klo = rng.uniform_int(pairs);
-      const std::size_t khi = klo + 1 + rng.uniform_int(pairs - klo);
       const auto src = random_state(rng, dim);
-      auto a = src, b = src;
-      sim::simd::single_pair_range(a.data(), q, m, klo, khi, true);
-      sim::simd::single_pair_range(b.data(), q, m, klo, khi, false);
-      expect_ulp_close(a, b, "single_pair_range");
+      // Pair ranges that start and end inside a run of 2^q pairs, down to
+      // a single pair.
+      for (const auto& [klo, khi] :
+           ranges_over(rng, pairs, std::size_t{1} << q)) {
+        auto a = src, b = src;
+        sim::simd::single_pair_range(a.data(), q, m, klo, khi, true);
+        sim::simd::single_pair_range(b.data(), q, m, klo, khi, false);
+        const std::string what = "single_pair_range nq=" +
+                                 std::to_string(nq) + " q=" +
+                                 std::to_string(q) + " [" +
+                                 std::to_string(klo) + "," +
+                                 std::to_string(khi) + ")";
+        expect_bit_equal(a, b, what);
+        const std::size_t half = std::size_t{1} << q;
+        for (std::size_t i = 0; i < dim; ++i) {
+          // Pair index of amplitude i: drop bit q.
+          const std::size_t k = ((i >> (q + 1)) << q) | (i & (half - 1));
+          if (k < klo || k >= khi) {
+            ASSERT_EQ(a[i], src[i]) << what << " outside @" << i;
+          } else {
+            const std::size_t i0 = i & ~half;
+            const cplx va = src[i0], vb = src[i0 | half];
+            const cplx want = (i & half) ? m[2] * va + m[3] * vb
+                                         : m[0] * va + m[1] * vb;
+            ASSERT_NEAR(std::abs(a[i] - want), 0.0, 1e-14)
+                << what << " @" << i;
+          }
+        }
+      }
     }
   }
 }
@@ -238,7 +355,7 @@ TEST(Simd, KernelsMatchAcrossSimdToggleOnSmallStates) {
       sim::State a = src, b = src;
       sim::kernel_diag1(a, q, d0, d1, 1, 14, true);
       sim::kernel_diag1(b, q, d0, d1, 1, 14, false);
-      expect_ulp_close(a, b, "kernel_diag1");
+      expect_bit_equal(a, b, "kernel_diag1");
 
       cplx m[4];
       for (auto& c : m) c = cplx{rng.uniform(-1, 1), rng.uniform(-1, 1)};
@@ -246,7 +363,7 @@ TEST(Simd, KernelsMatchAcrossSimdToggleOnSmallStates) {
       b = src;
       sim::kernel_single(a, q, m, 1, 14, true);
       sim::kernel_single(b, q, m, 1, 14, false);
-      expect_ulp_close(a, b, "kernel_single");
+      expect_bit_equal(a, b, "kernel_single");
     }
     const auto src = random_state(rng, dim);
     const auto d = random_diag(rng, dim);
@@ -268,7 +385,7 @@ TEST(Simd, RuntimeToggleForcesScalarPath) {
   const cplx w = random_phase(rng);
   sim::simd::scale_run(z.data(), z.size(), w, true);
   sim::simd::scale_run(ref.data(), ref.size(), w, false);
-  expect_ulp_close(z, ref, "scale_run under disabled runtime");
+  expect_bit_equal(z, ref, "scale_run under disabled runtime");
   sim::simd::set_runtime_enabled(was);
 }
 
