@@ -1,33 +1,34 @@
-// Ablation: compiled statevector plans — diagonal kernels, SIMD, blocking.
+// Ablation: compiled statevector plans — SIMD and cache blocking.
 //
 // QAOA cost layers are built from RZZ — diagonal gates. The compiled
-// sim::SimProgram streams them with one complex multiply per amplitude (the
-// statevector analogue of QTensor's diagonal-gate rank reduction, Lykov &
-// Alexeev 2021) and fuses mixer runs into cached 2x2s; the plan reads <C>
-// off the final state as one dot product with the evaluator's per-graph
-// cost diagonal C(x). On top of that sit the
-// AVX2/FMA streaming bodies (sim::simd) and the cache-blocked replay
-// (PlanOptions::cache_blocking). This harness times a p=2 QAOA energy
-// evaluation on a 20-qubit 4-regular graph through qaoa::EnergyEvaluator
-// under five configurations:
+// sim::SimProgram always streams them with one complex multiply per
+// amplitude (the statevector analogue of QTensor's diagonal-gate rank
+// reduction, Lykov & Alexeev 2021), folds each cost layer into one
+// phase-table pass and fuses mixer runs into cached 2x2s; the plan reads
+// <C> off the final state as one dot product with the evaluator's per-graph
+// cost diagonal C(x). On top of that sit the AVX2/FMA streaming bodies
+// (sim::simd) and the cache-blocked replay (PlanOptions::cache_blocking).
+// This harness times a p=2 QAOA energy evaluation on a 20-qubit 4-regular
+// graph through qaoa::EnergyEvaluator under four configurations:
 //
-//   compiled-dense   compiled plan with diagonal kernels OFF (fusion and
-//                    the cost-diagonal <C> still on)
-//   compiled-base    the full PR-1 compiled path: diagonal kernels + phase
-//                    tables + fusion, scalar bodies, no blocking
+//   compiled-base    the compiled path with scalar bodies, no blocking
 //   +simd            compiled-base with the AVX2/FMA bodies
 //   +blocking        compiled-base with cache-blocked replay (scalar)
 //   +simd+blocking   the full path
 //
-// and counts, via the sweep-count instrumentation, the per-edge expectation
-// passes each variant makes per evaluation (none: <C> comes off the cost
-// diagonal). Every variant's <C> is checked against a per-gate oracle
-// computed here — StatevectorSimulator::run_from_plus, one
+// The scalar variants hold the process-wide switch off
+// (sim::simd::ScopedRuntime) while they run; the SIMD variants leave it as
+// the environment set it, so under QARCH_SIMD=0 every variant is scalar.
+// The harness counts, via the sweep-count instrumentation, the per-edge
+// expectation passes each variant makes per evaluation (none: <C> comes off
+// the cost diagonal). Every variant's <C> is checked against a per-gate
+// oracle computed here — StatevectorSimulator::run_from_plus, one
 // sim::expectation_zz pass per Hamiltonian term, Hamiltonian::energy — and
 // the bench exits 1 when one differs by more than 1e-9 relative. Results
 // append to the machine-readable BENCH_sim_kernels.json (section
-// "diagonal_gates"). The committed file's section holds a "generic" row,
-// the final record of a removed per-gate path; pass --out to leave it be.
+// "diagonal_gates"). The committed file's section holds the "generic" and
+// "compiled-dense" rows and speedup_diagonal_kernels, the final record of
+// removed per-gate and dense-diagonal paths; pass --out to leave it be.
 //
 // Flags: --qubits N (20) --degree D (4) --p P (2) --reps R (5)
 //        --workers W (1) --out PATH (BENCH_sim_kernels.json)
@@ -67,10 +68,13 @@ struct VariantResult {
   std::uint64_t zz_sweeps_per_eval = 0;
 };
 
+/// Times `options` with the SIMD bodies (`simd`, where the environment
+/// allows them) or with the process-wide switch held off.
 VariantResult time_variant(const std::string& name, const graph::Graph& g,
                            const circuit::Circuit& ansatz,
-                           const qaoa::EnergyOptions& options,
+                           const qaoa::EnergyOptions& options, bool simd,
                            std::span<const double> theta, std::size_t reps) {
+  const sim::simd::ScopedRuntime scope(simd && sim::simd::runtime_enabled());
   const qaoa::EnergyEvaluator evaluator(g, options);
   const auto plan = evaluator.make_plan(ansatz);
 
@@ -111,50 +115,34 @@ int main(int argc, char** argv) {
               n, g.num_edges(), p, ansatz.num_gates(), workers,
               sim::simd::active() ? "yes" : "no (scalar)");
 
-  qaoa::EnergyOptions compiled_dense;
-  compiled_dense.engine = qaoa::EngineKind::Statevector;
-  compiled_dense.inner_workers = workers;
-  compiled_dense.sv_plan.simd = false;
-  compiled_dense.sv_plan.diagonal_kernels = false;
-  compiled_dense.sv_plan.cache_blocking = false;
-
-  // The PR-1 compiled path: every compile-time specialization, scalar bodies.
-  qaoa::EnergyOptions base = compiled_dense;
-  base.sv_plan.diagonal_kernels = true;
-
-  qaoa::EnergyOptions with_simd = base;
-  with_simd.sv_plan.simd = true;
-
-  qaoa::EnergyOptions with_blocking = base;
-  with_blocking.sv_plan.cache_blocking = true;
+  // Every compile-time specialization, no blocking: the baseline that the
+  // SIMD and blocking columns are measured against.
+  qaoa::EnergyOptions base;
+  base.engine = qaoa::EngineKind::Statevector;
+  base.inner_workers = workers;
+  base.sv_plan.cache_blocking = false;
 
   qaoa::EnergyOptions full = base;
-  full.sv_plan.simd = true;
   full.sv_plan.cache_blocking = true;
 
-  const auto r_dense =
-      time_variant("compiled-dense", g, ansatz, compiled_dense, theta, reps);
   const auto r_base =
-      time_variant("compiled-base", g, ansatz, base, theta, reps);
-  const auto r_simd =
-      time_variant("+simd", g, ansatz, with_simd, theta, reps);
+      time_variant("compiled-base", g, ansatz, base, false, theta, reps);
+  const auto r_simd = time_variant("+simd", g, ansatz, base, true, theta, reps);
   const auto r_blocked =
-      time_variant("+blocking", g, ansatz, with_blocking, theta, reps);
+      time_variant("+blocking", g, ansatz, full, false, theta, reps);
   const auto r_full =
-      time_variant("+simd+blocking", g, ansatz, full, theta, reps);
+      time_variant("+simd+blocking", g, ansatz, full, true, theta, reps);
 
-  const double speedup_diag = r_dense.mean_ms / r_base.mean_ms;
   const double speedup_simd = r_base.mean_ms / r_simd.mean_ms;
   const double speedup_blocking = r_base.mean_ms / r_blocked.mean_ms;
   const double speedup_over_base = r_base.mean_ms / r_full.mean_ms;
-  std::printf("\ndiagonal kernels (isolated):      %.2fx\n", speedup_diag);
-  std::printf("simd (isolated):                  %.2fx\n", speedup_simd);
+  std::printf("\nsimd (isolated):                  %.2fx\n", speedup_simd);
   std::printf("blocking (isolated):              %.2fx\n", speedup_blocking);
   std::printf("simd+blocking vs PR-1 compiled:   %.2fx\n", speedup_over_base);
   const double oracle = oracle_energy(g, ansatz, theta);
   double drift = 0.0;
   bool energies_agree = true;
-  for (const auto& r : {r_dense, r_base, r_simd, r_blocked, r_full}) {
+  for (const auto& r : {r_base, r_simd, r_blocked, r_full}) {
     drift = std::max(drift, std::abs(r.energy - oracle));
     const double rel =
         std::abs(r.energy - oracle) / std::max(1.0, std::abs(oracle));
@@ -182,7 +170,7 @@ int main(int argc, char** argv) {
   section.set("reps", reps);
   section.set("avx2_active", sim::simd::active());
   json::Value variants = json::Value::object();
-  for (const auto& r : {r_dense, r_base, r_simd, r_blocked, r_full}) {
+  for (const auto& r : {r_base, r_simd, r_blocked, r_full}) {
     json::Value v = json::Value::object();
     v.set("mean_ms", r.mean_ms);
     v.set("energy", r.energy);
@@ -190,7 +178,6 @@ int main(int argc, char** argv) {
     variants.set(r.name, std::move(v));
   }
   section.set("variants", std::move(variants));
-  section.set("speedup_diagonal_kernels", speedup_diag);
   section.set("speedup_simd", speedup_simd);
   section.set("speedup_blocking", speedup_blocking);
   section.set("speedup_simd_blocking_vs_pr1_compiled", speedup_over_base);

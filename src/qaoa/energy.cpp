@@ -49,8 +49,7 @@ class StatevectorPlan final : public EnergyPlan {
       // near its final trust radius.
       const double c = ham_.constant();
       return c + sim::simd::diag_expectation(state.data(), diag_.data(), c,
-                                             state.size(),
-                                             options_.sv_plan.simd);
+                                             state.size());
     }
     // One state computation serves both the ZZ sweep and the Z fields.
     return ham_.energy(zz_from_state(state), z_from_state(state));
@@ -95,7 +94,7 @@ class StatevectorPlan final : public EnergyPlan {
   std::vector<double> zz_from_state(const sim::State& state) const {
     return sim::batched_expectation_zz(
         state, pairs_, options_.inner_workers,
-        options_.sv_plan.parallel_threshold_qubits, options_.sv_plan.simd);
+        options_.sv_plan.parallel_threshold_qubits);
   }
 
   std::vector<double> z_from_state(const sim::State& state) const {
@@ -140,11 +139,6 @@ class TensorNetworkPlan final : public EnergyPlan {
     term_group_.resize(terms.size());
     std::unordered_map<std::string, std::vector<std::size_t>> by_key;
     for (std::size_t k = 0; k < terms.size(); ++k) {
-      if (!options_.qtensor.dedup_shapes) {
-        groups_.push_back({k, ""});
-        term_group_[k] = groups_.size() - 1;
-        continue;
-      }
       const auto shape =
           qtensor::lightcone_shape(ansatz_, terms[k].u, terms[k].v);
       std::size_t gid = groups_.size();
@@ -242,7 +236,7 @@ class TensorNetworkPlan final : public EnergyPlan {
   /// One lightcone-shape equivalence class of Hamiltonian terms.
   struct ShapeGroup {
     std::size_t rep_term = 0;  ///< index of the compiled representative
-    std::string key;           ///< canonical shape key ("" when dedup is off)
+    std::string key;           ///< canonical lightcone shape key
   };
 
   circuit::Circuit ansatz_;

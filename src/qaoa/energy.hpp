@@ -53,13 +53,14 @@ struct EnergyOptions {
   /// cost diagonal stays serial, so statevector energies do not depend on
   /// this count (it is not part of any result-cache or checkpoint key).
   std::size_t inner_workers = 1;
-  /// Statevector compiled-plan kernel toggles (diagonal kernels, fusion,
-  /// phase tables, SIMD, cache blocking) — see sim::PlanOptions. Its
+  /// Statevector compiled-plan settings (presimplify, phase tables, cache
+  /// blocking, parallel threshold) — see sim::PlanOptions. Its
   /// phase_table_max_qubits also guards the evaluator's cost diagonal.
   sim::PlanOptions sv_plan;
   /// Tensor-network engine configuration: compiled contraction programs
-  /// (planner, slicing, shape dedup, plan cache) and the bucket-product
-  /// backend — see qtensor::QTensorOptions.
+  /// (planner, slicing, plan cache) and the bucket-product backend — see
+  /// qtensor::QTensorOptions. Terms always share one program per
+  /// lightcone-shape group.
   qtensor::QTensorOptions qtensor;
   /// Capacity of the evaluator's ansatz→plan LRU cache used by plan_for()
   /// (0 disables caching: every plan_for call compiles fresh).

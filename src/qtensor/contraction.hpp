@@ -52,10 +52,6 @@ struct QTensorOptions {
   /// the planned width exceeds this (0 disables; see ProgramOptions).
   std::size_t slice_above_width = 30;
   std::size_t max_slice_vars = 4;
-  /// Group Hamiltonian terms by canonical lightcone shape and compile ONE
-  /// program per equivalence class (exact isomorphism verified) instead of
-  /// one per edge; the shared value is broadcast to every member edge.
-  bool dedup_shapes = true;
   /// Shared store of planned orders, consulted before every program compile
   /// and fed by every live plan. Injected by search::EvalService (which
   /// also persists it when SessionConfig::plan_cache_path is set); null

@@ -52,13 +52,14 @@ struct Sampler::Impl {
   }
 };
 
-Sampler::Sampler(const circuit::Circuit& ansatz, const SamplerOptions& options)
+Sampler::Sampler(const circuit::Circuit& ansatz, const SamplerOptions& options,
+                 sim::PhaseTableCache* tables)
     : impl_(std::make_unique<Impl>()) {
   impl_->options = options;
   impl_->n = ansatz.num_qubits();
   QARCH_REQUIRE(impl_->n >= 1, "sampler needs at least one qubit");
   if (options.engine == SamplerEngine::Statevector) {
-    impl_->program.emplace(ansatz, options.sv_plan);
+    impl_->program.emplace(ansatz, options.sv_plan, tables);
     return;
   }
   impl_->backend = qtensor::make_backend(options.tn_backend);

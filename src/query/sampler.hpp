@@ -63,8 +63,12 @@ struct SamplerOptions {
 /// bit q of a returned sample is the measured value of qubit q.
 class Sampler {
  public:
+  /// Compiles `ansatz`. On the statevector engine a `tables` cache supplies
+  /// the program's phase tables, as in sim::SimProgram: equal runs share
+  /// one bit-identical table, so the draws do not depend on it.
   explicit Sampler(const circuit::Circuit& ansatz,
-                   const SamplerOptions& options = {});
+                   const SamplerOptions& options = {},
+                   sim::PhaseTableCache* tables = nullptr);
   ~Sampler();
 
   Sampler(const Sampler&) = delete;

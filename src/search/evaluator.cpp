@@ -14,6 +14,18 @@
 
 namespace qarch::search {
 
+query::SamplerOptions sampler_options(const qaoa::EnergyOptions& energy) {
+  query::SamplerOptions so;
+  so.engine = energy.engine == qaoa::EngineKind::Statevector
+                  ? query::SamplerEngine::Statevector
+                  : query::SamplerEngine::TensorNetwork;
+  so.query = query::query_options(energy.qtensor);
+  so.tn_backend = energy.qtensor.backend;
+  so.sv_plan = energy.sv_plan;
+  so.sv_workers = energy.inner_workers;
+  return so;
+}
+
 Evaluator::Evaluator(const graph::Graph& g, EvaluatorOptions options)
     : graph_(g),
       options_(std::move(options)),
@@ -35,19 +47,6 @@ Evaluator::Evaluator(const graph::Graph& g, EvaluatorOptions options)
 
 double Evaluator::ratio_of(double value) const {
   return classical_optimum_ > 0.0 ? value / classical_optimum_ : 0.0;
-}
-
-query::SamplerOptions Evaluator::sampler_options() const {
-  const qaoa::EnergyOptions energy = options_.effective_energy();
-  query::SamplerOptions so;
-  so.engine = energy.engine == qaoa::EngineKind::Statevector
-                  ? query::SamplerEngine::Statevector
-                  : query::SamplerEngine::TensorNetwork;
-  so.query = query::query_options(energy.qtensor);
-  so.tn_backend = energy.qtensor.backend;
-  so.sv_plan = energy.sv_plan;
-  so.sv_workers = energy.inner_workers;
-  return so;
 }
 
 CandidateResult Evaluator::evaluate(const qaoa::MixerSpec& mixer,
@@ -102,7 +101,8 @@ ResumableEvaluation Evaluator::evaluate_resumable(
     trained = qaoa::train_qaoa(*plan, ansatz.num_params(), *optimizer,
                                options_.train, state, preempt);
   } else {
-    sampler.emplace(ansatz, sampler_options());
+    sampler.emplace(ansatz, sampler_options(energy_.options()),
+                    energy_.phase_tables());
     const std::size_t shots =
         options_.objective.shots > 0 ? options_.objective.shots
                                      : options_.shots;
@@ -166,7 +166,9 @@ ResumableEvaluation Evaluator::evaluate_resumable(
         *compiled, graph_, options_.shots, options_.sample_trials,
         sample_rng));
   } else {
-    if (!sampler.has_value()) sampler.emplace(ansatz, sampler_options());
+    if (!sampler.has_value())
+      sampler.emplace(ansatz, sampler_options(energy_.options()),
+                      energy_.phase_tables());
     const double best_value = qaoa::expected_best_value(
         *sampler, trained.theta, ham_, options_.shots, options_.sample_trials,
         sample_rng);

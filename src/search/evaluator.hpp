@@ -81,6 +81,13 @@ struct EvaluatorOptions {
   }
 };
 
+/// The sampler configuration every sampled path derives from one set of
+/// energy options: the same engine, query compile options, backend, plan
+/// and replay workers. search::Evaluator and the server's /v1/sample both
+/// use it, so wire draws match direct ones bit for bit.
+[[nodiscard]] query::SamplerOptions sampler_options(
+    const qaoa::EnergyOptions& energy);
+
 /// Outcome of one resumable evaluation slice. When `completed` is false the
 /// slice was parked by the PreemptToken: `result` is only partially filled
 /// (no sampling pass yet) and the caller's OptimState holds the training
@@ -130,7 +137,6 @@ class Evaluator {
   /// value / classical_optimum, or 0 when the optimum is not positive
   /// (possible for general Ising objectives; MaxCut optima always are).
   [[nodiscard]] double ratio_of(double value) const;
-  [[nodiscard]] query::SamplerOptions sampler_options() const;
 
   graph::Graph graph_;
   EvaluatorOptions options_;

@@ -21,6 +21,7 @@
 #include "qaoa/hamiltonian.hpp"
 #include "qaoa/objective.hpp"
 #include "query/sampler.hpp"
+#include "search/evaluator.hpp"
 #include "search/fault.hpp"
 #include "search/report_io.hpp"
 
@@ -494,18 +495,10 @@ struct QarchServer::Impl {
                       std::to_string(theta.size()));
 
     // The same engine-reconciled options the Evaluator samples with
-    // (Evaluator::sampler_options), so wire draws match direct ones
+    // (search::sampler_options), so wire draws match direct ones
     // bit-for-bit at equal (engine, seed).
-    const qaoa::EnergyOptions energy = config.session.energy_options(engine);
-    query::SamplerOptions so;
-    so.engine = engine == qaoa::EngineKind::Statevector
-                    ? query::SamplerEngine::Statevector
-                    : query::SamplerEngine::TensorNetwork;
-    so.query = query::query_options(energy.qtensor);
-    so.tn_backend = energy.qtensor.backend;
-    so.sv_plan = energy.sv_plan;
-    so.sv_workers = energy.inner_workers;
-    const query::Sampler sampler(ansatz, so);
+    const query::Sampler sampler(
+        ansatz, search::sampler_options(config.session.energy_options(engine)));
 
     Rng rng(seed);
     const std::vector<std::size_t> samples = sampler.sample(theta, shots, rng);

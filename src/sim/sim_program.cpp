@@ -582,9 +582,8 @@ SimProgram::SimProgram(const circuit::Circuit& circuit, PlanOptions options,
     bool all_diagonal = true;
     for (const Gate& g : run)
       if (!circuit::is_diagonal(g.kind)) all_diagonal = false;
-    op.kind = (all_diagonal && options_.diagonal_kernels)
-                  ? CompiledOp::Kind::Diag1
-                  : CompiledOp::Kind::Single;
+    op.kind =
+        all_diagonal ? CompiledOp::Kind::Diag1 : CompiledOp::Kind::Single;
     op.parameterized = any_symbolic(run);
     op.sources = std::move(run);
     run.clear();
@@ -593,21 +592,16 @@ SimProgram::SimProgram(const circuit::Circuit& circuit, PlanOptions options,
   };
 
   std::vector<std::vector<Gate>> pending(num_qubits_);
+  const bool fold_tables = options_.phase_tables &&
+                           num_qubits_ <= options_.phase_table_max_qubits;
 
   for (const Gate& g : source->gates()) {
     if (g.arity() == 1) {
-      if (options_.fuse_single_qubit) {
-        pending[g.q0].push_back(g);
-      } else {
-        std::vector<Gate> run{g};
-        emit_single_run(run);
-      }
+      pending[g.q0].push_back(g);
       continue;
     }
 
-    if (circuit::is_diagonal(g.kind) && options_.diagonal_kernels &&
-        options_.phase_tables &&
-        num_qubits_ <= options_.phase_table_max_qubits) {
+    if (circuit::is_diagonal(g.kind) && fold_tables) {
       // Flush every pending single-qubit run, not just this gate's wires:
       // a two-qubit diagonal gate usually starts a cost layer, and keeping
       // that layer contiguous lets the phase-table fold absorb it whole.
@@ -619,7 +613,7 @@ SimProgram::SimProgram(const circuit::Circuit& circuit, PlanOptions options,
       emit_single_run(pending[g.q1]);
     }
 
-    if (circuit::is_diagonal(g.kind) && options_.diagonal_kernels) {
+    if (circuit::is_diagonal(g.kind)) {
       // Consecutive diagonal gates on the same (unordered) pair merge into
       // one streaming op — diagonal matrices commute and multiply entrywise.
       if (!ops_.empty()) {
@@ -657,8 +651,7 @@ SimProgram::SimProgram(const circuit::Circuit& circuit, PlanOptions options,
 
   for (auto& run : pending) emit_single_run(run);
 
-  if (options_.diagonal_kernels && options_.phase_tables &&
-      num_qubits_ <= options_.phase_table_max_qubits) {
+  if (fold_tables) {
     // Folding a run shrinks ops_, which can bring further diagonal ops into
     // adjacency; iterate to a fixed point (a handful of rounds at most).
     for (int round = 0; round < 4; ++round) {
@@ -717,7 +710,6 @@ void SimProgram::apply_inplace(State& state, std::span<const double> theta,
                 "parameter vector too short for program");
   if (workers == 0) workers = 1;
   const std::size_t threshold = options_.parallel_threshold_qubits;
-  const bool use_simd = options_.simd;
   const bool parallel = workers > 1 && num_qubits_ >= threshold;
 
   // -- bind phase ------------------------------------------------------------
@@ -779,19 +771,18 @@ void SimProgram::apply_inplace(State& state, std::span<const double> theta,
     const CompiledOp& op = ops_[oi];
     switch (op.kind) {
       case CompiledOp::Kind::Diag1:
-        simd::diag1_slice(z, len, base, op.q0, cf[oi][0], cf[oi][1], use_simd);
+        simd::diag1_slice(z, len, base, op.q0, cf[oi][0], cf[oi][1]);
         break;
       case CompiledOp::Kind::Diag2:
-        simd::diag2_slice(z, len, base, op.q0, op.q1, cf[oi], use_simd);
+        simd::diag2_slice(z, len, base, op.q0, op.q1, cf[oi]);
         break;
       case CompiledOp::Kind::DiagTable:
-        simd::table_slice(z, op.table->classes.data() + base, lut[oi], len,
-                          use_simd);
+        simd::table_slice(z, op.table->classes.data() + base, lut[oi], len);
         break;
       case CompiledOp::Kind::Single:
         // Valid because base is aligned to the block size and q0 lies below
         // the block boundary, so local pair indices equal global ones.
-        simd::single_pair_range(z, op.q0, cf[oi], 0, len / 2, use_simd);
+        simd::single_pair_range(z, op.q0, cf[oi], 0, len / 2);
         break;
       case CompiledOp::Kind::Two:
         simd::two_quad_range(z, op.q0, op.q1, cf[oi], 0, len / 4);
@@ -821,12 +812,10 @@ void SimProgram::apply_inplace(State& state, std::span<const double> theta,
       const CompiledOp& op = ops_[oi];
       switch (op.kind) {
         case CompiledOp::Kind::Diag1:
-          kernel_diag1(state, op.q0, cf[oi][0], cf[oi][1], workers, threshold,
-                       use_simd);
+          kernel_diag1(state, op.q0, cf[oi][0], cf[oi][1], workers, threshold);
           break;
         case CompiledOp::Kind::Diag2:
-          kernel_diag2(state, op.q0, op.q1, cf[oi], workers, threshold,
-                       use_simd);
+          kernel_diag2(state, op.q0, op.q1, cf[oi], workers, threshold);
           break;
         case CompiledOp::Kind::DiagTable:
           if (parallel)
@@ -835,15 +824,15 @@ void SimProgram::apply_inplace(State& state, std::span<const double> theta,
                 [&](std::size_t lo, std::size_t hi) {
                   simd::table_slice(state.data() + lo,
                                     op.table->classes.data() + lo, lut[oi],
-                                    hi - lo, use_simd);
+                                    hi - lo);
                 },
                 workers, 4096);
           else
             simd::table_slice(state.data(), op.table->classes.data(),
-                              lut[oi], state.size(), use_simd);
+                              lut[oi], state.size());
           break;
         case CompiledOp::Kind::Single:
-          kernel_single(state, op.q0, cf[oi], workers, threshold, use_simd);
+          kernel_single(state, op.q0, cf[oi], workers, threshold);
           break;
         case CompiledOp::Kind::Two:
           kernel_two(state, op.q0, op.q1, cf[oi], workers, threshold);

@@ -37,18 +37,14 @@
 
 namespace qarch::sim {
 
-/// Compilation toggles (all on by default; the abl_* benches switch them off
-/// to measure each specialization in isolation). This is the statevector
-/// half of the compiled-plan toggle surface reached through
-/// qaoa::EnergyOptions::sv_plan; the tensor-network analogue is
-/// qtensor::QTensorOptions (planner / slicing / shape dedup).
+/// Compilation settings. Diagonal gates (RZ/P/Z/S/T/CZ/RZZ) always compile
+/// to streaming phase kernels, and runs of adjacent single-qubit gates on
+/// one wire always fuse into one cached 2x2; these fields hold what callers
+/// vary. This is the statevector half of the compiled-plan settings reached
+/// through qaoa::EnergyOptions::sv_plan; the tensor-network analogue is
+/// qtensor::QTensorOptions (planner / slicing). Whether the replay runs the
+/// AVX2 or the scalar bodies is the process-wide sim::simd::active().
 struct PlanOptions {
-  /// Compile diagonal gates (RZ/P/Z/S/T/CZ/RZZ) to streaming phase kernels:
-  /// one complex multiply per amplitude, no pair/quad index shuffling.
-  bool diagonal_kernels = true;
-  /// Merge each run of adjacent single-qubit gates on one wire into a
-  /// single cached 2x2 matrix.
-  bool fuse_single_qubit = true;
   /// Run circuit::optimize before compiling. search::Evaluator turns this
   /// off when it already pre-simplified the candidate
   /// (EvaluatorOptions::effective_energy).
@@ -59,40 +55,21 @@ struct PlanOptions {
   /// phase-class table (a PhaseTable) baked at compile time plus a
   /// per-theta phase lookup rebuilt from a few scalars per class. A run
   /// whose classes overflow the table's 16-bit index stays plain
-  /// Diag1/Diag2 ops. Requires diagonal_kernels. A program compiled through
-  /// a PhaseTableCache shares the table of each run of at most one symbol
-  /// with every other program of that cache that folds an equal run.
+  /// Diag1/Diag2 ops. A program compiled through a PhaseTableCache shares
+  /// the table of each run of at most one symbol with every other program
+  /// of that cache that folds an equal run.
   bool phase_tables = true;
   /// Per-amplitude table memory guard: above this many qubits a program
   /// bakes no phase tables, and a statevector qaoa::EnergyEvaluator builds
   /// no cost diagonal (its plans then read <C> off the batched <ZZ> sweep).
   std::size_t phase_table_max_qubits = 22;
   std::size_t parallel_threshold_qubits = 14;  ///< serial below this size
-  /// Use the AVX2/FMA streaming bodies when the build and CPU support them
-  /// (sim::simd); false forces the scalar fallback everywhere in this plan.
-  bool simd = true;
   /// Cache-blocked replay: runs of consecutive ops that act within (or
   /// diagonally across) a 2^block_qubits-amplitude block are replayed block
   /// by block, streaming each L2-resident block through the WHOLE run per
   /// memory pass instead of sweeping the full state once per op.
   bool cache_blocking = true;
   std::size_t block_qubits = 15;  ///< 2^15 amplitudes = 512 KiB per block
-
-  /// The fully de-specialized configuration: per-gate dense kernels, no
-  /// fusion, scalar bodies, no blocking. The compiled-plan machinery with
-  /// none of its optimizations — equivalence tests replay it against the
-  /// specialized program. Outside SimProgram, the per-gate
-  /// StatevectorSimulator is the serial oracle both are checked against.
-  static PlanOptions generic() {
-    PlanOptions o;
-    o.diagonal_kernels = false;
-    o.fuse_single_qubit = false;
-    o.presimplify = false;
-    o.phase_tables = false;
-    o.simd = false;
-    o.cache_blocking = false;
-    return o;
-  }
 };
 
 /// The structural half of a DiagTable op: per-amplitude phase-class ids and

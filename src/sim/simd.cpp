@@ -399,39 +399,37 @@ QARCH_AVX2_FN void cplx_add_runs_avx2(cplx* out, const cplx* a, const cplx* b,
 
 // -- dispatched entry points --------------------------------------------------
 
-void scale_run(cplx* z, std::size_t n, cplx w, bool use_simd) {
+void scale_run(cplx* z, std::size_t n, cplx w) {
 #if QARCH_SIMD_X86
-  if (use_simd && active()) {
+  if (active()) {
     const std::size_t vec = n & ~std::size_t{1};
     scale_run_avx2(z, vec, w);
     z += vec;
     n -= vec;
   }
 #endif
-  (void)use_simd;
   scale_run_scalar(z, n, w);
 }
 
-void mul_pattern2(cplx* z, std::size_t n, cplx w0, cplx w1, bool use_simd) {
+void mul_pattern2(cplx* z, std::size_t n, cplx w0, cplx w1) {
 #if QARCH_SIMD_X86
-  if (use_simd && active()) {
+  if (active()) {
     const std::size_t vec = n & ~std::size_t{1};
     mul_pattern2_avx2(z, vec, w0, w1);
     z += vec;
     n -= vec;  // at most one trailing element — an even index, so w0 first
   }
 #endif
-  (void)use_simd;
   mul_pattern2_scalar(z, n, w0, w1);
 }
 
 void diag1_slice(cplx* z, std::size_t n, std::size_t base, std::size_t q,
-                 cplx d0, cplx d1, bool use_simd) {
+                 cplx d0, cplx d1) {
   if (q == 0) {
     // The selector alternates every amplitude; fold the slice's parity into
     // the pattern's leading element.
     const bool odd = (base & 1) != 0;
-    mul_pattern2(z, n, odd ? d1 : d0, odd ? d0 : d1, use_simd);
+    mul_pattern2(z, n, odd ? d1 : d0, odd ? d0 : d1);
     return;
   }
   // Bit q is constant across each aligned 2^q run; stream run by run.
@@ -441,13 +439,13 @@ void diag1_slice(cplx* z, std::size_t n, std::size_t base, std::size_t q,
     const std::size_t gi = base + i;
     const std::size_t run_end = (gi | (stride - 1)) + 1;
     const std::size_t len = std::min(n - i, run_end - gi);
-    scale_run(z + i, len, ((gi >> q) & 1) ? d1 : d0, use_simd);
+    scale_run(z + i, len, ((gi >> q) & 1) ? d1 : d0);
     i += len;
   }
 }
 
 void diag2_slice(cplx* z, std::size_t n, std::size_t base, std::size_t q0,
-                 std::size_t q1, const cplx* d, bool use_simd) {
+                 std::size_t q1, const cplx* d) {
   const std::size_t qa = std::min(q0, q1);
   const auto sel_of = [&](std::size_t gi) {
     return (((gi >> q0) & 1) << 1) | ((gi >> q1) & 1);
@@ -462,7 +460,7 @@ void diag2_slice(cplx* z, std::size_t n, std::size_t base, std::size_t q0,
       const std::size_t gi = base + i;
       const std::size_t run_end = (gi | (stride - 1)) + 1;
       const std::size_t len = std::min(n - i, run_end - gi);
-      mul_pattern2(z + i, len, d[sel_of(gi)], d[sel_of(gi + 1)], use_simd);
+      mul_pattern2(z + i, len, d[sel_of(gi)], d[sel_of(gi + 1)]);
       i += len;
     }
     return;
@@ -474,15 +472,15 @@ void diag2_slice(cplx* z, std::size_t n, std::size_t base, std::size_t q0,
     const std::size_t gi = base + i;
     const std::size_t run_end = (gi | (stride - 1)) + 1;
     const std::size_t len = std::min(n - i, run_end - gi);
-    scale_run(z + i, len, d[sel_of(gi)], use_simd);
+    scale_run(z + i, len, d[sel_of(gi)]);
     i += len;
   }
 }
 
 void table_slice(cplx* z, const std::uint16_t* cls, const cplx* lut,
-                 std::size_t n, bool use_simd) {
+                 std::size_t n) {
 #if QARCH_SIMD_X86
-  if (use_simd && active()) {
+  if (active()) {
     const std::size_t vec = n & ~std::size_t{3};
     table_slice_avx2(z, cls, lut, vec);
     z += vec;
@@ -490,14 +488,12 @@ void table_slice(cplx* z, const std::uint16_t* cls, const cplx* lut,
     n -= vec;
   }
 #endif
-  (void)use_simd;
   table_slice_scalar(z, cls, lut, n);
 }
 
-void single_pairs(cplx* a, cplx* b, std::size_t n, const cplx* m,
-                  bool use_simd) {
+void single_pairs(cplx* a, cplx* b, std::size_t n, const cplx* m) {
 #if QARCH_SIMD_X86
-  if (use_simd && active()) {
+  if (active()) {
     const std::size_t vec = n & ~std::size_t{1};
     single_pairs_avx2(a, b, vec, m);
     a += vec;
@@ -505,7 +501,6 @@ void single_pairs(cplx* a, cplx* b, std::size_t n, const cplx* m,
     n -= vec;
   }
 #endif
-  (void)use_simd;
   single_pairs_scalar(a, b, n, m);
 }
 
@@ -515,14 +510,14 @@ namespace {
 /// 2^q run map to CONTIGUOUS i0, so the walk decomposes into paired
 /// contiguous segments, one dispatched call each. q >= 1.
 void single_runs(cplx* z, std::size_t q, const cplx* m, std::size_t klo,
-                 std::size_t khi, bool use_simd) {
+                 std::size_t khi) {
   const std::size_t half = std::size_t{1} << q;
   std::size_t k = klo;
   while (k < khi) {
     const std::size_t off = k & (half - 1);
     const std::size_t i0 = ((k >> q) << (q + 1)) | off;
     const std::size_t len = std::min(khi - k, half - off);
-    single_pairs(z + i0, z + i0 + half, len, m, use_simd);
+    single_pairs(z + i0, z + i0 + half, len, m);
     k += len;
   }
 }
@@ -530,10 +525,10 @@ void single_runs(cplx* z, std::size_t q, const cplx* m, std::size_t klo,
 }  // namespace
 
 void single_pair_range(cplx* z, std::size_t q, const cplx* m, std::size_t klo,
-                       std::size_t khi, bool use_simd) {
+                       std::size_t khi) {
   if (q == 0) {
 #if QARCH_SIMD_X86
-    if (use_simd && active()) {
+    if (active()) {
       const std::size_t kvec = klo + ((khi - klo) & ~std::size_t{1});
       single_q0_avx2(z, m, klo, kvec);
       klo = kvec;
@@ -547,20 +542,20 @@ void single_pair_range(cplx* z, std::size_t q, const cplx* m, std::size_t klo,
     return;
   }
 #if QARCH_SIMD_X86
-  if (use_simd && active()) {
+  if (active()) {
     // Every whole 2^q run of the range goes to one AVX2 call (one set of
     // broadcasts per slice, not per run); the partial runs at either end
     // keep the run-wise walk, since an AVX2 body may hold no scalar loop.
     const std::size_t mask = (std::size_t{1} << q) - 1;
     const std::size_t head = std::min(khi, (klo + mask) & ~mask);
     const std::size_t tail = std::max(head, khi & ~mask);
-    single_runs(z, q, m, klo, head, use_simd);
+    single_runs(z, q, m, klo, head);
     single_runs_avx2(z, q, m, head, tail);
-    single_runs(z, q, m, tail, khi, use_simd);
+    single_runs(z, q, m, tail, khi);
     return;
   }
 #endif
-  single_runs(z, q, m, klo, khi, use_simd);
+  single_runs(z, q, m, klo, khi);
 }
 
 void two_quad_range(cplx* z, std::size_t q0, std::size_t q1, const cplx* m,
@@ -590,9 +585,9 @@ void two_quad_range(cplx* z, std::size_t q0, std::size_t q1, const cplx* m,
 
 void zz_accumulate(const cplx* state, std::size_t lo, std::size_t hi,
                    const std::size_t* masks, std::size_t num_masks,
-                   double* acc, bool use_simd) {
+                   double* acc) {
 #if QARCH_SIMD_X86
-  if (use_simd && active()) {
+  if (active()) {
     // Scalar head/tail bring the vector body onto 4-aligned groups.
     const std::size_t alo = std::min(hi, (lo + 3) & ~std::size_t{3});
     const std::size_t ahi = std::max(alo, hi & ~std::size_t{3});
@@ -603,28 +598,26 @@ void zz_accumulate(const cplx* state, std::size_t lo, std::size_t hi,
     return;
   }
 #endif
-  (void)use_simd;
   zz_accumulate_scalar(state, lo, hi, masks, num_masks, acc);
 }
 
 double diag_expectation(const cplx* z, const double* diag, double shift,
-                        std::size_t n, bool use_simd) {
+                        std::size_t n) {
   double lanes[4] = {0.0, 0.0, 0.0, 0.0};
   std::size_t done = 0;
 #if QARCH_SIMD_X86
-  if (use_simd && active()) {
+  if (active()) {
     done = n & ~std::size_t{3};
     diag_lanes_avx2(z, diag, shift, done, lanes);
   }
 #endif
-  (void)use_simd;
   diag_lanes_scalar(z, diag, shift, done, n, lanes);
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-void cplx_mul_runs(cplx* acc, const cplx* x, std::size_t n, bool use_simd) {
+void cplx_mul_runs(cplx* acc, const cplx* x, std::size_t n) {
 #if QARCH_SIMD_X86
-  if (use_simd && active()) {
+  if (active()) {
     const std::size_t vec = n & ~std::size_t{1};
     cplx_mul_runs_avx2(acc, x, vec);
     acc += vec;
@@ -632,14 +625,12 @@ void cplx_mul_runs(cplx* acc, const cplx* x, std::size_t n, bool use_simd) {
     n -= vec;
   }
 #endif
-  (void)use_simd;
   cplx_mul_runs_scalar(acc, x, n);
 }
 
-void cplx_add_runs(cplx* out, const cplx* a, const cplx* b, std::size_t n,
-                   bool use_simd) {
+void cplx_add_runs(cplx* out, const cplx* a, const cplx* b, std::size_t n) {
 #if QARCH_SIMD_X86
-  if (use_simd && active()) {
+  if (active()) {
     const std::size_t vec = n & ~std::size_t{1};
     cplx_add_runs_avx2(out, a, b, vec);
     out += vec;
@@ -648,7 +639,6 @@ void cplx_add_runs(cplx* out, const cplx* a, const cplx* b, std::size_t n,
     n -= vec;
   }
 #endif
-  (void)use_simd;
   cplx_add_runs_scalar(out, a, b, n);
 }
 

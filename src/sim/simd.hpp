@@ -13,9 +13,9 @@
 // ships the vector paths; at runtime `active()` checks, once, that (a) the
 // build had the x86 paths enabled (QARCH_ENABLE_AVX2, on by default), (b)
 // the CPU reports avx2+fma, and (c) neither the QARCH_SIMD=0 environment
-// override nor set_runtime_enabled(false) turned them off. Every pass also
-// takes a per-call `use_simd` flag so a compiled plan (PlanOptions::simd)
-// can opt out for ablation without flipping global state.
+// override nor set_runtime_enabled(false) turned them off. Every pass
+// dispatches on active() alone; that process-wide switch is the one way to
+// run the scalar bodies on an AVX2 build.
 //
 // Slice passes take the slice's GLOBAL base index so the cache-blocked
 // replay can run any op on any aligned sub-range of the state: selector
@@ -49,42 +49,56 @@ bool runtime_enabled();
 /// runtime_enabled(). Cheap (one relaxed atomic load) — called per pass.
 bool active();
 
+/// Holds the process-wide switch at `enabled` for one scope and restores
+/// the previous setting on exit, also when a test assertion returns early.
+/// The switch is global: flip it only while no other thread replays.
+class ScopedRuntime {
+ public:
+  explicit ScopedRuntime(bool enabled) : was_(runtime_enabled()) {
+    set_runtime_enabled(enabled);
+  }
+  ~ScopedRuntime() { set_runtime_enabled(was_); }
+  ScopedRuntime(const ScopedRuntime&) = delete;
+  ScopedRuntime& operator=(const ScopedRuntime&) = delete;
+
+ private:
+  bool was_;
+};
+
 // -- streaming passes ---------------------------------------------------------
 //
-// All passes mutate `z[0..n)` in place. `use_simd=false` forces the scalar
-// body regardless of active(). Both variants perform the same per-amplitude
-// operations in the same order (the AVX2 bodies use explicit mul+addsub, no
-// FMA, and simd.cpp is built without fp contraction or auto-vectorization,
-// so the compiler cannot fuse the scalar bodies even under global -mfma):
-// results agree bit-for-bit. zz_accumulate alone reassociates its partial
-// sums (rounding-level differences); diag_expectation fixes its lane order
-// in both bodies. Toggling mid-run is safe.
+// All passes mutate `z[0..n)` in place and run the AVX2 body iff active().
+// Both variants perform the same per-amplitude operations in the same order
+// (the AVX2 bodies use explicit mul+addsub, no FMA, and simd.cpp is built
+// without fp contraction or auto-vectorization, so the compiler cannot fuse
+// the scalar bodies even under global -mfma): results agree bit-for-bit.
+// zz_accumulate alone reassociates its partial sums (rounding-level
+// differences); diag_expectation fixes its lane order in both bodies.
+// Toggling mid-run is safe.
 
 /// z[i] *= w.
-void scale_run(cplx* z, std::size_t n, cplx w, bool use_simd = true);
+void scale_run(cplx* z, std::size_t n, cplx w);
 
 /// z[i] *= (i even ? w0 : w1) — the qubit-0 diagonal pattern.
-void mul_pattern2(cplx* z, std::size_t n, cplx w0, cplx w1,
-                  bool use_simd = true);
+void mul_pattern2(cplx* z, std::size_t n, cplx w0, cplx w1);
 
 /// Single-qubit diagonal on a slice: z[i] *= ((base+i)>>q & 1 ? d1 : d0).
 void diag1_slice(cplx* z, std::size_t n, std::size_t base, std::size_t q,
-                 cplx d0, cplx d1, bool use_simd = true);
+                 cplx d0, cplx d1);
 
 /// Two-qubit diagonal on a slice with entries d[((gi>>q0)&1)<<1 | (gi>>q1)&1]
 /// for gi = base + i (d has 4 entries).
 void diag2_slice(cplx* z, std::size_t n, std::size_t base, std::size_t q0,
-                 std::size_t q1, const cplx* d, bool use_simd = true);
+                 std::size_t q1, const cplx* d);
 
 /// Phase-table lookup: z[i] *= lut[cls[i]] (cls already offset to the slice).
 void table_slice(cplx* z, const std::uint16_t* cls, const cplx* lut,
-                 std::size_t n, bool use_simd = true);
+                 std::size_t n);
 
 /// Fused 2x2 on two contiguous runs: (a[i], b[i]) <- M (a[i], b[i])^T with
 /// row-major m[4]. The Single kernel's inner loop for target qubit q >= 1,
 /// where the bit-q=0 and bit-q=1 amplitudes form runs of length 2^q.
-void single_pairs(cplx* a, cplx* b, std::size_t n, const cplx* m,
-                  bool use_simd = true);
+void single_pairs(cplx* a, cplx* b, std::size_t n, const cplx* m);
 
 /// Fused 2x2 over a PAIR-INDEX range [klo, khi): pair k expands to
 /// i0 = ((k >> q) << (q+1)) | (k & (2^q - 1)), i1 = i0 | 2^q, exactly the
@@ -92,11 +106,12 @@ void single_pairs(cplx* a, cplx* b, std::size_t n, const cplx* m,
 /// arbitrary unaligned [klo, khi) splits, so both the serial full-state
 /// kernel and any parallel chunking share one body.
 void single_pair_range(cplx* z, std::size_t q, const cplx* m, std::size_t klo,
-                       std::size_t khi, bool use_simd = true);
+                       std::size_t khi);
 
-/// Dense 4x4 over a QUAD-INDEX range [klo, khi) (scalar only — the dense
-/// two-qubit op never appears in QAOA plans; kept for completeness). Quad k
-/// spreads across the two bit holes exactly like the legacy kernel.
+/// Dense 4x4 over a QUAD-INDEX range [klo, khi), scalar only. QAOA plans
+/// run it for entangling mixers: qaoa::append_mixer_layer builds a ring of
+/// each two-qubit mixer gate, and the CX and SWAP rings compile to Two ops.
+/// Quad k spreads across the two bit holes exactly like the legacy kernel.
 void two_quad_range(cplx* z, std::size_t q0, std::size_t q1, const cplx* m,
                     std::size_t klo, std::size_t khi);
 
@@ -105,7 +120,7 @@ void two_quad_range(cplx* z, std::size_t q0, std::size_t q1, const cplx* m,
 /// num_masks entries and is accumulated into (not cleared).
 void zz_accumulate(const cplx* state, std::size_t lo, std::size_t hi,
                    const std::size_t* masks, std::size_t num_masks,
-                   double* acc, bool use_simd = true);
+                   double* acc);
 
 /// <z| D - shift |z> for a diagonal observable: sum_i |z_i|^2 (diag[i] -
 /// shift). A shift near the mean of diag keeps the partial sums, and so
@@ -115,7 +130,7 @@ void zz_accumulate(const cplx* state, std::size_t lo, std::size_t hi,
 /// (l0 + l1) + (l2 + l3), so the scalar and AVX2 bodies return identical
 /// bits.
 double diag_expectation(const cplx* z, const double* diag, double shift,
-                        std::size_t n, bool use_simd = true);
+                        std::size_t n);
 
 // -- contiguous-run passes (qtensor bucket kernels) ---------------------------
 //
@@ -125,11 +140,9 @@ double diag_expectation(const cplx* z, const double* diag, double shift,
 // FMA, remainder handled scalar by the dispatcher).
 
 /// acc[i] *= x[i] — elementwise complex multiply of two contiguous runs.
-void cplx_mul_runs(cplx* acc, const cplx* x, std::size_t n,
-                   bool use_simd = true);
+void cplx_mul_runs(cplx* acc, const cplx* x, std::size_t n);
 
 /// out[i] = a[i] + b[i] — elementwise complex add of two contiguous runs.
-void cplx_add_runs(cplx* out, const cplx* a, const cplx* b, std::size_t n,
-                   bool use_simd = true);
+void cplx_add_runs(cplx* out, const cplx* a, const cplx* b, std::size_t n);
 
 }  // namespace qarch::sim::simd

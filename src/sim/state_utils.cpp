@@ -13,7 +13,7 @@ namespace qarch::sim {
 
 std::vector<double> batched_expectation_zz(
     const State& state, std::span<const ZZPair> pairs, std::size_t workers,
-    std::size_t parallel_threshold_qubits, bool use_simd) {
+    std::size_t parallel_threshold_qubits) {
   const std::size_t n = state_qubits(state);
   std::vector<std::size_t> masks(pairs.size());
   for (std::size_t k = 0; k < pairs.size(); ++k) {
@@ -30,7 +30,7 @@ std::vector<double> batched_expectation_zz(
   const auto block = [&](std::size_t lo, std::size_t hi) {
     std::vector<double> partial(masks.size(), 0.0);
     simd::zz_accumulate(state.data(), lo, hi, masks.data(), masks.size(),
-                        partial.data(), use_simd);
+                        partial.data());
     return partial;
   };
   const auto combine = [](std::vector<double> acc, std::vector<double> part) {

@@ -23,10 +23,9 @@ struct ZZPair {
 /// `workers` > 1 the state is split into contiguous blocks whose per-thread
 /// partial sums are combined in index order (deterministic). Returns values
 /// aligned with `pairs`.
-/// `use_simd = false` forces the scalar accumulation body (ablation/CI).
 std::vector<double> batched_expectation_zz(
     const State& state, std::span<const ZZPair> pairs, std::size_t workers = 1,
-    std::size_t parallel_threshold_qubits = 14, bool use_simd = true);
+    std::size_t parallel_threshold_qubits = 14);
 
 /// Inverse-CDF basis-state draws, one per uniform (result k belongs to
 /// uniforms[k]; bit q of an index is qubit q). Each result is exactly the

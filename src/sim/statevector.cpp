@@ -54,8 +54,7 @@ void note_expectation_sweep() {
 }  // namespace detail
 
 void kernel_single(State& state, std::size_t q, const cplx* m,
-                   std::size_t workers, std::size_t parallel_threshold_qubits,
-                   bool use_simd) {
+                   std::size_t workers, std::size_t parallel_threshold_qubits) {
   const std::size_t n = state_qubits(state);
   QARCH_REQUIRE(q < n, "qubit out of range");
   const std::size_t pairs = state.size() / 2;
@@ -66,11 +65,11 @@ void kernel_single(State& state, std::size_t q, const cplx* m,
     parallel::parallel_for_blocks(
         0, pairs,
         [&](std::size_t klo, std::size_t khi) {
-          simd::single_pair_range(z, q, m, klo, khi, use_simd);
+          simd::single_pair_range(z, q, m, klo, khi);
         },
         workers, 2048);
   } else {
-    simd::single_pair_range(z, q, m, 0, pairs, use_simd);
+    simd::single_pair_range(z, q, m, 0, pairs);
   }
 }
 
@@ -94,8 +93,7 @@ void kernel_two(State& state, std::size_t q0, std::size_t q1, const cplx* m,
 }
 
 void kernel_diag1(State& state, std::size_t q, cplx d0, cplx d1,
-                  std::size_t workers, std::size_t parallel_threshold_qubits,
-                  bool use_simd) {
+                  std::size_t workers, std::size_t parallel_threshold_qubits) {
   const std::size_t n = state_qubits(state);
   QARCH_REQUIRE(q < n, "qubit out of range");
   cplx* z = state.data();
@@ -104,17 +102,16 @@ void kernel_diag1(State& state, std::size_t q, cplx d0, cplx d1,
     parallel::parallel_for_blocks(
         0, state.size(),
         [&](std::size_t lo, std::size_t hi) {
-          simd::diag1_slice(z + lo, hi - lo, lo, q, d0, d1, use_simd);
+          simd::diag1_slice(z + lo, hi - lo, lo, q, d0, d1);
         },
         workers, 4096);
   } else {
-    simd::diag1_slice(z, state.size(), 0, q, d0, d1, use_simd);
+    simd::diag1_slice(z, state.size(), 0, q, d0, d1);
   }
 }
 
 void kernel_diag2(State& state, std::size_t q0, std::size_t q1, const cplx* d,
-                  std::size_t workers, std::size_t parallel_threshold_qubits,
-                  bool use_simd) {
+                  std::size_t workers, std::size_t parallel_threshold_qubits) {
   const std::size_t n = state_qubits(state);
   QARCH_REQUIRE(q0 < n && q1 < n && q0 != q1, "bad two-qubit target");
   cplx* z = state.data();
@@ -123,11 +120,11 @@ void kernel_diag2(State& state, std::size_t q0, std::size_t q1, const cplx* d,
     parallel::parallel_for_blocks(
         0, state.size(),
         [&](std::size_t lo, std::size_t hi) {
-          simd::diag2_slice(z + lo, hi - lo, lo, q0, q1, d, use_simd);
+          simd::diag2_slice(z + lo, hi - lo, lo, q0, q1, d);
         },
         workers, 4096);
   } else {
-    simd::diag2_slice(z, state.size(), 0, q0, q1, d, use_simd);
+    simd::diag2_slice(z, state.size(), 0, q0, q1, d);
   }
 }
 

@@ -31,7 +31,7 @@ State zero_state(std::size_t num_qubits);
 State plus_state(std::size_t num_qubits);
 
 /// Per-gate full-state simulator: the serial reference oracle. Each gate
-/// runs as one dense kernel call on 1 worker with SIMD dispatch on.
+/// runs as one dense kernel call on 1 worker.
 class StatevectorSimulator {
  public:
   /// Applies one gate in place. theta resolves symbolic gate parameters.
@@ -53,14 +53,12 @@ class StatevectorSimulator {
 // Free functions shared by StatevectorSimulator (per-gate path) and
 // SimProgram (compiled-plan path). States with fewer than
 // `parallel_threshold_qubits` qubits always run serially — fork/join would
-// dominate the sweep. Inner loops stream through sim::simd (AVX2/FMA when
-// available, scalar otherwise); `use_simd = false` forces the scalar bodies
-// for ablation and fallback testing.
+// dominate the sweep. Inner loops stream through sim::simd: AVX2/FMA when
+// simd::active(), scalar otherwise.
 
 /// Applies a dense 2x2 matrix (row-major, 4 entries) to qubit q.
 void kernel_single(State& state, std::size_t q, const cplx* m,
-                   std::size_t workers, std::size_t parallel_threshold_qubits,
-                   bool use_simd = true);
+                   std::size_t workers, std::size_t parallel_threshold_qubits);
 
 /// Applies a dense 4x4 matrix (row-major, 16 entries; bit q0 is the HIGH bit
 /// of the 4x4 basis, bit q1 the low bit) to qubits (q0, q1).
@@ -70,14 +68,12 @@ void kernel_two(State& state, std::size_t q0, std::size_t q1, const cplx* m,
 /// Streams diag(d0, d1) on qubit q: one complex multiply per amplitude, no
 /// index shuffling and no pair gathering.
 void kernel_diag1(State& state, std::size_t q, cplx d0, cplx d1,
-                  std::size_t workers, std::size_t parallel_threshold_qubits,
-                  bool use_simd = true);
+                  std::size_t workers, std::size_t parallel_threshold_qubits);
 
 /// Streams a two-qubit diagonal gate with entries d[(bit_q0 << 1) | bit_q1]
 /// (d has 4 entries): one complex multiply per amplitude.
 void kernel_diag2(State& state, std::size_t q0, std::size_t q1, const cplx* d,
-                  std::size_t workers, std::size_t parallel_threshold_qubits,
-                  bool use_simd = true);
+                  std::size_t workers, std::size_t parallel_threshold_qubits);
 
 // -- expectation values ------------------------------------------------------
 

@@ -1454,9 +1454,7 @@ TEST(SessionConfig, BaseDeepTogglesSurviveReconciliation) {
   s.training_evals = 77;
   s.simplify_circuit = false;
   // Deep engine toggles only reachable through the escape hatch:
-  s.base.energy.sv_plan.simd = false;
   s.base.energy.sv_plan.phase_tables = false;
-  s.base.energy.sv_plan.fuse_single_qubit = false;
   s.base.energy.qtensor.slice_above_width = 20;
   s.base.energy.qtensor.random_restarts = 3;
   s.base.energy.plan_cache_capacity = 2;
@@ -1473,9 +1471,7 @@ TEST(SessionConfig, BaseDeepTogglesSurviveReconciliation) {
   EXPECT_EQ(opt.cobyla.max_evals, 33u);
   EXPECT_FALSE(opt.simplify_circuit);
   // ...but every deep toggle must survive the merge untouched.
-  EXPECT_FALSE(opt.energy.sv_plan.simd);
   EXPECT_FALSE(opt.energy.sv_plan.phase_tables);
-  EXPECT_FALSE(opt.energy.sv_plan.fuse_single_qubit);
   EXPECT_EQ(opt.energy.qtensor.slice_above_width, 20u);
   EXPECT_EQ(opt.energy.qtensor.random_restarts, 3u);
   EXPECT_EQ(opt.energy.plan_cache_capacity, 2u);
@@ -1488,7 +1484,7 @@ TEST(SessionConfig, BaseDeepTogglesSurviveReconciliation) {
   // The same toggles survive through energy_options(); with the evaluator
   // NOT pre-simplifying, the plan-level presimplify keeps base's value.
   const auto en = s.energy_options(qaoa::EngineKind::Statevector);
-  EXPECT_FALSE(en.sv_plan.simd);
+  EXPECT_FALSE(en.sv_plan.phase_tables);
   EXPECT_TRUE(en.sv_plan.presimplify);
 
   // Named-knob precedence over a conflicting base value is part of the

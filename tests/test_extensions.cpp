@@ -1,5 +1,5 @@
 // Tests for the extension modules: constraints, report IO, dataset search,
-// Pauli strings, noise trajectories, INTERP initialization, and TN slicing.
+// noise trajectories, and TN slicing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,13 +9,11 @@
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "optim/cobyla.hpp"
-#include "qaoa/interp.hpp"
 #include "qtensor/slicing.hpp"
 #include "search/constraints.hpp"
 #include "search/dataset.hpp"
 #include "search/report_io.hpp"
 #include "sim/noise.hpp"
-#include "sim/pauli.hpp"
 
 namespace {
 
@@ -162,63 +160,6 @@ TEST(DatasetSearch, SerialAndParallelSlotsAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// Pauli strings
-// ---------------------------------------------------------------------------
-
-TEST(Pauli, ParseAndRender) {
-  const auto p = sim::PauliString::parse("IZXY");
-  EXPECT_EQ(p.to_string(), "IZXY");
-  EXPECT_EQ(p.weight(), 3u);
-  EXPECT_EQ(p.get(0), sim::Pauli::I);
-  EXPECT_EQ(p.get(3), sim::Pauli::Y);
-  EXPECT_THROW(sim::PauliString::parse("AB"), Error);
-}
-
-TEST(Pauli, ExpectationsOnKnownStates) {
-  // |0>: <Z> = 1, <X> = 0. |+>: <X> = 1, <Z> = 0.
-  const auto zero = sim::zero_state(1);
-  const auto plus = sim::plus_state(1);
-  EXPECT_NEAR(sim::PauliString::parse("Z").expectation(zero), 1.0, 1e-12);
-  EXPECT_NEAR(sim::PauliString::parse("X").expectation(zero), 0.0, 1e-12);
-  EXPECT_NEAR(sim::PauliString::parse("X").expectation(plus), 1.0, 1e-12);
-  EXPECT_NEAR(sim::PauliString::parse("Z").expectation(plus), 0.0, 1e-12);
-  EXPECT_NEAR(sim::PauliString::parse("Y").expectation(plus), 0.0, 1e-12);
-}
-
-TEST(Pauli, MatchesDedicatedZZImplementation) {
-  Rng rng(47);
-  circuit::Circuit c(3);
-  c.h(0);
-  c.cx(0, 1);
-  c.ry(2, circuit::ParamExpr::constant_angle(0.8));
-  c.rzz(1, 2, circuit::ParamExpr::constant_angle(-0.6));
-  const sim::StatevectorSimulator sv;
-  const auto state = sv.run_from_plus(c, {});
-  EXPECT_NEAR(sim::PauliString::parse("ZZI").expectation(state),
-              sim::expectation_zz(state, 0, 1), 1e-12);
-  EXPECT_NEAR(sim::PauliString::parse("IZZ").expectation(state),
-              sim::expectation_zz(state, 1, 2), 1e-12);
-}
-
-TEST(Pauli, YPhaseConventions) {
-  // Y|0> = i|1>, Y|1> = -i|0>.
-  sim::State s = sim::zero_state(1);
-  sim::PauliString::parse("Y").apply(s);
-  EXPECT_NEAR(std::abs(s[1] - linalg::cplx{0, 1}), 0.0, 1e-12);
-  sim::PauliString::parse("Y").apply(s);  // Y^2 = I
-  EXPECT_NEAR(std::abs(s[0] - linalg::cplx{1, 0}), 0.0, 1e-12);
-}
-
-TEST(Pauli, SumAccumulatesTerms) {
-  sim::PauliSum sum;
-  sum.add(sim::PauliString::parse("ZI", 0.5));
-  sum.add(sim::PauliString::parse("IZ", 0.5));
-  const auto zero = sim::zero_state(2);
-  EXPECT_NEAR(sum.expectation(zero), 1.0, 1e-12);
-  EXPECT_THROW(sum.add(sim::PauliString::parse("Z")), Error);  // size mismatch
-}
-
-// ---------------------------------------------------------------------------
 // Noise
 // ---------------------------------------------------------------------------
 
@@ -273,38 +214,6 @@ TEST(Noise, RejectsBadProbabilities) {
   bad.p1 = 1.5;
   Rng rng(1);
   EXPECT_THROW(sim::noisy_trajectory(c, {}, bad, rng), Error);
-}
-
-// ---------------------------------------------------------------------------
-// INTERP initialization
-// ---------------------------------------------------------------------------
-
-TEST(Interp, ScheduleShapeAndEndpoints) {
-  // p=2 schedule (γ1 β1 γ2 β2) -> p=3 schedule.
-  const std::vector<double> theta{0.1, 0.9, 0.3, 0.7};
-  const auto next = qaoa::interp_schedule(theta);
-  ASSERT_EQ(next.size(), 6u);
-  // INTERP keeps endpoints: first γ = (2-0)/2*γ1 = γ1, last γ = γ2.
-  EXPECT_NEAR(next[0], 0.1, 1e-12);
-  EXPECT_NEAR(next[4], 0.3, 1e-12);
-  // Interior point is the average for p=2.
-  EXPECT_NEAR(next[2], 0.2, 1e-12);
-  EXPECT_THROW(qaoa::interp_schedule({0.1}), Error);
-}
-
-TEST(Interp, IncrementalTrainingMonotoneAtDepth) {
-  Rng rng(67);
-  const auto g = graph::random_regular(8, 3, rng);
-  const qaoa::EnergyEvaluator ev(g, {});
-  optim::CobylaConfig cc;
-  cc.max_evals = 80;
-  const auto result = qaoa::train_qaoa_interp(g, qaoa::MixerSpec::baseline(),
-                                              3, ev, optim::Cobyla(cc));
-  ASSERT_EQ(result.per_depth.size(), 3u);
-  // Warm-started deeper circuits should not lose energy.
-  EXPECT_GE(result.per_depth[1].energy, result.per_depth[0].energy - 1e-6);
-  EXPECT_GE(result.per_depth[2].energy, result.per_depth[1].energy - 1e-6);
-  EXPECT_EQ(result.final().theta.size(), 6u);
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@
 #include "qaoa/mixer.hpp"
 #include "qaoa/sampling.hpp"
 #include "qaoa/train.hpp"
+#include "sim/simd.hpp"
 
 namespace {
 
@@ -304,9 +305,12 @@ TEST(Energy, StatevectorEnergyIsBitIdenticalAcrossInnerWorkersAndSimd) {
       }
       std::vector<double> reference;  // inner 1, simd on
       for (const Config& cfg : configs) {
+        // simd = false holds the process-wide switch off; true leaves it
+        // as the environment set it.
+        const sim::simd::ScopedRuntime simd(cfg.simd &&
+                                            sim::simd::runtime_enabled());
         qaoa::EnergyOptions opt = statevector_options();
         opt.inner_workers = cfg.inner;
-        opt.sv_plan.simd = cfg.simd;
         const qaoa::EnergyEvaluator ev(g, opt);
         const auto plan = ev.make_plan(c);
         std::vector<double> energies;

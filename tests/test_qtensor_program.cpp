@@ -337,32 +337,30 @@ TEST(ShapeDedup, RegularGraphSharesPrograms) {
   EXPECT_GE(info.compiled_programs, 1u);
 }
 
-TEST(ShapeDedup, DedupOffCompilesPerEdgeAndAgrees) {
+TEST(ShapeDedup, DedupedTermsMatchPerEdgeOracle) {
   Rng rng(89);
   const auto g = graph::random_regular(8, 3, rng);
   const auto ansatz = qaoa::build_qaoa_circuit(g, 1, qaoa::MixerSpec::qnas());
   const std::vector<double> theta(ansatz.num_params(), -0.7);
 
-  qaoa::EnergyOptions on;
-  on.engine = qaoa::EngineKind::TensorNetwork;
-  qaoa::EnergyOptions off = on;
-  off.qtensor.dedup_shapes = false;
+  qaoa::EnergyOptions opt;
+  opt.engine = qaoa::EngineKind::TensorNetwork;
+  const qaoa::EnergyEvaluator ev(g, opt);
+  const auto plan = ev.plan_for(ansatz);
 
-  const qaoa::EnergyEvaluator ev_on(g, on);
-  const qaoa::EnergyEvaluator ev_off(g, off);
-  const auto plan_on = ev_on.plan_for(ansatz);
-  const auto plan_off = ev_off.plan_for(ansatz);
-
-  // The ablation path compiles one program per edge; dedup compiles one per
-  // shape class. Both evaluate to the same energy and per-term values.
-  EXPECT_EQ(plan_off->info().compiled_programs, g.num_edges());
-  EXPECT_LE(plan_on->info().compiled_programs, g.num_edges());
-  EXPECT_NEAR(plan_on->energy(theta), plan_off->energy(theta), 1e-9);
-  const auto zz_on = plan_on->zz_expectations(theta);
-  const auto zz_off = plan_off->zz_expectations(theta);
-  ASSERT_EQ(zz_on.size(), zz_off.size());
-  for (std::size_t k = 0; k < zz_on.size(); ++k)
-    EXPECT_NEAR(zz_on[k], zz_off[k], 1e-9) << "term " << k;
+  // Dedup compiles one program per shape class and broadcasts its value to
+  // every member edge; each broadcast value must be that edge's own
+  // <Z_u Z_v>, as the one-shot facade contracts it edge by edge.
+  EXPECT_LE(plan->info().compiled_programs, g.num_edges());
+  const auto zz = plan->zz_expectations(theta);
+  const auto& terms = ev.hamiltonian().terms();
+  ASSERT_EQ(zz.size(), terms.size());
+  const qtensor::QTensorSimulator oracle;
+  for (std::size_t k = 0; k < zz.size(); ++k)
+    EXPECT_NEAR(zz[k], oracle.expectation_zz(ansatz, theta, terms[k].u,
+                                             terms[k].v),
+                1e-9)
+        << "term " << k;
 }
 
 TEST(PlanReuse, MultistartRestartsShareOneCompilation) {

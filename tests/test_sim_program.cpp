@@ -14,6 +14,7 @@
 #include "qaoa/energy.hpp"
 #include "search/evaluator.hpp"
 #include "sim/sim_program.hpp"
+#include "sim/simd.hpp"
 #include "sim/state_utils.hpp"
 #include "sim/statevector.hpp"
 
@@ -90,19 +91,12 @@ TEST(SimProgram, CompiledPlanMatchesNaivePerGateApply) {
                           "trial " + std::to_string(trial) + " workers " +
                               std::to_string(workers));
     }
-    // The fully de-specialized plan configuration replays the same circuit
-    // through per-gate dense scalar kernels — identical unitary.
-    const sim::SimProgram plain(c, sim::PlanOptions::generic());
-    EXPECT_EQ(plain.stats().diag1_ops + plain.stats().diag2_ops +
-                  plain.stats().diag_table_ops,
-              0u);
-    expect_states_close(plain.run_from_plus(theta), expected, 1e-10,
-                        "generic trial " + std::to_string(trial));
   }
 }
 
-TEST(SimProgram, DiagonalKernelsMatchGenericKernels) {
+TEST(SimProgram, DiagonalKernelsMatchPerGateOracle) {
   Rng rng(202);
+  const sim::StatevectorSimulator naive;
   for (int trial = 0; trial < 16; ++trial) {
     const std::size_t n = 2 + rng.uniform_int(11);  // 2..12
     const auto c = random_circuit(rng, n, 25, 2, kDiagonalPool);
@@ -110,31 +104,25 @@ TEST(SimProgram, DiagonalKernelsMatchGenericKernels) {
                                        rng.uniform(-3.0, 3.0)};
 
     sim::PlanOptions diag;
-    diag.diagonal_kernels = true;
-    diag.fuse_single_qubit = false;
     diag.presimplify = false;
     diag.phase_tables = false;  // compare the per-gate streaming kernels
     diag.parallel_threshold_qubits = 2;
-    sim::PlanOptions generic = diag;
-    generic.diagonal_kernels = false;
 
     const sim::SimProgram with_diag(c, diag);
-    const sim::SimProgram without_diag(c, generic);
-    // The diagonal program streams phases; the generic one runs the full
-    // pair/quad gather kernels. Identical unitaries either way.
+    // The program streams phases; the oracle runs the dense pair/quad
+    // gather kernels gate by gate. Identical unitaries either way.
     EXPECT_GT(with_diag.stats().diag1_ops + with_diag.stats().diag2_ops, 0u);
-    EXPECT_EQ(without_diag.stats().diag1_ops, 0u);
-    EXPECT_EQ(without_diag.stats().diag2_ops, 0u);
+    const auto expected = naive.run_from_plus(c, theta);
     for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-      expect_states_close(with_diag.run_from_plus(theta, workers),
-                          without_diag.run_from_plus(theta, workers), 1e-10,
-                          "trial " + std::to_string(trial));
+      expect_states_close(with_diag.run_from_plus(theta, workers), expected,
+                          1e-10, "trial " + std::to_string(trial));
     }
   }
 }
 
-TEST(SimProgram, FusionTogglesPreserveTheState) {
+TEST(SimProgram, FusedPlanMatchesPerGateOracle) {
   Rng rng(303);
+  const sim::StatevectorSimulator naive;
   for (int trial = 0; trial < 12; ++trial) {
     const std::size_t n = 2 + rng.uniform_int(11);
     const auto c = random_circuit(rng, n, 40, 2, kFullPool);
@@ -142,15 +130,14 @@ TEST(SimProgram, FusionTogglesPreserveTheState) {
 
     sim::PlanOptions fused;
     fused.parallel_threshold_qubits = 2;
-    sim::PlanOptions unfused = fused;
-    unfused.fuse_single_qubit = false;
-    unfused.presimplify = false;
 
     const sim::SimProgram a(c, fused);
-    const sim::SimProgram b(c, unfused);
-    EXPECT_LE(a.stats().ops, b.stats().ops);
-    expect_states_close(a.run_from_plus(theta, 1), b.run_from_plus(theta, 4),
-                        1e-10, "trial " + std::to_string(trial));
+    EXPECT_LE(a.stats().ops, c.num_gates());
+    const auto expected = naive.run_from_plus(c, theta);
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}})
+      expect_states_close(a.run_from_plus(theta, workers), expected, 1e-10,
+                          "trial " + std::to_string(trial) + " workers " +
+                              std::to_string(workers));
   }
 }
 
@@ -389,6 +376,27 @@ TEST(PhaseTableCache, TensorNetworkScorerBuildsTheCostLayerOnce) {
   EXPECT_GT(b.sampled_ratio, 0.0);
 }
 
+TEST(PhaseTableCache, SampledObjectiveBuildsTheCostLayerOnce) {
+  // A sampled objective trains each candidate on a query::Sampler, and the
+  // Eq. 3 scorer after it replays a one-shot program. Both compile through
+  // the energy evaluator's cache, so two p = 2 candidates, with two cost
+  // layers each, build one cost-layer table between them.
+  Rng rng(809);
+  const auto g = graph::random_regular(8, 3, rng);
+  search::EvaluatorOptions opt;
+  opt.energy.engine = qaoa::EngineKind::Statevector;
+  opt.objective.kind = qaoa::ObjectiveKind::CVaR;
+  opt.objective.shots = 32;
+  opt.cobyla.max_evals = 20;
+  const search::Evaluator evaluator(g, opt);
+  const std::uint64_t before = sim::phase_table_build_count();
+  const auto a = evaluator.evaluate(qaoa::MixerSpec::baseline(), 2);
+  const auto b = evaluator.evaluate(qaoa::MixerSpec::qnas(), 2);
+  EXPECT_EQ(sim::phase_table_build_count() - before, 1u);
+  EXPECT_GT(a.sampled_ratio, 0.0);
+  EXPECT_GT(b.sampled_ratio, 0.0);
+}
+
 TEST(BatchedZZ, MatchesPerEdgeExpectationOnRandomStates) {
   Rng rng(505);
   for (int trial = 0; trial < 12; ++trial) {
@@ -491,20 +499,22 @@ TEST(SimProgram, CacheBlockedReplayMatchesUnblocked) {
 
 TEST(SimProgram, SimdToggleLeavesReplayEquivalent) {
   // The scalar and AVX2 multiplicative bodies share operation order, so a
-  // whole compiled replay agrees across the toggle to compiler-contraction
-  // noise (bit-for-bit on builds where the scalar bodies are not
-  // FMA-contracted, e.g. the default no -mfma build).
+  // whole compiled replay agrees across the process-wide switch to
+  // compiler-contraction noise (bit-for-bit on builds where the scalar
+  // bodies are not FMA-contracted, e.g. the default no -mfma build).
   Rng rng(909);
   for (int trial = 0; trial < 8; ++trial) {
     const std::size_t n = 2 + rng.uniform_int(9);
     const auto c = random_circuit(rng, n, 30, 2, kFullPool);
     const std::vector<double> theta = {0.9, -0.2};
-    sim::PlanOptions simd_on;
-    sim::PlanOptions simd_off = simd_on;
-    simd_off.simd = false;
-    const sim::SimProgram a(c, simd_on);
-    const sim::SimProgram b(c, simd_off);
-    expect_states_close(a.run_from_plus(theta), b.run_from_plus(theta), 1e-12,
+    const sim::SimProgram program(c);
+    const sim::State simd_on = program.run_from_plus(theta);
+    sim::State simd_off;
+    {
+      const sim::simd::ScopedRuntime scalar(false);
+      simd_off = program.run_from_plus(theta);
+    }
+    expect_states_close(simd_on, simd_off, 1e-12,
                         "simd toggle trial " + std::to_string(trial));
   }
 }
@@ -592,7 +602,7 @@ TEST(PlanReuse, EvaluatorOptionsRoundTripThroughEffectiveEnergy) {
   search::EvaluatorOptions opt;
   opt.energy.inner_workers = 3;
   opt.energy.sv_plan.block_qubits = 12;
-  opt.energy.sv_plan.simd = false;
+  opt.energy.sv_plan.phase_tables = false;
   opt.energy.plan_cache_capacity = 5;
 
   // The ONE reconciliation: evaluator-level presimplify wins...
@@ -602,7 +612,7 @@ TEST(PlanReuse, EvaluatorOptionsRoundTripThroughEffectiveEnergy) {
   // ...everything else passes through untouched.
   EXPECT_EQ(eff.inner_workers, 3u);
   EXPECT_EQ(eff.sv_plan.block_qubits, 12u);
-  EXPECT_FALSE(eff.sv_plan.simd);
+  EXPECT_FALSE(eff.sv_plan.phase_tables);
   EXPECT_EQ(eff.plan_cache_capacity, 5u);
 
   // Without evaluator pre-simplification the plan toggle survives as set.

@@ -1,11 +1,12 @@
 // SIMD streaming passes: randomized bit-for-bit equivalence of the AVX2/FMA
-// bodies against the scalar fallback on deliberately awkward shapes —
+// bodies against the scalar fallback, selected through the process-wide
+// switch (sim::simd::ScopedRuntime), on deliberately awkward shapes —
 // lengths below the vector width, odd lengths, unaligned slice bases, slices
 // that start and end inside a 2^q run, and every qubit target and pair of
 // states up to 10 qubits, including q = 0 where complex lanes interleave
 // inside one register and q >= 1 where one body walks every whole run. On a
-// scalar build (QARCH_ENABLE_AVX2=OFF) or a non-AVX2 CPU both paths run the
-// same body and the tests pin the fallback's semantics.
+// scalar build (QARCH_ENABLE_AVX2=OFF), a non-AVX2 CPU or under QARCH_SIMD=0
+// both paths run the same body and the tests pin the fallback's semantics.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -53,6 +54,16 @@ void expect_bit_equal(const std::vector<cplx>& a, const std::vector<cplx>& b,
   }
 }
 
+/// Runs `body` with the process-wide switch held off, so every pass in it
+/// takes the scalar body; the tests compare it against the same pass under
+/// the switch as the environment set it (AVX2 where the build and CPU have
+/// it). Returns what `body` returns.
+template <class Body>
+auto scalar(Body&& body) {
+  const sim::simd::ScopedRuntime off(false);
+  return body();
+}
+
 /// Sub-ranges [lo, hi) of [0, total) against runs of `run` elements: the
 /// whole range, ranges that start and end inside a run, ranges shorter
 /// than a vector register, and a few random ones.
@@ -87,8 +98,8 @@ TEST(Simd, ScaleRunMatchesScalarOnOddSizes) {
     const auto src = random_state(rng, n);
     const cplx w = random_phase(rng);
     auto a = src, b = src;
-    sim::simd::scale_run(a.data(), n, w, /*use_simd=*/true);
-    sim::simd::scale_run(b.data(), n, w, /*use_simd=*/false);
+    sim::simd::scale_run(a.data(), n, w);
+    scalar([&] { sim::simd::scale_run(b.data(), n, w); });
     expect_bit_equal(a, b, "scale_run");
   }
 }
@@ -99,8 +110,8 @@ TEST(Simd, Pattern2MatchesScalarOnOddSizes) {
     const auto src = random_state(rng, n);
     const cplx w0 = random_phase(rng), w1 = random_phase(rng);
     auto a = src, b = src;
-    sim::simd::mul_pattern2(a.data(), n, w0, w1, true);
-    sim::simd::mul_pattern2(b.data(), n, w0, w1, false);
+    sim::simd::mul_pattern2(a.data(), n, w0, w1);
+    scalar([&] { sim::simd::mul_pattern2(b.data(), n, w0, w1); });
     expect_bit_equal(a, b, "mul_pattern2");
   }
 }
@@ -111,8 +122,8 @@ TEST(Simd, CplxMulRunsMatchesScalarOnOddSizes) {
     const auto acc0 = random_state(rng, n);
     const auto x = random_state(rng, n);
     auto a = acc0, b = acc0;
-    sim::simd::cplx_mul_runs(a.data(), x.data(), n, true);
-    sim::simd::cplx_mul_runs(b.data(), x.data(), n, false);
+    sim::simd::cplx_mul_runs(a.data(), x.data(), n);
+    scalar([&] { sim::simd::cplx_mul_runs(b.data(), x.data(), n); });
     expect_bit_equal(a, b, "cplx_mul_runs");
   }
 }
@@ -123,8 +134,10 @@ TEST(Simd, CplxAddRunsMatchesScalarOnOddSizes) {
     const auto x = random_state(rng, n);
     const auto y = random_state(rng, n);
     std::vector<cplx> a(n), b(n);
-    sim::simd::cplx_add_runs(a.data(), x.data(), y.data(), n, true);
-    sim::simd::cplx_add_runs(b.data(), x.data(), y.data(), n, false);
+    sim::simd::cplx_add_runs(a.data(), x.data(), y.data(), n);
+    scalar([&] {
+      sim::simd::cplx_add_runs(b.data(), x.data(), y.data(), n);
+    });
     expect_bit_equal(a, b, "cplx_add_runs");
     for (std::size_t i = 0; i < n; ++i)
       EXPECT_EQ(b[i], x[i] + y[i]) << "scalar add @" << i;
@@ -140,8 +153,10 @@ TEST(Simd, Diag1SliceMatchesScalarOnUnalignedBases) {
         const auto src = random_state(rng, n);
         const cplx d0 = random_phase(rng), d1 = random_phase(rng);
         auto a = src, b = src;
-        sim::simd::diag1_slice(a.data(), n, base, q, d0, d1, true);
-        sim::simd::diag1_slice(b.data(), n, base, q, d0, d1, false);
+        sim::simd::diag1_slice(a.data(), n, base, q, d0, d1);
+        scalar([&] {
+          sim::simd::diag1_slice(b.data(), n, base, q, d0, d1);
+        });
         expect_bit_equal(a, b, "diag1_slice");
       }
     }
@@ -155,8 +170,10 @@ TEST(Simd, Diag1SliceMatchesScalarOnUnalignedBases) {
       const cplx d0 = random_phase(rng), d1 = random_phase(rng);
       for (const auto& [lo, hi] : ranges_over(rng, dim, std::size_t{1} << q)) {
         auto a = src, b = src;
-        sim::simd::diag1_slice(a.data() + lo, hi - lo, lo, q, d0, d1, true);
-        sim::simd::diag1_slice(b.data() + lo, hi - lo, lo, q, d0, d1, false);
+        sim::simd::diag1_slice(a.data() + lo, hi - lo, lo, q, d0, d1);
+        scalar([&] {
+          sim::simd::diag1_slice(b.data() + lo, hi - lo, lo, q, d0, d1);
+        });
         const std::string what = "diag1_slice nq=" + std::to_string(nq) +
                                  " q=" + std::to_string(q) + " [" +
                                  std::to_string(lo) + "," +
@@ -186,8 +203,8 @@ TEST(Simd, Diag2SliceMatchesScalarOnUnalignedBases) {
     const cplx d[4] = {random_phase(rng), random_phase(rng),
                        random_phase(rng), random_phase(rng)};
     auto a = src, b = src;
-    sim::simd::diag2_slice(a.data(), n, base, q0, q1, d, true);
-    sim::simd::diag2_slice(b.data(), n, base, q0, q1, d, false);
+    sim::simd::diag2_slice(a.data(), n, base, q0, q1, d);
+    scalar([&] { sim::simd::diag2_slice(b.data(), n, base, q0, q1, d); });
     expect_bit_equal(a, b, "diag2_slice");
   }
   // Every ordered qubit pair of states up to 10 qubits, on slices that
@@ -205,9 +222,10 @@ TEST(Simd, Diag2SliceMatchesScalarOnUnalignedBases) {
                                 << (low > 0 ? low : std::max(q0, q1));
         for (const auto& [lo, hi] : ranges_over(rng, dim, run)) {
           auto a = src, b = src;
-          sim::simd::diag2_slice(a.data() + lo, hi - lo, lo, q0, q1, d, true);
-          sim::simd::diag2_slice(b.data() + lo, hi - lo, lo, q0, q1, d,
-                                 false);
+          sim::simd::diag2_slice(a.data() + lo, hi - lo, lo, q0, q1, d);
+          scalar([&] {
+            sim::simd::diag2_slice(b.data() + lo, hi - lo, lo, q0, q1, d);
+          });
           const std::string what =
               "diag2_slice nq=" + std::to_string(nq) + " q=(" +
               std::to_string(q0) + "," + std::to_string(q1) + ") [" +
@@ -239,8 +257,10 @@ TEST(Simd, TableSliceMatchesScalar) {
     for (auto& c : cls) c = static_cast<std::uint16_t>(rng.uniform_int(classes));
     const auto src = random_state(rng, n);
     auto a = src, b = src;
-    sim::simd::table_slice(a.data(), cls.data(), lut.data(), n, true);
-    sim::simd::table_slice(b.data(), cls.data(), lut.data(), n, false);
+    sim::simd::table_slice(a.data(), cls.data(), lut.data(), n);
+    scalar([&] {
+      sim::simd::table_slice(b.data(), cls.data(), lut.data(), n);
+    });
     expect_bit_equal(a, b, "table_slice");
   }
 }
@@ -260,8 +280,10 @@ TEST(Simd, SinglePairRangeMatchesScalarOnAllTargets) {
       for (const auto& [klo, khi] :
            ranges_over(rng, pairs, std::size_t{1} << q)) {
         auto a = src, b = src;
-        sim::simd::single_pair_range(a.data(), q, m, klo, khi, true);
-        sim::simd::single_pair_range(b.data(), q, m, klo, khi, false);
+        sim::simd::single_pair_range(a.data(), q, m, klo, khi);
+        scalar([&] {
+          sim::simd::single_pair_range(b.data(), q, m, klo, khi);
+        });
         const std::string what = "single_pair_range nq=" +
                                  std::to_string(nq) + " q=" +
                                  std::to_string(q) + " [" +
@@ -306,9 +328,11 @@ TEST(Simd, ZzAccumulateMatchesScalarWithinRounding) {
     std::vector<double> acc_simd(masks.size(), 0.0);
     std::vector<double> acc_scalar(masks.size(), 0.0);
     sim::simd::zz_accumulate(state.data(), lo, hi, masks.data(), masks.size(),
-                             acc_simd.data(), true);
-    sim::simd::zz_accumulate(state.data(), lo, hi, masks.data(), masks.size(),
-                             acc_scalar.data(), false);
+                             acc_simd.data());
+    scalar([&] {
+      sim::simd::zz_accumulate(state.data(), lo, hi, masks.data(),
+                               masks.size(), acc_scalar.data());
+    });
     // The vector body associates its partial sums differently (four running
     // lanes per mask), so equality holds to rounding, not bit-for-bit.
     for (std::size_t k = 0; k < masks.size(); ++k)
@@ -335,9 +359,10 @@ TEST(Simd, DiagExpectationIsBitIdenticalAcrossBodies) {
     const auto z = random_state(rng, n);
     const auto d = random_diag(rng, n);
     for (const double shift : {0.0, 2.375}) {
-      EXPECT_EQ(
-          sim::simd::diag_expectation(z.data(), d.data(), shift, n, true),
-          sim::simd::diag_expectation(z.data(), d.data(), shift, n, false))
+      const auto expectation = [&] {
+        return sim::simd::diag_expectation(z.data(), d.data(), shift, n);
+      };
+      EXPECT_EQ(expectation(), scalar(expectation))
           << "n=" << n << " shift=" << shift;
     }
   }
@@ -353,40 +378,44 @@ TEST(Simd, KernelsMatchAcrossSimdToggleOnSmallStates) {
       const auto src = random_state(rng, dim);
       const cplx d0 = random_phase(rng), d1 = random_phase(rng);
       sim::State a = src, b = src;
-      sim::kernel_diag1(a, q, d0, d1, 1, 14, true);
-      sim::kernel_diag1(b, q, d0, d1, 1, 14, false);
+      sim::kernel_diag1(a, q, d0, d1, 1, 14);
+      scalar([&] { sim::kernel_diag1(b, q, d0, d1, 1, 14); });
       expect_bit_equal(a, b, "kernel_diag1");
 
       cplx m[4];
       for (auto& c : m) c = cplx{rng.uniform(-1, 1), rng.uniform(-1, 1)};
       a = src;
       b = src;
-      sim::kernel_single(a, q, m, 1, 14, true);
-      sim::kernel_single(b, q, m, 1, 14, false);
+      sim::kernel_single(a, q, m, 1, 14);
+      scalar([&] { sim::kernel_single(b, q, m, 1, 14); });
       expect_bit_equal(a, b, "kernel_single");
     }
     const auto src = random_state(rng, dim);
     const auto d = random_diag(rng, dim);
-    EXPECT_EQ(
-        sim::simd::diag_expectation(src.data(), d.data(), 1.5, dim, true),
-        sim::simd::diag_expectation(src.data(), d.data(), 1.5, dim, false))
+    const auto expectation = [&] {
+      return sim::simd::diag_expectation(src.data(), d.data(), 1.5, dim);
+    };
+    EXPECT_EQ(expectation(), scalar(expectation))
         << "diag_expectation nq=" << nq;
   }
 }
 
 TEST(Simd, RuntimeToggleForcesScalarPath) {
-  // set_runtime_enabled(false) must force active() off; kernels stay correct.
+  // A ScopedRuntime(false) must force active() off for its scope and give
+  // the switch back after; kernels stay correct.
   const bool was = sim::simd::runtime_enabled();
-  sim::simd::set_runtime_enabled(false);
-  EXPECT_FALSE(sim::simd::active());
   Rng rng(19);
   auto z = random_state(rng, 9);
   auto ref = z;
   const cplx w = random_phase(rng);
-  sim::simd::scale_run(z.data(), z.size(), w, true);
-  sim::simd::scale_run(ref.data(), ref.size(), w, false);
+  {
+    const sim::simd::ScopedRuntime off(false);
+    EXPECT_FALSE(sim::simd::active());
+    sim::simd::scale_run(z.data(), z.size(), w);
+  }
+  EXPECT_EQ(sim::simd::runtime_enabled(), was);
+  sim::simd::scale_run(ref.data(), ref.size(), w);
   expect_bit_equal(z, ref, "scale_run under disabled runtime");
-  sim::simd::set_runtime_enabled(was);
 }
 
 }  // namespace

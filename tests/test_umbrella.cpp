@@ -29,7 +29,6 @@ TEST(Umbrella, EverySubsystemIsReachable) {
   // sim
   const auto state = sim::StatevectorSimulator().run(c, {}, sim::zero_state(2));
   EXPECT_NEAR(sim::expectation_zz(state, 0, 1), 1.0, 1e-12);
-  EXPECT_NEAR(sim::PauliString::parse("ZZ").expectation(state), 1.0, 1e-12);
 
   // qtensor (the <ZZ> network assumes the |+>^n initial state)
   const auto plus_run = sim::StatevectorSimulator().run_from_plus(c, {});
