@@ -1,9 +1,11 @@
 // Classical max-cut solvers.
 //
 // The approximation ratio r = <C> / C_classical (Eq. 3) needs the classical
-// optimum; for the paper's 10-node instances we compute it exactly by
-// enumerating all 2^(n-1) bipartitions. Greedy + local-search heuristics are
-// provided for larger instances and as cross-checks.
+// optimum. search::Evaluator takes it from qaoa::classical_maximum's bucket
+// elimination on every Hamiltonian; maxcut_exact enumerates all 2^(n-1)
+// bipartitions and stays as the independent oracle that tests, examples and
+// benches check against. Greedy + local-search heuristics are provided for
+// larger instances and as cross-checks.
 #pragma once
 
 #include <cstddef>

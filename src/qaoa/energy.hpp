@@ -168,8 +168,11 @@ class EnergyEvaluator {
   /// C(x) for every basis state x (bit q of x is qubit q), equal bit for bit
   /// to hamiltonian().classical_value_bits(x). Built once by the constructor
   /// on the statevector engine up to sv_plan.phase_table_max_qubits qubits
-  /// (8·2^n bytes), and empty otherwise. Statevector plans read <C> off it;
-  /// its maximum is the exact classical optimum.
+  /// (8·2^n bytes), and empty otherwise. Statevector plans read <C> off it.
+  /// Its maximum is a term-order sum at a maximizer, like
+  /// classical_maximum(); the two can round differently where several
+  /// maximizers tie, so search::Evaluator takes the optimum from the
+  /// solver on both engines.
   [[nodiscard]] std::span<const double> cost_diagonal() const { return diag_; }
 
   /// The phase tables of this graph's programs, on either engine up to

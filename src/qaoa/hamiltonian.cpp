@@ -1,10 +1,14 @@
 #include "qaoa/hamiltonian.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 
 #include "common/error.hpp"
+#include "qtensor/ordering.hpp"
 
 namespace qarch::qaoa {
 
@@ -116,14 +120,139 @@ double Hamiltonian::classical_value_bits(std::size_t basis_index) const {
   return e;
 }
 
+namespace {
+
+/// One (max, +) factor: table[x] for x over `scope`, where bit k of x is
+/// the basis bit of qubit scope[k] (bit b is z = 1 - 2b).
+struct MaxPlusFactor {
+  std::vector<std::size_t> scope;
+  std::vector<double> table;
+};
+
+/// One elimination: `var` is maximized out of the sum of `factors`,
+/// giving a message over `scope` (the bucket's other qubits, ascending).
+/// choice[x] records the var bit that attains the maximum at x.
+struct MaxPlusBucket {
+  std::size_t var = 0;
+  std::vector<std::size_t> factors;
+  std::vector<std::size_t> scope;
+  std::vector<std::uint64_t> choice;  ///< one bit per message entry
+};
+
+/// Fills bucket.choice and returns the message: for each x over
+/// bucket.scope, the larger of the factor sums at var = 0 and var = 1.
+/// Odometer walk as in the tensor-network kernels: incrementing x sets bit
+/// t = countr_zero(x) and clears the bits below it, so each factor's flat
+/// index moves by a per-(factor, t) delta.
+std::vector<double> eliminate(MaxPlusBucket& bucket,
+                              const std::vector<MaxPlusFactor>& factors) {
+  const std::size_t rank = bucket.scope.size();
+  const std::size_t num_factors = bucket.factors.size();
+  std::vector<const double*> table(num_factors);
+  std::vector<std::size_t> idx(num_factors, 0), var_stride(num_factors, 0);
+  std::vector<std::ptrdiff_t> delta(num_factors * rank);
+  for (std::size_t f = 0; f < num_factors; ++f) {
+    const MaxPlusFactor& factor = factors[bucket.factors[f]];
+    table[f] = factor.table.data();
+    std::ptrdiff_t below = 0;  // stride sum of the scope bits below t
+    for (std::size_t t = 0; t < rank; ++t) {
+      std::ptrdiff_t stride = 0;
+      for (std::size_t k = 0; k < factor.scope.size(); ++k)
+        if (factor.scope[k] == bucket.scope[t])
+          stride = std::ptrdiff_t{1} << k;
+      delta[f * rank + t] = stride - below;
+      below += stride;
+    }
+    for (std::size_t k = 0; k < factor.scope.size(); ++k)
+      if (factor.scope[k] == bucket.var) var_stride[f] = std::size_t{1} << k;
+  }
+  const std::size_t end = std::size_t{1} << rank;
+  std::vector<double> message(end);
+  bucket.choice.assign((end + 63) / 64, 0);
+  for (std::size_t x = 0;;) {
+    double lo = 0.0, hi = 0.0;
+    for (std::size_t f = 0; f < num_factors; ++f) {
+      lo += table[f][idx[f]];
+      hi += table[f][idx[f] + var_stride[f]];
+    }
+    message[x] = std::max(lo, hi);
+    if (hi > lo) bucket.choice[x / 64] |= std::uint64_t{1} << (x % 64);
+    if (++x == end) break;
+    const auto t = static_cast<std::size_t>(std::countr_zero(x));
+    for (std::size_t f = 0; f < num_factors; ++f)
+      idx[f] = static_cast<std::size_t>(
+          static_cast<std::ptrdiff_t>(idx[f]) + delta[f * rank + t]);
+  }
+  return message;
+}
+
+}  // namespace
+
 double classical_maximum(const Hamiltonian& ham) {
-  QARCH_REQUIRE(ham.num_qubits() <= 30,
-                "classical_maximum: exact enumeration needs <= 30 qubits");
-  const std::size_t dim = std::size_t{1} << ham.num_qubits();
-  double best = ham.classical_value_bits(0);
-  for (std::size_t i = 1; i < dim; ++i)
-    best = std::max(best, ham.classical_value_bits(i));
-  return best;
+  const std::size_t n = ham.num_qubits();
+  std::vector<MaxPlusFactor> factors;
+  for (const ZZTerm& t : ham.terms()) {
+    const double c = t.coefficient;
+    factors.push_back({{t.u, t.v}, {c, -c, -c, c}});
+  }
+  for (const ZTerm& t : ham.z_terms())
+    factors.push_back({{t.q}, {t.coefficient, -t.coefficient}});
+  // qtensor's elimination-order heuristic reads the same label structure
+  // as a tensor network: one tensor per factor.
+  qtensor::TensorNetwork net;
+  net.num_vars = n;
+  for (const MaxPlusFactor& f : factors)
+    net.tensors.emplace_back(f.scope,
+                             std::vector<qtensor::cplx>(f.table.size()));
+
+  // Symbolic pass: every bucket's factors and scope, so the width is known
+  // before any message is allocated. A message joins the factor list as
+  // the next factor.
+  std::vector<MaxPlusBucket> buckets;
+  std::vector<bool> live(factors.size(), true);
+  for (std::size_t var : qtensor::order_greedy_fill(net)) {
+    MaxPlusBucket bucket;
+    bucket.var = var;
+    std::set<std::size_t> scope;
+    for (std::size_t i = 0; i < factors.size(); ++i) {
+      const auto& fs = factors[i].scope;
+      if (!live[i] || std::find(fs.begin(), fs.end(), var) == fs.end())
+        continue;
+      bucket.factors.push_back(i);
+      live[i] = false;
+      scope.insert(fs.begin(), fs.end());
+    }
+    QARCH_REQUIRE(scope.size() <= kMaxBucketVars,
+                  "classical_maximum: elimination width " +
+                      std::to_string(scope.size()) + " exceeds " +
+                      std::to_string(kMaxBucketVars) + " variables");
+    scope.erase(var);
+    bucket.scope.assign(scope.begin(), scope.end());
+    factors.push_back({bucket.scope, {}});
+    live.push_back(true);
+    buckets.push_back(std::move(bucket));
+  }
+
+  // Numeric pass, freeing each factor once its bucket has consumed it.
+  std::size_t message = factors.size() - buckets.size();
+  for (MaxPlusBucket& bucket : buckets) {
+    factors[message++].table = eliminate(bucket, factors);
+    for (std::size_t i : bucket.factors)
+      std::vector<double>().swap(factors[i].table);
+  }
+
+  // Trace back: a bucket's scope holds only variables eliminated after it,
+  // so in reverse order each choice reads bits already fixed. Qubits in no
+  // term keep z = +1.
+  std::vector<int> z(n, 1);
+  for (auto b = buckets.rbegin(); b != buckets.rend(); ++b) {
+    std::size_t x = 0;
+    for (std::size_t k = 0; k < b->scope.size(); ++k)
+      if (z[b->scope[k]] < 0) x |= std::size_t{1} << k;
+    z[b->var] = ((b->choice[x / 64] >> (x % 64)) & 1) != 0 ? -1 : 1;
+  }
+  // The term-order sum: bit for bit the enumeration's value at z.
+  return ham.classical_value(z);
 }
 
 Hamiltonian HamiltonianSpec::build(const graph::Graph& g) const {

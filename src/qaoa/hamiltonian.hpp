@@ -106,9 +106,23 @@ class Hamiltonian {
 /// Historical name: the graph constructor builds exactly the MaxCut form.
 using MaxCutHamiltonian = Hamiltonian;
 
-/// Exact classical maximum of C over all 2^n assignments (brute force;
-/// requires num_qubits <= 30). The ratio denominator for non-MaxCut
-/// objectives, where graph::maxcut_exact does not apply.
+/// Widest bucket classical_maximum eliminates: its message then holds
+/// 2^25 doubles (256 MB). Every n <= 26 fits.
+inline constexpr std::size_t kMaxBucketVars = 26;
+
+/// Exact classical maximum of C over all 2^n assignments, by (max, +)
+/// bucket elimination (Dechter 1999): one factor per ZZ and Z term,
+/// eliminated in qtensor's greedy min-fill order, so the cost is
+/// exponential in that order's width, not in n. The traced-back maximizer
+/// z* is scored by classical_value(z*), the term-order sum that
+/// classical_value_bits and the statevector cost diagonal compute too. So
+/// the result is the enumeration's maximum bit for bit wherever the
+/// maximizers' sums agree (unweighted MaxCut, whose sums are exact;
+/// weighted MaxCut, whose maximizers are a cut and its flip); where several
+/// maximizers tie in exact arithmetic but round differently (weighted MIS),
+/// it is one of their sums. Throws InvalidArgument, before allocating any
+/// message, when a bucket holds more than kMaxBucketVars variables. The
+/// ratio denominator of search::Evaluator on both engines.
 double classical_maximum(const Hamiltonian& ham);
 
 /// Buildable description of a Hamiltonian — the SessionConfig / wire /

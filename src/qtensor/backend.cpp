@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/error.hpp"
-#include "sim/simd.hpp"
 
 namespace qarch::qtensor {
 
@@ -68,97 +67,6 @@ void product_range(const std::vector<const Tensor*>& factors,
   }
 }
 
-/// Fused variant of product_range: walks the REDUCED index space (the
-/// eliminated variable — position 0 of the full label set — dropped) and
-/// writes lo+hi directly, where hi offsets each factor by its stride of the
-/// eliminated variable (0 for factors not carrying it, which cannot happen
-/// in a bucket, but broadcasting keeps the code uniform).
-void product_sum_range(const std::vector<const Tensor*>& factors,
-                       const std::vector<std::vector<std::size_t>>& strides,
-                       std::size_t out_rank, cplx* out) {
-  const std::size_t num_factors = factors.size();
-  const std::size_t reduced_rank = out_rank - 1;
-  const std::size_t end = std::size_t{1} << reduced_rank;
-
-  std::vector<std::vector<std::ptrdiff_t>> delta(num_factors);
-  std::vector<const cplx*> data(num_factors);
-  std::vector<std::size_t> idx(num_factors, 0);
-  std::vector<std::size_t> v_stride(num_factors);
-  for (std::size_t f = 0; f < num_factors; ++f) {
-    const auto& st = strides[f];
-    v_stride[f] = st[0];
-    // Reduced strides: positions 1..out_rank-1 keep their full-space stride;
-    // the odometer walk is identical to product_range's, one bit shorter.
-    auto& d = delta[f];
-    d.resize(reduced_rank);
-    std::ptrdiff_t prefix = 0;
-    for (std::size_t t = 0; t < reduced_rank; ++t) {
-      const auto s = static_cast<std::ptrdiff_t>(st[out_rank - 1 - t]);
-      d[t] = s - prefix;
-      prefix += s;
-    }
-    data[f] = factors[f]->data().data();
-  }
-
-  // Vectorized path: per factor, walk the odometer once to GATHER the
-  // (lo, hi) pair stream into contiguous scratch runs, then chain the factor
-  // products through lane-wise SIMD multiplies — in the SAME factor order as
-  // the scalar loop below — and emit lo+hi with one vectorized add. The
-  // gathers are scalar either way (the indices are data-dependent), but the
-  // 2*(num_factors-1) complex multiplies and the final add per output, the
-  // bulk of the arithmetic, run two complex lanes per AVX2 register.
-  // sim::simd::active() folds in the QARCH_SIMD=0 override and the CPU
-  // check, so this block self-disables into the scalar walk.
-  constexpr std::size_t kBlock = 64;
-  if (sim::simd::active() && end >= 32) {
-    cplx lo_acc[kBlock], hi_acc[kBlock];
-    cplx lo_t[kBlock], hi_t[kBlock];
-    std::size_t i = 0;
-    while (i < end) {
-      const std::size_t len = std::min(kBlock, end - i);
-      for (std::size_t f = 0; f < num_factors; ++f) {
-        cplx* lo_dst = (f == 0) ? lo_acc : lo_t;
-        cplx* hi_dst = (f == 0) ? hi_acc : hi_t;
-        const cplx* src = data[f];
-        const auto& d = delta[f];
-        const std::size_t vs = v_stride[f];
-        std::size_t cur = idx[f];
-        for (std::size_t j = 0; j < len; ++j) {
-          lo_dst[j] = src[cur];
-          hi_dst[j] = src[cur + vs];
-          if (const std::size_t next = i + j + 1; next < end)
-            cur = static_cast<std::size_t>(
-                static_cast<std::ptrdiff_t>(cur) +
-                d[static_cast<std::size_t>(std::countr_zero(next))]);
-        }
-        idx[f] = cur;
-        if (f > 0) {
-          sim::simd::cplx_mul_runs(lo_acc, lo_t, len);
-          sim::simd::cplx_mul_runs(hi_acc, hi_t, len);
-        }
-      }
-      sim::simd::cplx_add_runs(out + i, lo_acc, hi_acc, len);
-      i += len;
-    }
-    return;
-  }
-
-  for (std::size_t i = 0;;) {
-    cplx lo = data[0][idx[0]];
-    cplx hi = data[0][idx[0] + v_stride[0]];
-    for (std::size_t f = 1; f < num_factors; ++f) {
-      lo *= data[f][idx[f]];
-      hi *= data[f][idx[f] + v_stride[f]];
-    }
-    out[i] = lo + hi;
-    if (++i >= end) break;
-    const int t = std::countr_zero(i);
-    for (std::size_t f = 0; f < num_factors; ++f)
-      idx[f] = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(idx[f]) +
-                                        delta[f][static_cast<std::size_t>(t)]);
-  }
-}
-
 }  // namespace
 
 Tensor Backend::product(const std::vector<const Tensor*>& factors,
@@ -178,19 +86,6 @@ void SerialCpuBackend::product_into(const std::vector<const Tensor*>& factors,
   for (const Tensor* f : factors)
     strides.push_back(factor_strides(*f, out_labels));
   product_range(factors, strides, out_rank, out);
-}
-
-void SerialCpuBackend::product_sum_into(
-    const std::vector<const Tensor*>& factors,
-    const std::vector<VarId>& out_labels, cplx* out) const {
-  QARCH_REQUIRE(!factors.empty(), "product of zero factors");
-  QARCH_REQUIRE(!out_labels.empty(), "product_sum_into needs a variable");
-  const std::size_t out_rank = out_labels.size();
-  std::vector<std::vector<std::size_t>> strides;
-  strides.reserve(factors.size());
-  for (const Tensor* f : factors)
-    strides.push_back(factor_strides(*f, out_labels));
-  product_sum_range(factors, strides, out_rank, out);
 }
 
 std::unique_ptr<Backend> make_backend(const std::string& spec) {

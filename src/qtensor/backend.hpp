@@ -2,12 +2,17 @@
 //
 // QTensor supports multiple tensor-contraction backends (NumPy on CPUs in
 // the paper; GPU backends as future work). We reproduce that seam: the
-// bucket-elimination contractor delegates its hot kernel — computing the
-// element-wise product of a bucket's tensors over the union of their labels —
-// to a Backend. SerialCpuBackend (plain loops, the paper's NumPy-on-CPU
-// analogue) is the one implementation. Parallelism sits above the kernel, in
-// the callers' per-term and per-slice fan-out: a multithreaded kernel lost
-// to the serial one at every size in BENCH_qtensor.json's sim_backend rows.
+// reference bucket-elimination contractor delegates its kernel — the
+// element-wise product of a bucket's tensors over the union of their
+// labels — to a Backend, and a compiled ContractionProgram lays its
+// open-label survivors out through the same product. The programs' bucket
+// steps do not come here: their fused product+sum kernel replays index maps
+// fixed at compile time (program.cpp), so the reference contractor stays
+// an independent oracle for them. SerialCpuBackend (plain loops, the
+// paper's NumPy-on-CPU analogue) is the one implementation. Parallelism
+// sits above the kernel, in the callers' per-term and per-slice fan-out: a
+// multithreaded kernel lost to the serial one at every size in
+// BENCH_qtensor.json's sim_backend rows.
 #pragma once
 
 #include <cstddef>
@@ -35,15 +40,6 @@ class Backend {
                             const std::vector<VarId>& out_labels,
                             cplx* out) const = 0;
 
-  /// Fused bucket-elimination step: the product over `out_labels` — whose
-  /// FIRST label is the eliminated variable — summed over that variable
-  /// directly into `out` (size 2^(|out_labels|-1)). The compiled contraction
-  /// plans replay this kernel; fusing the fold skips materializing the full
-  /// product (one write of half the entries instead of write+read+write).
-  virtual void product_sum_into(const std::vector<const Tensor*>& factors,
-                                const std::vector<VarId>& out_labels,
-                                cplx* out) const = 0;
-
   /// Backend display name.
   [[nodiscard]] virtual std::string name() const = 0;
 };
@@ -54,9 +50,6 @@ class SerialCpuBackend final : public Backend {
   void product_into(const std::vector<const Tensor*>& factors,
                     const std::vector<VarId>& out_labels,
                     cplx* out) const override;
-  void product_sum_into(const std::vector<const Tensor*>& factors,
-                        const std::vector<VarId>& out_labels,
-                        cplx* out) const override;
   [[nodiscard]] std::string name() const override { return "serial-cpu"; }
 };
 

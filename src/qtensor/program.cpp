@@ -1,6 +1,7 @@
 #include "qtensor/program.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -8,6 +9,7 @@
 #include "common/error.hpp"
 #include "qtensor/shape.hpp"
 #include "qtensor/slicing.hpp"
+#include "sim/simd.hpp"
 
 namespace qarch::qtensor {
 
@@ -42,6 +44,80 @@ ContractionPlan plan_closed_vars(const TensorNetwork& net,
   return plan;
 }
 
+/// The fused bucket step over the reduced index space (the eliminated
+/// variable, product position 0, dropped): out[i] = lo + hi, where lo and
+/// hi multiply the factors at the eliminated variable's 0 and 1, in factor
+/// order. Factor f starts at data[f][idx[f]], reaches its hi entry at
+/// +v_stride[f], and steps its flat index by delta[f * reduced_rank + t]
+/// when incrementing i sets bit t (the odometer: the change depends on
+/// countr_zero(i) alone).
+void product_sum(std::size_t num_factors, std::size_t reduced_rank,
+                 const cplx* const* data, std::size_t* idx,
+                 const std::size_t* v_stride, const std::ptrdiff_t* delta,
+                 cplx* out) {
+  const std::size_t end = std::size_t{1} << reduced_rank;
+  const auto advance = [](std::size_t cur, const std::ptrdiff_t* d,
+                          std::size_t next) {
+    return static_cast<std::size_t>(
+        static_cast<std::ptrdiff_t>(cur) +
+        d[static_cast<std::size_t>(std::countr_zero(next))]);
+  };
+
+  // Vectorized path: per factor, walk the odometer once to GATHER the
+  // (lo, hi) pair stream into contiguous scratch runs, then chain the factor
+  // products through lane-wise SIMD multiplies — in the SAME factor order as
+  // the scalar loop below — and emit lo+hi with one vectorized add. The
+  // gathers are scalar either way (the indices are data-dependent), but the
+  // 2*(num_factors-1) complex multiplies and the final add per output, the
+  // bulk of the arithmetic, run two complex lanes per AVX2 register.
+  // sim::simd::active() folds in the QARCH_SIMD=0 override and the CPU
+  // check, so this block self-disables into the scalar walk.
+  constexpr std::size_t kBlock = 64;
+  if (sim::simd::active() && end >= 32) {
+    cplx lo_acc[kBlock], hi_acc[kBlock];
+    cplx lo_t[kBlock], hi_t[kBlock];
+    std::size_t i = 0;
+    while (i < end) {
+      const std::size_t len = std::min(kBlock, end - i);
+      for (std::size_t f = 0; f < num_factors; ++f) {
+        cplx* lo_dst = (f == 0) ? lo_acc : lo_t;
+        cplx* hi_dst = (f == 0) ? hi_acc : hi_t;
+        const cplx* src = data[f];
+        const std::ptrdiff_t* d = delta + f * reduced_rank;
+        const std::size_t vs = v_stride[f];
+        std::size_t cur = idx[f];
+        for (std::size_t j = 0; j < len; ++j) {
+          lo_dst[j] = src[cur];
+          hi_dst[j] = src[cur + vs];
+          if (const std::size_t next = i + j + 1; next < end)
+            cur = advance(cur, d, next);
+        }
+        idx[f] = cur;
+        if (f > 0) {
+          sim::simd::cplx_mul_runs(lo_acc, lo_t, len);
+          sim::simd::cplx_mul_runs(hi_acc, hi_t, len);
+        }
+      }
+      sim::simd::cplx_add_runs(out + i, lo_acc, hi_acc, len);
+      i += len;
+    }
+    return;
+  }
+
+  for (std::size_t i = 0;;) {
+    cplx lo = data[0][idx[0]];
+    cplx hi = data[0][idx[0] + v_stride[0]];
+    for (std::size_t f = 1; f < num_factors; ++f) {
+      lo *= data[f][idx[f]];
+      hi *= data[f][idx[f] + v_stride[f]];
+    }
+    out[i] = lo + hi;
+    if (++i >= end) break;
+    for (std::size_t f = 0; f < num_factors; ++f)
+      idx[f] = advance(idx[f], delta + f * reduced_rank, i);
+  }
+}
+
 }  // namespace
 
 struct ContractionProgram::Scratch {
@@ -51,6 +127,12 @@ struct ContractionProgram::Scratch {
                                  ///< parallel to sliced_inputs_
   std::vector<const Tensor*> factors;  ///< reusable factor-pointer list
   std::vector<cplx> partial;     ///< one slice's output (sliced only)
+  // The odometer of the step being replayed, sized for the widest step.
+  std::vector<const cplx*> data;      ///< per factor: its slot's entries
+  std::vector<std::size_t> idx;       ///< per factor: flat index at lo
+  std::vector<std::size_t> v_stride;  ///< per factor: eliminated var's stride
+  std::vector<std::ptrdiff_t> delta;  ///< per factor, per reduced bit
+  std::vector<std::size_t> stride;    ///< one factor's stride per position
 };
 
 /// RAII pool lease: scratch workspaces persist across replays (buffer reuse
@@ -184,7 +266,9 @@ void ContractionProgram::compile(TensorNetwork net, std::string shape_key) {
   // Flatten bucket elimination over the scheduled structure into a static
   // step list. Mirrors contract(): per eliminated variable, the bucket is
   // every live slot carrying it; the product spans the union label set with
-  // the variable first, so the post-product sum is a halves fold.
+  // the variable first, so the post-product sum is a halves fold. Each
+  // factor label's position in that product is recorded here, so a replay
+  // never searches a label.
   struct Live {
     std::size_t slot;
     std::vector<VarId> labels;
@@ -198,37 +282,41 @@ void ContractionProgram::compile(TensorNetwork net, std::string shape_key) {
   num_slots_ = net.tensors.size();
 
   for (VarId var : plan.order) {
-    std::vector<Live> rest;
+    std::vector<Live> bucket, rest;
     rest.reserve(live.size());
-    Step step;
-    std::set<VarId> union_set;
-    for (Live& l : live) {
-      if (std::find(l.labels.begin(), l.labels.end(), var) != l.labels.end()) {
-        step.factors.push_back(l.slot);
-        union_set.insert(l.labels.begin(), l.labels.end());
-      } else {
-        rest.push_back(std::move(l));
-      }
-    }
-    if (step.factors.empty()) {
-      live = std::move(rest);
-      continue;
-    }
-    step.out_labels.reserve(union_set.size());
-    step.out_labels.push_back(var);
-    for (VarId w : union_set)
-      if (w != var) step.out_labels.push_back(w);
-    step.entries = std::size_t{1} << step.out_labels.size();
-    step.out_slot = num_slots_++;
-    stats_.width = std::max(stats_.width, step.out_labels.size());
-
-    Live produced;
-    produced.slot = step.out_slot;
-    produced.labels.assign(step.out_labels.begin() + 1,
-                           step.out_labels.end());
-    rest.push_back(std::move(produced));
-    steps_.push_back(std::move(step));
+    for (Live& l : live)
+      (std::find(l.labels.begin(), l.labels.end(), var) != l.labels.end()
+           ? bucket
+           : rest)
+          .push_back(std::move(l));
     live = std::move(rest);
+    if (bucket.empty()) continue;
+    std::set<VarId> union_set;
+    for (const Live& l : bucket)
+      union_set.insert(l.labels.begin(), l.labels.end());
+    std::vector<VarId> labels;  // the product's labels, var first
+    labels.reserve(union_set.size());
+    labels.push_back(var);
+    for (VarId w : union_set)
+      if (w != var) labels.push_back(w);
+
+    Step step;
+    step.first_factor = static_cast<std::uint32_t>(factor_slots_.size());
+    step.num_factors = static_cast<std::uint32_t>(bucket.size());
+    step.first_label = static_cast<std::uint32_t>(label_pos_.size());
+    step.rank = static_cast<std::uint32_t>(labels.size());
+    step.out_slot = static_cast<std::uint32_t>(num_slots_++);
+    for (const Live& l : bucket) {
+      factor_slots_.push_back(static_cast<std::uint32_t>(l.slot));
+      for (VarId w : l.labels)
+        label_pos_.push_back(static_cast<std::uint8_t>(
+            std::find(labels.begin(), labels.end(), w) - labels.begin()));
+    }
+    max_step_factors_ = std::max(max_step_factors_, bucket.size());
+    stats_.width = std::max(stats_.width, labels.size());
+    labels.erase(labels.begin());
+    live.push_back({step.out_slot, std::move(labels)});
+    steps_.push_back(step);
   }
 
   // Everything still alive is a factor of the output: scalars for a closed
@@ -261,10 +349,11 @@ void ContractionProgram::compile(TensorNetwork net, std::string shape_key) {
   stats_.est_flops = plan.cost.flops;
   stats_.slice_vars = slice_vars_.size();
   stats_.heuristic = plan.heuristic;
-  // Intermediate slot entries only: the fused product_sum_into kernel never
+  // Intermediate slot entries only: the fused step kernel never
   // materializes a full bucket product.
   stats_.scratch_entries = 0;
-  for (const Step& s : steps_) stats_.scratch_entries += s.entries / 2;
+  for (const Step& s : steps_)
+    stats_.scratch_entries += std::size_t{1} << (s.rank - 1);
 }
 
 void ContractionProgram::init_scratch(Scratch& s) const {
@@ -280,12 +369,25 @@ void ContractionProgram::init_scratch(Scratch& s) const {
       projected = project(projected, sv, 0);
     s.slots[i] = std::move(projected);
   }
+  // An intermediate's labels are its product's minus the eliminated first
+  // one; the recorded positions rebuild the product's from its factors'.
+  std::vector<VarId> labels;
   for (const Step& st : steps_) {
-    std::vector<VarId> labels(st.out_labels.begin() + 1, st.out_labels.end());
-    s.slots.emplace_back(std::move(labels),
-                         std::vector<cplx>(st.entries / 2));
+    labels.assign(st.rank, 0);
+    const std::uint8_t* pos = label_pos_.data() + st.first_label;
+    for (std::size_t f = 0; f < st.num_factors; ++f) {
+      const auto& fl = s.slots[factor_slots_[st.first_factor + f]].labels();
+      for (VarId w : fl) labels[*pos++] = w;
+    }
+    s.slots.emplace_back(std::vector<VarId>(labels.begin() + 1, labels.end()),
+                         std::vector<cplx>(std::size_t{1} << (st.rank - 1)));
   }
   if (!slice_vars_.empty()) s.partial.assign(output_entries(), cplx{});
+  s.data.resize(max_step_factors_);
+  s.idx.resize(max_step_factors_);
+  s.v_stride.resize(max_step_factors_);
+  s.delta.resize(max_step_factors_ * stats_.width);
+  s.stride.resize(stats_.width);
   s.ready = true;
 }
 
@@ -300,17 +402,40 @@ Tensor& ContractionProgram::rebind_target(Scratch& s,
              : s.full[static_cast<std::size_t>(it - sliced_inputs_.begin())];
 }
 
+void ContractionProgram::run_step(Scratch& s, const Step& st) const {
+  // Factor f's flat index is the sum over its labels j of bit_pos(i) *
+  // 2^(rank_f-1-j), at the label's product position pos; a position the
+  // factor lacks has stride 0 (broadcast). Bit b of the reduced index i is
+  // product position rank-1-b.
+  const std::size_t rank = st.rank;
+  const std::size_t reduced = rank - 1;
+  const std::uint8_t* pos = label_pos_.data() + st.first_label;
+  for (std::size_t f = 0; f < st.num_factors; ++f) {
+    const Tensor& factor = s.slots[factor_slots_[st.first_factor + f]];
+    const std::size_t r = factor.rank();
+    std::fill_n(s.stride.begin(), rank, std::size_t{0});
+    for (std::size_t j = 0; j < r; ++j)
+      s.stride[pos[j]] = std::size_t{1} << (r - 1 - j);
+    pos += r;
+    std::ptrdiff_t* d = s.delta.data() + f * reduced;
+    std::ptrdiff_t prefix = 0;  // sum of the strides of bits below t
+    for (std::size_t t = 0; t < reduced; ++t) {
+      const auto stride = static_cast<std::ptrdiff_t>(s.stride[rank - 1 - t]);
+      d[t] = stride - prefix;
+      prefix += stride;
+    }
+    s.data[f] = factor.data().data();
+    s.idx[f] = 0;
+    s.v_stride[f] = s.stride[0];
+  }
+  product_sum(st.num_factors, reduced, s.data.data(), s.idx.data(),
+              s.v_stride.data(), s.delta.data(),
+              s.slots[st.out_slot].data().data());
+}
+
 void ContractionProgram::run_schedule(Scratch& s, const Backend& backend,
                                       cplx* out) const {
-  for (const Step& st : steps_) {
-    s.factors.clear();
-    for (std::size_t f : st.factors) s.factors.push_back(&s.slots[f]);
-    // Fused bucket step: the product over out_labels summed over the
-    // eliminated (first) variable, written straight into the output slot —
-    // the full product tensor is never materialized.
-    backend.product_sum_into(s.factors, st.out_labels,
-                             s.slots[st.out_slot].data().data());
-  }
+  for (const Step& st : steps_) run_step(s, st);
   if (final_labels_.empty()) {
     cplx value{1.0, 0.0};
     for (std::size_t slot : final_slots_)

@@ -17,13 +17,15 @@
 //   * the slicing decision is taken at compile time: if the planned width
 //     exceeds the budget, slice variables (closed ones only) are chosen and
 //     the schedule is compiled against the projected structure;
-//   * bucket elimination is flattened into a static schedule of product+sum
-//     steps over preallocated scratch buffers; the surviving open-label
-//     slots are combined into the caller's 2^k output.
+//   * bucket elimination is flattened into a static schedule of fused
+//     product+sum steps over preallocated scratch buffers, each step with
+//     its index map (where every factor label sits in the product) fixed
+//     at compile time; the surviving open-label slots are combined into
+//     the caller's 2^k output.
 //
 // A new theta then costs only a per-symbol-gate rebind (a few trig calls),
 // a per-cap 2-entry rewrite, plus the replay — no network rebuild, no
-// ordering, no per-step set algebra, no intermediate allocations. Replays
+// ordering, no per-step label search, no step allocations. Replays
 // are const and thread-safe: concurrent callers lease per-thread scratch
 // workspaces from an internal pool, so one program can be shared across
 // search workers and per-edge parallel_for lanes. qaoa::EnergyEvaluator
@@ -33,6 +35,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -126,8 +129,9 @@ class ContractionProgram {
   /// in the network's cap order — ascending qubit for both query builders),
   /// replays the compiled schedule, and writes the 2^k output tensor over
   /// the final labels into `out` (out.size() == output_entries()); a sliced
-  /// program sums its 2^s partial outputs. Thread-safe; `backend` provides
-  /// the bucket kernels.
+  /// program sums its 2^s partial outputs. Thread-safe. The bucket steps
+  /// run the program's own fused kernel; `backend` lays the open-label
+  /// survivors out along the final labels.
   void run(std::span<const double> theta, std::span<const int> cap_bits,
            const Backend& backend, std::span<cplx> out) const;
 
@@ -151,16 +155,19 @@ class ContractionProgram {
   }
 
  private:
-  /// One flattened bucket-elimination step: Backend::product_sum_into
-  /// multiplies `factors` over `out_labels` (eliminated variable first) and
-  /// folds out that variable as it produces, writing the 2^(rank-1)-entry
-  /// result straight into slot `out_slot` — the full product is never
-  /// materialized.
+  /// One flattened bucket-elimination step: the product of its factors over
+  /// the bucket's union labels (eliminated variable first), folded over
+  /// that variable as it is produced and written as 2^(rank-1) entries
+  /// straight into slot `out_slot` — the full product is never
+  /// materialized. The step's factors are factor_slots_[first_factor, +
+  /// num_factors); each one's labels, in its own order, sit at the product
+  /// positions label_pos_[first_label, ...), one run per factor.
   struct Step {
-    std::vector<std::size_t> factors;   ///< input slot ids
-    std::vector<VarId> out_labels;      ///< union labels, eliminated var first
-    std::size_t out_slot = 0;
-    std::size_t entries = 0;            ///< 2^|out_labels|
+    std::uint32_t first_factor = 0;
+    std::uint32_t num_factors = 0;
+    std::uint32_t first_label = 0;
+    std::uint32_t rank = 0;  ///< product rank, eliminated variable included
+    std::uint32_t out_slot = 0;
   };
 
   /// Per-replay workspace: slot tensors (inputs + intermediates),
@@ -171,6 +178,7 @@ class ContractionProgram {
   void compile(TensorNetwork net, std::string shape_key);
   void init_scratch(Scratch& s) const;
   [[nodiscard]] Tensor& rebind_target(Scratch& s, std::size_t input) const;
+  void run_step(Scratch& s, const Step& step) const;
   void run_schedule(Scratch& s, const Backend& backend, cplx* out) const;
   [[nodiscard]] ScratchLease lease() const;
 
@@ -183,8 +191,12 @@ class ContractionProgram {
   std::vector<VarId> slice_vars_;
   std::vector<std::size_t> sliced_inputs_;  ///< inputs carrying a slice var
   std::vector<Step> steps_;
+  std::vector<std::uint32_t> factor_slots_;  ///< every step's factor slots
+  std::vector<std::uint8_t> label_pos_;      ///< every factor label's product
+                                             ///< position (< kMaxProgramWidth)
   std::vector<std::size_t> final_slots_;    ///< live slots after elimination
   std::size_t num_slots_ = 0;
+  std::size_t max_step_factors_ = 0;
   ProgramStats stats_;
 
   mutable Mutex pool_mutex_{60, "cache.scratch"};

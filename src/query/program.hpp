@@ -7,8 +7,8 @@
 // recorded), fixes the output layout, and holds a qtensor::ContractionProgram
 // compiled from it: the same planner, the same persistent plan cache
 // ("q:"-prefixed keys, so the key spaces never collide), the same slicing
-// decision, and the same flattened product_sum_into schedule as the closed
-// <ZZ> programs. A warm process compiles queries with zero planner
+// decision, and the same flattened schedule of fused product+sum steps as
+// the closed <ZZ> programs. A warm process compiles queries with zero planner
 // invocations; a replay costs a per-symbol-gate rebind, a per-cap 2-entry
 // rewrite, and the schedule — no network rebuild, no ordering, no
 // allocation. Replays are const and thread-safe.

@@ -29,7 +29,7 @@ namespace detail {
 /// numerics): a persisted result cache written under a different version is
 /// ignored wholesale, because its results are no longer reproducible by a
 /// fresh run.
-constexpr const char* kCacheCodeVersion = "qarch-eval-v9";
+constexpr const char* kCacheCodeVersion = "qarch-eval-v10";
 
 /// Version gate of the persisted contraction-plan cache. Independent of the
 /// result-cache version: planning decisions stay valid across evaluation-
@@ -438,9 +438,10 @@ void merge_result_entries(ServiceState& state, std::vector<CacheEntry> entries,
 /// twice, breaking the one-compile-per-(candidate, graph) contract), so a
 /// key's first requester constructs inside the slot's call_once while later
 /// requesters block on that SLOT only — the service mutex is never held
-/// across construction, which is exponential in n: a statevector evaluator
+/// across construction, which can be exponential: a statevector evaluator
 /// fills its 2^n cost diagonal and takes the optimum from it, a
-/// tensor-network one runs the maxcut_exact (or classical_maximum) solver.
+/// tensor-network one runs qaoa::classical_maximum's bucket elimination,
+/// exponential in the interaction graph's elimination width.
 std::shared_ptr<const Evaluator> evaluator_for(
     ServiceState& state, const std::string& graph_key, const graph::Graph& g,
     qaoa::EngineKind engine, std::size_t training_evals,

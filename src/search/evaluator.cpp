@@ -1,12 +1,10 @@
 #include "search/evaluator.hpp"
 
-#include <algorithm>
 #include <optional>
 
 #include "circuit/optimizer.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "graph/maxcut.hpp"
 #include "optim/multistart.hpp"
 #include "qaoa/ansatz.hpp"
 #include "qaoa/sampling.hpp"
@@ -34,15 +32,20 @@ Evaluator::Evaluator(const graph::Graph& g, EvaluatorOptions options)
       cobyla_(options_.cobyla) {
   QARCH_REQUIRE(g.num_edges() >= 1, "evaluation graph needs edges");
   QARCH_REQUIRE(options_.restarts >= 1, "need at least one training start");
-  // The statevector engine's cost diagonal already holds C(x) for every x;
-  // its maximum equals classical_maximum bit for bit.
-  const std::span<const double> diag = energy_.cost_diagonal();
-  if (!diag.empty())
-    classical_optimum_ = *std::max_element(diag.begin(), diag.end());
-  else
-    classical_optimum_ = options_.hamiltonian.is_default()
-                             ? graph::maxcut_exact(graph_).value
-                             : qaoa::classical_maximum(ham_);
+  // Refused up front: a 2^n statevector still runs in these cases. The
+  // default spec scores Eq. 3 on a one-shot state on either engine, and the
+  // statevector engine trains on one.
+  QARCH_REQUIRE(!options_.hamiltonian.is_default() || g.num_vertices() <= 26,
+                "MaxCut evaluation (2^n statevector scoring) needs <= 26 "
+                "vertices");
+  QARCH_REQUIRE(options_.energy.engine != qaoa::EngineKind::Statevector ||
+                    g.num_vertices() <= 30,
+                "statevector evaluation needs <= 30 vertices");
+  // One solver on both engines. The statevector engine's cost diagonal
+  // holds the same term-order sums, but where several maximizers tie in
+  // exact arithmetic and round differently (weighted MIS) its maximum can
+  // pick another one's bits; ratios would then depend on the engine.
+  classical_optimum_ = qaoa::classical_maximum(ham_);
 }
 
 double Evaluator::ratio_of(double value) const {

@@ -60,10 +60,12 @@ struct EvaluatorOptions {
   /// statistic drawn from a compiled query::Sampler on the SAME engine the
   /// energy options select (spec.shots overrides `shots` when set).
   qaoa::ObjectiveSpec objective;
-  /// Cost Hamiltonian. MaxCut (default) scores with qaoa::expected_best_cut
-  /// on the candidate's compiled state; MIS / Ising route the ratio
-  /// denominator through qaoa::classical_maximum and the sampling pass
-  /// through the generalized-value scorer.
+  /// Cost Hamiltonian. Every spec takes the ratio denominator from
+  /// qaoa::classical_maximum. MaxCut (default) scores with
+  /// qaoa::expected_best_cut on the candidate's 2^n compiled state, so it
+  /// is refused above 26 vertices on either engine; MIS / Ising route the
+  /// sampling pass through the generalized-value scorer on the configured
+  /// engine.
   qaoa::HamiltonianSpec hamiltonian;
 
   /// The energy options the evaluator actually runs with. The low-level
@@ -123,10 +125,9 @@ class Evaluator {
       const qaoa::MixerSpec& mixer, std::size_t p, optim::OptimState& state,
       optim::PreemptToken* preempt) const;
 
-  /// The exact classical optimum of the configured Hamiltonian: the maximum
-  /// of the energy evaluator's cost diagonal when it has one (statevector
-  /// engine), else the max-cut value for the default spec and the
-  /// brute-force maximum otherwise.
+  /// The exact classical optimum of the configured Hamiltonian, by
+  /// qaoa::classical_maximum's bucket elimination on either engine, so the
+  /// two engines divide by the same bits.
   [[nodiscard]] double classical_optimum() const { return classical_optimum_; }
 
   [[nodiscard]] const graph::Graph& graph() const { return graph_; }

@@ -415,11 +415,11 @@ std::string phase_table_key(std::span<const GateAngles> gates,
 
 /// One DiagTable op replacing the diagonal ops in `run`, or nullopt when
 /// the run overflows the table. A run of at most one symbol takes its table
-/// from `cache` when there is one; in a QAOA ansatz a run over more spans a
-/// mixer's angles, which no other candidate shares, so it builds its own.
+/// from `cache`; in a QAOA ansatz a run over more spans a mixer's angles,
+/// which no other candidate shares, so it builds its own.
 std::optional<CompiledOp> fold_run(std::span<const CompiledOp> run,
                                    std::size_t num_qubits,
-                                   PhaseTableCache* cache) {
+                                   PhaseTableCache& cache) {
   CompiledOp out;
   out.kind = CompiledOp::Kind::DiagTable;
   for (const CompiledOp& op : run)
@@ -438,10 +438,10 @@ std::optional<CompiledOp> fold_run(std::span<const CompiledOp> run,
   const auto build = [&] {
     return build_phase_table(gates, num_qubits, out.symbols.size());
   };
-  out.table = cache != nullptr && out.symbols.size() <= 1
-                  ? cache->get(phase_table_key(gates, num_qubits,
-                                               out.symbols.size()),
-                               build)
+  out.table = out.symbols.size() <= 1
+                  ? cache.get(phase_table_key(gates, num_qubits,
+                                              out.symbols.size()),
+                              build)
                   : build();
   if (out.table == nullptr) return std::nullopt;
   for (const CompiledOp& op : run)
@@ -456,7 +456,7 @@ std::optional<CompiledOp> fold_run(std::span<const CompiledOp> run,
 /// any op touching a qubit blocks it for the rest of the gather.
 std::vector<CompiledOp> fold_phase_tables(std::vector<CompiledOp> ops,
                                           std::size_t num_qubits,
-                                          PhaseTableCache* cache) {
+                                          PhaseTableCache& cache) {
   std::vector<CompiledOp> out;
   out.reserve(ops.size());
   std::size_t i = 0;
@@ -652,11 +652,15 @@ SimProgram::SimProgram(const circuit::Circuit& circuit, PlanOptions options,
   for (auto& run : pending) emit_single_run(run);
 
   if (fold_tables) {
+    // Without a caller's cache, one local to this compile still shares a
+    // table between equal runs, such as the p cost layers of an ansatz.
+    PhaseTableCache local;
+    PhaseTableCache& cache = tables != nullptr ? *tables : local;
     // Folding a run shrinks ops_, which can bring further diagonal ops into
     // adjacency; iterate to a fixed point (a handful of rounds at most).
     for (int round = 0; round < 4; ++round) {
       const std::size_t before = ops_.size();
-      ops_ = fold_phase_tables(std::move(ops_), num_qubits_, tables);
+      ops_ = fold_phase_tables(std::move(ops_), num_qubits_, cache);
       if (ops_.size() == before) break;
     }
   }

@@ -195,7 +195,9 @@ class PhaseTableCache {
 class SimProgram {
  public:
   /// Compiles `circuit`. With a `tables` cache, phase tables come from (and
-  /// go to) it; the program keeps only the tables, not the cache.
+  /// go to) it; without one, a cache local to this compile shares a table
+  /// between equal runs (an ansatz's p cost layers). The program keeps only
+  /// the tables, not the cache.
   explicit SimProgram(const circuit::Circuit& circuit, PlanOptions options = {},
                       PhaseTableCache* tables = nullptr);
 

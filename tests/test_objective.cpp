@@ -79,17 +79,32 @@ TEST(Hamiltonian, ClassicalValuesMatchDirectFormulas) {
 
     // classical_maximum agrees with the brute force over classical_value_bits
     // and, when penalty * min-edge-weight > 1 (so violating any edge never
-    // pays), with the maximum independent set size.
+    // pays), with the maximum independent set size. Its value is some
+    // assignment's term-order sum to the bit; tied maximizers may round
+    // differently, so against the brute-force maximum it is checked to
+    // within rounding.
     double min_weight = 1e300;
     for (const graph::Edge& e : g.edges())
       min_weight = std::min(min_weight, e.weight);
     const qaoa::Hamiltonian strict =
         qaoa::Hamiltonian::mis(g, 1.5 / min_weight);
+    const qaoa::Hamiltonian* solved[] = {&maxcut, &mis, &strict, &ising};
+    double solver[4], brute[4];
+    bool attained[4] = {false, false, false, false};
+    for (std::size_t k = 0; k < 4; ++k) {
+      solver[k] = qaoa::classical_maximum(*solved[k]);
+      brute[k] = -1e300;
+    }
     double best = -1e300, strict_best = -1e300;
     std::size_t best_independent = 0;
     for (std::size_t basis = 0; basis < (std::size_t{1} << n); ++basis) {
       best = std::max(best, mis.classical_value_bits(basis));
       strict_best = std::max(strict_best, strict.classical_value_bits(basis));
+      for (std::size_t k = 0; k < 4; ++k) {
+        const double value = solved[k]->classical_value_bits(basis);
+        brute[k] = std::max(brute[k], value);
+        attained[k] = attained[k] || value == solver[k];
+      }
       bool independent = true;
       for (const graph::Edge& e : g.edges())
         if (((basis >> e.u) & 1) && ((basis >> e.v) & 1)) independent = false;
@@ -101,6 +116,11 @@ TEST(Hamiltonian, ClassicalValuesMatchDirectFormulas) {
     }
     EXPECT_NEAR(qaoa::classical_maximum(mis), best, 1e-10);
     EXPECT_NEAR(strict_best, static_cast<double>(best_independent), 1e-10);
+    for (std::size_t k = 0; k < 4; ++k) {
+      EXPECT_NEAR(solver[k], brute[k], 1e-12 * std::abs(brute[k]) + 1e-12)
+          << "hamiltonian " << k << " trial " << trial;
+      EXPECT_TRUE(attained[k]) << "hamiltonian " << k << " trial " << trial;
+    }
   }
 }
 

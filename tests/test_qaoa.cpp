@@ -233,6 +233,43 @@ TEST(CostDiagonal, EqualsClassicalValueBitsOnEveryFamily) {
             graph::maxcut_exact(g).value);
 }
 
+TEST(ClassicalMaximum, ClosedFormsPastEnumeration) {
+  // Bucket elimination's cost follows the interaction graph's elimination
+  // width, not n: rings and grids at n = 40 and 64 solve in well under a
+  // second. Each maximum is an exact small integer, so equality is exact.
+  const graph::Graph ring40 = graph::cycle(40), ring64 = graph::cycle(64);
+  const graph::Graph grid40 = graph::grid(5, 8), grid64 = graph::grid(8, 8);
+  const graph::Graph k12 = graph::complete(12);
+  const struct {
+    const char* name;
+    qaoa::Hamiltonian ham;
+    double expected;
+  } cases[] = {
+      // Bipartite graphs cut every edge, and antiferromagnetic Ising
+      // (maximizing -sum z_u z_v) anti-aligns every edge.
+      {"maxcut C40", qaoa::Hamiltonian(ring40), 40.0},
+      {"maxcut C64", qaoa::Hamiltonian(ring64), 64.0},
+      {"maxcut grid 5x8", qaoa::Hamiltonian(grid40),
+       static_cast<double>(grid40.num_edges())},
+      {"maxcut grid 8x8", qaoa::Hamiltonian(grid64),
+       static_cast<double>(grid64.num_edges())},
+      {"mis C40", qaoa::Hamiltonian::mis(ring40), 20.0},
+      {"ising C64", qaoa::Hamiltonian::ising(ring64), 64.0},
+      {"ising grid 8x8", qaoa::Hamiltonian::ising(grid64),
+       static_cast<double>(grid64.num_edges())},
+      // K_12 is one bucket of all 12 variables: the enumeration's value.
+      {"maxcut K12", qaoa::Hamiltonian(k12), graph::maxcut_exact(k12).value},
+  };
+  for (const auto& c : cases)
+    EXPECT_EQ(qaoa::classical_maximum(c.ham), c.expected) << c.name;
+
+  // K_28's first bucket holds all 28 variables: refused on width before
+  // its 2^27-entry message is allocated.
+  EXPECT_THROW((void)qaoa::classical_maximum(
+                   qaoa::Hamiltonian(graph::complete(28))),
+               InvalidArgument);
+}
+
 TEST(Energy, CostDiagonalAgreesWithSweepAcrossFamiliesMixersAndDepth) {
   Rng rng(61);
   const std::vector<graph::Graph> graphs = {

@@ -23,6 +23,7 @@
 #include "qtensor/program.hpp"
 #include "search/evaluator.hpp"
 #include "sim/sim_program.hpp"
+#include "sim/simd.hpp"
 
 namespace {
 
@@ -162,8 +163,43 @@ TEST(ContractionProgram, StatsReflectCompilation) {
   EXPECT_FALSE(st.heuristic.empty());
 }
 
+// <C> of two tensor-network plans, recorded in hex before the bucket steps
+// replayed compile-time index maps: a rewrite of the step kernel must keep
+// these bits (the energy-level twin of SamplerStream.IsPinned in
+// test_query.cpp). The SIMD and scalar step bodies multiply in the same
+// factor order without FMA, so both must hit the pins.
+TEST(ContractionProgram, TensorNetworkEnergiesArePinned) {
+  Rng grng(4242);
+  const graph::Graph g = graph::random_regular(12, 3, grng);
+  qaoa::EnergyOptions tn;
+  tn.engine = qaoa::EngineKind::TensorNetwork;
+  struct Case {
+    const char* name;
+    qaoa::Hamiltonian ham;
+    std::size_t p;
+    double pinned;
+  };
+  const Case cases[] = {
+      {"maxcut p=2", qaoa::Hamiltonian(g), 2, 0x1.eb8408de4bb89p+2},
+      {"ising with fields p=1", qaoa::Hamiltonian::ising(g, 0.8, 0.3), 1,
+       -0x1.1884e80cfcc83p+2}};
+  for (const Case& c : cases) {
+    const auto ansatz =
+        qaoa::build_qaoa_circuit(g, c.p, qaoa::MixerSpec::parse("rx,ry"));
+    Rng trng(7);
+    std::vector<double> theta(ansatz.num_params());
+    for (double& t : theta) t = trng.uniform(-2.0, 2.0);
+    const qaoa::EnergyEvaluator ev(c.ham, tn);
+    const auto plan = ev.make_plan(ansatz);
+    EXPECT_EQ(plan->energy(theta), c.pinned) << c.name;
+    const sim::simd::ScopedRuntime scalar(false);
+    EXPECT_EQ(plan->energy(theta), c.pinned) << c.name << " (scalar)";
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Backend product_into (the allocation-free kernel the replay uses).
+// Backend product_into (the allocation-free kernel that lays a query's
+// open-label survivors out).
 // ---------------------------------------------------------------------------
 
 TEST(Backend, ProductIntoMatchesProduct) {
@@ -178,18 +214,10 @@ TEST(Backend, ProductIntoMatchesProduct) {
   const std::vector<VarId> out_labels = {3, 0, 1, 2};
   const qtensor::SerialCpuBackend serial;
   const Tensor expected = serial.product({&t1, &t2}, out_labels);
-  // The fused kernel must equal "materialize the product, then fold the
-  // first (eliminated) variable" exactly.
-  const Tensor folded = expected.sum_over(out_labels[0]);
   std::vector<cplx> out(expected.size(), cplx{9.0, 9.0});
   serial.product_into({&t1, &t2}, out_labels, out.data());
   for (std::size_t i = 0; i < out.size(); ++i)
     EXPECT_LT(std::abs(out[i] - expected.data()[i]), 1e-12);
-
-  std::vector<cplx> summed(folded.size(), cplx{9.0, 9.0});
-  serial.product_sum_into({&t1, &t2}, out_labels, summed.data());
-  for (std::size_t i = 0; i < summed.size(); ++i)
-    EXPECT_LT(std::abs(summed[i] - folded.data()[i]), 1e-12);
 }
 
 // ---------------------------------------------------------------------------

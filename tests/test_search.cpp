@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "graph/extra_generators.hpp"
 #include "graph/generators.hpp"
 #include "graph/maxcut.hpp"
 #include "search/combinations.hpp"
@@ -147,6 +148,52 @@ TEST(Evaluator, ProducesConsistentScores) {
   const auto r2 = ev.evaluate(qaoa::MixerSpec::qnas(), 1);
   EXPECT_EQ(r.energy, r2.energy);
   EXPECT_EQ(r.sampled_ratio, r2.sampled_ratio);
+}
+
+TEST(Evaluator, ClassicalOptimumIsEngineIndependentOnWeightedGraphs) {
+  // Both engines take the optimum from classical_maximum, so weighted
+  // ratios divide by the same bits on either engine. Weighted MIS is the
+  // hard case: all maximum independent sets tie in exact arithmetic, but
+  // their term-order sums round differently.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 8 + 2 * static_cast<std::size_t>(seed);
+    const graph::Graph g = graph::with_random_weights(
+        graph::random_regular(n, 3, rng), 0.1, 2.0, rng);
+    for (const auto kind :
+         {qaoa::HamiltonianKind::MaxCut, qaoa::HamiltonianKind::MIS}) {
+      search::EvaluatorOptions sv, tn;
+      sv.energy.engine = qaoa::EngineKind::Statevector;
+      tn.energy.engine = qaoa::EngineKind::TensorNetwork;
+      sv.hamiltonian.kind = tn.hamiltonian.kind = kind;
+      const double optimum = search::Evaluator(g, sv).classical_optimum();
+      EXPECT_EQ(search::Evaluator(g, tn).classical_optimum(), optimum)
+          << qaoa::hamiltonian_kind_name(kind) << " seed " << seed
+          << " n=" << n;
+      if (kind == qaoa::HamiltonianKind::MaxCut)
+        EXPECT_NEAR(optimum, graph::maxcut_exact(g).value, 1e-12 * optimum);
+    }
+  }
+}
+
+TEST(Evaluator, RefusesOnlyWhereAStatevectorStillRuns) {
+  // A tensor-network MIS evaluator scores through the TN walk, so nothing
+  // of size 2^n runs at n = 40.
+  search::EvaluatorOptions mis;
+  mis.energy.engine = qaoa::EngineKind::TensorNetwork;
+  mis.hamiltonian.kind = qaoa::HamiltonianKind::MIS;
+  EXPECT_EQ(search::Evaluator(graph::cycle(40), mis).classical_optimum(),
+            20.0);
+  // The default MaxCut spec scores Eq. 3 on a 2^n statevector on either
+  // engine, and the statevector engine trains on one.
+  for (const qaoa::EngineKind engine :
+       {qaoa::EngineKind::Statevector, qaoa::EngineKind::TensorNetwork}) {
+    search::EvaluatorOptions maxcut;
+    maxcut.energy.engine = engine;
+    EXPECT_THROW(search::Evaluator(graph::cycle(27), maxcut), InvalidArgument);
+  }
+  mis.energy.engine = qaoa::EngineKind::Statevector;
+  EXPECT_THROW(search::Evaluator(graph::cycle(31), mis), InvalidArgument);
 }
 
 TEST(Evaluator, StatevectorResultIsBitIdenticalAcrossInnerWorkers) {

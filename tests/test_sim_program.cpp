@@ -296,6 +296,28 @@ TEST(PhaseTableCache, CandidatesAndLayersShareOneCostLayerTable) {
   EXPECT_EQ(sim::phase_table_build_count() - plans, 1u);
 }
 
+TEST(PhaseTableCache, CachelessCompileBuildsOneTableForEveryLayer) {
+  // Without a caller's cache, the compile's own cache still gives the p
+  // cost layers of one ansatz one table, bit-identical to a cached compile.
+  Rng rng(606);
+  const auto g = graph::random_regular(10, 3, rng);
+  const auto qnas3 = qaoa::build_qaoa_circuit(g, 3, qaoa::MixerSpec::qnas());
+  const std::uint64_t before = sim::phase_table_build_count();
+  const sim::SimProgram alone(qnas3);
+  EXPECT_EQ(sim::phase_table_build_count() - before, 1u);
+  const auto tables = tables_of(alone);
+  ASSERT_EQ(tables.size(), 3u);
+  EXPECT_EQ(tables[1], tables[0]);
+  EXPECT_EQ(tables[2], tables[0]);
+
+  sim::PhaseTableCache cache;
+  const sim::SimProgram cached(qnas3, {}, &cache);
+  std::vector<double> theta(qnas3.num_params());
+  for (double& t : theta) t = rng.uniform(-2.0, 2.0);
+  expect_states_close(alone.run_from_plus(theta), cached.run_from_plus(theta),
+                      0.0, "p=3");
+}
+
 TEST(PhaseTableCache, KeepsTheMostRecentlyUsedTables) {
   sim::PhaseTableCache cache;
   std::size_t built = 0;
