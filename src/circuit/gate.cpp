@@ -104,88 +104,17 @@ double ParamExpr::value(std::span<const double> theta) const {
 }
 
 Matrix gate_matrix(GateKind kind, double theta) {
-  const cplx i{0.0, 1.0};
-  const double c = std::cos(theta / 2.0), s = std::sin(theta / 2.0);
-  switch (kind) {
-    case GateKind::I:
-      return Matrix(2, 2, {1, 0, 0, 1});
-    case GateKind::X:
-      return Matrix(2, 2, {0, 1, 1, 0});
-    case GateKind::Y:
-      return Matrix(2, 2, {0, -i, i, 0});
-    case GateKind::Z:
-      return Matrix(2, 2, {1, 0, 0, -1});
-    case GateKind::H: {
-      const double r = 1.0 / std::sqrt(2.0);
-      return Matrix(2, 2, {r, r, r, -r});
-    }
-    case GateKind::S:
-      return Matrix(2, 2, {1, 0, 0, i});
-    case GateKind::Sdg:
-      return Matrix(2, 2, {1, 0, 0, -i});
-    case GateKind::T:
-      return Matrix(2, 2, {1, 0, 0, std::exp(i * (3.14159265358979323846 / 4))});
-    case GateKind::Tdg:
-      return Matrix(2, 2, {1, 0, 0, std::exp(-i * (3.14159265358979323846 / 4))});
-    case GateKind::RX:
-      return Matrix(2, 2, {c, -i * s, -i * s, c});
-    case GateKind::RY:
-      return Matrix(2, 2, {c, -s, s, c});
-    case GateKind::RZ:
-      return Matrix(2, 2, {std::exp(-i * (theta / 2)), 0, 0,
-                           std::exp(i * (theta / 2))});
-    case GateKind::P:
-      return Matrix(2, 2, {1, 0, 0, std::exp(i * theta)});
-    case GateKind::CX:
-      return Matrix(4, 4, {1, 0, 0, 0,
-                           0, 1, 0, 0,
-                           0, 0, 0, 1,
-                           0, 0, 1, 0});
-    case GateKind::CZ:
-      return Matrix(4, 4, {1, 0, 0, 0,
-                           0, 1, 0, 0,
-                           0, 0, 1, 0,
-                           0, 0, 0, -1});
-    case GateKind::SWAP:
-      return Matrix(4, 4, {1, 0, 0, 0,
-                           0, 0, 1, 0,
-                           0, 1, 0, 0,
-                           0, 0, 0, 1});
-    case GateKind::RZZ: {
-      // exp(-i θ/2 Z⊗Z) = diag(e^{-iθ/2}, e^{iθ/2}, e^{iθ/2}, e^{-iθ/2})
-      const cplx em = std::exp(-i * (theta / 2)), ep = std::exp(i * (theta / 2));
-      return Matrix(4, 4, {em, 0, 0, 0,
-                           0, ep, 0, 0,
-                           0, 0, ep, 0,
-                           0, 0, 0, em});
-    }
-  }
-  throw InternalError("unhandled gate kind");
+  const std::size_t dim = is_two_qubit(kind) ? 4 : 2;
+  const std::array<cplx, 16> e = gate_entries(kind, theta);
+  return Matrix(dim, dim, std::vector<cplx>(e.begin(), e.begin() + dim * dim));
 }
 
-const Matrix& fixed_gate_matrix(GateKind kind) {
-  QARCH_REQUIRE(!is_parameterized(kind),
-                "fixed_gate_matrix called for a parameterized gate");
-  // One static table for all fixed kinds, built on first use (thread-safe
-  // per C++11 magic statics). Indexed by the enum value.
-  static const std::vector<Matrix> table = [] {
-    const GateKind fixed[] = {GateKind::I,   GateKind::X,    GateKind::Y,
-                              GateKind::Z,   GateKind::H,    GateKind::S,
-                              GateKind::Sdg, GateKind::T,    GateKind::Tdg,
-                              GateKind::CX,  GateKind::CZ,   GateKind::SWAP};
-    std::vector<Matrix> t(static_cast<std::size_t>(GateKind::RZZ) + 1);
-    for (const GateKind k : fixed)
-      t[static_cast<std::size_t>(k)] = gate_matrix(k);
-    return t;
-  }();
-  const Matrix& m = table.at(static_cast<std::size_t>(kind));
-  QARCH_CHECK(m.rows() != 0, "fixed_gate_matrix table misses a gate kind");
-  return m;
+double Gate::angle(std::span<const double> theta) const {
+  return is_parameterized(kind) ? param.value(theta) : 0.0;
 }
 
 Matrix Gate::matrix(std::span<const double> theta) const {
-  if (!is_parameterized(kind)) return fixed_gate_matrix(kind);
-  return gate_matrix(kind, param.value(theta));
+  return gate_matrix(kind, angle(theta));
 }
 
 Gate Gate::inverse() const {

@@ -6,11 +6,14 @@
 // ansatz shares γ_l / β_l across a whole layer.
 #pragma once
 
+#include <array>
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "linalg/matrix.hpp"
 
 namespace qarch::circuit {
@@ -84,6 +87,9 @@ struct Gate {
   /// Number of qubits this gate touches (1 or 2).
   [[nodiscard]] std::size_t arity() const { return is_two_qubit(kind) ? 2 : 1; }
 
+  /// The angle resolved from theta; 0 for a non-parameterized kind.
+  [[nodiscard]] double angle(std::span<const double> theta) const;
+
   /// Unitary matrix (2x2 or 4x4) for the angle resolved from theta.
   [[nodiscard]] linalg::Matrix matrix(std::span<const double> theta) const;
 
@@ -94,13 +100,77 @@ struct Gate {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// The unitary of `kind` at angle `theta` (ignored for fixed gates).
-linalg::Matrix gate_matrix(GateKind kind, double theta = 0.0);
+/// The row-major entries of `kind`'s unitary at angle `theta` (ignored for
+/// fixed gates): 4 for a one-qubit kind, 16 for a two-qubit one, the rest
+/// zero. Allocates nothing, so per-theta rebind paths (compiled statevector
+/// ops, tensor-network gate tensors) call it directly; it is inline so that
+/// those loops bind a gate at the cost of its formula, not of a call.
+inline std::array<linalg::cplx, 16> gate_entries(GateKind kind,
+                                                 double theta = 0.0) {
+  const linalg::cplx i{0.0, 1.0};
+  switch (kind) {
+    case GateKind::I:
+      return {1, 0, 0, 1};
+    case GateKind::X:
+      return {0, 1, 1, 0};
+    case GateKind::Y:
+      return {0, -i, i, 0};
+    case GateKind::Z:
+      return {1, 0, 0, -1};
+    case GateKind::H: {
+      const double r = 1.0 / std::sqrt(2.0);
+      return {r, r, r, -r};
+    }
+    case GateKind::S:
+      return {1, 0, 0, i};
+    case GateKind::Sdg:
+      return {1, 0, 0, -i};
+    case GateKind::T:
+      return {1, 0, 0, std::exp(i * (3.14159265358979323846 / 4))};
+    case GateKind::Tdg:
+      return {1, 0, 0, std::exp(-i * (3.14159265358979323846 / 4))};
+    case GateKind::RX: {
+      const double c = std::cos(theta / 2.0), s = std::sin(theta / 2.0);
+      return {c, -i * s, -i * s, c};
+    }
+    case GateKind::RY: {
+      const double c = std::cos(theta / 2.0), s = std::sin(theta / 2.0);
+      return {c, -s, s, c};
+    }
+    case GateKind::RZ:
+      return {std::exp(-i * (theta / 2)), 0, 0, std::exp(i * (theta / 2))};
+    case GateKind::P:
+      return {1, 0, 0, std::exp(i * theta)};
+    case GateKind::CX:
+      return {1, 0, 0, 0,
+              0, 1, 0, 0,
+              0, 0, 0, 1,
+              0, 0, 1, 0};
+    case GateKind::CZ:
+      return {1, 0, 0, 0,
+              0, 1, 0, 0,
+              0, 0, 1, 0,
+              0, 0, 0, -1};
+    case GateKind::SWAP:
+      return {1, 0, 0, 0,
+              0, 0, 1, 0,
+              0, 1, 0, 0,
+              0, 0, 0, 1};
+    case GateKind::RZZ: {
+      // exp(-i θ/2 Z⊗Z) = diag(e^{-iθ/2}, e^{iθ/2}, e^{iθ/2}, e^{-iθ/2})
+      const linalg::cplx em = std::exp(-i * (theta / 2)),
+                         ep = std::exp(i * (theta / 2));
+      return {em, 0, 0, 0,
+              0, ep, 0, 0,
+              0, 0, ep, 0,
+              0, 0, 0, em};
+    }
+  }
+  throw InternalError("unhandled gate kind");
+}
 
-/// The unitary of a non-parameterized `kind`, cached: returns a reference to
-/// a lazily-built static matrix so hot simulation paths never re-allocate.
-/// Throws InvalidArgument for parameterized kinds (their matrix depends on
-/// the bound angle).
-const linalg::Matrix& fixed_gate_matrix(GateKind kind);
+/// The unitary of `kind` at angle `theta` (ignored for fixed gates), as a
+/// matrix of gate_entries.
+linalg::Matrix gate_matrix(GateKind kind, double theta = 0.0);
 
 }  // namespace qarch::circuit

@@ -57,6 +57,10 @@
 //                              acquired under server.wire via submit())
 //    80   fault.injector       search::FaultInjector::mutex_
 //    85   parallel.errors      parallel_for / dataset error collection
+//    87   parallel.team        parallel_for's per-thread InnerTeam (job
+//                              hand-out and helper parking; taken by a
+//                              forking caller above any lock it holds,
+//                              never while a body runs)
 //    90   log.write            common/log.cpp g_write_mutex (log lines are
 //                              emitted under service.io on persist errors)
 //

@@ -1,74 +1,44 @@
-// Fork-join data parallelism (OpenMP "parallel for" idiom).
+// Fork-join data parallelism (OpenMP "parallel for" idiom) on a persistent
+// inner team.
 //
 // Used for the *inner* level of the two-level parallelization scheme:
-// distributing per-edge expectation values or tensor-contraction work across
-// threads inside one candidate evaluation.
+// distributing statevector kernel passes, per-edge expectation values or
+// tensor-contraction work across threads inside one candidate evaluation.
+//
+// Every thread that forks inner work owns one team of helper threads,
+// thread-local and built on its first fork (an EvalService worker keeps one
+// for its lifetime). A fork hands the range to the caller and up to
+// `workers - 1` helpers; the helpers park on a condition variable between
+// forks, so a kernel pass costs a wake-up, not a thread creation. The team
+// grows when a call asks for more helpers and is joined when its owner
+// thread exits. A parallel_for issued from inside a forked body runs inline
+// on that thread, so nesting can neither deadlock on a busy team nor
+// oversubscribe the cores. A fork()ed child process builds a fresh team on
+// its first fork: it inherits the forking thread's team but none of its
+// helper threads.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/annotations.hpp"
-#include "parallel/thread.hpp"
-
 namespace qarch::parallel {
 
-/// Runs body(i) for i in [begin, end) on up to `workers` threads.
+/// Runs body(i) for i in [begin, end) on up to `workers` threads: the caller
+/// and the helpers of its inner team (see the file comment).
 ///
 /// Work is distributed dynamically in chunks via an atomic counter (the
 /// OpenMP `schedule(dynamic)` idiom) so uneven task costs balance well.
 /// Exceptions thrown by the body are captured and the first one rethrown on
-/// the calling thread after all workers join.
-inline void parallel_for(std::size_t begin, std::size_t end,
-                         const std::function<void(std::size_t)>& body,
-                         std::size_t workers = 0, std::size_t chunk = 1) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  if (workers == 0)
-    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  workers = std::min(workers, n);
-  if (chunk == 0) chunk = 1;
-
-  if (workers <= 1) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{begin};
-  // Leaf-tier lock (see lock_order.hpp): bodies may hold cache/scratch
-  // locks when they throw, but those are released by unwinding before the
-  // catch block runs.
-  Mutex err_mutex{85, "parallel.errors"};
-  std::exception_ptr first_error;
-
-  auto run = [&] {
-    for (;;) {
-      const std::size_t lo = next.fetch_add(chunk);
-      if (lo >= end) return;
-      const std::size_t hi = std::min(end, lo + chunk);
-      try {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      } catch (...) {
-        LockGuard lock(err_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  std::vector<Thread> threads;
-  threads.reserve(workers - 1);
-  for (std::size_t t = 0; t + 1 < workers; ++t) threads.emplace_back(run);
-  run();
-  for (auto& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
+/// the calling thread once no helper is still running the call's chunks.
+/// `workers` = 0 means all hardware threads; at 1, or inside another call's
+/// body, the range runs inline on the caller.
+void parallel_for(std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t)>& body,
+                  std::size_t workers = 0, std::size_t chunk = 1);
 
 /// Runs body(lo, hi) over contiguous sub-ranges of [begin, end) of at most
 /// `block` elements each, distributed dynamically across `workers` threads.
@@ -118,7 +88,7 @@ auto parallel_map(const std::vector<In>& inputs, Fn&& fn,
 /// — intended for uniform per-element cost like statevector sweeps), runs
 /// `block(lo, hi)` on each, and folds the per-block partials IN INDEX ORDER
 /// with `combine` on the calling thread. Deterministic for a fixed worker
-/// count. Exceptions from blocks are rethrown after all workers join.
+/// count. Exceptions from blocks are rethrown once every block has ended.
 template <typename T, typename BlockFn, typename CombineFn>
 T parallel_reduce(std::size_t begin, std::size_t end, T identity,
                   const BlockFn& block, const CombineFn& combine,
@@ -132,7 +102,7 @@ T parallel_reduce(std::size_t begin, std::size_t end, T identity,
   if (workers <= 1) return combine(std::move(identity), block(begin, end));
 
   // One contiguous [lo, hi) block per worker; parallel_map supplies the
-  // thread pool, exception capture, and ordered results.
+  // team, exception capture, and ordered results.
   std::vector<std::pair<std::size_t, std::size_t>> blocks;
   blocks.reserve(workers);
   const std::size_t per = n / workers, extra = n % workers;

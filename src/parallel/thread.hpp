@@ -1,9 +1,11 @@
 // The repo's single thread-spawn point.
 //
 // `tools/qarch_lint.py` forbids `std::thread` outside src/parallel/ so every
-// thread in the system is created through one audited surface (this wrapper,
-// ThreadPool, parallel_for). Thread is deliberately narrower than
-// std::thread:
+// thread in the system is created through one audited surface: this wrapper,
+// which ThreadPool's workers and the helpers of parallel_for's per-thread
+// inner team are built on (the daemon's acceptor and IO threads and the
+// dataset search's client threads use it directly). Thread is deliberately
+// narrower than std::thread:
 //
 //   * no detach() — every qarch thread has an owner that joins it, so
 //     shutdown is deterministic and sanitizer reports carry full stacks;

@@ -1,6 +1,7 @@
 #include "qtensor/network.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <map>
@@ -26,30 +27,13 @@ void reset_network_build_count() {
 
 std::size_t gate_tensor_data(const Gate& g, std::span<const double> theta,
                              bool diagonal, std::span<cplx> out) {
-  const linalg::Matrix m = g.matrix(theta);
-  if (g.arity() == 1) {
-    if (diagonal) {
-      QARCH_REQUIRE(out.size() >= 2, "gate_tensor_data: buffer too small");
-      out[0] = m(0, 0);
-      out[1] = m(1, 1);
-      return 2;
-    }
-    QARCH_REQUIRE(out.size() >= 4, "gate_tensor_data: buffer too small");
-    out[0] = m(0, 0);
-    out[1] = m(0, 1);
-    out[2] = m(1, 0);
-    out[3] = m(1, 1);
-    return 4;
-  }
-  if (diagonal) {
-    QARCH_REQUIRE(out.size() >= 4, "gate_tensor_data: buffer too small");
-    for (std::size_t b = 0; b < 4; ++b) out[b] = m(b, b);
-    return 4;
-  }
-  QARCH_REQUIRE(out.size() >= 16, "gate_tensor_data: buffer too small");
-  for (std::size_t o = 0; o < 4; ++o)
-    for (std::size_t i = 0; i < 4; ++i) out[o * 4 + i] = m(o, i);
-  return 16;
+  const std::array<cplx, 16> e = circuit::gate_entries(g.kind, g.angle(theta));
+  const std::size_t dim = g.arity() == 1 ? 2 : 4;
+  const std::size_t count = diagonal ? dim : dim * dim;
+  QARCH_REQUIRE(out.size() >= count, "gate_tensor_data: buffer too small");
+  for (std::size_t k = 0; k < count; ++k)
+    out[k] = e[diagonal ? k * (dim + 1) : k];
+  return count;
 }
 
 std::vector<VarId> TensorNetwork::variables() const {

@@ -17,70 +17,8 @@ namespace qarch::sim {
 
 using circuit::Gate;
 using circuit::GateKind;
-using linalg::Matrix;
 
 namespace {
-
-/// Diagonal entries (d0, d1) of a single-qubit diagonal gate — computed
-/// directly, no Matrix allocation.
-std::array<cplx, 2> diag1_entries(GateKind kind, double angle) {
-  const cplx i{0.0, 1.0};
-  constexpr double kPi = 3.14159265358979323846;
-  switch (kind) {
-    case GateKind::I:   return {cplx{1, 0}, cplx{1, 0}};
-    case GateKind::Z:   return {cplx{1, 0}, cplx{-1, 0}};
-    case GateKind::S:   return {cplx{1, 0}, i};
-    case GateKind::Sdg: return {cplx{1, 0}, -i};
-    case GateKind::T:   return {cplx{1, 0}, std::exp(i * (kPi / 4))};
-    case GateKind::Tdg: return {cplx{1, 0}, std::exp(-i * (kPi / 4))};
-    case GateKind::RZ:
-      return {std::exp(-i * (angle / 2)), std::exp(i * (angle / 2))};
-    case GateKind::P:   return {cplx{1, 0}, std::exp(i * angle)};
-    default:
-      throw InternalError("diag1_entries: gate is not single-qubit diagonal");
-  }
-}
-
-/// Diagonal entries of a two-qubit diagonal gate, indexed by
-/// (bit_q0 << 1) | bit_q1 in the GATE's own qubit orientation.
-std::array<cplx, 4> diag2_entries(GateKind kind, double angle) {
-  const cplx i{0.0, 1.0};
-  switch (kind) {
-    case GateKind::CZ:
-      return {cplx{1, 0}, cplx{1, 0}, cplx{1, 0}, cplx{-1, 0}};
-    case GateKind::RZZ: {
-      const cplx em = std::exp(-i * (angle / 2)), ep = std::exp(i * (angle / 2));
-      return {em, ep, ep, em};
-    }
-    default:
-      throw InternalError("diag2_entries: gate is not two-qubit diagonal");
-  }
-}
-
-/// Row-major 2x2 entries of any single-qubit gate — direct formulas for the
-/// parameterized kinds, the cached static matrix for fixed kinds.
-std::array<cplx, 4> single_entries(GateKind kind, double angle) {
-  const cplx i{0.0, 1.0};
-  switch (kind) {
-    case GateKind::RX: {
-      const double c = std::cos(angle / 2), s = std::sin(angle / 2);
-      return {cplx{c, 0}, -i * s, -i * s, cplx{c, 0}};
-    }
-    case GateKind::RY: {
-      const double c = std::cos(angle / 2), s = std::sin(angle / 2);
-      return {cplx{c, 0}, cplx{-s, 0}, cplx{s, 0}, cplx{c, 0}};
-    }
-    case GateKind::RZ:
-    case GateKind::P: {
-      const auto d = diag1_entries(kind, angle);
-      return {d[0], cplx{0, 0}, cplx{0, 0}, d[1]};
-    }
-    default: {
-      const Matrix& m = circuit::fixed_gate_matrix(kind);
-      return {m(0, 0), m(0, 1), m(1, 0), m(1, 1)};
-    }
-  }
-}
 
 /// Computes an op's coefficients for one theta. Used once at compile time
 /// for non-parameterized ops and per run() for parameterized ones.
@@ -93,9 +31,9 @@ std::array<cplx, 16> bind_op(const CompiledOp& op,
     case CompiledOp::Kind::Diag1: {
       cplx d0{1, 0}, d1{1, 0};
       for (const Gate& g : op.sources) {
-        const auto e = diag1_entries(g.kind, g.param.value(theta));
+        const auto e = circuit::gate_entries(g.kind, g.angle(theta));
         d0 *= e[0];
-        d1 *= e[1];
+        d1 *= e[3];
       }
       out[0] = d0;
       out[1] = d1;
@@ -104,11 +42,15 @@ std::array<cplx, 16> bind_op(const CompiledOp& op,
     case CompiledOp::Kind::Diag2: {
       out[0] = out[1] = out[2] = out[3] = cplx{1, 0};
       for (const Gate& g : op.sources) {
-        auto e = diag2_entries(g.kind, g.param.value(theta));
-        // Remap when the source is oriented (q1, q0) relative to the op:
-        // swapping the qubits swaps the |01> and |10> entries.
-        if (g.q0 != op.q0) std::swap(e[1], e[2]);
-        for (std::size_t k = 0; k < 4; ++k) out[k] *= e[k];
+        const auto e = circuit::gate_entries(g.kind, g.angle(theta));
+        // The diagonal, indexed by (bit_q0 << 1) | bit_q1 in the gate's own
+        // qubit orientation. Remap when the source is oriented (q1, q0)
+        // relative to the op: swapping the qubits swaps |01> and |10>.
+        const bool swapped = g.q0 != op.q0;
+        out[0] *= e[0];
+        out[1] *= e[swapped ? 10 : 5];
+        out[2] *= e[swapped ? 5 : 10];
+        out[3] *= e[15];
       }
       return out;
     }
@@ -117,7 +59,7 @@ std::array<cplx, 16> bind_op(const CompiledOp& op,
       std::array<cplx, 4> acc = {cplx{1, 0}, cplx{0, 0}, cplx{0, 0},
                                  cplx{1, 0}};
       for (const Gate& g : op.sources) {
-        const auto m = single_entries(g.kind, g.param.value(theta));
+        const auto m = circuit::gate_entries(g.kind, g.angle(theta));
         const std::array<cplx, 4> prev = acc;
         acc[0] = m[0] * prev[0] + m[1] * prev[2];
         acc[1] = m[0] * prev[1] + m[1] * prev[3];
@@ -130,14 +72,7 @@ std::array<cplx, 16> bind_op(const CompiledOp& op,
     case CompiledOp::Kind::Two: {
       QARCH_CHECK(op.sources.size() == 1, "dense two-qubit op fuses nothing");
       const Gate& g = op.sources.front();
-      if (!circuit::is_parameterized(g.kind)) {
-        const Matrix& m = circuit::fixed_gate_matrix(g.kind);
-        for (std::size_t k = 0; k < 16; ++k) out[k] = m.data()[k];
-      } else {
-        const Matrix m = g.matrix(theta);
-        for (std::size_t k = 0; k < 16; ++k) out[k] = m.data()[k];
-      }
-      return out;
+      return circuit::gate_entries(g.kind, g.angle(theta));
     }
   }
   throw InternalError("unhandled compiled-op kind");
@@ -189,14 +124,10 @@ GateAngles gate_angles(const Gate& g, std::span<const std::size_t> symbols) {
   // Phase angles of the entries at angle 1 (parameterized kinds, whose
   // angles are linear in it) or of the fixed entries.
   const double at = circuit::is_parameterized(g.kind) ? 1.0 : 0.0;
+  // The diagonal sits at stride sels + 1 of the row-major entries.
+  const auto e = circuit::gate_entries(g.kind, at);
   double arg[4] = {0, 0, 0, 0};
-  if (!out.two) {
-    const auto e = diag1_entries(g.kind, at);
-    for (std::size_t s = 0; s < 2; ++s) arg[s] = std::arg(e[s]);
-  } else {
-    const auto e = diag2_entries(g.kind, at);
-    for (std::size_t s = 0; s < 4; ++s) arg[s] = std::arg(e[s]);
-  }
+  for (std::size_t s = 0; s < sels; ++s) arg[s] = std::arg(e[s * (sels + 1)]);
   if (!circuit::is_parameterized(g.kind)) {
     for (std::size_t s = 0; s < sels; ++s) out.terms[s] = arg[s];
     return out;

@@ -3,7 +3,8 @@
 // shared checkpoint file, checkpoint-file corruption tolerance, and a real
 // fork()-based kill-and-resume (a worker crashes mid-training with
 // _Exit(137); a fresh process restarted on the same paths finishes the run
-// bit-identically).
+// bit-identically), and parallel_for in a child forked after the parent
+// used its inner team.
 //
 // NOTE: this file is intentionally NOT named test_eval_service / test_parallel
 // — the TSan CI leg filters to those, and fork() under TSan is unsupported.
@@ -12,9 +13,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
+#include "parallel/parallel_for.hpp"
 #include "search/combinations.hpp"
 #include "search/eval_service.hpp"
 #include "search/fault.hpp"
@@ -419,6 +423,33 @@ TEST(FaultRecovery, KillMidRunThenResumeAcrossProcesses) {
   EXPECT_EQ(stats.checkpoints_discarded, 0u);
   EXPECT_EQ(stats.completed, 1u);
   std::remove(ckpt.c_str());
+}
+
+// A forked child inherits the forking thread's inner team but none of its
+// helper threads. Its first parallel_for must build a fresh team: one that
+// waited on the inherited helpers would never pass the rendezvous below.
+TEST(FaultRecovery, ParallelForAfterForkBuildsAFreshTeam) {
+  std::atomic<int> warm{0};
+  parallel::parallel_for(0, 2, [&](std::size_t) { warm.fetch_add(1); }, 2);
+  ASSERT_EQ(warm.load(), 2);
+
+  const pid_t pid = fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    std::latch both(2);
+    parallel::parallel_for(0, 2, [&](std::size_t) { both.arrive_and_wait(); },
+                           2);
+    std::vector<std::atomic<int>> hits(1000);
+    parallel::parallel_for(
+        0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, 2);
+    for (const auto& h : hits)
+      if (h.load() != 1) std::_Exit(1);
+    std::_Exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
-// Tests for the parallel runtime: thread pool and parallel_for.
+// Tests for the parallel runtime: thread pool, parallel_for and the inner
+// team it forks onto.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <numeric>
 #include <thread>
 
 #include "common/error.hpp"
 #include "parallel/parallel_for.hpp"
+#include "parallel/thread.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace {
@@ -115,16 +118,66 @@ TEST(ThreadPool, DispatchesInSubmissionOrder) {
 }
 
 TEST(ParallelFor, ActuallyRunsConcurrently) {
-  // With 4 workers and 4 sleeping tasks, wall time should be well under the
-  // serial 4x sleep. Generous margins keep this robust on loaded machines.
-  const auto t0 = std::chrono::steady_clock::now();
-  parallel_for(0, 4, [](std::size_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Each of the four bodies waits until all four have arrived, which only
+  // four threads running at once can pass: no sleep and no timing bound.
+  std::latch all_arrived(4);
+  std::atomic<int> passed{0};
+  parallel_for(0, 4, [&](std::size_t) {
+    all_arrived.arrive_and_wait();
+    passed.fetch_add(1);
   }, 4);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_LT(elapsed, 0.35);
+  EXPECT_EQ(passed.load(), 4);
+}
+
+// Bumped by the share a helper runs; it lives as long as the helper's thread.
+thread_local std::size_t t_helper_shares = 0;
+
+TEST(InnerTeam, HelpersPersistAcrossCalls) {
+  // A fresh owner thread, so its team holds exactly the one helper that
+  // 2-worker calls ask for. Each call's two bodies meet at a rendezvous, so
+  // both threads run one: a thread created per call would count from 0
+  // every time.
+  std::size_t last = 0;
+  Thread owner([&] {
+    const auto caller = std::this_thread::get_id();
+    std::atomic<std::size_t> seen{0};
+    for (int call = 0; call < 1000; ++call) {
+      std::latch both(2);
+      parallel_for(0, 2, [&](std::size_t) {
+        both.arrive_and_wait();
+        if (std::this_thread::get_id() != caller) seen = ++t_helper_shares;
+      }, 2);
+    }
+    last = seen.load();
+  });
+  owner.join();
+  EXPECT_EQ(last, 1000u);
+}
+
+TEST(InnerTeam, NestedCallRunsInlineOverItsWholeRange) {
+  std::vector<std::atomic<int>> hits(4 * 100);
+  std::atomic<int> foreign{0};
+  parallel_for(0, 4, [&](std::size_t i) {
+    const auto self = std::this_thread::get_id();
+    parallel_for(0, 100, [&](std::size_t j) {
+      if (std::this_thread::get_id() != self) foreign.fetch_add(1);
+      hits[i * 100 + j].fetch_add(1);
+    }, 4);
+  }, 4);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(foreign.load(), 0);
+}
+
+TEST(InnerTeam, HelperExceptionReachesCallerAndTeamRecovers) {
+  const auto caller = std::this_thread::get_id();
+  std::latch both(2);
+  EXPECT_THROW(parallel_for(0, 2, [&](std::size_t) {
+    both.arrive_and_wait();
+    if (std::this_thread::get_id() != caller) throw Error("helper");
+  }, 2), Error);
+  std::vector<std::atomic<int>> hits(100);
+  parallel_for(0, 100, [&](std::size_t i) { hits[i].fetch_add(1); }, 2);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 }  // namespace
