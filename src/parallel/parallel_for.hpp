@@ -60,13 +60,14 @@ inline void parallel_for_blocks(
     body(begin, end);
     return;
   }
-  parallel_for(
-      0, num_blocks,
-      [&](std::size_t j) {
-        const std::size_t lo = begin + j * block;
-        body(lo, std::min(end, lo + block));
-      },
-      workers, 1);
+  const auto run_block = [&](std::size_t j) {
+    const std::size_t lo = begin + j * block;
+    body(lo, std::min(end, lo + block));
+  };
+  // A one-reference lambda fits std::function's local buffer, so a fork
+  // allocates nothing; run_block's four captures would not.
+  parallel_for(0, num_blocks, [&run_block](std::size_t j) { run_block(j); },
+               workers, 1);
 }
 
 /// Parallel map: applies fn to each element of `inputs`, preserving order.
@@ -76,9 +77,10 @@ auto parallel_map(const std::vector<In>& inputs, Fn&& fn,
     -> std::vector<decltype(fn(inputs.front()))> {
   using Out = decltype(fn(inputs.front()));
   std::vector<Out> out(inputs.size());
-  parallel_for(
-      0, inputs.size(), [&](std::size_t i) { out[i] = fn(inputs[i]); },
-      workers);
+  const auto apply = [&](std::size_t i) { out[i] = fn(inputs[i]); };
+  // One reference, like parallel_for_blocks: `out` is the only allocation.
+  parallel_for(0, inputs.size(), [&apply](std::size_t i) { apply(i); },
+               workers);
   return out;
 }
 

@@ -29,19 +29,7 @@ double mean_best_of_trials(const std::vector<std::size_t>& samples,
   return total / static_cast<double>(trials);
 }
 
-/// `count` basis-state draws from `state`, one rng.uniform() each.
-std::vector<std::size_t> draw(const sim::State& state, std::size_t count,
-                              Rng& rng) {
-  std::vector<double> uniforms(count);
-  for (double& r : uniforms) r = rng.uniform();
-  return sim::sample_basis_states(state, uniforms);
-}
-
 }  // namespace
-
-std::size_t sample_basis_state(const sim::State& state, Rng& rng) {
-  return draw(state, 1, rng).front();
-}
 
 double cut_of_basis_state(const graph::Graph& g, std::size_t basis_index) {
   double cut = 0.0;
@@ -53,19 +41,16 @@ double cut_of_basis_state(const graph::Graph& g, std::size_t basis_index) {
   return cut;
 }
 
-double best_sampled_cut(const sim::State& state, const graph::Graph& g,
-                        std::size_t shots, Rng& rng) {
-  return expected_best_cut(state, g, shots, 1, rng);
-}
-
 double expected_best_cut(const sim::State& state, const graph::Graph& g,
                          std::size_t shots, std::size_t trials, Rng& rng) {
   QARCH_REQUIRE(shots >= 1, "need at least one shot");
   QARCH_REQUIRE(trials >= 1, "need at least one trial");
   QARCH_REQUIRE(sim::state_qubits(state) == g.num_vertices(),
                 "state/graph size mismatch");
+  std::vector<double> uniforms(shots * trials);
+  for (double& r : uniforms) r = rng.uniform();
   return mean_best_of_trials(
-      draw(state, shots * trials, rng), shots, trials,
+      sim::sample_basis_states(state, uniforms), shots, trials,
       [&g](std::size_t basis) { return cut_of_basis_state(g, basis); });
 }
 

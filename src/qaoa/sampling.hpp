@@ -8,12 +8,9 @@
 // distribution (the statevector gives us the exact distribution, so no
 // finite-shot bias beyond the intended max-of-shots statistic).
 //
-// Every statevector draw here goes through sim::sample_basis_states: one
-// rng.uniform() per shot, mapped through the ascending-index subtractive
-// inverse CDF. All shots*trials uniforms are drawn first and resolved in one
-// batch, O(2^n + m log m) for m = shots*trials draws, with a scalar rescan
-// for the rare uniform within rounding distance of a CDF boundary; draws
-// are identical, one for one, to scanning each uniform separately.
+// Every statevector draw here is one rng.uniform() per shot, resolved by
+// sim::sample_basis_states (which defines the draw). All shots*trials
+// uniforms are drawn first and resolved in one batch.
 #pragma once
 
 #include <cstddef>
@@ -28,21 +25,13 @@
 
 namespace qarch::qaoa {
 
-/// Draws one computational-basis sample (bit q of the result = qubit q).
-std::size_t sample_basis_state(const sim::State& state, Rng& rng);
-
 /// Cut value of basis state `basis_index` on g.
 double cut_of_basis_state(const graph::Graph& g, std::size_t basis_index);
 
-/// Best cut among `shots` samples from `state` (the first sample's cut when
-/// every cut is negative).
-double best_sampled_cut(const sim::State& state, const graph::Graph& g,
-                        std::size_t shots, Rng& rng);
-
 /// Monte-Carlo estimate of <C_max>: mean over `trials` batches of the best
-/// cut among `shots` samples of `state`, drawn as ONE batch of shots*trials
-/// uniforms chunked per trial (the same stream `trials` calls of
-/// best_sampled_cut consume).
+/// cut among `shots` samples of `state` (a batch's first sample's cut when
+/// every cut is negative), drawn as ONE batch of shots*trials uniforms
+/// chunked per trial. With trials = 1 it is the best of `shots` samples.
 double expected_best_cut(const sim::State& state, const graph::Graph& g,
                          std::size_t shots, std::size_t trials, Rng& rng);
 

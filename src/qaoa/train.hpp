@@ -62,7 +62,8 @@ TrainResult train_objective(std::size_t num_params,
                             optim::PreemptToken* preempt);
 
 /// Approximation ratio r = <C> / C_classical (Eq. 3). `classical_optimum`
-/// is the exact max-cut value of the same graph.
+/// is the exact optimum of the same Hamiltonian, as qaoa::classical_maximum's
+/// bucket elimination returns it.
 double approximation_ratio(double energy, double classical_optimum);
 
 }  // namespace qarch::qaoa

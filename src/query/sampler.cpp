@@ -94,10 +94,11 @@ std::vector<std::size_t> Sampler::sample(std::span<const double> theta,
     return sim::sample_basis_states(impl_->state(theta), uniforms);
   }
   // Tensor-network engine: walk qubits MSB-first, choosing each bit from
-  // its JOINT marginal with the subtractive residue. This reproduces the
-  // ascending-index inverse CDF exactly: after fixing a prefix, the residue
-  // r lies in [0, p(prefix)) and p(prefix, next=0) splits that interval the
-  // same way the flat CDF does.
+  // its JOINT marginal with the subtractive residue. In exact arithmetic
+  // this is the ascending-index inverse CDF: after fixing a prefix, the
+  // residue r lies in [0, p(prefix)) and p(prefix, next=0) splits that
+  // interval the same way the flat CDF does. In floats it can differ from
+  // the statevector draw only within rounding of a CDF boundary.
   std::vector<std::size_t> out;
   out.reserve(shots);
   std::vector<int> caps;

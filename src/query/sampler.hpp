@@ -1,29 +1,27 @@
 // Direct sampling from a parameterized circuit on either engine.
 //
 // Statevector sampling materializes |psi> once per sample() call and maps
-// all of that call's uniforms through sim::sample_basis_states: one sort
-// plus one running-sum sweep of the 2^n probabilities, O(2^n + m log m) for
-// m shots, with a scalar rescan for any uniform within rounding distance
-// of a CDF boundary. Tensor-network sampling never materializes the state:
-// qubits are drawn one at a time, MSB (qubit n-1) first, each from the
-// JOINT marginal p(prefix, bit) contracted directly from the network with
-// the already-drawn prefix fixed by rebindable projector caps
+// all of that call's uniforms through sim::sample_basis_states, which
+// defines a statevector draw. Tensor-network sampling never materializes
+// the state: qubits are drawn one at a time, MSB (qubit n-1) first, each
+// from the JOINT marginal p(prefix, bit) contracted directly from the
+// network with the already-drawn prefix fixed by rebindable projector caps
 // (qtensor::measure_query_network, WireRole::Fix + Diagonal). All n
 // per-qubit marginal programs are compiled once per Sampler through the
 // shared planner / plan cache and replayed per shot.
 //
 // Both engines consume exactly ONE rng.uniform() per shot and map it
-// through the same ascending-index subtractive inverse CDF (the scan that
-// sim::sample_basis_states reproduces draw for draw, and that the
-// per-qubit joint-marginal walk reproduces exactly), so:
+// through the ascending-index inverse CDF: the statevector engine by its
+// running sum, the tensor-network walk by a per-qubit subtractive residue
+// (see sample()). So:
 //
 //   * a given (engine, seed) stream is bit-for-bit deterministic, at every
 //     worker count — the contraction kernels compute each output entry on
 //     one thread in a fixed order;
 //   * on the statevector engine, the same state and the same rng give the
-//     same draws as qaoa::sample_basis_state and the qaoa state overloads;
-//   * the two engines agree in distribution, and disagree on a draw only
-//     when r lands within float error of a CDF boundary.
+//     same draws as qaoa::expected_best_cut's state overload;
+//   * the two engines agree in distribution, and can differ on a draw only
+//     when r lands within rounding of a CDF boundary.
 #pragma once
 
 #include <cstddef>

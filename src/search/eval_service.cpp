@@ -29,7 +29,7 @@ namespace detail {
 /// numerics): a persisted result cache written under a different version is
 /// ignored wholesale, because its results are no longer reproducible by a
 /// fresh run.
-constexpr const char* kCacheCodeVersion = "qarch-eval-v10";
+constexpr const char* kCacheCodeVersion = "qarch-eval-v11";
 
 /// Version gate of the persisted contraction-plan cache. Independent of the
 /// result-cache version: planning decisions stay valid across evaluation-
@@ -210,10 +210,10 @@ struct ServiceState {
       QARCH_GUARDED_BY(mutex);
   // Evaluator LRU: (graph fp, engine, budget) → construction slot. The slot
   // indirection lets workers build evaluators OUTSIDE this mutex (an
-  // Evaluator constructor is exponential in n: the 2^n cost diagonal or the
-  // exact max-cut solver) while still guaranteeing one construction per key:
-  // racing requesters block on the slot's once-flag, not on the whole
-  // service.
+  // Evaluator constructor can be exponential: the 2^n cost diagonal, or
+  // qaoa::classical_maximum's bucket elimination in its width) while still
+  // guaranteeing one construction per key: racing requesters block on the
+  // slot's once-flag, not on the whole service.
   struct EvaluatorSlot {
     std::once_flag once;
     std::shared_ptr<const Evaluator> evaluator;

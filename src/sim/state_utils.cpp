@@ -45,23 +45,8 @@ std::vector<double> batched_expectation_zz(
                                    block, combine, workers);
 }
 
-namespace {
-
-/// The reference subtractive inverse-CDF scan (see sample_basis_states).
-std::size_t scan_basis_state(const State& state, double r) {
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    const double p = std::norm(state[i]);
-    if (r < p) return i;
-    r -= p;
-  }
-  return state.size() - 1;
-}
-
-}  // namespace
-
 std::vector<std::size_t> sample_basis_states(const State& state,
-                                             std::span<const double> uniforms,
-                                             std::size_t* rescans) {
+                                             std::span<const double> uniforms) {
   QARCH_REQUIRE(!state.empty(), "cannot sample an empty state");
   for (const double r : uniforms)
     QARCH_REQUIRE(!std::isnan(r), "NaN uniform");
@@ -71,41 +56,16 @@ std::vector<std::size_t> sample_basis_states(const State& state,
     return uniforms[a] < uniforms[b];
   });
 
-  // Rounding bound around the boundaries of index i. Up to index i the
-  // running sum and the scan's residue each carry at most i+1 roundings of
-  // <= 2^-53 * mass, so (i+2) * 2^-51 * mass is over twice their worst-case
-  // total, the rounding of the comparison itself included.
-  const auto margin = [](std::size_t i, double mass) {
-    return static_cast<double>(i + 2) * 0x1p-51 * std::max(1.0, mass);
-  };
-  std::size_t fallbacks = 0;
-  const auto rescan = [&](double r) {
-    ++fallbacks;
-    return scan_basis_state(state, r);
-  };
-
-  // below = running sum of |state[j]|^2 over j < i, above = below + p_i. A
-  // sorted uniform r < above first lands on index i, which the scan returns
-  // too whenever r clears both boundaries by the margin.
+  // Each sorted uniform takes the first index whose running sum exceeds it.
   std::vector<std::size_t> out(uniforms.size());
   std::size_t k = 0;
-  double below = 0.0;
+  double sum = 0.0;
   for (std::size_t i = 0; i < state.size() && k < order.size(); ++i) {
-    const double above = below + std::norm(state[i]);
-    for (; k < order.size() && uniforms[order[k]] < above; ++k) {
-      const double r = uniforms[order[k]];
-      const double tol = margin(i, above);
-      out[order[k]] = r >= below + tol && r < above - tol ? i : rescan(r);
-    }
-    below = above;
+    sum += std::norm(state[i]);
+    for (; k < order.size() && uniforms[order[k]] < sum; ++k) out[order[k]] = i;
   }
-  // At or past the total mass the scan runs off the end: last index.
-  for (; k < order.size(); ++k) {
-    const double r = uniforms[order[k]];
-    out[order[k]] = r >= below + margin(state.size(), r) ? state.size() - 1
-                                                         : rescan(r);
-  }
-  if (rescans != nullptr) *rescans = fallbacks;
+  // At or past the total mass: the last index.
+  for (; k < order.size(); ++k) out[order[k]] = state.size() - 1;
   return out;
 }
 

@@ -28,23 +28,19 @@ std::vector<double> batched_expectation_zz(
     std::size_t parallel_threshold_qubits = 14);
 
 /// Inverse-CDF basis-state draws, one per uniform (result k belongs to
-/// uniforms[k]; bit q of an index is qubit q). Each result is exactly the
-/// index this subtractive scan returns for the same state and uniform r:
+/// uniforms[k]; bit q of an index is qubit q). This is the definition of a
+/// statevector draw: uniform r takes the first index whose ascending
+/// running sum of |state[i]|^2 exceeds r, and the last index when r is at
+/// or past the total mass (float drift):
 ///
-///   for i in 0..dim-1: { p = |state[i]|^2; if (r < p) return i; r -= p; }
-///   return dim - 1;  // float drift past the total mass
+///   s = 0; for i in 0..dim-1: { s += |state[i]|^2; if (r < s) return i; }
+///   return dim - 1;
 ///
 /// Cost O(dim + m log m) for m uniforms instead of O(m * dim): the uniforms
-/// are sorted and matched against ONE sweep of the running sum of
-/// |state[i]|^2. A uniform within (i+2)·2^-51 (scaled by the running mass
-/// when that exceeds 1) of either running-sum boundary of its index i falls
-/// back to the scan; the bound covers the rounding error of both the running
-/// sum and the scan's subtractive chain, so draws match one for one.
-/// `rescans`, when non-null, receives the number of fallback scans.
-/// Uniforms must not be NaN.
+/// are sorted and matched against ONE sweep of that running sum. Uniforms
+/// must not be NaN.
 std::vector<std::size_t> sample_basis_states(const State& state,
-                                             std::span<const double> uniforms,
-                                             std::size_t* rescans = nullptr);
+                                             std::span<const double> uniforms);
 
 /// <a|b> — complex overlap of two equal-size states.
 cplx overlap(const State& a, const State& b);

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <latch>
+#include <new>
 #include <numeric>
 #include <thread>
 
@@ -12,6 +14,30 @@
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread.hpp"
 #include "parallel/thread_pool.hpp"
+
+namespace {
+
+// Heap allocations on any thread while armed, counted by the replaced
+// global operator new below.
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocations.load(std::memory_order_relaxed))
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (g_count_allocations.load(std::memory_order_relaxed))
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -166,6 +192,46 @@ TEST(InnerTeam, NestedCallRunsInlineOverItsWholeRange) {
   }, 4);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_EQ(foreign.load(), 0);
+}
+
+/// Heap allocations per call of `call`, averaged over warm calls.
+template <class Fn>
+double allocations_per_call(const Fn& call) {
+  call();  // builds the team, if this thread has none yet
+  constexpr int kCalls = 200;
+  g_allocations = 0;
+  g_count_allocations = true;
+  for (int i = 0; i < kCalls; ++i) call();
+  g_count_allocations = false;
+  return static_cast<double>(g_allocations.load()) / kCalls;
+}
+
+TEST(InnerTeam, WarmForksDoNotAllocate) {
+  // Each wrapper hands parallel_for a lambda small enough for
+  // std::function's local buffer, so a warm fork at 2 workers allocates
+  // nothing; parallel_map allocates only its output vector.
+  std::vector<double> data(1 << 12, 1.0);
+  EXPECT_EQ(allocations_per_call([&] {
+              parallel_for_blocks(0, data.size(), [&](std::size_t lo,
+                                                      std::size_t hi) {
+                for (std::size_t i = lo; i < hi; ++i) data[i] *= 1.0;
+              }, 2, 256);
+            }),
+            0.0);
+  const std::vector<int> inputs{1, 2, 3, 4, 5, 6, 7, 8};
+  int last = 0;
+  EXPECT_EQ(allocations_per_call([&] {
+              last = parallel_map(inputs, [](int x) { return 2 * x; }, 2)
+                         .back();
+            }),
+            1.0);
+  EXPECT_EQ(last, 16);
+  EXPECT_EQ(allocations_per_call([&] {
+              parallel_for(0, data.size(), [&](std::size_t i) {
+                data[i] += 0.0;
+              }, 2, 256);
+            }),
+            0.0);
 }
 
 TEST(InnerTeam, HelperExceptionReachesCallerAndTeamRecovers) {

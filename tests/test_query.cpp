@@ -263,11 +263,12 @@ TEST(Sampler, SeededDrawsAreDeterministicAcrossWorkerCounts) {
   EXPECT_EQ(a, tn_serial.sample(theta, shots, r5));
 }
 
-// 64 seeded draws per engine. The statevector stream was recorded from the
-// per-shot subtractive scan that sim::sample_basis_states replaced, the
-// tensor-network stream from the per-qubit marginal walk as it stood before
-// the query programs were folded into qtensor::ContractionProgram:
-// /v1/sample and the sampled objectives (CVaR, best-of-shots) keep their
+// 64 seeded draws per engine. The statevector stream was recorded from a
+// per-shot subtractive scan and the tensor-network stream from the
+// per-qubit marginal walk as it stood before the query programs were
+// folded into qtensor::ContractionProgram. The running-sum sweep that
+// defines sim::sample_basis_states draws the statevector stream unchanged,
+// so /v1/sample and the sampled objectives (CVaR, best-of-shots) keep their
 // streams on both engines. The two recorded streams are identical (no
 // uniform of this seed lands near a CDF boundary).
 class SamplerStream : public ::testing::TestWithParam<query::SamplerEngine> {};

@@ -192,9 +192,10 @@ TEST(Sampling, MatchesDistributionOnBellState) {
   const sim::StatevectorSimulator sv;
   const auto state = sv.run(c, {}, sim::zero_state(2));
   Rng rng(55);
+  std::vector<double> uniforms(4000);
+  for (double& r : uniforms) r = rng.uniform();
   int n00 = 0, n11 = 0, other = 0;
-  for (int i = 0; i < 4000; ++i) {
-    const std::size_t s = qaoa::sample_basis_state(state, rng);
+  for (const std::size_t s : sim::sample_basis_states(state, uniforms)) {
     if (s == 0) ++n00;
     else if (s == 3) ++n11;
     else ++other;
@@ -212,7 +213,7 @@ TEST(Sampling, BestSampledCutBoundedByExact) {
   g.add_edge(3, 0);
   // |+>^4 gives the uniform distribution over assignments.
   const auto state = sim::plus_state(4);
-  const double best = qaoa::best_sampled_cut(state, g, 256, rng);
+  const double best = qaoa::expected_best_cut(state, g, 256, 1, rng);
   EXPECT_LE(best, 4.0);
   EXPECT_GE(best, 3.0);  // with 256 shots the 4-cut is found w.h.p.
 }
@@ -241,7 +242,7 @@ TEST(Sampling, NegativeWeightsAreNotClippedToZero) {
   c.h(1);
   const sim::State state = sim::StatevectorSimulator().run_from_plus(c, {});
   Rng rng(5);
-  EXPECT_EQ(qaoa::best_sampled_cut(state, g, 16, rng), -2.0);
+  EXPECT_EQ(qaoa::expected_best_cut(state, g, 16, 1, rng), -2.0);
   EXPECT_EQ(qaoa::expected_best_cut(state, g, 16, 4, rng), -2.0);
   EXPECT_EQ(qaoa::expected_best_cut(c, {}, g, 16, 4, rng), -2.0);
   const query::Sampler sampler(c);
@@ -249,29 +250,28 @@ TEST(Sampling, NegativeWeightsAreNotClippedToZero) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched inverse-CDF draws: sim::sample_basis_states against the scalar
-// subtractive scan, draw for draw, including on boundary-adversarial inputs.
+// Batched inverse-CDF draws: sim::sample_basis_states against a per-uniform
+// scan of the running sum that defines a draw, draw for draw, including on
+// boundary-adversarial inputs.
 // ---------------------------------------------------------------------------
 
-/// The oracle: one uniform at a time, subtracting each probability in
-/// ascending index order.
+/// The oracle: one uniform at a time, the first index whose ascending
+/// running sum of probabilities exceeds it (the last past the total mass).
 std::size_t scan_draw(const sim::State& state, double r) {
+  double sum = 0.0;
   for (std::size_t i = 0; i < state.size(); ++i) {
-    const double p = std::norm(state[i]);
-    if (r < p) return i;
-    r -= p;
+    sum += std::norm(state[i]);
+    if (r < sum) return i;
   }
   return state.size() - 1;
 }
 
-/// Expects the batched draw to equal the oracle on every uniform; returns
-/// the number of fallback rescans the batched draw reported.
-std::size_t expect_draws_match_scan(const sim::State& state,
-                                    const std::vector<double>& uniforms,
-                                    const std::string& what) {
-  std::size_t rescans = 0;
+/// Expects the batched draw to equal the oracle on every uniform.
+void expect_draws_match_scan(const sim::State& state,
+                             const std::vector<double>& uniforms,
+                             const std::string& what) {
   const std::vector<std::size_t> draws =
-      sim::sample_basis_states(state, uniforms, &rescans);
+      sim::sample_basis_states(state, uniforms);
   EXPECT_EQ(draws.size(), uniforms.size()) << what;
   std::size_t mismatches = 0;
   for (std::size_t k = 0; k < uniforms.size() && k < draws.size(); ++k) {
@@ -281,7 +281,6 @@ std::size_t expect_draws_match_scan(const sim::State& state,
                     << " drew " << std::dec << draws[k] << ", scan " << want;
   }
   EXPECT_EQ(mismatches, 0u) << what;
-  return rescans;
 }
 
 /// Uniforms on every float prefix sum of the state's probabilities (the
@@ -315,24 +314,19 @@ sim::State random_real_state(std::size_t n, Rng& rng, double mass = 1.0) {
 
 TEST(BatchedDraw, MatchesScanOnEveryPrefixSumBoundary) {
   Rng rng(8101);
-  std::size_t rescans = 0;
   for (const std::size_t n : {1, 4, 8, 11}) {
     const sim::State state = random_real_state(n, rng);
-    rescans += expect_draws_match_scan(state, boundary_uniforms(state),
-                                       "random n=" + std::to_string(n));
+    expect_draws_match_scan(state, boundary_uniforms(state),
+                            "random n=" + std::to_string(n));
   }
-  // A uniform ON a running-sum boundary is always inside the margin: these
-  // inputs must take the fallback branch.
-  EXPECT_GT(rescans, 0u);
 }
 
 TEST(BatchedDraw, MatchesScanOnDyadicPlusState) {
   // |+>^n: every probability is 2^-n, every prefix sum an exact dyadic.
   for (const std::size_t n : {1, 3, 6, 10}) {
     const sim::State plus = sim::plus_state(n);
-    EXPECT_GT(expect_draws_match_scan(plus, boundary_uniforms(plus),
-                                      "plus n=" + std::to_string(n)),
-              0u);
+    expect_draws_match_scan(plus, boundary_uniforms(plus),
+                            "plus n=" + std::to_string(n));
   }
 }
 
@@ -364,8 +358,8 @@ TEST(BatchedDraw, MatchesScanWithMassOnTheLastIndex) {
 }
 
 TEST(BatchedDraw, MatchesScanUnderNormDrift) {
-  // Total mass 1 +/- 1e-12: a uniform past a short total runs off the end
-  // of the scan (last index); a long total leaves the top of [0,1) inside.
+  // Total mass 1 +/- 1e-12: a uniform past a short total draws the last
+  // index; a long total leaves the top of [0,1) inside.
   Rng rng(8104);
   for (const double mass : {1.0 - 1e-12, 1.0 + 1e-12}) {
     const sim::State state = random_real_state(8, rng, mass);
@@ -399,21 +393,22 @@ TEST(BatchedDraw, MatchesScanOnRandomDrawsFromQaoaStates) {
 }
 
 TEST(BatchedDraw, QaoaHelpersConsumeTheSameStream) {
-  // sample_basis_state and best_sampled_cut draw one rng.uniform() per shot
-  // and resolve each like the oracle.
+  // A draw of one uniform and expected_best_cut with one trial take one
+  // rng.uniform() per shot and resolve each like the oracle.
   Rng grng(8106);
   const graph::Graph g = graph::random_regular(8, 3, grng);
   const Circuit c = qaoa::build_qaoa_circuit(g, 1, qaoa::MixerSpec::baseline());
   const sim::State state = sim::StatevectorSimulator().run_from_plus(
       c, std::vector<double>{0.7, 0.4});
   Rng lib(17), oracle(17);
-  EXPECT_EQ(qaoa::sample_basis_state(state, lib),
+  EXPECT_EQ(sim::sample_basis_states(state, std::vector<double>{lib.uniform()})
+                .front(),
             scan_draw(state, oracle.uniform()));
   double best = qaoa::cut_of_basis_state(g, scan_draw(state, oracle.uniform()));
   for (int s = 1; s < 64; ++s)
     best = std::max(
         best, qaoa::cut_of_basis_state(g, scan_draw(state, oracle.uniform())));
-  EXPECT_EQ(qaoa::best_sampled_cut(state, g, 64, lib), best);
+  EXPECT_EQ(qaoa::expected_best_cut(state, g, 64, 1, lib), best);
 }
 
 TEST(BatchedDraw, RejectsNaNUniforms) {
