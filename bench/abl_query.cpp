@@ -27,7 +27,6 @@
 #include "circuit/optimizer.hpp"
 #include "qaoa/ansatz.hpp"
 #include "qaoa/hamiltonian.hpp"
-#include "qtensor/backend.hpp"
 #include "qtensor/contraction.hpp"
 #include "qtensor/plan_cache.hpp"
 #include "qtensor/planner.hpp"
@@ -62,7 +61,6 @@ int main(int argc, char** argv) {
 
   qtensor::ProgramOptions options;
   options.plan_cache = std::make_shared<qtensor::PlanCache>();
-  const qtensor::SerialCpuBackend backend;
 
   Timer t_compile;
   const query::AmplitudeProgram program(ansatz, options);
@@ -71,7 +69,7 @@ int main(int argc, char** argv) {
   Timer t_replay;
   qtensor::cplx checksum{0.0, 0.0};
   for (const auto& bits : queries)
-    checksum += program.amplitude(theta, bits, backend);
+    checksum += program.amplitude(theta, bits);
   const double replay_ms = t_replay.millis();
 
   const qtensor::QTensorSimulator facade;  // rebuild + re-plan every call

@@ -29,12 +29,11 @@ int main(int argc, char** argv) {
   const auto net = qtensor::expectation_zz_network(c, theta, g.edges()[0].u,
                                                    g.edges()[0].v);
   const auto plan = qtensor::plan_contraction(net);
-  const qtensor::SerialCpuBackend backend;
 
   Timer t0;
   qtensor::ContractionResult direct;
   for (std::size_t r = 0; r < reps; ++r)
-    direct = qtensor::contract(net, plan.order, backend);
+    direct = qtensor::contract(net, plan.order);
   const double direct_ms = t0.millis() / static_cast<double>(reps);
   std::printf("slicing ablation: p=%zu network, width %zu, direct %.2f ms "
               "(value %.6f)\n\n",
@@ -53,13 +52,13 @@ int main(int argc, char** argv) {
     Timer t1;
     qtensor::ContractionResult serial;
     for (std::size_t r = 0; r < reps; ++r)
-      serial = qtensor::contract_sliced(net, order, slice_vars, backend, 1);
+      serial = qtensor::contract_sliced(net, order, slice_vars, 1);
     const double serial_ms = t1.millis() / static_cast<double>(reps);
 
     Timer t2;
     qtensor::ContractionResult par;
     for (std::size_t r = 0; r < reps; ++r)
-      par = qtensor::contract_sliced(net, order, slice_vars, backend, 8);
+      par = qtensor::contract_sliced(net, order, slice_vars, 8);
     const double par_ms = t2.millis() / static_cast<double>(reps);
 
     std::printf("%-8zu %-8zu %-14.2f %-14.2f %-10.2e\n",

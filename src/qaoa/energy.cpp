@@ -1,6 +1,5 @@
 #include "qaoa/energy.hpp"
 
-#include <cmath>
 #include <cstring>
 #include <list>
 #include <set>
@@ -70,25 +69,12 @@ class StatevectorPlan final : public EnergyPlan {
   }
 
  private:
-  /// Per-thread scratch statevector: repeated energy(theta) calls (hundreds
-  /// per training run) reuse one allocation instead of 2^n fresh complex
-  /// doubles per call, and concurrent search workers each get their own
-  /// buffer — no locks anywhere on the evaluation path.
+  /// The final state in this thread's replay buffer: repeated
+  /// energy(theta) calls (hundreds per training run) reuse one allocation,
+  /// and concurrent search workers each get their own — no locks anywhere
+  /// on the evaluation path.
   const sim::State& run_state(std::span<const double> theta) const {
-    QARCH_REQUIRE(theta.size() >= program_.num_params(),
-                  "parameter vector too short for ansatz");
-    static thread_local sim::State scratch;
-    const std::size_t dim = std::size_t{1} << program_.num_qubits();
-    if (scratch.capacity() > dim * 4) {
-      // Don't let one large evaluation pin gigabytes to this thread after
-      // the workload moves back to small candidates.
-      sim::State released;
-      scratch.swap(released);
-    }
-    const double amp = 1.0 / std::sqrt(static_cast<double>(dim));
-    scratch.assign(dim, sim::cplx{amp, 0.0});
-    program_.apply_inplace(scratch, theta, options_.inner_workers);
-    return scratch;
+    return program_.replay_from_plus(theta, options_.inner_workers);
   }
 
   std::vector<double> zz_from_state(const sim::State& state) const {
@@ -126,10 +112,8 @@ class TensorNetworkPlan final : public EnergyPlan {
  public:
   TensorNetworkPlan(circuit::Circuit ansatz, const MaxCutHamiltonian& ham,
                     const EnergyOptions& options)
-      : ansatz_(std::move(ansatz)),
-        ham_(ham),
-        options_(options),
-        backend_(qtensor::make_backend(options.qtensor.backend)) {
+      : ansatz_(std::move(ansatz)), ham_(ham), options_(options) {
+    qtensor::check_backend_spec(options_.qtensor.backend);
     // Shape deduplication: group terms whose lightcones are isomorphic and
     // compile ONE program per group. The canonical shape key buckets
     // candidates cheaply; an exact isomorphism check against the group's
@@ -200,7 +184,7 @@ class TensorNetworkPlan final : public EnergyPlan {
     parallel::parallel_for(
         0, programs_.size(),
         [&](std::size_t g) {
-          group_value[g] = programs_[g]->expectation_zz(theta, *backend_);
+          group_value[g] = programs_[g]->expectation_zz(theta);
         },
         options_.inner_workers);
     std::vector<double> zz(terms.size());
@@ -216,7 +200,7 @@ class TensorNetworkPlan final : public EnergyPlan {
     parallel::parallel_for(
         0, z_programs_.size(),
         [&](std::size_t k) {
-          z[k] = z_programs_[k]->expectation_zz(theta, *backend_);
+          z[k] = z_programs_[k]->expectation_zz(theta);
         },
         options_.inner_workers);
     return z;
@@ -242,7 +226,6 @@ class TensorNetworkPlan final : public EnergyPlan {
   circuit::Circuit ansatz_;
   const MaxCutHamiltonian& ham_;
   EnergyOptions options_;
-  std::shared_ptr<const qtensor::Backend> backend_;
   /// One program per shape group, aligned with groups_, plus one
   /// single-qubit program per field term.
   std::vector<std::unique_ptr<qtensor::ContractionProgram>> programs_;

@@ -64,20 +64,6 @@ double expected_best_cut(const circuit::Circuit& ansatz,
   return expected_best_cut(state, g, shots, trials, rng);
 }
 
-double expected_best_cut(const query::Sampler& sampler,
-                         std::span<const double> theta, const graph::Graph& g,
-                         std::size_t shots, std::size_t trials, Rng& rng) {
-  QARCH_REQUIRE(shots >= 1, "need at least one shot");
-  QARCH_REQUIRE(trials >= 1, "need at least one trial");
-  QARCH_REQUIRE(sampler.num_qubits() == g.num_vertices(),
-                "sampler/graph size mismatch");
-  // One stream of shots*trials draws, chunked per trial — the stream the
-  // state overload consumes.
-  return mean_best_of_trials(
-      sampler.sample(theta, shots * trials, rng), shots, trials,
-      [&g](std::size_t basis) { return cut_of_basis_state(g, basis); });
-}
-
 double expected_best_value(const query::Sampler& sampler,
                            std::span<const double> theta,
                            const Hamiltonian& ham, std::size_t shots,

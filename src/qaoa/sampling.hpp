@@ -45,16 +45,11 @@ double expected_best_cut(const circuit::Circuit& ansatz,
                          std::span<const double> theta, const graph::Graph& g,
                          std::size_t shots, std::size_t trials, Rng& rng);
 
-/// Engine-agnostic form: samples come from a compiled query::Sampler (either
-/// the statevector engine — the same draws as the state overload above for
-/// the same state and rng — or direct tensor-network sampling, which never
-/// materializes the state).
-double expected_best_cut(const query::Sampler& sampler,
-                         std::span<const double> theta, const graph::Graph& g,
-                         std::size_t shots, std::size_t trials, Rng& rng);
-
-/// Generalized-Hamiltonian form of the same statistic: mean over `trials`
-/// of the best classical_value_bits among `shots` samples.
+/// Generalized-Hamiltonian, engine-agnostic form of the same statistic:
+/// mean over `trials` of the best classical_value_bits among `shots`
+/// samples drawn by a compiled query::Sampler (statevector or direct
+/// tensor-network sampling), as one stream of shots*trials draws chunked
+/// per trial.
 double expected_best_value(const query::Sampler& sampler,
                            std::span<const double> theta,
                            const Hamiltonian& ham, std::size_t shots,

@@ -9,8 +9,7 @@
 namespace qarch::qtensor {
 
 ContractionResult contract(const TensorNetwork& network,
-                           const std::vector<VarId>& order,
-                           const Backend& backend) {
+                           const std::vector<VarId>& order) {
   {
     // Every variable of the network must be summed exactly once.
     std::set<VarId> in_order(order.begin(), order.end());
@@ -51,8 +50,7 @@ ContractionResult contract(const TensorNetwork& network,
       if (w != v) out_labels.push_back(w);
 
     result.width = std::max(result.width, out_labels.size());
-    Tensor product = backend.product(bucket, out_labels);
-    rest.push_back(product.sum_over(v));
+    rest.push_back(product(bucket, out_labels).sum_over(v));
     active = std::move(rest);
   }
 
@@ -74,9 +72,14 @@ OrderingAlgo ordering_from_name(const std::string& name) {
   throw InvalidArgument("unknown ordering algorithm: " + name);
 }
 
+void check_backend_spec(const std::string& spec) {
+  if (spec != "serial") throw InvalidArgument("unknown backend spec: " + spec);
+}
+
 QTensorSimulator::QTensorSimulator(QTensorOptions options)
-    : options_(std::move(options)),
-      backend_(make_backend(options_.backend)) {}
+    : options_(std::move(options)) {
+  check_backend_spec(options_.backend);
+}
 
 std::vector<VarId> QTensorSimulator::make_order(
     const TensorNetwork& network) const {
@@ -100,9 +103,8 @@ std::vector<VarId> QTensorSimulator::make_order(
 double QTensorSimulator::expectation_zz(const circuit::Circuit& circuit,
                                         std::span<const double> theta,
                                         std::size_t u, std::size_t v) const {
-  const TensorNetwork net =
-      expectation_zz_network(circuit, theta, u, v, options_.network);
-  const ContractionResult r = contract(net, make_order(net), *backend_);
+  const TensorNetwork net = expectation_zz_network(circuit, theta, u, v);
+  const ContractionResult r = contract(net, make_order(net));
   QARCH_CHECK(std::abs(r.value.imag()) < 1e-8,
               "Hermitian expectation has a large imaginary part");
   return r.value.real();
@@ -111,16 +113,14 @@ double QTensorSimulator::expectation_zz(const circuit::Circuit& circuit,
 cplx QTensorSimulator::amplitude(const circuit::Circuit& circuit,
                                  std::span<const double> theta,
                                  std::span<const int> bits) const {
-  const TensorNetwork net =
-      amplitude_network(circuit, theta, bits, options_.network);
-  return contract(net, make_order(net), *backend_).value;
+  const TensorNetwork net = amplitude_network(circuit, theta, bits);
+  return contract(net, make_order(net)).value;
 }
 
 std::size_t QTensorSimulator::zz_width(const circuit::Circuit& circuit,
                                        std::span<const double> theta,
                                        std::size_t u, std::size_t v) const {
-  const TensorNetwork net =
-      expectation_zz_network(circuit, theta, u, v, options_.network);
+  const TensorNetwork net = expectation_zz_network(circuit, theta, u, v);
   return contraction_width(net, make_order(net));
 }
 

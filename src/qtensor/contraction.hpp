@@ -9,7 +9,6 @@
 
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
-#include "qtensor/backend.hpp"
 #include "qtensor/network.hpp"
 #include "qtensor/ordering.hpp"
 #include "qtensor/planner.hpp"
@@ -24,11 +23,10 @@ struct ContractionResult {
 };
 
 /// Contracts a closed network by eliminating variables in `order`
-/// (must cover every variable of the network). Backend provides the
-/// bucket-product kernel.
+/// (must cover every variable of the network); each bucket is one
+/// product() summed over its variable.
 ContractionResult contract(const TensorNetwork& network,
-                           const std::vector<VarId>& order,
-                           const Backend& backend);
+                           const std::vector<VarId>& order);
 
 /// Ordering heuristic selector.
 enum class OrderingAlgo { GreedyDegree, GreedyFill, Random, RandomRestart };
@@ -39,14 +37,15 @@ OrderingAlgo ordering_from_name(const std::string& name);
 /// Configuration for the QTensor simulator facade AND the qtensor energy
 /// engine selected through qaoa::EnergyOptions (engine=TensorNetwork).
 struct QTensorOptions {
-  NetworkOptions network;                       ///< diagonal/lightcone opts
   /// Ordering heuristic of the one-shot QTensorSimulator facade. Compiled
   /// programs ignore this and let `planner` compete every enabled
   /// heuristic instead.
   OrderingAlgo ordering = OrderingAlgo::GreedyDegree;
   std::size_t random_restarts = 16;             ///< for RandomRestart
   std::uint64_t ordering_seed = 7;              ///< for Random/RandomRestart
-  std::string backend = "serial";               ///< make_backend spec
+  /// Bucket-product kernel spec, checked by check_backend_spec: "serial",
+  /// the only kernel, is the only valid value.
+  std::string backend = "serial";
   PlannerOptions planner;        ///< heuristics competing at program compile
   /// Compile-time slicing decision of every compiled program: slice when
   /// the planned width exceeds this (0 disables; see ProgramOptions).
@@ -63,7 +62,6 @@ struct QTensorOptions {
   /// from the energy-plan wiring.
   [[nodiscard]] ProgramOptions program_options() const {
     ProgramOptions po;
-    po.network = network;
     po.planner = planner;
     po.slice_above_width = slice_above_width;
     po.max_slice_vars = max_slice_vars;
@@ -71,6 +69,12 @@ struct QTensorOptions {
     return po;
   }
 };
+
+/// Throws InvalidArgument for any bucket-product kernel spec but "serial"
+/// (QTensorOptions::backend, query::SamplerOptions::tn_backend): the
+/// constructors of QTensorSimulator, the tensor-network energy plan and the
+/// tensor-network query::Sampler check their spec with it.
+void check_backend_spec(const std::string& spec);
 
 /// High-level tensor-network simulator: the C++ stand-in for QTensor, and
 /// the one-shot reference the compiled programs are tested against. Every
@@ -80,7 +84,7 @@ struct QTensorOptions {
 /// query:: program instead.
 ///
 /// Thread-safe for concurrent calls (each call builds its own network and
-/// contraction state; the backend is stateless).
+/// contraction state).
 class QTensorSimulator {
  public:
   explicit QTensorSimulator(QTensorOptions options = {});
@@ -109,7 +113,6 @@ class QTensorSimulator {
       const TensorNetwork& network) const;
 
   QTensorOptions options_;
-  std::shared_ptr<const Backend> backend_;
 };
 
 }  // namespace qarch::qtensor

@@ -79,9 +79,9 @@ namespace {
 /// Incremental network builder tracking the current wire variable per qubit.
 class NetworkBuilder {
  public:
-  NetworkBuilder(const std::vector<std::size_t>& qubits, bool diagonal_opt,
+  NetworkBuilder(const std::vector<std::size_t>& qubits,
                  std::vector<GateBinding>* bindings = nullptr)
-      : diagonal_opt_(diagonal_opt), bindings_(bindings) {
+      : bindings_(bindings) {
     for (std::size_t q : qubits) current_var_[q] = fresh();
   }
 
@@ -141,7 +141,7 @@ class NetworkBuilder {
   /// delegated to gate_tensor_data so the per-theta rebind path writes the
   /// exact same bytes the builder does.
   void add_gate(const Gate& g, std::span<const double> theta) {
-    const bool diagonal = diagonal_opt_ && circuit::is_diagonal(g.kind);
+    const bool diagonal = circuit::is_diagonal(g.kind);
     std::vector<VarId> labels;
     if (g.arity() == 1) {
       if (diagonal) {
@@ -184,7 +184,6 @@ class NetworkBuilder {
  private:
   VarId fresh() { return next_var_++; }
 
-  bool diagonal_opt_;
   std::vector<GateBinding>* bindings_;
   std::map<std::size_t, VarId> current_var_;
   VarId next_var_ = 0;
@@ -196,24 +195,19 @@ class NetworkBuilder {
 TensorNetwork expectation_zz_network(const circuit::Circuit& circuit,
                                      std::span<const double> theta,
                                      std::size_t u, std::size_t v,
-                                     const NetworkOptions& options,
                                      std::vector<GateBinding>* bindings) {
   QARCH_REQUIRE(u < circuit.num_qubits() && v < circuit.num_qubits() && u != v,
                 "bad ZZ pair");
   g_network_build_count.fetch_add(1, std::memory_order_relaxed);
-  circuit::Circuit effective = circuit;
   std::set<std::size_t> active;
-  if (options.lightcone) {
-    effective = lightcone_circuit(circuit, {u, v}, &active);
-  } else {
-    for (std::size_t q = 0; q < circuit.num_qubits(); ++q) active.insert(q);
-  }
+  const circuit::Circuit effective =
+      lightcone_circuit(circuit, {u, v}, &active);
   // Qubits outside the lightcone contribute <+|+> = 1 and are dropped.
   active.insert(u);
   active.insert(v);
   std::vector<std::size_t> qubits(active.begin(), active.end());
 
-  NetworkBuilder b(qubits, options.diagonal_optimization, bindings);
+  NetworkBuilder b(qubits, bindings);
   for (std::size_t q : qubits) b.add_plus_cap(q);
   for (const Gate& g : effective.gates()) b.add_gate(g, theta);
   b.add_z_observable(u);
@@ -227,7 +221,6 @@ TensorNetwork expectation_zz_network(const circuit::Circuit& circuit,
 TensorNetwork amplitude_network(const circuit::Circuit& circuit,
                                 std::span<const double> theta,
                                 std::span<const int> bits,
-                                const NetworkOptions& options,
                                 std::vector<GateBinding>* bindings) {
   QARCH_REQUIRE(bits.size() == circuit.num_qubits(),
                 "amplitude: bit string length mismatch");
@@ -237,7 +230,7 @@ TensorNetwork amplitude_network(const circuit::Circuit& circuit,
   std::vector<std::size_t> qubits(circuit.num_qubits());
   for (std::size_t q = 0; q < qubits.size(); ++q) qubits[q] = q;
 
-  NetworkBuilder b(qubits, options.diagonal_optimization, bindings);
+  NetworkBuilder b(qubits, bindings);
   for (std::size_t q : qubits) b.add_plus_cap(q);
   for (const Gate& g : circuit.gates()) b.add_gate(g, theta);
   for (std::size_t q : qubits) b.add_basis_cap(q, bits[q]);
@@ -247,21 +240,15 @@ TensorNetwork amplitude_network(const circuit::Circuit& circuit,
 TensorNetwork expectation_z_network(const circuit::Circuit& circuit,
                                     std::span<const double> theta,
                                     std::size_t q,
-                                    const NetworkOptions& options,
                                     std::vector<GateBinding>* bindings) {
   QARCH_REQUIRE(q < circuit.num_qubits(), "bad Z target");
   g_network_build_count.fetch_add(1, std::memory_order_relaxed);
-  circuit::Circuit effective = circuit;
   std::set<std::size_t> active;
-  if (options.lightcone) {
-    effective = lightcone_circuit(circuit, {q}, &active);
-  } else {
-    for (std::size_t i = 0; i < circuit.num_qubits(); ++i) active.insert(i);
-  }
+  const circuit::Circuit effective = lightcone_circuit(circuit, {q}, &active);
   active.insert(q);
   std::vector<std::size_t> qubits(active.begin(), active.end());
 
-  NetworkBuilder b(qubits, options.diagonal_optimization, bindings);
+  NetworkBuilder b(qubits, bindings);
   for (std::size_t i : qubits) b.add_plus_cap(i);
   for (const Gate& g : effective.gates()) b.add_gate(g, theta);
   b.add_z_observable(q);
@@ -279,8 +266,7 @@ void cap_tensor_data(int bit, std::span<cplx> out) {
 
 QueryNetwork amplitude_query_network(const circuit::Circuit& circuit,
                                      std::span<const double> theta,
-                                     std::span<const std::size_t> open_qubits,
-                                     const NetworkOptions& options) {
+                                     std::span<const std::size_t> open_qubits) {
   for (std::size_t i = 0; i < open_qubits.size(); ++i) {
     QARCH_REQUIRE(open_qubits[i] < circuit.num_qubits(),
                   "open qubit out of range");
@@ -292,7 +278,7 @@ QueryNetwork amplitude_query_network(const circuit::Circuit& circuit,
   for (std::size_t q = 0; q < qubits.size(); ++q) qubits[q] = q;
 
   QueryNetwork out;
-  NetworkBuilder b(qubits, options.diagonal_optimization, &out.bindings);
+  NetworkBuilder b(qubits, &out.bindings);
   for (std::size_t q : qubits) b.add_plus_cap(q);
   for (const Gate& g : circuit.gates()) b.add_gate(g, theta);
   std::size_t next_open = 0;
@@ -311,8 +297,7 @@ QueryNetwork amplitude_query_network(const circuit::Circuit& circuit,
 
 QueryNetwork measure_query_network(const circuit::Circuit& circuit,
                                    std::span<const double> theta,
-                                   std::span<const WireRole> roles,
-                                   const NetworkOptions& options) {
+                                   std::span<const WireRole> roles) {
   QARCH_REQUIRE(roles.size() == circuit.num_qubits(),
                 "measure_query_network: one role per qubit");
   g_network_build_count.fetch_add(1, std::memory_order_relaxed);
@@ -320,18 +305,14 @@ QueryNetwork measure_query_network(const circuit::Circuit& circuit,
   for (std::size_t q = 0; q < roles.size(); ++q)
     if (roles[q] != WireRole::Trace) targets.push_back(q);
 
-  circuit::Circuit effective = circuit;
   std::set<std::size_t> active;
-  if (options.lightcone) {
-    effective = lightcone_circuit(circuit, targets, &active);
-  } else {
-    for (std::size_t q = 0; q < circuit.num_qubits(); ++q) active.insert(q);
-  }
+  const circuit::Circuit effective =
+      lightcone_circuit(circuit, targets, &active);
   active.insert(targets.begin(), targets.end());
   std::vector<std::size_t> qubits(active.begin(), active.end());
 
   QueryNetwork out;
-  NetworkBuilder b(qubits, options.diagonal_optimization, &out.bindings);
+  NetworkBuilder b(qubits, &out.bindings);
   for (std::size_t q : qubits) b.add_plus_cap(q);
   for (const Gate& g : effective.gates()) b.add_gate(g, theta);
   // Observable point: per-qubit output treatment, recorded in the

@@ -3,7 +3,8 @@
 // The network for <ψ|O|ψ> with |ψ> = U|+>^n is built directly from the gate
 // list: state caps, U's gate tensors, the observable's diagonal tensors, and
 // U†'s tensors, all closed (no open indices) so full contraction yields a
-// scalar. Two QTensor-specific optimizations are reproduced:
+// scalar. Two QTensor-specific optimizations are reproduced, and every
+// builder below always applies them:
 //
 //   * Diagonal-gate rank reduction (Lykov & Alexeev 2021): a diagonal gate
 //     does not create new wire variables; its tensor is rank-1 (1-qubit) or
@@ -31,12 +32,6 @@ namespace qarch::qtensor {
 std::uint64_t network_build_count();
 void reset_network_build_count();
 
-/// Options controlling network construction.
-struct NetworkOptions {
-  bool diagonal_optimization = true;  ///< rank-reduced diagonal gate tensors
-  bool lightcone = true;              ///< causal-cone gate cancellation
-};
-
 /// A closed tensor network: contracting over every variable yields a scalar.
 struct TensorNetwork {
   std::vector<Tensor> tensors;
@@ -63,7 +58,8 @@ circuit::Circuit lightcone_circuit(const circuit::Circuit& circuit,
 /// tensors listed in a binding vector need their data recomputed when theta
 /// changes. `gate` is the effective gate the builder placed (for the U†
 /// half of an expectation network it is already the inverse gate), and
-/// `diagonal` records whether the rank-reduced diagonal layout was used.
+/// `diagonal` records whether the rank-reduced diagonal layout was used
+/// (it is, for every diagonal gate).
 struct GateBinding {
   std::size_t tensor_index = 0;  ///< index into TensorNetwork::tensors
   circuit::Gate gate;            ///< effective (possibly adjoint) gate
@@ -86,7 +82,6 @@ std::size_t gate_tensor_data(const circuit::Gate& g,
 TensorNetwork expectation_zz_network(const circuit::Circuit& circuit,
                                      std::span<const double> theta,
                                      std::size_t u, std::size_t v,
-                                     const NetworkOptions& options = {},
                                      std::vector<GateBinding>* bindings =
                                          nullptr);
 
@@ -94,7 +89,6 @@ TensorNetwork expectation_zz_network(const circuit::Circuit& circuit,
 TensorNetwork amplitude_network(const circuit::Circuit& circuit,
                                 std::span<const double> theta,
                                 std::span<const int> bits,
-                                const NetworkOptions& options = {},
                                 std::vector<GateBinding>* bindings = nullptr);
 
 /// Network for <+|^n U† Z_q U |+>^n — the single-qubit analogue of
@@ -102,7 +96,6 @@ TensorNetwork amplitude_network(const circuit::Circuit& circuit,
 TensorNetwork expectation_z_network(const circuit::Circuit& circuit,
                                     std::span<const double> theta,
                                     std::size_t q,
-                                    const NetworkOptions& options = {},
                                     std::vector<GateBinding>* bindings =
                                         nullptr);
 
@@ -149,8 +142,7 @@ struct QueryNetwork {
 /// amplitude).
 QueryNetwork amplitude_query_network(const circuit::Circuit& circuit,
                                      std::span<const double> theta,
-                                     std::span<const std::size_t> open_qubits,
-                                     const NetworkOptions& options = {});
+                                     std::span<const std::size_t> open_qubits);
 
 /// Role of one qubit's output wire in a measurement-query network.
 enum class WireRole {
@@ -171,7 +163,6 @@ enum class WireRole {
 /// every non-Trace qubit.
 QueryNetwork measure_query_network(const circuit::Circuit& circuit,
                                    std::span<const double> theta,
-                                   std::span<const WireRole> roles,
-                                   const NetworkOptions& options = {});
+                                   std::span<const WireRole> roles);
 
 }  // namespace qarch::qtensor

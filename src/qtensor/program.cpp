@@ -118,6 +118,16 @@ void product_sum(std::size_t num_factors, std::size_t reduced_rank,
   }
 }
 
+/// A factor's stride at each of `rank` product positions, from the
+/// compile-time position of each of its labels (`pos`, one per label in the
+/// factor's own order); a position it lacks gets 0, a broadcast.
+void place_strides(const std::uint8_t* pos, std::size_t factor_rank,
+                   std::size_t rank, std::size_t* stride) {
+  std::fill_n(stride, rank, std::size_t{0});
+  for (std::size_t j = 0; j < factor_rank; ++j)
+    stride[pos[j]] = std::size_t{1} << (factor_rank - 1 - j);
+}
+
 }  // namespace
 
 struct ContractionProgram::Scratch {
@@ -125,13 +135,13 @@ struct ContractionProgram::Scratch {
   std::vector<Tensor> slots;     ///< inputs_ copies + step intermediates
   std::vector<Tensor> full;      ///< unprojected slice-carrying inputs,
                                  ///< parallel to sliced_inputs_
-  std::vector<const Tensor*> factors;  ///< reusable factor-pointer list
   std::vector<cplx> partial;     ///< one slice's output (sliced only)
-  // The odometer of the step being replayed, sized for the widest step.
+  // The odometer of the step or output layout being replayed, sized for the
+  // widest of them.
   std::vector<const cplx*> data;      ///< per factor: its slot's entries
-  std::vector<std::size_t> idx;       ///< per factor: flat index at lo
+  std::vector<std::size_t> idx;       ///< per factor: flat index (at lo)
   std::vector<std::size_t> v_stride;  ///< per factor: eliminated var's stride
-  std::vector<std::ptrdiff_t> delta;  ///< per factor, per reduced bit
+  std::vector<std::ptrdiff_t> delta;  ///< per factor, per walked bit
   std::vector<std::size_t> stride;    ///< one factor's stride per position
 };
 
@@ -161,7 +171,7 @@ ContractionProgram::ContractionProgram(const circuit::Circuit& circuit,
   // produces the same structure; zeros keep the baked data deterministic.
   TensorNetwork net =
       expectation_zz_network(circuit, std::vector<double>(num_params_, 0.0),
-                             u, v, options_.network, &bindings_);
+                             u, v, &bindings_);
   std::string key = options_.shape_key;
   if (options_.plan_cache != nullptr && key.empty())
     key = lightcone_shape(circuit, u, v).key;
@@ -174,7 +184,7 @@ ContractionProgram::ContractionProgram(const circuit::Circuit& circuit,
     : options_(options), num_params_(circuit.num_params()) {
   TensorNetwork net =
       expectation_z_network(circuit, std::vector<double>(num_params_, 0.0),
-                            q, options_.network, &bindings_);
+                            q, &bindings_);
   std::string key = options_.shape_key;
   if (options_.plan_cache != nullptr && key.empty())
     key = "z:" + std::to_string(q);
@@ -312,7 +322,7 @@ void ContractionProgram::compile(TensorNetwork net, std::string shape_key) {
         label_pos_.push_back(static_cast<std::uint8_t>(
             std::find(labels.begin(), labels.end(), w) - labels.begin()));
     }
-    max_step_factors_ = std::max(max_step_factors_, bucket.size());
+    max_factors_ = std::max(max_factors_, bucket.size());
     stats_.width = std::max(stats_.width, labels.size());
     labels.erase(labels.begin());
     live.push_back({step.out_slot, std::move(labels)});
@@ -320,18 +330,25 @@ void ContractionProgram::compile(TensorNetwork net, std::string shape_key) {
   }
 
   // Everything still alive is a factor of the output: scalars for a closed
-  // network, tensors over open labels only for a query.
+  // network, tensors over open labels only for a query. Each survivor
+  // label's output position is recorded here, so the layout never searches
+  // a label either.
   std::set<VarId> covered;
   for (const Live& l : live) {
     for (VarId v : l.labels) {
-      QARCH_CHECK(open.count(v) > 0,
+      const auto it = std::find(final_labels_.begin(), final_labels_.end(), v);
+      QARCH_CHECK(it != final_labels_.end(),
                   "compiled schedule left a closed variable uneliminated");
       covered.insert(v);
+      final_pos_.push_back(
+          static_cast<std::uint8_t>(it - final_labels_.begin()));
     }
     final_slots_.push_back(l.slot);
   }
   QARCH_CHECK(covered.size() == open.size(),
               "an open label vanished from the network");
+  if (!final_labels_.empty())
+    max_factors_ = std::max(max_factors_, final_slots_.size());
   stats_.width = std::max(stats_.width, final_labels_.size());
   QARCH_REQUIRE(stats_.width <= kMaxProgramWidth,
                 "contraction width exceeds kMaxProgramWidth after slicing "
@@ -383,10 +400,11 @@ void ContractionProgram::init_scratch(Scratch& s) const {
                          std::vector<cplx>(std::size_t{1} << (st.rank - 1)));
   }
   if (!slice_vars_.empty()) s.partial.assign(output_entries(), cplx{});
-  s.data.resize(max_step_factors_);
-  s.idx.resize(max_step_factors_);
-  s.v_stride.resize(max_step_factors_);
-  s.delta.resize(max_step_factors_ * stats_.width);
+  // stats_.width covers every step's rank and the output rank.
+  s.data.resize(max_factors_);
+  s.idx.resize(max_factors_);
+  s.v_stride.resize(max_factors_);
+  s.delta.resize(max_factors_ * stats_.width);
   s.stride.resize(stats_.width);
   s.ready = true;
 }
@@ -403,27 +421,16 @@ Tensor& ContractionProgram::rebind_target(Scratch& s,
 }
 
 void ContractionProgram::run_step(Scratch& s, const Step& st) const {
-  // Factor f's flat index is the sum over its labels j of bit_pos(i) *
-  // 2^(rank_f-1-j), at the label's product position pos; a position the
-  // factor lacks has stride 0 (broadcast). Bit b of the reduced index i is
-  // product position rank-1-b.
+  // The odometer walks the reduced index: product positions 1..rank-1, the
+  // eliminated variable (position 0) reached through v_stride.
   const std::size_t rank = st.rank;
   const std::size_t reduced = rank - 1;
   const std::uint8_t* pos = label_pos_.data() + st.first_label;
   for (std::size_t f = 0; f < st.num_factors; ++f) {
     const Tensor& factor = s.slots[factor_slots_[st.first_factor + f]];
-    const std::size_t r = factor.rank();
-    std::fill_n(s.stride.begin(), rank, std::size_t{0});
-    for (std::size_t j = 0; j < r; ++j)
-      s.stride[pos[j]] = std::size_t{1} << (r - 1 - j);
-    pos += r;
-    std::ptrdiff_t* d = s.delta.data() + f * reduced;
-    std::ptrdiff_t prefix = 0;  // sum of the strides of bits below t
-    for (std::size_t t = 0; t < reduced; ++t) {
-      const auto stride = static_cast<std::ptrdiff_t>(s.stride[rank - 1 - t]);
-      d[t] = stride - prefix;
-      prefix += stride;
-    }
+    place_strides(pos, factor.rank(), rank, s.stride.data());
+    pos += factor.rank();
+    odometer_deltas(s.stride.data() + 1, reduced, s.delta.data() + f * reduced);
     s.data[f] = factor.data().data();
     s.idx[f] = 0;
     s.v_stride[f] = s.stride[0];
@@ -433,8 +440,7 @@ void ContractionProgram::run_step(Scratch& s, const Step& st) const {
               s.slots[st.out_slot].data().data());
 }
 
-void ContractionProgram::run_schedule(Scratch& s, const Backend& backend,
-                                      cplx* out) const {
+void ContractionProgram::run_schedule(Scratch& s, cplx* out) const {
   for (const Step& st : steps_) run_step(s, st);
   if (final_labels_.empty()) {
     cplx value{1.0, 0.0};
@@ -445,10 +451,18 @@ void ContractionProgram::run_schedule(Scratch& s, const Backend& backend,
   }
   // The surviving slots' labels are all open, so one broadcast product lays
   // the result out along final_labels_ (rank-0 survivors broadcast as
-  // scalars).
-  s.factors.clear();
-  for (std::size_t slot : final_slots_) s.factors.push_back(&s.slots[slot]);
-  backend.product_into(s.factors, final_labels_, out);
+  // scalars), the factors multiplied in survivor order.
+  const std::size_t rank = final_labels_.size();
+  const std::uint8_t* pos = final_pos_.data();
+  for (std::size_t f = 0; f < final_slots_.size(); ++f) {
+    const Tensor& factor = s.slots[final_slots_[f]];
+    place_strides(pos, factor.rank(), rank, s.stride.data());
+    pos += factor.rank();
+    odometer_deltas(s.stride.data(), rank, s.delta.data() + f * rank);
+    s.data[f] = factor.data().data();
+  }
+  product_walk(final_slots_.size(), rank, s.data.data(), s.delta.data(),
+               s.idx.data(), out);
 }
 
 ContractionProgram::ScratchLease ContractionProgram::lease() const {
@@ -465,7 +479,6 @@ ContractionProgram::ScratchLease ContractionProgram::lease() const {
 
 void ContractionProgram::run(std::span<const double> theta,
                              std::span<const int> cap_bits,
-                             const Backend& backend,
                              std::span<cplx> out) const {
   QARCH_REQUIRE(theta.size() >= num_params_,
                 "parameter vector too short for compiled program");
@@ -484,7 +497,7 @@ void ContractionProgram::run(std::span<const double> theta,
   for (std::size_t i = 0; i < caps_.size(); ++i)
     cap_tensor_data(cap_bits[i], rebind_target(s, caps_[i].tensor_index).data());
   if (slice_vars_.empty()) {
-    run_schedule(s, backend, out.data());
+    run_schedule(s, out.data());
     return;
   }
 
@@ -498,21 +511,20 @@ void ContractionProgram::run(std::span<const double> theta,
                             static_cast<int>((assignment >> k) & 1));
       s.slots[sliced_inputs_[j]].data() = std::move(projected.data());
     }
-    run_schedule(s, backend, s.partial.data());
+    run_schedule(s, s.partial.data());
     for (std::size_t i = 0; i < out.size(); ++i) out[i] += s.partial[i];
   }
 }
 
-cplx ContractionProgram::contract(std::span<const double> theta,
-                                  const Backend& backend) const {
+cplx ContractionProgram::contract(std::span<const double> theta) const {
   cplx value;
-  run(theta, {}, backend, std::span<cplx>(&value, 1));
+  run(theta, {}, std::span<cplx>(&value, 1));
   return value;
 }
 
-double ContractionProgram::expectation_zz(std::span<const double> theta,
-                                          const Backend& backend) const {
-  const cplx value = contract(theta, backend);
+double ContractionProgram::expectation_zz(
+    std::span<const double> theta) const {
+  const cplx value = contract(theta);
   QARCH_CHECK(std::abs(value.imag()) < 1e-8,
               "Hermitian expectation has a large imaginary part");
   return value.real();

@@ -20,12 +20,12 @@
 //   * bucket elimination is flattened into a static schedule of fused
 //     product+sum steps over preallocated scratch buffers, each step with
 //     its index map (where every factor label sits in the product) fixed
-//     at compile time; the surviving open-label slots are combined into
-//     the caller's 2^k output.
+//     at compile time; the surviving open-label slots are laid out into
+//     the caller's 2^k output along an index map fixed the same way.
 //
 // A new theta then costs only a per-symbol-gate rebind (a few trig calls),
 // a per-cap 2-entry rewrite, plus the replay — no network rebuild, no
-// ordering, no per-step label search, no step allocations. Replays
+// ordering, no label search, and (unsliced) no allocation. Replays
 // are const and thread-safe: concurrent callers lease per-thread scratch
 // workspaces from an internal pool, so one program can be shared across
 // search workers and per-edge parallel_for lanes. qaoa::EnergyEvaluator
@@ -43,7 +43,6 @@
 
 #include "circuit/circuit.hpp"
 #include "common/annotations.hpp"
-#include "qtensor/backend.hpp"
 #include "qtensor/network.hpp"
 #include "qtensor/plan_cache.hpp"
 #include "qtensor/planner.hpp"
@@ -58,7 +57,6 @@ inline constexpr std::size_t kMaxProgramWidth = 30;
 
 /// Compile-time configuration of a ContractionProgram.
 struct ProgramOptions {
-  NetworkOptions network;   ///< lightcone / diagonal rank-reduction toggles
   PlannerOptions planner;   ///< which ordering heuristics compete
   /// Slicing decision: when the planned contraction width exceeds this,
   /// slice variables are chosen (greedy max-degree, re-planning after each)
@@ -130,19 +128,17 @@ class ContractionProgram {
   /// replays the compiled schedule, and writes the 2^k output tensor over
   /// the final labels into `out` (out.size() == output_entries()); a sliced
   /// program sums its 2^s partial outputs. Thread-safe. The bucket steps
-  /// run the program's own fused kernel; `backend` lays the open-label
-  /// survivors out along the final labels.
+  /// run the program's own fused kernel; product_walk (tensor.hpp) lays
+  /// the open-label survivors out along the final labels.
   void run(std::span<const double> theta, std::span<const int> cap_bits,
-           const Backend& backend, std::span<cplx> out) const;
+           std::span<cplx> out) const;
 
   /// Closed networks: the scalar value of the contraction at `theta`.
-  [[nodiscard]] cplx contract(std::span<const double> theta,
-                              const Backend& backend) const;
+  [[nodiscard]] cplx contract(std::span<const double> theta) const;
 
   /// contract() with the Hermitian-expectation check applied: the imaginary
   /// part is asserted ~0 and the real part returned.
-  [[nodiscard]] double expectation_zz(std::span<const double> theta,
-                                      const Backend& backend) const;
+  [[nodiscard]] double expectation_zz(std::span<const double> theta) const;
 
   [[nodiscard]] const ProgramStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t num_params() const { return num_params_; }
@@ -179,7 +175,7 @@ class ContractionProgram {
   void init_scratch(Scratch& s) const;
   [[nodiscard]] Tensor& rebind_target(Scratch& s, std::size_t input) const;
   void run_step(Scratch& s, const Step& step) const;
-  void run_schedule(Scratch& s, const Backend& backend, cplx* out) const;
+  void run_schedule(Scratch& s, cplx* out) const;
   [[nodiscard]] ScratchLease lease() const;
 
   ProgramOptions options_;
@@ -195,8 +191,10 @@ class ContractionProgram {
   std::vector<std::uint8_t> label_pos_;      ///< every factor label's product
                                              ///< position (< kMaxProgramWidth)
   std::vector<std::size_t> final_slots_;    ///< live slots after elimination
+  std::vector<std::uint8_t> final_pos_;     ///< every survivor label's
+                                            ///< position in final_labels_
   std::size_t num_slots_ = 0;
-  std::size_t max_step_factors_ = 0;
+  std::size_t max_factors_ = 0;  ///< most factors of a step or the layout
   ProgramStats stats_;
 
   mutable Mutex pool_mutex_{60, "cache.scratch"};

@@ -79,7 +79,6 @@ std::vector<VarId> choose_slice_vars(const TensorNetwork& network,
 ContractionResult contract_sliced(const TensorNetwork& network,
                                   const std::vector<VarId>& order,
                                   const std::vector<VarId>& slice_vars,
-                                  const Backend& backend,
                                   std::size_t workers) {
   QARCH_REQUIRE(!slice_vars.empty(), "no slice variables given");
   QARCH_REQUIRE(slice_vars.size() <= 20, "too many slice variables");
@@ -96,7 +95,7 @@ ContractionResult contract_sliced(const TensorNetwork& network,
       [&](std::size_t slice) {
         const TensorNetwork projected =
             project_network(network, slice_vars, slice);
-        const ContractionResult r = contract(projected, order, backend);
+        const ContractionResult r = contract(projected, order);
         partial[slice] = r.value;
         widths[slice] = r.width;
       },

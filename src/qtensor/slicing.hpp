@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "qtensor/backend.hpp"
 #include "qtensor/contraction.hpp"
 #include "qtensor/network.hpp"
 
@@ -40,7 +39,6 @@ std::vector<VarId> choose_slice_vars(const TensorNetwork& network,
 ContractionResult contract_sliced(const TensorNetwork& network,
                                   const std::vector<VarId>& order,
                                   const std::vector<VarId>& slice_vars,
-                                  const Backend& backend,
                                   std::size_t workers = 1);
 
 }  // namespace qarch::qtensor

@@ -1,6 +1,7 @@
 #include "qtensor/tensor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -106,6 +107,50 @@ std::string Tensor::to_string() const {
   }
   os << "] (rank " << rank() << ")";
   return os.str();
+}
+
+Tensor product(const std::vector<const Tensor*>& factors,
+               const std::vector<VarId>& out_labels) {
+  QARCH_REQUIRE(!factors.empty(), "product of zero factors");
+  const std::size_t num_factors = factors.size();
+  const std::size_t rank = out_labels.size();
+  std::vector<const cplx*> data(num_factors);
+  std::vector<std::ptrdiff_t> delta(num_factors * rank);
+  std::vector<std::size_t> stride(rank), idx(num_factors);
+  for (std::size_t f = 0; f < num_factors; ++f) {
+    const auto& fl = factors[f]->labels();
+    std::fill(stride.begin(), stride.end(), std::size_t{0});
+    for (std::size_t j = 0; j < fl.size(); ++j) {
+      const auto it = std::find(out_labels.begin(), out_labels.end(), fl[j]);
+      QARCH_REQUIRE(it != out_labels.end(),
+                    "factor label missing from product output labels");
+      stride[static_cast<std::size_t>(it - out_labels.begin())] =
+          std::size_t{1} << (fl.size() - 1 - j);
+    }
+    odometer_deltas(stride.data(), rank, delta.data() + f * rank);
+    data[f] = factors[f]->data().data();
+  }
+  std::vector<cplx> out(std::size_t{1} << rank);
+  product_walk(num_factors, rank, data.data(), delta.data(), idx.data(),
+               out.data());
+  return Tensor(out_labels, std::move(out));
+}
+
+void product_walk(std::size_t num_factors, std::size_t rank,
+                  const cplx* const* data, const std::ptrdiff_t* delta,
+                  std::size_t* idx, cplx* out) {
+  const std::size_t end = std::size_t{1} << rank;
+  std::fill_n(idx, num_factors, std::size_t{0});
+  for (std::size_t i = 0;;) {
+    cplx acc = data[0][idx[0]];
+    for (std::size_t f = 1; f < num_factors; ++f) acc *= data[f][idx[f]];
+    out[i] = acc;
+    if (++i >= end) break;
+    const auto t = static_cast<std::size_t>(std::countr_zero(i));
+    for (std::size_t f = 0; f < num_factors; ++f)
+      idx[f] = static_cast<std::size_t>(
+          static_cast<std::ptrdiff_t>(idx[f]) + delta[f * rank + t]);
+  }
 }
 
 }  // namespace qarch::qtensor

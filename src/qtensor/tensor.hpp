@@ -68,4 +68,37 @@ class Tensor {
   std::vector<cplx> data_;
 };
 
+/// Element-wise product of `factors` broadcast over `out_labels` (every
+/// factor's labels must be among them): the reference contractor's bucket
+/// product. Each call finds every factor label's output position by search.
+[[nodiscard]] Tensor product(const std::vector<const Tensor*>& factors,
+                             const std::vector<VarId>& out_labels);
+
+/// Index steps of an odometer walk over `rank` product positions (position
+/// 0 outermost, so bit t of the walk index is position rank-1-t). Given a
+/// factor's stride at each position (0 where it lacks the label, a
+/// broadcast), delta[t] is the change of its flat index when the walk index
+/// increments to a value whose lowest set bit is t, which sets bit t and
+/// clears every bit below it. Inline: every compiled bucket step runs it
+/// once per factor.
+inline void odometer_deltas(const std::size_t* stride, std::size_t rank,
+                            std::ptrdiff_t* delta) {
+  std::ptrdiff_t prefix = 0;  // sum of the strides of the bits below t
+  for (std::size_t t = 0; t < rank; ++t) {
+    const auto s = static_cast<std::ptrdiff_t>(stride[rank - 1 - t]);
+    delta[t] = s - prefix;
+    prefix += s;
+  }
+}
+
+/// The broadcast product kernel behind product() and a compiled program's
+/// open-label layout: out[i] = data[0][idx_0] * data[1][idx_1] * ... for
+/// every i < 2^rank, multiplied in factor order, where each idx_f starts at
+/// 0 and steps by delta[f * rank + t] (odometer_deltas) when i increments
+/// to a value whose lowest set bit is t. `idx` is num_factors entries of
+/// scratch; nothing is allocated.
+void product_walk(std::size_t num_factors, std::size_t rank,
+                  const cplx* const* data, const std::ptrdiff_t* delta,
+                  std::size_t* idx, cplx* out);
+
 }  // namespace qarch::qtensor

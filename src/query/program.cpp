@@ -17,20 +17,18 @@ AmplitudeProgram::AmplitudeProgram(const circuit::Circuit& circuit,
                                    const qtensor::ProgramOptions& options)
     : num_qubits_(circuit.num_qubits()) {
   QueryNetwork network = qtensor::amplitude_query_network(
-      circuit, std::vector<double>(circuit.num_params(), 0.0), {},
-      options.network);
+      circuit, std::vector<double>(circuit.num_params(), 0.0), {});
   program_ = std::make_unique<ContractionProgram>(
       std::move(network), std::vector<VarId>{}, circuit.num_params(), options,
       "q:amp");
 }
 
 cplx AmplitudeProgram::amplitude(std::span<const double> theta,
-                                 std::span<const int> bits,
-                                 const qtensor::Backend& backend) const {
+                                 std::span<const int> bits) const {
   QARCH_REQUIRE(bits.size() == num_qubits_,
                 "bits size must equal the qubit count");
   cplx out;
-  program_->run(theta, bits, backend, std::span<cplx>(&out, 1));
+  program_->run(theta, bits, std::span<cplx>(&out, 1));
   return out;
 }
 
@@ -45,8 +43,7 @@ BatchedAmplitudeProgram::BatchedAmplitudeProgram(
                 "batched amplitudes need at least one open qubit "
                 "(use AmplitudeProgram otherwise)");
   QueryNetwork network = qtensor::amplitude_query_network(
-      circuit, std::vector<double>(circuit.num_params(), 0.0), open_qubits,
-      options.network);
+      circuit, std::vector<double>(circuit.num_params(), 0.0), open_qubits);
   // open_labels arrive ascending by qubit; reversing makes the HIGHEST open
   // qubit the outermost output axis, i.e. bit j of the result index is
   // open_qubits[j] (LSB-first, the statevector convention).
@@ -58,12 +55,11 @@ BatchedAmplitudeProgram::BatchedAmplitudeProgram(
 }
 
 std::vector<cplx> BatchedAmplitudeProgram::amplitudes(
-    std::span<const double> theta, std::span<const int> fixed_bits,
-    const qtensor::Backend& backend) const {
+    std::span<const double> theta, std::span<const int> fixed_bits) const {
   QARCH_REQUIRE(fixed_bits.size() == num_qubits_ - open_qubits_.size(),
                 "fixed_bits size must be num_qubits - open count");
   std::vector<cplx> out(program_->output_entries());
-  program_->run(theta, fixed_bits, backend, out);
+  program_->run(theta, fixed_bits, out);
   return out;
 }
 
@@ -86,8 +82,7 @@ MarginalProgram::MarginalProgram(const circuit::Circuit& circuit,
     roles[targets_[j]] = qtensor::WireRole::Cut;
   }
   QueryNetwork network = qtensor::measure_query_network(
-      circuit, std::vector<double>(circuit.num_params(), 0.0), roles,
-      options.network);
+      circuit, std::vector<double>(circuit.num_params(), 0.0), roles);
   // open_labels arrive [rows ascending, cols ascending]; the output wants
   // rows outermost (row-major matrix) with bit j of each index being
   // targets[j], i.e. [row_{k-1}..row_0, col_{k-1}..col_0].
@@ -105,16 +100,15 @@ MarginalProgram::MarginalProgram(const circuit::Circuit& circuit,
       options, "q:rdm" + std::to_string(k));
 }
 
-std::vector<cplx> MarginalProgram::rdm(std::span<const double> theta,
-                                       const qtensor::Backend& backend) const {
+std::vector<cplx> MarginalProgram::rdm(std::span<const double> theta) const {
   std::vector<cplx> out(program_->output_entries());
-  program_->run(theta, {}, backend, out);
+  program_->run(theta, {}, out);
   return out;
 }
 
 std::vector<double> MarginalProgram::probabilities(
-    std::span<const double> theta, const qtensor::Backend& backend) const {
-  const std::vector<cplx> rho = rdm(theta, backend);
+    std::span<const double> theta) const {
+  const std::vector<cplx> rho = rdm(theta);
   const std::size_t dim = std::size_t{1} << targets_.size();
   std::vector<double> probs(dim);
   for (std::size_t i = 0; i < dim; ++i)

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "qtensor/backend.hpp"
 #include "qtensor/contraction.hpp"
 #include "qtensor/program.hpp"
 
@@ -44,8 +43,7 @@ class AmplitudeProgram {
 
   /// bits[q] in {0,1}, bits.size() == num_qubits.
   [[nodiscard]] cplx amplitude(std::span<const double> theta,
-                               std::span<const int> bits,
-                               const qtensor::Backend& backend) const;
+                               std::span<const int> bits) const;
 
   [[nodiscard]] std::size_t num_qubits() const { return num_qubits_; }
   [[nodiscard]] const qtensor::ProgramStats& stats() const {
@@ -71,8 +69,7 @@ class BatchedAmplitudeProgram {
   /// `fixed_bits` has one 0/1 per NON-open qubit, ascending by qubit.
   /// Returns 2^k amplitudes indexed as documented above.
   [[nodiscard]] std::vector<cplx> amplitudes(
-      std::span<const double> theta, std::span<const int> fixed_bits,
-      const qtensor::Backend& backend) const;
+      std::span<const double> theta, std::span<const int> fixed_bits) const;
 
   [[nodiscard]] std::size_t num_qubits() const { return num_qubits_; }
   [[nodiscard]] const std::vector<std::size_t>& open_qubits() const {
@@ -99,13 +96,12 @@ class MarginalProgram {
                   std::span<const std::size_t> targets,
                   const qtensor::ProgramOptions& options = {});
 
-  [[nodiscard]] std::vector<cplx> rdm(std::span<const double> theta,
-                                      const qtensor::Backend& backend) const;
+  [[nodiscard]] std::vector<cplx> rdm(std::span<const double> theta) const;
 
   /// Diagonal of the RDM as real probabilities (clamped at 0): the marginal
   /// distribution of the targets, indexed LSB-first over `targets`.
   [[nodiscard]] std::vector<double> probabilities(
-      std::span<const double> theta, const qtensor::Backend& backend) const;
+      std::span<const double> theta) const;
 
   [[nodiscard]] std::size_t num_qubits() const { return num_qubits_; }
   [[nodiscard]] const std::vector<std::size_t>& targets() const {

@@ -1,12 +1,10 @@
 #include "query/sampler.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <complex>
 #include <optional>
 
 #include "common/error.hpp"
-#include "qtensor/backend.hpp"
 #include "sim/state_utils.hpp"
 
 namespace qarch::query {
@@ -18,22 +16,11 @@ struct Sampler::Impl {
   std::optional<sim::SimProgram> program;
   // Tensor-network engine: steps[k] opens qubit n-1-k, fixes qubits above
   // it, traces qubits below it.
-  std::unique_ptr<qtensor::Backend> backend;
   std::vector<std::unique_ptr<qtensor::ContractionProgram>> steps;
 
-  /// |psi> for the statevector engine, reusing one per-thread buffer across
-  /// calls (same idiom as qaoa's StatevectorPlan).
+  /// |psi> for the statevector engine, in this thread's replay buffer.
   const sim::State& state(std::span<const double> theta) const {
-    static thread_local sim::State scratch;
-    const std::size_t dim = std::size_t{1} << n;
-    if (scratch.capacity() > dim * 4) {
-      sim::State released;
-      scratch.swap(released);
-    }
-    const double amp = 1.0 / std::sqrt(static_cast<double>(dim));
-    scratch.assign(dim, sim::cplx{amp, 0.0});
-    program->apply_inplace(scratch, theta, options.sv_workers);
-    return scratch;
+    return program->replay_from_plus(theta, options.sv_workers);
   }
 
   /// Joint marginal [p(prefix, q=0), p(prefix, q=1)] for step k, where the
@@ -46,7 +33,7 @@ struct Sampler::Impl {
     for (std::size_t j = q + 1; j < n; ++j)
       caps.push_back(static_cast<int>((idx >> j) & 1));
     cplx buf[2];
-    steps[k]->run(theta, caps, *backend, std::span<cplx>(buf, 2));
+    steps[k]->run(theta, caps, std::span<cplx>(buf, 2));
     out[0] = std::max(0.0, buf[0].real());
     out[1] = std::max(0.0, buf[1].real());
   }
@@ -62,7 +49,7 @@ Sampler::Sampler(const circuit::Circuit& ansatz, const SamplerOptions& options,
     impl_->program.emplace(ansatz, options.sv_plan, tables);
     return;
   }
-  impl_->backend = qtensor::make_backend(options.tn_backend);
+  qtensor::check_backend_spec(options.tn_backend);
   impl_->steps.reserve(impl_->n);
   for (std::size_t k = 0; k < impl_->n; ++k) {
     const std::size_t q = impl_->n - 1 - k;
@@ -71,8 +58,7 @@ Sampler::Sampler(const circuit::Circuit& ansatz, const SamplerOptions& options,
     for (std::size_t j = q + 1; j < impl_->n; ++j)
       roles[j] = qtensor::WireRole::Fix;
     qtensor::QueryNetwork network = qtensor::measure_query_network(
-        ansatz, std::vector<double>(ansatz.num_params(), 0.0), roles,
-        options.query.network);
+        ansatz, std::vector<double>(ansatz.num_params(), 0.0), roles);
     std::vector<qtensor::VarId> final_labels = network.open_labels;
     impl_->steps.push_back(std::make_unique<qtensor::ContractionProgram>(
         std::move(network), std::move(final_labels), ansatz.num_params(),

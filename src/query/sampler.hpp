@@ -47,10 +47,11 @@ enum class SamplerEngine {
 struct SamplerOptions {
   SamplerEngine engine = SamplerEngine::Statevector;
   /// Tensor-network engine: compile config for the per-qubit marginal
-  /// programs (planner, plan cache, slicing, lightcone toggles).
+  /// programs (planner, plan cache, slicing).
   qtensor::ProgramOptions query;
-  /// Tensor-network engine: contraction backend spec (qtensor::make_backend;
-  /// "serial" is the only one).
+  /// Tensor-network engine: bucket-product kernel spec, checked by
+  /// qtensor::check_backend_spec ("serial" is the only valid value); the
+  /// twin of qtensor::QTensorOptions::backend.
   std::string tn_backend = "serial";
   /// Statevector engine: compile config and replay workers.
   sim::PlanOptions sv_plan;

@@ -788,4 +788,18 @@ State SimProgram::run_from_plus(std::span<const double> theta,
   return run(theta, plus_state(num_qubits_), workers);
 }
 
+const State& SimProgram::replay_from_plus(std::span<const double> theta,
+                                          std::size_t workers) const {
+  static thread_local State scratch;
+  const std::size_t dim = std::size_t{1} << num_qubits_;
+  if (scratch.capacity() > dim * 4) {
+    State released;
+    scratch.swap(released);
+  }
+  const double amp = 1.0 / std::sqrt(static_cast<double>(dim));
+  scratch.assign(dim, cplx{amp, 0.0});
+  apply_inplace(scratch, theta, workers);
+  return scratch;
+}
+
 }  // namespace qarch::sim

@@ -219,6 +219,16 @@ class SimProgram {
   [[nodiscard]] State run_from_plus(std::span<const double> theta,
                                     std::size_t workers = 1) const;
 
+  /// run_from_plus() into a buffer the calling thread owns, returned by
+  /// reference: the statevector energy plans and query::Sampler replay
+  /// hundreds of thetas through one allocation per thread, with no lock.
+  /// The state stays valid until this thread's next replay_from_plus() on
+  /// any program. A buffer holding more than 4x this program's state is
+  /// released first, so one large evaluation does not pin its memory to
+  /// the thread after the workload moves back to small circuits.
+  [[nodiscard]] const State& replay_from_plus(std::span<const double> theta,
+                                              std::size_t workers = 1) const;
+
  private:
   /// One replay unit: ops [begin, end). Blocked groups stream every
   /// 2^block_qubits-amplitude block of the state through all their ops in

@@ -240,9 +240,8 @@ TEST(Slicing, SlicedContractionMatchesDirect) {
   const std::vector<double> theta{0.5, 0.3};
   const auto net = qtensor::expectation_zz_network(c, theta, g.edges()[0].u,
                                                    g.edges()[0].v);
-  const qtensor::SerialCpuBackend backend;
   const auto full_order = qtensor::order_greedy_degree(net);
-  const auto direct = qtensor::contract(net, full_order, backend);
+  const auto direct = qtensor::contract(net, full_order);
 
   for (std::size_t num_slices : {1u, 2u, 3u}) {
     const auto slice_vars = qtensor::choose_slice_vars(net, num_slices);
@@ -253,8 +252,8 @@ TEST(Slicing, SlicedContractionMatchesDirect) {
           slice_vars.end())
         order.push_back(v);
     for (std::size_t workers : {1u, 4u}) {
-      const auto sliced = qtensor::contract_sliced(net, order, slice_vars,
-                                                   backend, workers);
+      const auto sliced =
+          qtensor::contract_sliced(net, order, slice_vars, workers);
       EXPECT_NEAR(std::abs(sliced.value - direct.value), 0.0, 1e-10)
           << num_slices << " slices, " << workers << " workers";
       // Slicing cannot increase the width.

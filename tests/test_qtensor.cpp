@@ -1,6 +1,6 @@
-// Tensor-network simulator tests: tensor algebra, orderings, backends, and
-// the key property — QTensor contraction agrees with the statevector oracle
-// on random circuits, with and without the diagonal/lightcone optimizations.
+// Tensor-network simulator tests: tensor algebra, the bucket product,
+// orderings, and the key property — QTensor contraction agrees with the
+// statevector oracle on random circuits under every ordering heuristic.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "circuit/circuit.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "qtensor/backend.hpp"
 #include "qtensor/contraction.hpp"
 #include "qtensor/network.hpp"
 #include "qtensor/ordering.hpp"
@@ -54,23 +53,21 @@ TEST(Tensor, TransposeSwapsLayout) {
   EXPECT_EQ(tt.data()[3], cplx(4.0, 0.0));
 }
 
-TEST(Backend, ProductBroadcastsOverUnion) {
+TEST(BucketProduct, BroadcastsOverUnion) {
   // A[a] * B[b] over labels (a, b) = outer product.
   const Tensor a({0}, {2.0, 3.0});
   const Tensor b({1}, {5.0, 7.0});
-  qtensor::SerialCpuBackend backend;
-  const Tensor p = backend.product({&a, &b}, {0, 1});
+  const Tensor p = qtensor::product({&a, &b}, {0, 1});
   EXPECT_EQ(p.data()[0], cplx(10.0, 0.0));
   EXPECT_EQ(p.data()[1], cplx(14.0, 0.0));
   EXPECT_EQ(p.data()[2], cplx(15.0, 0.0));
   EXPECT_EQ(p.data()[3], cplx(21.0, 0.0));
 }
 
-TEST(Backend, SharedLabelProductIsElementwise) {
+TEST(BucketProduct, SharedLabelProductIsElementwise) {
   const Tensor a({3}, {2.0, 3.0});
   const Tensor b({3}, {10.0, 100.0});
-  qtensor::SerialCpuBackend backend;
-  const Tensor p = backend.product({&a, &b}, {3});
+  const Tensor p = qtensor::product({&a, &b}, {3});
   EXPECT_EQ(p.data()[0], cplx(20.0, 0.0));
   EXPECT_EQ(p.data()[1], cplx(300.0, 0.0));
 }
@@ -108,16 +105,10 @@ circuit::Circuit random_circuit(std::size_t n, std::size_t gates, Rng& rng) {
   return c;
 }
 
-struct EquivCase {
-  bool diagonal_opt;
-  bool lightcone;
-  qtensor::OrderingAlgo ordering;
-};
-
-class NetworkEquivalence : public ::testing::TestWithParam<EquivCase> {};
+class NetworkEquivalence
+    : public ::testing::TestWithParam<qtensor::OrderingAlgo> {};
 
 TEST_P(NetworkEquivalence, ZZExpectationMatchesStatevector) {
-  const EquivCase param = GetParam();
   Rng rng(42);
   const sim::StatevectorSimulator sv;
   for (int trial = 0; trial < 8; ++trial) {
@@ -131,9 +122,7 @@ TEST_P(NetworkEquivalence, ZZExpectationMatchesStatevector) {
     const double expected = sim::expectation_zz(state, u, v);
 
     qtensor::QTensorOptions opt;
-    opt.network.diagonal_optimization = param.diagonal_opt;
-    opt.network.lightcone = param.lightcone;
-    opt.ordering = param.ordering;
+    opt.ordering = GetParam();
     const qtensor::QTensorSimulator qt(opt);
     const double got = qt.expectation_zz(c, {}, u, v);
     EXPECT_NEAR(got, expected, 1e-9)
@@ -142,15 +131,11 @@ TEST_P(NetworkEquivalence, ZZExpectationMatchesStatevector) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllOptimizationModes, NetworkEquivalence,
-    ::testing::Values(
-        EquivCase{true, true, qtensor::OrderingAlgo::GreedyDegree},
-        EquivCase{true, false, qtensor::OrderingAlgo::GreedyDegree},
-        EquivCase{false, true, qtensor::OrderingAlgo::GreedyDegree},
-        EquivCase{false, false, qtensor::OrderingAlgo::GreedyDegree},
-        EquivCase{true, true, qtensor::OrderingAlgo::GreedyFill},
-        EquivCase{true, true, qtensor::OrderingAlgo::Random},
-        EquivCase{true, true, qtensor::OrderingAlgo::RandomRestart}));
+    AllOrderings, NetworkEquivalence,
+    ::testing::Values(qtensor::OrderingAlgo::GreedyDegree,
+                      qtensor::OrderingAlgo::GreedyFill,
+                      qtensor::OrderingAlgo::Random,
+                      qtensor::OrderingAlgo::RandomRestart));
 
 TEST(NetworkEquivalenceAmplitude, MatchesStatevector) {
   Rng rng(7);
@@ -230,28 +215,36 @@ TEST(Contraction, RejectsIncompleteOrder) {
   c.h(0);
   c.cx(0, 1);
   const auto net = qtensor::expectation_zz_network(c, {}, 0, 1);
-  qtensor::SerialCpuBackend backend;
-  EXPECT_THROW(qtensor::contract(net, {}, backend), qarch::Error);
+  EXPECT_THROW(qtensor::contract(net, {}), qarch::Error);
 }
 
 TEST(DiagonalOptimization, ReducesNetworkSize) {
-  // A circuit heavy in diagonal gates should produce a strictly smaller
-  // network with the optimization on.
+  // Diagonal gates are rank-reduced: an RZZ is one rank-2 tensor over the
+  // two live wire variables and an RZ one rank-1 tensor, so only the
+  // Hadamards create wire variables. The symbolic angles make the builder
+  // record every diagonal gate tensor as a binding.
   circuit::Circuit c(4);
+  const std::size_t gamma = c.add_param(), beta = c.add_param();
   for (std::size_t q = 0; q < 4; ++q) c.h(q);
   for (std::size_t q = 0; q + 1 < 4; ++q)
-    c.rzz(q, q + 1, circuit::ParamExpr::constant_angle(0.7));
+    c.rzz(q, q + 1, circuit::ParamExpr::symbol(gamma));
   for (std::size_t q = 0; q < 4; ++q)
-    c.rz(q, circuit::ParamExpr::constant_angle(0.3));
+    c.rz(q, circuit::ParamExpr::symbol(beta));
 
-  qtensor::NetworkOptions with;
-  qtensor::NetworkOptions without;
-  without.diagonal_optimization = false;
-  const auto net_with = qtensor::expectation_zz_network(c, {}, 0, 3, with);
-  const auto net_without =
-      qtensor::expectation_zz_network(c, {}, 0, 3, without);
-  EXPECT_LT(net_with.total_entries(), net_without.total_entries());
-  EXPECT_LT(net_with.num_vars, net_without.num_vars);
+  std::vector<qtensor::GateBinding> bindings;
+  const std::vector<double> theta{0.7, 0.3};
+  const auto net = qtensor::expectation_zz_network(c, theta, 0, 3, &bindings);
+  // The lightcone of {0, 3} keeps the four H, the three RZZ and the RZ on
+  // qubits 0 and 3, on both sides of the observable.
+  EXPECT_EQ(net.num_vars, 12u);        // 4 input wires + 8 H outputs
+  EXPECT_EQ(net.tensors.size(), 28u);  // 8 caps, 18 gates, 2 observables
+  EXPECT_EQ(net.total_entries(), 84u);
+  ASSERT_EQ(bindings.size(), 10u);     // 6 RZZ + 4 RZ
+  for (const qtensor::GateBinding& b : bindings) {
+    EXPECT_TRUE(b.diagonal);
+    EXPECT_EQ(net.tensors[b.tensor_index].rank(),
+              b.gate.kind == circuit::GateKind::RZZ ? 2u : 1u);
+  }
 }
 
 }  // namespace

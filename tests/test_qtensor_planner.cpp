@@ -108,10 +108,8 @@ TEST(Ordering, PriorityOrderIsAValidElimination) {
   EXPECT_EQ(std::set<VarId>(order.begin(), order.end()),
             std::set<VarId>(active.begin(), active.end()));
   // And the order actually contracts: same scalar as greedy-degree.
-  const qtensor::SerialCpuBackend backend;
-  const auto a = qtensor::contract(net, order, backend);
-  const auto b =
-      qtensor::contract(net, qtensor::order_greedy_degree(net), backend);
+  const auto a = qtensor::contract(net, order);
+  const auto b = qtensor::contract(net, qtensor::order_greedy_degree(net));
   EXPECT_NEAR(a.value.real(), b.value.real(), 1e-9);
   EXPECT_NEAR(a.value.imag(), b.value.imag(), 1e-9);
 }

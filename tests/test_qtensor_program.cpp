@@ -5,6 +5,7 @@
 // plan-reuse probe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "circuit/circuit.hpp"
@@ -17,10 +18,10 @@
 #include "qaoa/ansatz.hpp"
 #include "qaoa/energy.hpp"
 #include "qaoa/train.hpp"
-#include "qtensor/backend.hpp"
 #include "qtensor/contraction.hpp"
 #include "qtensor/network.hpp"
 #include "qtensor/program.hpp"
+#include "query/program.hpp"
 #include "search/evaluator.hpp"
 #include "sim/sim_program.hpp"
 #include "sim/simd.hpp"
@@ -78,7 +79,6 @@ std::vector<double> random_theta(std::size_t params, Rng& rng) {
 TEST(ContractionProgram, MatchesSimulatorAcrossThetas) {
   Rng rng(19);
   const qtensor::QTensorSimulator reference;
-  const qtensor::SerialCpuBackend backend;
   for (int trial = 0; trial < 6; ++trial) {
     const std::size_t n = 3 + rng.uniform_int(3);
     const circuit::Circuit c = random_symbolic_circuit(n, 14, 3, rng);
@@ -91,7 +91,7 @@ TEST(ContractionProgram, MatchesSimulatorAcrossThetas) {
     // network build + contraction at the same parameters.
     for (int step = 0; step < 4; ++step) {
       const auto theta = random_theta(3, rng);
-      const double compiled = program.expectation_zz(theta, backend);
+      const double compiled = program.expectation_zz(theta);
       const double rebuilt = reference.expectation_zz(c, theta, u, v);
       EXPECT_NEAR(compiled, rebuilt, 1e-9)
           << "trial " << trial << " step " << step;
@@ -105,31 +105,52 @@ TEST(ContractionProgram, RepeatedReplaySameThetaIsStable) {
   Rng rng(23);
   const circuit::Circuit c = random_symbolic_circuit(4, 12, 2, rng);
   const qtensor::ContractionProgram program(c, 0, 2);
-  const qtensor::SerialCpuBackend backend;
   const std::vector<double> theta{0.3, -1.1};
-  const double first = program.expectation_zz(theta, backend);
+  const double first = program.expectation_zz(theta);
   for (int i = 0; i < 3; ++i)
-    EXPECT_EQ(program.expectation_zz(theta, backend), first);
+    EXPECT_EQ(program.expectation_zz(theta), first);
 }
 
 TEST(ContractionProgram, ConcurrentReplaysAgree) {
   Rng rng(29);
   const circuit::Circuit c = random_symbolic_circuit(5, 16, 2, rng);
   const qtensor::ContractionProgram program(c, 1, 3);
-  const qtensor::SerialCpuBackend backend;
   const std::vector<double> theta{0.7, 0.2};
-  const double expected = program.expectation_zz(theta, backend);
+  const double expected = program.expectation_zz(theta);
   std::vector<double> got(16, 0.0);
   parallel::parallel_for(
       0, got.size(),
-      [&](std::size_t i) { got[i] = program.expectation_zz(theta, backend); },
+      [&](std::size_t i) { got[i] = program.expectation_zz(theta); },
       4);
   for (double g : got) EXPECT_EQ(g, expected);
 }
 
+TEST(ContractionProgram, ConcurrentOpenLabelReplaysAgree) {
+  // Open-label replays lay their output out in the leased scratch; four
+  // threads replaying one program must match its serial replay bit for bit.
+  Rng rng(37);
+  const auto g = graph::random_regular(8, 3, rng);
+  const auto ansatz =
+      qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse("rx,ry"));
+  const std::vector<std::size_t> open = {0, 3, 6};
+  const query::BatchedAmplitudeProgram program(ansatz, open);
+  const auto theta = random_theta(ansatz.num_params(), rng);
+  std::vector<std::vector<int>> fixed(16, std::vector<int>(5));
+  for (auto& bits : fixed)
+    for (int& b : bits) b = rng.bernoulli(0.5) ? 1 : 0;
+  std::vector<std::vector<cplx>> expected;
+  for (const auto& bits : fixed)
+    expected.push_back(program.amplitudes(theta, bits));
+  std::vector<std::vector<cplx>> got(fixed.size());
+  parallel::parallel_for(
+      0, fixed.size(),
+      [&](std::size_t i) { got[i] = program.amplitudes(theta, fixed[i]); },
+      4);
+  EXPECT_EQ(got, expected);
+}
+
 TEST(ContractionProgram, SlicedScheduleMatchesUnsliced) {
   Rng rng(31);
-  const qtensor::SerialCpuBackend backend;
   for (int trial = 0; trial < 4; ++trial) {
     const circuit::Circuit c = random_symbolic_circuit(5, 16, 2, rng);
     qtensor::ProgramOptions sliced;
@@ -141,8 +162,8 @@ TEST(ContractionProgram, SlicedScheduleMatchesUnsliced) {
     EXPECT_EQ(without.stats().slice_vars, 0u);
     for (int step = 0; step < 3; ++step) {
       const auto theta = random_theta(2, rng);
-      EXPECT_NEAR(with.expectation_zz(theta, backend),
-                  without.expectation_zz(theta, backend), 1e-9)
+      EXPECT_NEAR(with.expectation_zz(theta),
+                  without.expectation_zz(theta), 1e-9)
           << "trial " << trial;
     }
   }
@@ -198,11 +219,14 @@ TEST(ContractionProgram, TensorNetworkEnergiesArePinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend product_into (the allocation-free kernel that lays a query's
-// open-label survivors out).
+// The broadcast product kernel (product_walk) that the reference contractor
+// and a query's open-label layout share.
 // ---------------------------------------------------------------------------
 
-TEST(Backend, ProductIntoMatchesProduct) {
+TEST(BucketProduct, MatchesEntrywiseDefinition) {
+  // Permuted output labels, a shared label and a rank-0 factor: every entry
+  // is the product of the factor entries its assignment selects, in factor
+  // order.
   Rng rng(41);
   auto random_tensor = [&](std::vector<VarId> labels) {
     std::vector<cplx> data(std::size_t{1} << labels.size());
@@ -211,13 +235,21 @@ TEST(Backend, ProductIntoMatchesProduct) {
   };
   const Tensor t1 = random_tensor({0, 1, 2});
   const Tensor t2 = random_tensor({2, 3});
+  const Tensor t3 = random_tensor({});
   const std::vector<VarId> out_labels = {3, 0, 1, 2};
-  const qtensor::SerialCpuBackend serial;
-  const Tensor expected = serial.product({&t1, &t2}, out_labels);
-  std::vector<cplx> out(expected.size(), cplx{9.0, 9.0});
-  serial.product_into({&t1, &t2}, out_labels, out.data());
-  for (std::size_t i = 0; i < out.size(); ++i)
-    EXPECT_LT(std::abs(out[i] - expected.data()[i]), 1e-12);
+  const Tensor p = qtensor::product({&t1, &t2, &t3}, out_labels);
+  ASSERT_EQ(p.labels(), out_labels);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    auto bit = [&](VarId v) {  // the value of label v at output index i
+      const auto pos = static_cast<std::size_t>(
+          std::find(out_labels.begin(), out_labels.end(), v) -
+          out_labels.begin());
+      return static_cast<int>((i >> (out_labels.size() - 1 - pos)) & 1);
+    };
+    const std::vector<int> b1{bit(0), bit(1), bit(2)}, b2{bit(2), bit(3)};
+    const cplx expect = t1.at(b1) * t2.at(b2) * t3.scalar_value();
+    EXPECT_LT(std::abs(p.data()[i] - expect), 1e-15) << "entry " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,14 +3,18 @@
 // slices, reduced-density-matrix marginals, direct tensor-network sampling
 // (determinism per seed, pinned streams, agreement in distribution with the
 // statevector engine), sliced queries vs their unsliced twins, input
-// validation, and the shared-plan-cache warm-replay probe.
+// validation, the shared-plan-cache warm-replay probe, and the heap
+// allocations of warm replays.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -19,8 +23,8 @@
 #include "graph/extra_generators.hpp"
 #include "graph/generators.hpp"
 #include "qaoa/ansatz.hpp"
+#include "qaoa/energy.hpp"
 #include "qaoa/mixer.hpp"
-#include "qtensor/backend.hpp"
 #include "qtensor/contraction.hpp"
 #include "qtensor/plan_cache.hpp"
 #include "qtensor/planner.hpp"
@@ -28,6 +32,30 @@
 #include "query/program.hpp"
 #include "query/sampler.hpp"
 #include "sim/statevector.hpp"
+
+namespace {
+
+// Heap allocations on any thread while armed, counted by the replaced
+// global operator new below.
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocations.load(std::memory_order_relaxed))
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (g_count_allocations.load(std::memory_order_relaxed))
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -71,7 +99,6 @@ std::vector<Instance> test_instances(Rng& rng) {
 TEST(AmplitudeProgram, MatchesStatevectorAndLegacyPath) {
   Rng rng(101);
   const sim::StatevectorSimulator sv;
-  const qtensor::SerialCpuBackend backend;
   // The one-shot reference: network rebuilt and contracted every call.
   const qtensor::QTensorSimulator legacy;
 
@@ -86,7 +113,7 @@ TEST(AmplitudeProgram, MatchesStatevectorAndLegacyPath) {
       for (int trial = 0; trial < 4; ++trial) {
         const std::size_t basis = rng.uniform_int(std::size_t{1} << n);
         const std::vector<int> bits = bits_of(basis, n);
-        const cplx compiled = program.amplitude(theta, bits, backend);
+        const cplx compiled = program.amplitude(theta, bits);
         const cplx one_shot = legacy.amplitude(ansatz, theta, bits);
         EXPECT_NEAR(compiled.real(), psi[basis].real(), 1e-8);
         EXPECT_NEAR(compiled.imag(), psi[basis].imag(), 1e-8);
@@ -99,7 +126,6 @@ TEST(AmplitudeProgram, MatchesStatevectorAndLegacyPath) {
 
 TEST(BatchedAmplitudeProgram, SlicesMatchSingleAmplitudes) {
   Rng rng(202);
-  const qtensor::SerialCpuBackend backend;
   const graph::Graph g = graph::random_regular(6, 3, rng);
   const circuit::Circuit ansatz =
       qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse("rx"));
@@ -119,13 +145,13 @@ TEST(BatchedAmplitudeProgram, SlicesMatchSingleAmplitudes) {
     fixed.push_back(b);
     bits[q] = b;
   }
-  const std::vector<cplx> batch = batched.amplitudes(theta, fixed, backend);
+  const std::vector<cplx> batch = batched.amplitudes(theta, fixed);
   ASSERT_EQ(batch.size(), 4U);
   // Output index bit j = value of open_qubits[j] (LSB-first).
   for (std::size_t idx = 0; idx < 4; ++idx) {
     bits[open[0]] = static_cast<int>(idx & 1U);
     bits[open[1]] = static_cast<int>((idx >> 1) & 1U);
-    const cplx expect = single.amplitude(theta, bits, backend);
+    const cplx expect = single.amplitude(theta, bits);
     EXPECT_NEAR(batch[idx].real(), expect.real(), 1e-8);
     EXPECT_NEAR(batch[idx].imag(), expect.imag(), 1e-8);
   }
@@ -138,7 +164,6 @@ TEST(BatchedAmplitudeProgram, SlicesMatchSingleAmplitudes) {
 TEST(MarginalProgram, MatchesStatevectorPartialTrace) {
   Rng rng(303);
   const sim::StatevectorSimulator sv;
-  const qtensor::SerialCpuBackend backend;
   const graph::Graph g = graph::erdos_renyi_connected(6, 0.5, rng);
   const circuit::Circuit ansatz =
       qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse("rx,ry"));
@@ -150,7 +175,7 @@ TEST(MarginalProgram, MatchesStatevectorPartialTrace) {
   const std::size_t dim = std::size_t{1} << k;
 
   const auto theta = random_theta(ansatz.num_params(), rng);
-  const std::vector<cplx> rdm = program.rdm(theta, backend);
+  const std::vector<cplx> rdm = program.rdm(theta);
   ASSERT_EQ(rdm.size(), dim * dim);
 
   // Reference partial trace from the full state.
@@ -193,7 +218,7 @@ TEST(MarginalProgram, MatchesStatevectorPartialTrace) {
   EXPECT_NEAR(trace, 1.0, 1e-8);
 
   // probabilities() is the clamped diagonal.
-  const std::vector<double> probs = program.probabilities(theta, backend);
+  const std::vector<double> probs = program.probabilities(theta);
   ASSERT_EQ(probs.size(), dim);
   double total = 0.0;
   for (std::size_t r = 0; r < dim; ++r) {
@@ -362,11 +387,10 @@ TEST(QueryPlanReuse, WarmPlanCacheCompilesWithoutPlanner) {
   EXPECT_TRUE(warm_marginal.stats().plan_cached);
 
   // Warm replays still produce the same numbers.
-  const qtensor::SerialCpuBackend backend;
   const auto theta = random_theta(ansatz.num_params(), rng);
   const std::vector<int> bits(g.num_vertices(), 0);
-  const cplx cold_amp = cold.amplitude(theta, bits, backend);
-  const cplx warm_amp = warm.amplitude(theta, bits, backend);
+  const cplx cold_amp = cold.amplitude(theta, bits);
+  const cplx warm_amp = warm.amplitude(theta, bits);
   EXPECT_NEAR(cold_amp.real(), warm_amp.real(), 1e-12);
   EXPECT_NEAR(cold_amp.imag(), warm_amp.imag(), 1e-12);
 }
@@ -384,7 +408,6 @@ qtensor::ProgramOptions forced_slicing() {
 
 TEST(SlicedQueries, MarginalMatchesUnslicedTwin) {
   Rng rng(808);
-  const qtensor::SerialCpuBackend backend;
   const graph::Graph g = graph::random_regular(6, 3, rng);
   const circuit::Circuit ansatz =
       qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse("rx,ry"));
@@ -395,8 +418,8 @@ TEST(SlicedQueries, MarginalMatchesUnslicedTwin) {
   EXPECT_EQ(plain.stats().slice_vars, 0U);
   for (int step = 0; step < 3; ++step) {
     const auto theta = random_theta(ansatz.num_params(), rng);
-    const std::vector<cplx> a = sliced.rdm(theta, backend);
-    const std::vector<cplx> b = plain.rdm(theta, backend);
+    const std::vector<cplx> a = sliced.rdm(theta);
+    const std::vector<cplx> b = plain.rdm(theta);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_NEAR(a[i].real(), b[i].real(), 1e-12) << "entry " << i;
@@ -456,8 +479,78 @@ TEST(SlicedQueries, SliceVariablesAreNeverOpenLabels) {
 }
 
 // ---------------------------------------------------------------------------
+// Warm replays allocate their output and nothing else: the bucket steps and
+// the open-label layout run in the program's leased scratch.
+// ---------------------------------------------------------------------------
+
+/// Heap allocations per call of `call`, averaged over warm calls.
+template <class Fn>
+double allocations_per_call(const Fn& call) {
+  call();  // fills the programs' scratch pools
+  constexpr int kCalls = 8;
+  g_allocations = 0;
+  g_count_allocations = true;
+  for (int i = 0; i < kCalls; ++i) call();
+  g_count_allocations = false;
+  return static_cast<double>(g_allocations.load()) / kCalls;
+}
+
+TEST(WarmReplays, AllocateOnlyTheirOutputs) {
+  Rng rng(1111);
+  const graph::Graph g = graph::random_regular(12, 3, rng);
+  const circuit::Circuit ansatz =
+      qaoa::build_qaoa_circuit(g, 1, qaoa::MixerSpec::parse("rx,ry"));
+  const auto theta = random_theta(ansatz.num_params(), rng);
+
+  // A TN shot replays one marginal program per qubit, so what a sample()
+  // call allocates must not grow with its shot count.
+  const query::Sampler sampler(ansatz, tn_sampler_options("serial"));
+  Rng draws(5);
+  std::size_t last = 0;
+  const double one_shot = allocations_per_call(
+      [&] { last = sampler.sample(theta, 1, draws).back(); });
+  const double many_shots = allocations_per_call(
+      [&] { last = sampler.sample(theta, 64, draws).back(); });
+  EXPECT_LE(many_shots, one_shot);
+  EXPECT_LT(last, std::size_t{1} << 12);
+
+  // Open-label replays allocate the returned vector only.
+  const std::vector<std::size_t> open = {2, 5, 9};
+  const query::BatchedAmplitudeProgram batched(ansatz, open);
+  const std::vector<int> fixed(12 - open.size(), 1);
+  const std::vector<std::size_t> targets = {1, 7};
+  const query::MarginalProgram marginal(ansatz, targets);
+  cplx sink{0.0, 0.0};
+  EXPECT_EQ(allocations_per_call(
+                [&] { sink += batched.amplitudes(theta, fixed)[0]; }),
+            1.0);
+  EXPECT_EQ(allocations_per_call([&] { sink += marginal.rdm(theta)[0]; }),
+            1.0);
+  EXPECT_TRUE(std::isfinite(sink.real()));
+}
+
+// ---------------------------------------------------------------------------
 // Validation: inputs the wrappers cannot answer correctly are rejected.
 // ---------------------------------------------------------------------------
+
+TEST(QueryValidation, BackendSpecsOtherThanSerialThrow) {
+  // "serial" is the only bucket-product kernel; both spec fields reject
+  // anything else where a tensor-network engine is constructed.
+  const graph::Graph g = graph::cycle(6);
+  const circuit::Circuit ansatz =
+      qaoa::build_qaoa_circuit(g, 1, qaoa::MixerSpec::parse("rx"));
+  EXPECT_THROW(query::Sampler(ansatz, tn_sampler_options("parallel")),
+               InvalidArgument);
+  EXPECT_NO_THROW(query::Sampler(ansatz, tn_sampler_options("serial")));
+  qtensor::QTensorOptions facade;
+  facade.backend = "gpu";
+  EXPECT_THROW(qtensor::QTensorSimulator{facade}, InvalidArgument);
+  qaoa::EnergyOptions energy;
+  energy.engine = qaoa::EngineKind::TensorNetwork;
+  energy.qtensor.backend = "parallel:4";
+  const qaoa::EnergyEvaluator evaluator(g, energy);
+  EXPECT_THROW((void)evaluator.plan_for(ansatz), InvalidArgument);
+}
 
 TEST(QueryValidation, UnsortedMarginalTargetsThrow) {
   const circuit::Circuit ansatz = qaoa::build_qaoa_circuit(
@@ -472,13 +565,12 @@ TEST(QueryValidation, NonBinaryCapBitsThrow) {
   Rng rng(1010);
   const circuit::Circuit ansatz = qaoa::build_qaoa_circuit(
       graph::cycle(6), 2, qaoa::MixerSpec::parse("rx"));
-  const qtensor::SerialCpuBackend backend;
   const query::AmplitudeProgram program(ansatz);
   const auto theta = random_theta(ansatz.num_params(), rng);
   std::vector<int> bits(6, 0);
   for (int bad : {2, -1}) {
     bits[0] = bad;
-    EXPECT_THROW((void)program.amplitude(theta, bits, backend), Error)
+    EXPECT_THROW((void)program.amplitude(theta, bits), Error)
         << "bit " << bad;
   }
 }

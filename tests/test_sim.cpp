@@ -246,7 +246,9 @@ TEST(Sampling, NegativeWeightsAreNotClippedToZero) {
   EXPECT_EQ(qaoa::expected_best_cut(state, g, 16, 4, rng), -2.0);
   EXPECT_EQ(qaoa::expected_best_cut(c, {}, g, 16, 4, rng), -2.0);
   const query::Sampler sampler(c);
-  EXPECT_EQ(qaoa::expected_best_cut(sampler, {}, g, 16, 4, rng), -2.0);
+  EXPECT_EQ(
+      qaoa::expected_best_value(sampler, {}, qaoa::Hamiltonian(g), 16, 4, rng),
+      -2.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -34,8 +34,7 @@ TEST(Umbrella, EverySubsystemIsReachable) {
   const auto plus_run = sim::StatevectorSimulator().run_from_plus(c, {});
   const auto net = qtensor::expectation_zz_network(c, {}, 0, 1);
   const auto plan = qtensor::plan_contraction(net);
-  const auto r =
-      qtensor::contract(net, plan.order, qtensor::SerialCpuBackend{});
+  const auto r = qtensor::contract(net, plan.order);
   EXPECT_NEAR(r.value.real(), sim::expectation_zz(plus_run, 0, 1), 1e-10);
 
   // optim
