@@ -36,13 +36,16 @@
 //                              socket handoff to the IO threads)
 //    20   service.io           ServiceState::io_mutex (checkpoint/cache
 //                              file writes; taken BEFORE service.state)
-//    30   service.state        ServiceState::mutex (scheduler, stats,
-//                              result cache index, checkpoints)
+//    30   service.state        ServiceState::mutex (guards the one
+//                              search::Scheduler — queues, rotation,
+//                              retries — plus stats, result cache index,
+//                              checkpoints)
 //    40   service.job          detail::EvalJob::mutex (per-job status /
-//                              result / waiters; never held together with
-//                              service.state — the code always releases
-//                              one before taking the other, but the server
-//                              tier polls tickets under server.wire)
+//                              result / waiters; taken under service.state
+//                              only where a worker ends a slice and by
+//                              submit's done-cache path, never the other
+//                              way round; the server tier polls tickets
+//                              under server.wire)
 //    50   cache.energyplans    EnergyEvaluator::PlanCache::mutex (the
 //                              per-evaluator compiled-plan LRU)
 //    52   cache.orders         qtensor::PlanCache::mutex_ (persistent

@@ -135,6 +135,11 @@ struct ContractionProgram::Scratch {
   std::vector<Tensor> slots;     ///< inputs_ copies + step intermediates
   std::vector<Tensor> full;      ///< unprojected slice-carrying inputs,
                                  ///< parallel to sliced_inputs_
+  // A slice assignment fills each projected slot from its full input: slot
+  // entry w is full entry gather[w] plus the strides of the slice variables
+  // the assignment sets to 1.
+  std::vector<std::size_t> gather;        ///< per sliced input, per entry
+  std::vector<std::size_t> slice_stride;  ///< per sliced input, per slice var
   std::vector<cplx> partial;     ///< one slice's output (sliced only)
   // The odometer of the step or output layout being replayed, sized for the
   // widest of them.
@@ -378,13 +383,36 @@ void ContractionProgram::init_scratch(Scratch& s) const {
   s.slots.reserve(num_slots_);
   s.full.clear();
   for (std::size_t i = 0; i < inputs_.size(); ++i) s.slots.push_back(inputs_[i]);
+  s.gather.clear();
+  s.slice_stride.clear();
   for (std::size_t i : sliced_inputs_) {
     s.full.push_back(inputs_[i]);
-    // Shape the slot to the projected layout (values filled per assignment).
-    Tensor projected = inputs_[i];
-    for (VarId sv : slice_vars_)
-      projected = project(projected, sv, 0);
-    s.slots[i] = std::move(projected);
+    // The projected slot keeps the labels no slice variable names, in order.
+    // Walking the labels from the least significant, each kept one doubles
+    // the slot's offset list (its bit sits above those already walked).
+    const std::vector<VarId>& labels = inputs_[i].labels();
+    const std::size_t first = s.gather.size();
+    const std::size_t first_stride = s.slice_stride.size();
+    s.gather.push_back(0);
+    s.slice_stride.resize(first_stride + slice_vars_.size(), 0);
+    std::vector<VarId> kept;
+    for (std::size_t p = labels.size(); p-- > 0;) {
+      const std::size_t stride = std::size_t{1} << (labels.size() - 1 - p);
+      const auto sv =
+          std::find(slice_vars_.begin(), slice_vars_.end(), labels[p]);
+      if (sv != slice_vars_.end()) {
+        s.slice_stride[first_stride +
+                       static_cast<std::size_t>(sv - slice_vars_.begin())] =
+            stride;
+        continue;
+      }
+      kept.insert(kept.begin(), labels[p]);
+      const std::size_t n = s.gather.size() - first;
+      for (std::size_t w = 0; w < n; ++w)
+        s.gather.push_back(s.gather[first + w] + stride);
+    }
+    s.slots[i] =
+        Tensor(std::move(kept), std::vector<cplx>(s.gather.size() - first));
   }
   // An intermediate's labels are its product's minus the eliminated first
   // one; the recorded positions rebuild the product's from its factors'.
@@ -503,13 +531,16 @@ void ContractionProgram::run(std::span<const double> theta,
 
   std::fill(out.begin(), out.end(), cplx{0.0, 0.0});
   const std::size_t num_slices = std::size_t{1} << slice_vars_.size();
+  const std::size_t num_vars = slice_vars_.size();
   for (std::size_t assignment = 0; assignment < num_slices; ++assignment) {
+    const std::size_t* offset = s.gather.data();
     for (std::size_t j = 0; j < sliced_inputs_.size(); ++j) {
-      Tensor projected = s.full[j];
-      for (std::size_t k = 0; k < slice_vars_.size(); ++k)
-        projected = project(projected, slice_vars_[k],
-                            static_cast<int>((assignment >> k) & 1));
-      s.slots[sliced_inputs_[j]].data() = std::move(projected.data());
+      std::size_t base = 0;
+      for (std::size_t k = 0; k < num_vars; ++k)
+        if ((assignment >> k) & 1) base += s.slice_stride[j * num_vars + k];
+      const cplx* from = s.full[j].data().data() + base;
+      for (cplx& entry : s.slots[sliced_inputs_[j]].data())
+        entry = from[*offset++];
     }
     run_schedule(s, s.partial.data());
     for (std::size_t i = 0; i < out.size(); ++i) out[i] += s.partial[i];

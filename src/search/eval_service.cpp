@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <iterator>
 #include <limits>
 #include <list>
-#include <map>
 #include <mutex>
 #include <set>
 #include <unordered_map>
@@ -20,6 +18,7 @@
 #include "optim/optimizer.hpp"
 #include "search/fault.hpp"
 #include "search/report_io.hpp"
+#include "search/scheduler.hpp"
 
 namespace qarch::search {
 
@@ -42,8 +41,6 @@ constexpr const char* kPlanCacheCodeVersion = "qarch-plan-v1";
 /// layout (OptimState packing of each optimizer), which can change
 /// independently of result semantics.
 constexpr const char* kCheckpointCodeVersion = "qarch-ckpt-v1";
-
-class JobToken;
 
 /// One submitted (graph, mixer, p, budget) evaluation. Several tickets may
 /// attach to one job (concurrent duplicate submissions); the job runs once.
@@ -68,13 +65,12 @@ struct EvalJob {
   int max_retries = 0;            ///< failed-evaluation rerun budget
   double retry_backoff = 0.05;    ///< base of the exponential backoff
 
-  // Scheduler coordinates, fixed when the job is published (guarded by the
-  // SERVICE mutex like the queues they index into — a cross-object guard the
-  // static analysis cannot express, so these carry no QARCH_GUARDED_BY; the
-  // runtime lock-order checker and the TSan CI leg cover them).
-  std::size_t client_id = 0;  ///< fair-share queue this job sits in
-  int priority = 0;           ///< intra-client ordering (higher first)
-  std::uint64_t seq = 0;      ///< FIFO tiebreak among equal priorities
+  // Where the job waits in the Scheduler, set whenever it is (re)queued
+  // (guarded by the SERVICE mutex like the Scheduler itself — a cross-object
+  // guard the static analysis cannot express, so it carries no
+  // QARCH_GUARDED_BY; the runtime lock-order checker and the TSan CI leg
+  // cover it).
+  QueueSlot slot;
 
   // Preemption / retry bookkeeping, guarded by the SERVICE mutex (the
   // dispatching worker copies the checkpoint in and out under it; between
@@ -84,11 +80,10 @@ struct EvalJob {
   double run_seconds = 0.0;       ///< wall time consumed across slices
   optim::OptimState checkpoint;   ///< resume point (fresh() = none)
   std::string checkpoint_engine;  ///< engine that produced it ("sv" / "tn")
-  std::shared_ptr<JobToken> token;  ///< live while a slice is running
 
   // Guarded by `mutex` (tier service.job, rank 40 — see
   // common/lock_order.hpp; the only nesting with the service mutex is
-  // service.state -> service.job, e.g. submit()'s done-cache path).
+  // service.state -> service.job: end_slice and submit()'s done-cache path).
   Mutex mutex{40, "service.job"};
   CondVar cv;
   Status status QARCH_GUARDED_BY(mutex) = Status::Queued;
@@ -166,37 +161,10 @@ struct ServiceState {
   // In-flight dedup: key → queued/running job.
   std::unordered_map<std::string, std::weak_ptr<EvalJob>> inflight
       QARCH_GUARDED_BY(mutex);
-  // -- fair-share scheduler --------------------------------------------------
-  // Every published job waits in its client's queue; pool workers run
-  // generic drainer tasks that pick the next job by deficit-weighted round
-  // robin over the active (non-empty) queues, with training_evals as the
-  // cost unit. Client 0 is the always-present default queue.
-  struct ClientQueue {
-    std::string name;
-    double weight = 1.0;
-    double deficit = 0.0;    ///< budget units this queue may spend
-    bool closed = false;     ///< handle destroyed; reclaim once drained
-    // (−priority, seq) → job: pop order is priority desc, FIFO among equals.
-    std::map<std::pair<int, std::uint64_t>, std::shared_ptr<EvalJob>> jobs;
-  };
-  std::unordered_map<std::size_t, ClientQueue> clients
-      QARCH_GUARDED_BY(mutex);
-  std::vector<std::size_t> rr_order
-      QARCH_GUARDED_BY(mutex);  ///< ids with non-empty queues
-  std::size_t rr_cursor QARCH_GUARDED_BY(mutex) = 0;  ///< rr_order position
-  bool rr_granted QARCH_GUARDED_BY(mutex) =
-      false;  ///< cursor's queue already drew this visit's quantum
-  std::uint64_t next_seq QARCH_GUARDED_BY(mutex) = 0;
-  // -- preemption / retry / checkpoint state ---------------------------------
-  /// Jobs rescheduled with a retry backoff: runnable once now() passes
-  /// not_before. pop_next promotes due entries into the fair-share queues
-  /// and sleeps on sched_cv for the earliest one when nothing else is
-  /// runnable.
-  struct DelayedJob {
-    double not_before = 0.0;
-    std::shared_ptr<EvalJob> job;
-  };
-  std::vector<DelayedJob> delayed QARCH_GUARDED_BY(mutex);
+  /// The scheduling policy: every published job waits here until a pool
+  /// worker's drainer pops it. pop_next sleeps on sched_cv until the
+  /// earliest retry falls due when nothing else is runnable.
+  Scheduler<std::shared_ptr<EvalJob>> scheduler QARCH_GUARDED_BY(mutex);
   CondVar sched_cv;  ///< wakes backoff sleepers (new work, drain, shutdown)
   /// Jobs with a slice currently on a worker; drain() waits on drain_cv for
   /// this to empty.
@@ -230,93 +198,39 @@ struct ServiceState {
   }
 };
 
-/// The service-side PreemptToken handed to a running training slice. Polled
-/// by the optimizer at its safe points (loop tops, ≥ 1 objective call
-/// apart); decides whether the slice should stop and why:
-///   Checkpoint — cadence reached; the worker snapshots and keeps going.
-///   Park       — another client is waiting (quantum expired) or the service
-///                is draining; snapshot, free the worker, requeue.
-///   Expire     — the job blew its deadline or run-time budget.
+/// The service-side PreemptToken handed to a running training slice. The
+/// optimizer polls it at its safe points (loop tops, ≥ 1 objective call
+/// apart); the slice's SliceProbe decides, fed the service clock, the
+/// draining flag and — only when the probe asks — whether another client
+/// has queued work.
 class JobToken final : public optim::PreemptToken {
  public:
-  enum class Reason { None, Checkpoint, Park, Expire };
-
-  JobToken(ServiceState* state, EvalJob* job, double slice_start,
+  JobToken(ServiceState& state, std::size_t client,
+           const SliceProbe::Limits& limits, double slice_start,
            double run_before)
       : state_(state),
-        job_(job),
-        slice_start_(slice_start),
-        run_before_(run_before) {}
+        client_(client),
+        probe_(limits, slice_start, run_before) {}
 
-  /// Asks the slice to park at its next safe point (used by tests; drain()
-  /// reaches running slices through ServiceState::draining instead).
-  void force_park() { forced_.store(true); }
-
-  [[nodiscard]] Reason reason() const { return reason_; }
+  /// Why the slice last stopped (Run until it first does).
+  [[nodiscard]] SliceVerdict verdict() const { return verdict_; }
 
   bool should_stop(std::size_t evaluations) override {
-    // The optimizer's counter can restart (multistart resets it per inner
-    // run), so accumulate deltas instead of trusting the absolute value.
-    const std::size_t delta =
-        evaluations >= last_evals_ ? evaluations - last_evals_ : evaluations;
-    last_evals_ = evaluations;
-    acc_evals_ += delta;
-    if (forced_.load() || state_->draining.load()) {
-      reason_ = Reason::Park;
-      return true;
-    }
-    const double now = state_->now();
-    if (job_->deadline_at > 0.0 && now >= job_->deadline_at) {
-      reason_ = Reason::Expire;
-      return true;
-    }
-    if (job_->max_eval_seconds > 0.0 &&
-        run_before_ + (now - slice_start_) >= job_->max_eval_seconds) {
-      reason_ = Reason::Expire;
-      return true;
-    }
-    if (const std::size_t cadence = state_->config.checkpoint_evals;
-        cadence > 0 && acc_evals_ >= cadence) {
-      acc_evals_ = 0;
-      reason_ = Reason::Checkpoint;
-      return true;
-    }
-    const double quantum = state_->config.preempt_quantum_seconds;
-    if (quantum > 0.0 && now - slice_start_ >= quantum &&
-        now >= next_probe_) {
-      bool contended = false;
-      {
-        // Park only when some OTHER client has queued work: preempting for
-        // the job's own queue would just thrash (DWRR already ordered it),
-        // and an uncontended service runs every job straight through.
-        LockGuard lock(state_->mutex);
-        for (const std::size_t id : state_->rr_order)
-          if (id != job_->client_id) {
-            contended = true;
-            break;
-          }
-      }
-      if (contended) {
-        reason_ = Reason::Park;
-        return true;
-      }
-      // Nobody waiting: probe again half a quantum later instead of taking
-      // the service mutex on every objective call.
-      next_probe_ = now + quantum * 0.5;
-    }
-    return false;
+    const SliceVerdict verdict = probe_.verdict(
+        evaluations, state_.now(), state_.draining.load(), [this] {
+          LockGuard lock(state_.mutex);
+          return state_.scheduler.contended(client_);
+        });
+    if (verdict == SliceVerdict::Run) return false;
+    verdict_ = verdict;
+    return true;
   }
 
  private:
-  ServiceState* state_;
-  EvalJob* job_;
-  std::atomic<bool> forced_{false};
-  Reason reason_ = Reason::None;
-  double slice_start_ = 0.0;
-  double run_before_ = 0.0;   ///< run_seconds banked before this slice
-  double next_probe_ = 0.0;
-  std::size_t last_evals_ = 0;
-  std::size_t acc_evals_ = 0;
+  ServiceState& state_;
+  std::size_t client_;
+  SliceProbe probe_;
+  SliceVerdict verdict_ = SliceVerdict::Run;
 };
 
 namespace {
@@ -490,64 +404,12 @@ std::shared_ptr<const Evaluator> evaluator_for(
   return slot->evaluator;
 }
 
-/// Removes `id` from the round-robin rotation (its queue just drained) and
-/// reclaims the queue entirely when its handle was already destroyed.
-/// Requires state.mutex held.
-void deactivate_client(ServiceState& state, std::size_t id)
-    QARCH_REQUIRES(state.mutex) {
-  const auto pos =
-      std::find(state.rr_order.begin(), state.rr_order.end(), id);
-  if (pos != state.rr_order.end()) {
-    const auto index =
-        static_cast<std::size_t>(pos - state.rr_order.begin());
-    state.rr_order.erase(pos);
-    // The cursor keeps pointing at the next not-yet-visited queue; a fresh
-    // visit starts there, so the stale grant flag must not carry over.
-    if (index < state.rr_cursor)
-      --state.rr_cursor;
-    else if (index == state.rr_cursor)
-      state.rr_granted = false;
-  }
-  const auto cit = state.clients.find(id);
-  if (cit != state.clients.end()) {
-    cit->second.deficit = 0.0;  // no banking credit across idle periods
-    if (cit->second.closed && id != 0) state.clients.erase(cit);
-  }
-}
-
-/// Inserts a published job into its client's fair-share queue. Requires
-/// state.mutex held; the caller resolved client_id/priority/seq already.
-void enqueue_job(ServiceState& state, const std::shared_ptr<EvalJob>& job)
-    QARCH_REQUIRES(state.mutex) {
-  ServiceState::ClientQueue& queue = state.clients[job->client_id];
-  const bool was_empty = queue.jobs.empty();
-  queue.jobs.emplace(std::make_pair(-job->priority, job->seq), job);
-  if (was_empty) state.rr_order.push_back(job->client_id);
-}
-
 /// A service-clock timestamp as a steady_clock time point (for cv waits).
 std::chrono::steady_clock::time_point service_time(const ServiceState& state,
                                                    double seconds) {
   return state.epoch +
          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
              std::chrono::duration<double>(seconds));
-}
-
-/// Remaining training budget of a job — the fair-share cost unit. A parked
-/// job already banked evals_done of its budget, so requeueing it charges
-/// only the remainder (net, a client pays for the evals its slices actually
-/// consumed). Requires state.mutex held (evals_done).
-double job_cost(const EvalJob& job) {
-  return static_cast<double>(job.training_evals > job.evals_done
-                                 ? job.training_evals - job.evals_done
-                                 : 1);
-}
-
-/// The persistable form of a job's current checkpoint.
-TrainingCheckpoint checkpoint_record(const EvalJob& job,
-                                     const std::string& engine_name,
-                                     const optim::OptimState& training) {
-  return {run_key(job, engine_name), job.mixer, job.p, training};
 }
 
 /// Atomically rewrites config.checkpoint_path with the current in-flight
@@ -573,110 +435,50 @@ void persist_checkpoints(ServiceState& state)
   }
 }
 
-/// Deficit-weighted round robin over the client queues: each visit grants
-/// the queue weight × quantum budget units (quantum = the widest head job
-/// currently queued, so every rotation lets someone dispatch); a queue keeps
-/// dispatching while its deficit covers its head job's REMAINING budget,
-/// then the cursor moves on. Also the retry pump: due delayed (backoff)
-/// jobs are promoted into their queues first, and when only not-yet-due
-/// entries remain the caller sleeps here until the earliest comes due.
-/// Returns nullptr when nothing is left to serve — surplus drainers (their
-/// job was cancelled, or served by the result cache on resubmission) just
-/// retire — or when drain() stopped dispatch.
+/// The next job the Scheduler serves, sleeping on sched_cv while only
+/// backing-off retries remain. Returns nullptr when nothing is left to
+/// serve — surplus drainers (their job was cancelled, or served by the
+/// result cache on resubmission) just retire — or when drain() stopped
+/// dispatch.
 std::shared_ptr<EvalJob> pop_next(ServiceState& state)
     QARCH_EXCLUDES(state.mutex) {
   UniqueLock lock(state.mutex);
   for (;;) {
     if (state.draining.load() && !state.stopping.load()) return nullptr;
-    const double now = state.now();
-    if (!state.delayed.empty()) {
-      auto it = state.delayed.begin();
-      while (it != state.delayed.end()) {
-        // Shutdown promotes everything immediately: run_job resolves the
-        // promoted jobs as Cancelled instead of leaving tickets hanging.
-        if (state.stopping.load() || now >= it->not_before) {
-          enqueue_job(state, it->job);
-          it = state.delayed.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (!state.rr_order.empty()) break;
-    if (state.delayed.empty()) return nullptr;
-    double next_due = state.delayed.front().not_before;
-    for (const ServiceState::DelayedJob& d : state.delayed)
-      next_due = std::min(next_due, d.not_before);
-    state.sched_cv.wait_until(lock, service_time(state, next_due));
-  }
-  double quantum = 1.0;
-  for (const std::size_t id : state.rr_order) {
-    const ServiceState::ClientQueue& q = state.clients[id];
-    quantum = std::max(quantum, job_cost(*q.jobs.begin()->second));
-  }
-  for (;;) {
-    if (state.rr_cursor >= state.rr_order.size()) state.rr_cursor = 0;
-    const std::size_t id = state.rr_order[state.rr_cursor];
-    ServiceState::ClientQueue& queue = state.clients[id];
-    const auto head = queue.jobs.begin();
-    const double cost = job_cost(*head->second);
-    if (queue.deficit < cost && !state.rr_granted) {
-      queue.deficit += queue.weight * quantum;
-      state.rr_granted = true;
-    }
-    if (queue.deficit < cost) {  // grant spent: next queue's turn
-      ++state.rr_cursor;
-      state.rr_granted = false;
-      continue;
-    }
-    queue.deficit -= cost;
-    std::shared_ptr<EvalJob> job = head->second;
-    queue.jobs.erase(head);
-    if (queue.jobs.empty()) deactivate_client(state, id);
-    return job;
+    auto next = state.scheduler.pop(state.now(), state.stopping.load());
+    if (next.job) return std::move(*next.job);
+    if (!next.due) return nullptr;
+    state.sched_cv.wait_until(lock, service_time(state, *next.due));
   }
 }
 
-/// Withdraws a job that resolved without completing: drops its in-flight
+/// The service half of resolving a job without completing it (Cancelled or
+/// Expired, set by the caller under the JOB mutex): drops its in-flight
 /// entry — by identity, not by key: a duplicate resubmission may already
 /// have replaced this key's entry with a fresh job — and its queue slot, so
 /// no drainer picks it up (a no-op when a drainer already popped it —
-/// run_job rechecks the status). Requires state.mutex held.
-void withdraw_job(ServiceState& state, const std::shared_ptr<EvalJob>& job)
-    QARCH_REQUIRES(state.mutex) {
+/// run_job rechecks the status). An expired job's checkpoint record goes
+/// too: past its deadline the partial training is dead weight.
+void withdraw_job(ServiceState& state, const std::shared_ptr<EvalJob>& job,
+                  EvalJob::Status status) QARCH_REQUIRES(state.mutex) {
   const auto it = state.inflight.find(job->key);
   if (it != state.inflight.end() && it->second.lock() == job)
     state.inflight.erase(it);
-  const auto cit = state.clients.find(job->client_id);
-  if (cit != state.clients.end()) {
-    cit->second.jobs.erase(std::make_pair(-job->priority, job->seq));
-    if (cit->second.jobs.empty()) deactivate_client(state, job->client_id);
-  }
-}
-
-void finish_cancelled(ServiceState& state,
-                      const std::shared_ptr<EvalJob>& job)
-    QARCH_EXCLUDES(state.mutex) {
-  {
-    LockGuard lock(state.mutex);
-    withdraw_job(state, job);
-    ++state.stats.cancelled;
-  }
-  job->cv.notify_all();
-}
-
-/// Terminal bookkeeping of a deadline-expired job. The caller already set
-/// Status::Expired (and finished_at) under the JOB mutex. Besides the
-/// withdrawal, the checkpoint record is dropped: past its deadline the
-/// partial training is dead weight.
-void finish_expired(ServiceState& state,
-                    const std::shared_ptr<EvalJob>& job)
-    QARCH_EXCLUDES(state.mutex) {
-  {
-    LockGuard lock(state.mutex);
-    withdraw_job(state, job);
+  state.scheduler.withdraw(job->slot);
+  if (status == EvalJob::Status::Expired) {
     ++state.stats.deadline_expired;
     state.checkpoints.erase(job->key);
+  } else {
+    ++state.stats.cancelled;
+  }
+}
+
+/// withdraw_job under the service mutex, then wakes the job's waiters.
+void finish_withdrawn(ServiceState& state, const std::shared_ptr<EvalJob>& job,
+                      EvalJob::Status status) QARCH_EXCLUDES(state.mutex) {
+  {
+    LockGuard lock(state.mutex);
+    withdraw_job(state, job, status);
   }
   job->cv.notify_all();
 }
@@ -755,223 +557,91 @@ void refresh_result_cache(ServiceState& state)
                        state.foreign_floor + state.config.result_cache);
 }
 
-/// Worker body: runs one job until it completes, parks, expires, retries, or
-/// fails. `state` is captured by shared_ptr so a draining pool can outlive
-/// the EvalService front-end.
-///
-/// The slice loop is the preemption core: evaluate_resumable runs the
-/// candidate's training against the job's checkpoint and the JobToken, and
-/// comes back either completed or preempted with the checkpoint advanced.
-/// A Checkpoint preemption banks the state and CONTINUES on this worker; a
-/// Park frees the worker and requeues the job (same checkpoint, fair-share
-/// deficit refunded to the remaining cost); an Expire resolves the ticket.
-/// Because a resumed run replays the exact optimizer trajectory, a
-/// parked-and-resumed evaluation is bit-identical to an uninterrupted one.
-void run_job(const std::shared_ptr<ServiceState>& state,
-             const std::shared_ptr<EvalJob>& job) {
-  {
-    UniqueLock lock(job->mutex);
-    if (job->status != EvalJob::Status::Queued) return;
-    if (state->stopping.load()) {
-      job->status = EvalJob::Status::Cancelled;
-      job->finished_at = state->now();
-      lock.unlock();
-      finish_cancelled(*state, job);
-      return;
-    }
-    if (job->deadline_at > 0.0 && state->now() >= job->deadline_at) {
-      job->status = EvalJob::Status::Expired;
-      job->finished_at = state->now();
-      lock.unlock();
-      finish_expired(*state, job);
-      return;
-    }
-    job->status = EvalJob::Status::Running;
-    if (job->started_at == 0.0) job->started_at = state->now();
-  }
+/// Banks a slice's training state as the job's resume point, recorded for
+/// persistence when a checkpoint_path is set.
+void bank_checkpoint(ServiceState& state, EvalJob& job,
+                     const optim::OptimState& training,
+                     const std::string& engine_name, std::size_t evals_done)
+    QARCH_REQUIRES(state.mutex) {
+  job.checkpoint = training;
+  job.checkpoint_engine = engine_name;
+  job.evals_done = evals_done;
+  if (!state.config.checkpoint_path.empty())
+    state.checkpoints[job.key] = {run_key(job, engine_name), job.mixer, job.p,
+                                  training};
+}
 
-  const double slice_start = state->now();
-  CandidateResult result;
-  qaoa::EngineKind engine = qaoa::EngineKind::Statevector;
+/// How a slice ended, as end_slice consumes it.
+struct SliceEnd {
+  SliceVerdict stop = SliceVerdict::Run;  ///< Park or Expire; Run when the
+                                          ///< training completed or threw
   bool failed = false;
   std::string error;
-  optim::OptimState training;
+  CandidateResult result;
+  qaoa::EngineKind engine = qaoa::EngineKind::Statevector;
   std::string engine_name;
-  std::shared_ptr<JobToken> token;
-  try {
-    switch (state->config.backend) {
-      case BackendChoice::Statevector:
-        engine = qaoa::EngineKind::Statevector;
-        break;
-      case BackendChoice::TensorNetwork:
-        engine = qaoa::EngineKind::TensorNetwork;
-        break;
-      case BackendChoice::Auto:
-        engine = auto_engine_choice(state->config, job->graph, job->mixer,
-                                    job->p);
-        break;
-    }
-    engine_name = engine_tag(engine);
-    int attempt = 0;
-    {
-      LockGuard lock(state->mutex);
-      attempt = job->attempts;
-      if (!job->checkpoint.fresh() &&
-          job->checkpoint_engine != engine_name) {
-        // A checkpoint from the other engine cannot seed this run (its
-        // objective numerics differ); restart rather than mix trajectories.
-        job->checkpoint.clear();
-        job->checkpoint_engine.clear();
-        job->evals_done = 0;
-        ++state->stats.checkpoints_discarded;
-      }
-      training = job->checkpoint;
-      if (!training.fresh()) ++state->stats.resumed;
-      token = std::make_shared<JobToken>(state.get(), job.get(), slice_start,
-                                         job->run_seconds);
-      job->token = token;
-      state->running.insert(job.get());
-    }
-    // Fault-injection hook: may sleep, or throw FaultInjected into the
-    // ordinary failure/retry path below. Deterministically keyed by
-    // (candidate, attempt), so a given attempt either always or never fails
-    // regardless of thread interleaving.
-    FaultInjector::instance().on_evaluation(
-        job->key, static_cast<std::uint64_t>(attempt));
-    const auto evaluator =
-        evaluator_for(*state, job->graph_key, job->graph, engine,
-                      job->training_evals, job->objective, job->hamiltonian);
-    for (;;) {
-      ResumableEvaluation slice = evaluator->evaluate_resumable(
-          job->mixer, job->p, training, token.get());
-      if (slice.completed) {
-        result = std::move(slice.result);
-        break;
-      }
-      if (token->reason() == JobToken::Reason::Checkpoint) {
-        // Cadence snapshot: bank the state and keep running on this worker.
-        {
-          LockGuard lock(state->mutex);
-          job->checkpoint = training;
-          job->checkpoint_engine = engine_name;
-          job->evals_done = slice.evaluations_done;
-          if (!state->config.checkpoint_path.empty())
-            state->checkpoints[job->key] =
-                checkpoint_record(*job, engine_name, training);
-        }
-        persist_checkpoints(*state);
-        FaultInjector::instance().at_point("checkpoint");
-        continue;
-      }
-      if (token->reason() == JobToken::Reason::Expire) {
-        {
-          LockGuard jlock(job->mutex);
-          job->status = EvalJob::Status::Expired;
-          job->finished_at = state->now();
-        }
-        {
-          LockGuard lock(state->mutex);
-          state->running.erase(job.get());
-          job->token.reset();
-          job->run_seconds += state->now() - slice_start;
-        }
-        finish_expired(*state, job);
-        state->drain_cv.notify_all();
-        return;
-      }
-      // Park: snapshot, requeue (or resolve Cancelled under shutdown), free
-      // this worker for whoever the scheduler prefers.
-      bool cancelled = false;
-      {
-        LockGuard jlock(job->mutex);
-        if (state->stopping.load()) {
-          job->status = EvalJob::Status::Cancelled;
-          job->finished_at = state->now();
-          cancelled = true;
-        } else {
-          job->status = EvalJob::Status::Queued;
-        }
-      }
-      {
-        LockGuard lock(state->mutex);
-        state->running.erase(job.get());
-        job->token.reset();
-        job->checkpoint = training;
-        job->checkpoint_engine = engine_name;
-        job->evals_done = slice.evaluations_done;
-        job->run_seconds += state->now() - slice_start;
-        if (!state->config.checkpoint_path.empty())
-          state->checkpoints[job->key] =
-              checkpoint_record(*job, engine_name, training);
-        if (!cancelled) {
-          ++state->stats.parked;
-          job->seq = state->next_seq++;
-          enqueue_job(*state, job);
-          // Refund the unconsumed part of the dispatch charge: the next pop
-          // re-charges the REMAINING cost, so net the client paid only for
-          // the evals this slice actually consumed.
-          const auto cit = state->clients.find(job->client_id);
-          if (cit != state->clients.end())
-            cit->second.deficit += job_cost(*job);
-          // Yield the next dispatch to the backlog that triggered the park:
-          // the refund means the unchanged cursor would cover this queue's
-          // head again and re-dispatch the very job that just parked.
-          ++state->rr_cursor;
-          state->rr_granted = false;
-        }
-      }
-      if (cancelled) {
-        finish_cancelled(*state, job);
-      } else {
-        state->sched_cv.notify_all();
-        state->drain_cv.notify_all();
-        persist_checkpoints(*state);
-        FaultInjector::instance().at_point("park");
-      }
-      return;
-    }
-  } catch (const std::exception& e) {
-    failed = true;
-    error = e.what();
-  }
+  optim::OptimState training;  ///< the resume point a Park banks
+  std::size_t evals_done = 0;
+};
 
-  const double slice_seconds = state->now() - slice_start;
-  bool retry = false;
-  double backoff = 0.0;
+/// The one step that ends every slice (complete, fail, park or expire).
+/// Under the service mutex it clears the running mark, banks the slice's
+/// run time and settles the job: a completion lands in the result cache; a
+/// failure with retries left waits out its backoff in the Scheduler, one
+/// without fails; a park banks the checkpoint and requeues (cancels under
+/// shutdown); an expiry is withdrawn. The new status is set under the job
+/// mutex nested inside (service.state → service.job), so no drainer can pop
+/// a requeued job that is still marked Running.
+void end_slice(const std::shared_ptr<ServiceState>& state,
+               const std::shared_ptr<EvalJob>& job, double slice_start,
+               SliceEnd& end) {
+  using Status = EvalJob::Status;
+  const bool stopping = state->stopping.load();
+  Status status = Status::Done;
   {
     LockGuard lock(state->mutex);
+    const double now = state->now();
     state->running.erase(job.get());
-    job->token.reset();
-    job->run_seconds += slice_seconds;
-    if (failed) {
-      if (!state->stopping.load() && !state->draining.load() &&
-          job->attempts < job->max_retries) {
-        // Bounded retry with exponential backoff. The checkpoint (if any)
-        // survives, so the retry resumes instead of restarting; the job
-        // stays in `inflight` so duplicates keep attaching to it.
-        backoff = job->retry_backoff * std::ldexp(1.0, job->attempts);
+    job->run_seconds += now - slice_start;
+    std::optional<double> backoff;
+    if (end.stop == SliceVerdict::Park) {
+      bank_checkpoint(*state, *job, end.training, end.engine_name,
+                      end.evals_done);
+      status = stopping ? Status::Cancelled : Status::Queued;
+      if (!stopping) ++state->stats.parked;
+    } else if (end.stop == SliceVerdict::Expire) {
+      status = Status::Expired;
+    } else if (end.failed) {
+      // A retry resumes from the checkpoint (if any) rather than
+      // restarting, and the job stays in `inflight` so duplicates keep
+      // attaching to it.
+      if (!stopping && !state->draining.load())
+        backoff = retry_delay(job->attempts, job->max_retries,
+                              job->retry_backoff);
+      if (backoff) {
         ++job->attempts;
         ++state->stats.retried;
-        retry = true;
+        status = Status::Queued;
       } else {
         ++state->stats.failed;
         state->inflight.erase(job->key);
         state->checkpoints.erase(job->key);
+        status = Status::Failed;
       }
     } else {
       ++state->stats.completed;
-      if (engine == qaoa::EngineKind::Statevector)
+      if (end.engine == qaoa::EngineKind::Statevector)
         ++state->stats.picked_statevector;
       else
         ++state->stats.picked_tensornetwork;
-      result.queue_seconds = job->started_at - job->submitted_at;
-      result.eval_seconds = job->run_seconds;
+      end.result.queue_seconds = job->started_at - job->submitted_at;
+      end.result.eval_seconds = job->run_seconds;
       state->inflight.erase(job->key);
       state->checkpoints.erase(job->key);
       job->checkpoint.clear();
       if (state->config.result_cache > 0) {
         state->done_order.emplace_front(
-            job->key, CacheEntry{run_key(*job, engine_name), result});
+            job->key, CacheEntry{run_key(*job, end.engine_name), end.result});
         state->done_by_key[job->key] = state->done_order.begin();
         while (state->done_order.size() > state->config.result_cache) {
           // When a rewrite is coming, LRU-evicted results stay eligible for
@@ -987,48 +657,152 @@ void run_job(const std::shared_ptr<ServiceState>& state,
         }
       }
     }
-  }
-  if (retry) {
+    if (status == Status::Cancelled || status == Status::Expired)
+      withdraw_job(*state, job, status);
     {
       LockGuard jlock(job->mutex);
-      job->status = EvalJob::Status::Queued;
+      job->status = status;
+      if (status != Status::Queued) job->finished_at = now;
+      if (status == Status::Done) job->result = std::move(end.result);
+      if (status == Status::Failed) job->error = std::move(end.error);
     }
+    const double cost = job_cost(job->training_evals, job->evals_done);
+    if (backoff)
+      job->slot = state->scheduler.delay(job, job->slot, cost, now + *backoff);
+    else if (status == Status::Queued)
+      job->slot = state->scheduler.park(job, job->slot, cost);
+  }
+  if (status == Status::Queued)
+    state->sched_cv.notify_all();
+  else
+    job->cv.notify_all();
+  state->drain_cv.notify_all();
+  if (end.failed && status == Status::Queued) return;  // retry: no new state
+  persist_checkpoints(*state);
+  if (status == Status::Queued) {
+    FaultInjector::instance().at_point("park");
+  } else if (status == Status::Done && !state->config.checkpoint_path.empty() &&
+             state->config.cache_write && !state->config.cache_path.empty() &&
+             state->config.result_cache > 0) {
+    // Durability mode: flush completed results as they finish, so a crash
+    // loses at most the slice since the last checkpoint — never a finished
+    // evaluation.
+    try {
+      persist_caches(*state);
+    } catch (const std::exception& e) {
+      log::warn("result-cache flush failed: ", e.what());
+    }
+  }
+}
+
+/// Worker body: runs one slice of a job, then hands the job back through
+/// end_slice. `state` is captured by shared_ptr so a draining pool can
+/// outlive the EvalService front-end.
+///
+/// evaluate_resumable runs the candidate's training against the job's
+/// checkpoint and the JobToken, and comes back either completed or stopped
+/// with the checkpoint advanced. A Checkpoint stop banks the state and
+/// CONTINUES on this worker; a Park frees the worker and requeues the job
+/// (same checkpoint, fair-share charge refunded to the remaining cost); an
+/// Expire resolves the ticket. Because a resumed run replays the exact
+/// optimizer trajectory, a parked-and-resumed evaluation is bit-identical
+/// to an uninterrupted one.
+void run_job(const std::shared_ptr<ServiceState>& state,
+             const std::shared_ptr<EvalJob>& job) {
+  {
+    UniqueLock lock(job->mutex);
+    if (job->status != EvalJob::Status::Queued) return;
+    const double now = state->now();
+    const bool stopping = state->stopping.load();
+    if (stopping || deadline_passed(job->deadline_at, now)) {
+      const EvalJob::Status status =
+          stopping ? EvalJob::Status::Cancelled : EvalJob::Status::Expired;
+      job->status = status;
+      job->finished_at = now;
+      lock.unlock();
+      finish_withdrawn(*state, job, status);
+      return;
+    }
+    job->status = EvalJob::Status::Running;
+    if (job->started_at == 0.0) job->started_at = now;
+  }
+
+  const double slice_start = state->now();
+  SliceEnd end;
+  try {
+    switch (state->config.backend) {
+      case BackendChoice::Statevector:
+        end.engine = qaoa::EngineKind::Statevector;
+        break;
+      case BackendChoice::TensorNetwork:
+        end.engine = qaoa::EngineKind::TensorNetwork;
+        break;
+      case BackendChoice::Auto:
+        end.engine = auto_engine_choice(state->config, job->graph, job->mixer,
+                                        job->p);
+        break;
+    }
+    end.engine_name = engine_tag(end.engine);
+    int attempt = 0;
+    std::size_t client = 0;
+    double run_before = 0.0;
     {
       LockGuard lock(state->mutex);
-      job->seq = state->next_seq++;
-      state->delayed.push_back({state->now() + backoff, job});
-    }
-    state->sched_cv.notify_all();
-    return;
-  }
-  {
-    LockGuard lock(job->mutex);
-    job->finished_at = state->now();
-    if (failed) {
-      job->status = EvalJob::Status::Failed;
-      job->error = std::move(error);
-    } else {
-      job->status = EvalJob::Status::Done;
-      job->result = std::move(result);
-    }
-  }
-  job->cv.notify_all();
-  state->drain_cv.notify_all();
-  if (!state->config.checkpoint_path.empty()) {
-    // Durability mode: drop the resolved job's checkpoint record from disk
-    // and flush completed results as they finish, so a crash loses at most
-    // the slice since the last checkpoint — never a finished evaluation.
-    persist_checkpoints(*state);
-    if (!failed && state->config.cache_write &&
-        !state->config.cache_path.empty() &&
-        state->config.result_cache > 0) {
-      try {
-        persist_caches(*state);
-      } catch (const std::exception& e) {
-        log::warn("result-cache flush failed: ", e.what());
+      attempt = job->attempts;
+      client = job->slot.client;
+      run_before = job->run_seconds;
+      if (!job->checkpoint.fresh() &&
+          job->checkpoint_engine != end.engine_name) {
+        // A checkpoint from the other engine cannot seed this run (its
+        // objective numerics differ); restart rather than mix trajectories.
+        job->checkpoint.clear();
+        job->checkpoint_engine.clear();
+        job->evals_done = 0;
+        ++state->stats.checkpoints_discarded;
       }
+      end.training = job->checkpoint;
+      if (!end.training.fresh()) ++state->stats.resumed;
+      state->running.insert(job.get());
     }
+    JobToken token(*state, client,
+                   {job->deadline_at, job->max_eval_seconds,
+                    state->config.checkpoint_evals,
+                    state->config.preempt_quantum_seconds},
+                   slice_start, run_before);
+    // Fault-injection hook: may sleep, or throw FaultInjected into the
+    // ordinary failure/retry path. Deterministically keyed by (candidate,
+    // attempt), so a given attempt either always or never fails regardless
+    // of thread interleaving.
+    FaultInjector::instance().on_evaluation(
+        job->key, static_cast<std::uint64_t>(attempt));
+    const auto evaluator = evaluator_for(
+        *state, job->graph_key, job->graph, end.engine, job->training_evals,
+        job->objective, job->hamiltonian);
+    for (;;) {
+      ResumableEvaluation slice = evaluator->evaluate_resumable(
+          job->mixer, job->p, end.training, &token);
+      if (slice.completed) {
+        end.result = std::move(slice.result);
+        break;
+      }
+      if (token.verdict() != SliceVerdict::Checkpoint) {
+        end.stop = token.verdict();
+        end.evals_done = slice.evaluations_done;
+        break;
+      }
+      {
+        LockGuard lock(state->mutex);
+        bank_checkpoint(*state, *job, end.training, end.engine_name,
+                        slice.evaluations_done);
+      }
+      persist_checkpoints(*state);
+      FaultInjector::instance().at_point("checkpoint");
+    }
+  } catch (const std::exception& e) {
+    end.failed = true;
+    end.error = e.what();
   }
+  end_slice(state, job, slice_start, end);
 }
 
 /// Drainer body executed by the pool. One drainer is enqueued per published
@@ -1133,11 +907,12 @@ const CandidateResult* EvalTicket::wait_for(double timeout_seconds) const {
     // behind a flood expires right here, no worker required — so a
     // deadline'd ticket can never hang its caller.
     if (job.status == detail::EvalJob::Status::Queued &&
-        job.deadline_at > 0.0 && now >= job.deadline_at) {
+        deadline_passed(job.deadline_at, now)) {
       job.status = detail::EvalJob::Status::Expired;
       job.finished_at = now;
       lock.unlock();
-      detail::finish_expired(*state, job_ptr);
+      detail::finish_withdrawn(*state, job_ptr,
+                               detail::EvalJob::Status::Expired);
       lock.lock();
       break;
     }
@@ -1201,7 +976,8 @@ bool EvalTicket::cancel() {
     }
   }
   if (withdrew_job)
-    detail::finish_cancelled(*job->service, job);
+    detail::finish_withdrawn(*job->service, job,
+                             detail::EvalJob::Status::Cancelled);
   else
     job->cv.notify_all();  // wake waiters parked on this now-abandoned handle
   return true;
@@ -1240,12 +1016,6 @@ EvalService::EvalService(SessionConfig config)
     : state_(std::make_shared<detail::ServiceState>()),
       pool_(config.workers) {
   state_->config = std::move(config);
-  {
-    LockGuard lock(state_->mutex);
-    auto& fallback = state_->clients[0];  // the anonymous-submission queue
-    fallback.name = "default";
-    fallback.weight = 1.0;
-  }
   if (!state_->config.cache_path.empty() && state_->config.result_cache > 0) {
     auto entries = load_result_cache(state_->config.cache_path,
                                      detail::kCacheCodeVersion);
@@ -1310,79 +1080,51 @@ std::size_t EvalService::save_cache() const {
 }
 
 std::size_t EvalService::drain(double timeout_seconds) {
-  std::size_t parked_before = 0;
-  {
-    LockGuard lock(state_->mutex);
-    parked_before = state_->stats.parked;
-  }
+  const std::size_t parked_before = stats().parked;
   // Stop dispatch (pop_next refuses while draining) and let every running
   // slice's token park it at the next safe point; wake backoff sleepers so
   // they notice too.
   state_->draining.store(true);
   state_->sched_cv.notify_all();
-  {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(std::max(0.0, timeout_seconds)));
-    UniqueLock lock(state_->mutex);
-    while (!state_->running.empty()) {
-      if (state_->drain_cv.wait_until(lock, deadline) ==
-          std::cv_status::timeout)
-        break;
-    }
-  }
-  // Withdraw everything still queued or delayed — the process is going away;
-  // their checkpoints (if any) survive for the next one.
   std::vector<std::shared_ptr<detail::EvalJob>> doomed;
   {
-    LockGuard lock(state_->mutex);
-    for (auto& client : state_->clients)
-      for (auto& entry : client.second.jobs) doomed.push_back(entry.second);
-    for (auto& delayed : state_->delayed) doomed.push_back(delayed.job);
-    state_->delayed.clear();
+    UniqueLock lock(state_->mutex);
+    const auto deadline = detail::service_time(
+        *state_, state_->now() + std::max(0.0, timeout_seconds));
+    while (!state_->running.empty() &&
+           state_->drain_cv.wait_until(lock, deadline) !=
+               std::cv_status::timeout) {
+    }
+    // Withdraw everything still queued or delayed — the process is going
+    // away; their checkpoints (if any) survive for the next one.
+    doomed = state_->scheduler.take_all();
   }
   for (const std::shared_ptr<detail::EvalJob>& job : doomed) {
-    bool withdrew = false;
     {
       LockGuard lock(job->mutex);
-      if (job->status == detail::EvalJob::Status::Queued) {
-        job->status = detail::EvalJob::Status::Cancelled;
-        job->finished_at = state_->now();
-        withdrew = true;
-      }
+      if (job->status != detail::EvalJob::Status::Queued) continue;
+      job->status = detail::EvalJob::Status::Cancelled;
+      job->finished_at = state_->now();
     }
-    if (withdrew) detail::finish_cancelled(*state_, job);
+    detail::finish_withdrawn(*state_, job, detail::EvalJob::Status::Cancelled);
   }
   try {
     save_cache();  // persists checkpoints too
   } catch (const std::exception& e) {
     log::warn("drain: cache not persisted: ", e.what());
   }
-  std::size_t parked_after = 0;
-  {
-    LockGuard lock(state_->mutex);
-    parked_after = state_->stats.parked;
-  }
-  return parked_after - parked_before;
+  return stats().parked - parked_before;
 }
 
 EvalClient EvalService::register_client(const std::string& name,
                                         double weight) {
-  // The lower bound also bounds the scheduler: pop_next grants
-  // weight × quantum per rotation, so dispatching one job takes at most
-  // ~1/weight rotations of the (mutex-held) round-robin loop.
-  QARCH_REQUIRE(weight >= 1e-3 && weight <= 1e3 && std::isfinite(weight),
-                "client weight must be in [0.001, 1000]");
   // Ids are unique process-wide, not per service: a stale id — or one from
   // ANOTHER service — can then never collide with a registered client here,
   // so the documented fallback to the default queue actually holds.
   static std::atomic<std::size_t> next_client_id{1};
   LockGuard lock(state_->mutex);
   const std::size_t id = next_client_id.fetch_add(1);
-  auto& client = state_->clients[id];
-  client.name = name;
-  client.weight = weight;
+  state_->scheduler.add_client(id, name, weight);
   ++state_->stats.clients_registered;
   return EvalClient(state_, id);
 }
@@ -1394,12 +1136,7 @@ EvalClient EvalService::register_client(const std::string& name,
 EvalClient::~EvalClient() {
   if (!state_) return;
   LockGuard lock(state_->mutex);
-  const auto it = state_->clients.find(id_);
-  if (it == state_->clients.end()) return;
-  if (it->second.jobs.empty())
-    state_->clients.erase(it);
-  else
-    it->second.closed = true;  // reclaimed by the scheduler once drained
+  state_->scheduler.close_client(id_);
 }
 
 EvalClient::EvalClient(EvalClient&& other) noexcept
@@ -1516,14 +1253,9 @@ EvalTicket EvalService::submit(const graph::Graph& g,
         }
         state_->inflight[key] = fresh;
         ++state_->stats.cache_misses;
-        const auto cit = state_->clients.find(options.client);
-        fresh->client_id =
-            (cit != state_->clients.end() && !cit->second.closed)
-                ? options.client
-                : 0;  // unknown / unregistered ids share the default queue
-        fresh->priority = options.priority;
-        fresh->seq = state_->next_seq++;
-        detail::enqueue_job(*state_, fresh);
+        fresh->slot = state_->scheduler.push(
+            fresh, options.client, options.priority,
+            job_cost(fresh->training_evals, fresh->evals_done));
         published = true;
       }
     }
@@ -1637,26 +1369,16 @@ EvalService::Stats EvalService::stats() const {
 std::vector<EvalService::ClientInfo> EvalService::clients() const {
   std::vector<ClientInfo> infos;
   LockGuard lock(state_->mutex);
-  infos.reserve(state_->clients.size());
-  for (const auto& [id, queue] : state_->clients) {
-    if (queue.closed) continue;  // handle destroyed; queue draining out
-    ClientInfo info;
-    info.id = id;
-    info.name = queue.name;
-    info.weight = queue.weight;
-    info.queued = queue.jobs.size();
-    infos.push_back(std::move(info));
-  }
-  std::sort(infos.begin(), infos.end(),
-            [](const ClientInfo& a, const ClientInfo& b) { return a.id < b.id; });
+  for (auto& view : state_->scheduler.clients())
+    if (!view.closed)  // handle destroyed; queue draining out
+      infos.push_back({view.id, std::move(view.name), view.weight,
+                       view.queued});
   return infos;
 }
 
 std::size_t EvalService::pending() const {
   LockGuard lock(state_->mutex);
-  std::size_t queued = 0;
-  for (const auto& [id, queue] : state_->clients) queued += queue.jobs.size();
-  return queued + state_->delayed.size() + state_->running.size();
+  return state_->scheduler.size() + state_->running.size();
 }
 
 }  // namespace qarch::search

@@ -14,53 +14,33 @@
 //
 // Behind the front-end sit
 //   * one parallel::ThreadPool (`session.workers` wide) running candidates,
-//     each evaluation using `session.inner_workers` simulator threads,
-//   * a fair-share scheduler: every client (a SearchEngine run, a halving
-//     round, a dataset node) registers a weighted queue (register_client),
-//     and workers pick the next job by deficit-weighted round robin over
-//     those queues — budget units (training_evals) are the cost currency, so
-//     one greedy client submitting a wide cohort cannot starve an
-//     interactive search. JobOptions::priority orders jobs INSIDE one
-//     client's queue. Unregistered submissions share the default weight-1
-//     queue, which reproduces the old FIFO behaviour exactly,
+//     each evaluation using `session.inner_workers` simulator threads;
+//   * one search::Scheduler (scheduler.hpp), the service's whole scheduling
+//     policy: weighted fair-share queues (register_client) served by
+//     deficit round robin in training_evals units, JobOptions::priority
+//     inside one client's queue, retry backoff, and the park / checkpoint /
+//     expire verdicts of a running slice. Unregistered submissions share
+//     the default weight-1 queue, which is plain FIFO;
 //   * a cross-graph LRU of search::Evaluator instances keyed by
-//     (graph fingerprint, engine, budget) — concurrent searches over the same
-//     graph share one evaluator and therefore its compiled-plan cache,
-//   * a candidate-result cache keyed by (graph fingerprint, mixer encoding,
-//     p, budget): duplicate proposals return the cached CandidateResult
-//     instead of retraining, and concurrent duplicates attach to the one
-//     in-flight evaluation (each (candidate, graph, budget) plan compiles
-//     exactly once service-wide — probe with sim::program_compile_count() /
-//     qtensor::network_build_count(), see bench/abl_eval_service). With
-//     SessionConfig::cache_path set the cache is loaded from disk at
-//     construction and atomically rewritten at shutdown, so repeated studies
-//     warm-start across processes. Entries record the resolved engine and
-//     the cache code version: stale-version files invalidate wholesale, and
-//     a forced-engine service only loads entries its own engine produced
-//     (backend=Auto accepts both). Corrupt files are ignored, never fatal,
-//   * a shared qtensor::PlanCache injected into every evaluator: planned
-//     contraction orders are reused across candidates and clients by
-//     (lightcone shape, structure hash), and with
-//     SessionConfig::plan_cache_path set they persist across processes —
-//     a warm run compiles its programs with ZERO planner invocations
-//     (probe: qtensor::planner_invocation_count()),
-//   * the BackendChoice::Auto per-candidate engine decision
-//     (auto_engine_choice below),
+//     (graph fingerprint, engine, budget), so concurrent searches over one
+//     graph share an evaluator and its compiled-plan cache;
+//   * a candidate-result cache keyed by (graph fingerprint, mixer, p,
+//     budget): duplicates return the cached CandidateResult, and concurrent
+//     duplicates attach to the one in-flight run. With
+//     SessionConfig::cache_path it warm-starts from disk and is rewritten
+//     at shutdown, gated by engine and by the cache code version;
+//   * a shared qtensor::PlanCache of contraction orders, persisted with
+//     SessionConfig::plan_cache_path;
+//   * the BackendChoice::Auto engine decision (auto_engine_choice below);
 //   * cooperative preemption and fault tolerance: with
-//     SessionConfig::preempt_quantum_seconds set, a training run that has
-//     held its worker for a quantum is PARKED at the optimizer's next safe
-//     point whenever another client is waiting — its optimizer state is
-//     checkpointed, the worker freed, the job requeued with its fair-share
-//     deficit preserved — and later RESUMED exactly where it left off (the
-//     resumed trajectory is bit-identical to an uninterrupted one).
-//     SessionConfig::checkpoint_evals adds an eval-count checkpoint cadence,
-//     and with SessionConfig::checkpoint_path those in-flight checkpoints
-//     persist to disk, so a killed process restarted on the same paths
-//     resumes mid-training. JobOptions adds per-job deadlines
-//     (deadline_seconds / max_eval_seconds → tickets resolve Expired) and
-//     bounded retries with exponential backoff; drain() parks everything
-//     for a graceful shutdown. See src/search/README.md for the full job
-//     lifecycle.
+//     SessionConfig::preempt_quantum_seconds a run that held its worker for
+//     a quantum parks at the optimizer's next safe point while another
+//     client waits, and later resumes bit-identically from its checkpoint;
+//     checkpoint_evals / checkpoint_path bank and persist checkpoints, so a
+//     killed process resumes mid-training; JobOptions adds deadlines and
+//     bounded retries; drain() parks everything for a graceful shutdown.
+//
+// src/search/README.md has the full job lifecycle and cache semantics.
 //
 // Tickets carry service-side timestamps (submit / start / finish on the
 // service clock), so drivers report queue-wait and evaluation latency without

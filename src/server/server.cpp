@@ -152,8 +152,8 @@ TenantSpec TenantSpec::parse(const std::string& text) {
   }
   QARCH_REQUIRE(spec.weight >= 0.001 && spec.weight <= 1000.0,
                 "tenant spec: weight must be in [0.001, 1000]");
-  QARCH_REQUIRE(spec.rate >= -1.0, "tenant spec: negative rate");
-  QARCH_REQUIRE(spec.burst >= -1.0, "tenant spec: negative burst");
+  QARCH_REQUIRE(spec.rate >= 0.0, "tenant spec: negative rate");
+  QARCH_REQUIRE(spec.burst >= 0.0, "tenant spec: negative burst");
   return spec;
 }
 
@@ -228,9 +228,9 @@ struct QarchServer::Impl {
   ServerConfig config;
   search::EvalService* service = nullptr;
 
-  /// One authenticated tenant: the spec with session defaults resolved, its
-  /// fair-share queue registration, its token bucket, and its outstanding
-  /// tickets (the inflight quota's denominator).
+  /// One authenticated tenant: its spec's limits, its fair-share queue
+  /// registration, its token bucket, and its outstanding tickets (the
+  /// inflight quota's denominator).
   struct Tenant {
     TenantSpec spec;
     search::EvalClient client;
@@ -814,14 +814,14 @@ QarchServer::QarchServer(ServerConfig config)
   for (const TenantSpec& spec : impl_->config.tenants) {
     QARCH_REQUIRE(!spec.name.empty() && !spec.api_key.empty(),
                   "every tenant needs a name and an api key");
+    QARCH_REQUIRE(spec.rate >= 0.0 && spec.burst >= 0.0 &&
+                      spec.max_inflight >= 0,
+                  "tenant limits must be non-negative");
     Impl::Tenant tenant;
     tenant.spec = spec;
-    const SessionConfig& session = impl_->config.session;
-    tenant.rate = spec.rate >= 0.0 ? spec.rate : session.server_rate;
-    tenant.burst = spec.burst >= 0.0 ? spec.burst : session.server_burst;
-    tenant.max_inflight = spec.max_inflight >= 0
-                              ? static_cast<std::size_t>(spec.max_inflight)
-                              : session.server_max_inflight;
+    tenant.rate = spec.rate;
+    tenant.burst = spec.burst;
+    tenant.max_inflight = static_cast<std::size_t>(spec.max_inflight);
     tenant.tokens = tenant.burst;
     tenant.client = service_->register_client(spec.name, spec.weight);
     const bool inserted =

@@ -57,18 +57,18 @@
 
 namespace qarch::server {
 
-/// One authenticated tenant of the daemon. Zero-valued limit fields inherit
-/// the SessionConfig::server_* defaults; a fully zero spec (beyond name/key)
-/// is an unlimited weight-1 tenant.
+/// One authenticated tenant of the daemon. An omitted limit is off: a spec
+/// of just a name and a key is an unlimited weight-1 tenant.
 struct TenantSpec {
   std::string name;          ///< diagnostic label (also the EvalClient name)
   std::string api_key;       ///< value of the X-Api-Key header
   double weight = 1.0;       ///< fair-share weight of the tenant's queue
-  double rate = -1.0;        ///< token refill per second (-1 = session default)
-  double burst = -1.0;       ///< bucket capacity (-1 = session default,
-                             ///< 0 = rate limiting off for this tenant)
-  long max_inflight = -1;    ///< outstanding-ticket quota (-1 = session
-                             ///< default, 0 = unlimited)
+  double rate = 0.0;         ///< token refill per second (0 = none: the
+                             ///< tenant spends its burst, then gets 429)
+  double burst = 0.0;        ///< bucket capacity (0 = rate limiting off)
+  long max_inflight = 0;     ///< outstanding-ticket quota (0 = unlimited);
+                             ///< at the quota a submit gets 429 until
+                             ///< results resolve
 
   /// Parses "name:key[:weight[:rate[:burst[:inflight]]]]" (the qarchd
   /// --tenants grammar). Throws InvalidArgument on malformed specs.

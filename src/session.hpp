@@ -166,15 +166,6 @@ struct SessionConfig {
   /// long and polls again (bounds how long a connection can pin an IO
   /// thread).
   double server_max_wait_seconds = 30.0;
-  /// Default tenant token-bucket refill rate in requests/second
-  /// (0 = no refill: tenants spend their burst and are then rejected 429).
-  double server_rate = 0.0;
-  /// Default tenant bucket capacity; 0 disables rate limiting entirely for
-  /// tenants that do not set their own burst.
-  double server_burst = 0.0;
-  /// Default per-tenant quota of outstanding (unresolved) tickets; a tenant
-  /// at its quota gets 429 on submit until results resolve. 0 = unlimited.
-  std::size_t server_max_inflight = 0;
 
   // -- escape hatch ----------------------------------------------------------
   /// Deep engine toggles (sv_plan.*, qtensor.*, optimizer details, restart

@@ -429,7 +429,8 @@ TEST(EvalService, FairShareInterleavesConcurrentClients) {
     if (t.finished_at() < inter_last) ++wide_before;
   // FIFO would finish all 5 wide jobs before the later-submitted interactive
   // cohort (wide_before == 5); deficit-weighted round robin alternates the
-  // two equal-weight queues (exactly 3 in a race-free run).
+  // two equal-weight queues (test_scheduler pins the order, W I W I W I W W,
+  // so 3 here; the bound leaves the service's timing slack).
   EXPECT_LE(wide_before, 4u);
   EXPECT_EQ(service.stats().clients_registered, 2u);
 }
@@ -474,8 +475,8 @@ TEST(EvalService, FairShareHonorsClientWeights) {
   for (const auto& t : light_tickets)
     if (t.finished_at() < favored_last) ++light_before;
   // Weight 4 lets the favored client drain its whole queue on one visit's
-  // quantum (1 light job slips in race-free); equal weights would alternate
-  // to ~4.
+  // quantum (test_scheduler pins L F F F F L L L L: 1 light job first);
+  // equal weights would alternate to ~4.
   EXPECT_LE(light_before, 2u);
 }
 
@@ -511,6 +512,51 @@ TEST(EvalService, JobPriorityOrdersWithinOneClient) {
   search::JobOptions unorderable;
   unorderable.priority = std::numeric_limits<int>::min();
   EXPECT_THROW((void)service.submit(g, cohort[0], 1, unorderable), Error);
+}
+
+TEST(EvalService, QuantumParksALongJobWhileAnotherClientWaits) {
+  // One worker and a tiny quantum: the long training run parks at a safe
+  // point as soon as the other client has queued work, and resumes later.
+  const auto long_graph = test_graph(67, 10, 3);
+  const auto g = test_graph(68);
+  SessionConfig session = fast_session();
+  session.workers = 1;
+  session.preempt_quantum_seconds = 1e-4;
+  search::EvalService service(session);
+  auto batch = service.register_client("batch", 1.0);
+  auto interactive = service.register_client("interactive", 1.0);
+
+  search::JobOptions heavy;
+  heavy.training_evals = 400;
+  heavy.client = batch.id();
+  auto long_ticket =
+      service.submit(long_graph, qaoa::MixerSpec::baseline(), 2, heavy);
+  search::JobOptions quick;
+  quick.training_evals = 20;
+  quick.client = interactive.id();
+  auto quick_ticket =
+      service.submit(g, qaoa::MixerSpec::baseline(), 1, quick);
+  const search::CandidateResult parked = long_ticket.wait();
+  (void)quick_ticket.wait();
+  EXPECT_GE(service.stats().parked, 1u);
+  EXPECT_GE(service.stats().resumed, 1u);
+
+  // A resumed run replays the uninterrupted trajectory bit for bit.
+  SessionConfig plain = fast_session();
+  plain.workers = 1;
+  search::EvalService fresh(plain);
+  search::JobOptions straight_options;
+  straight_options.training_evals = heavy.training_evals;
+  const search::CandidateResult straight =
+      fresh.submit(long_graph, qaoa::MixerSpec::baseline(), 2,
+                   straight_options)
+          .wait();
+  EXPECT_EQ(fresh.stats().parked, 0u);
+  EXPECT_EQ(parked.energy, straight.energy);
+  EXPECT_EQ(parked.theta, straight.theta);
+  EXPECT_EQ(parked.ratio, straight.ratio);
+  EXPECT_EQ(parked.sampled_ratio, straight.sampled_ratio);
+  EXPECT_EQ(parked.evaluations, straight.evaluations);
 }
 
 TEST(EvalService, RegisterClientRejectsBadWeights) {

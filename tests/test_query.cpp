@@ -526,6 +526,11 @@ TEST(WarmReplays, AllocateOnlyTheirOutputs) {
             1.0);
   EXPECT_EQ(allocations_per_call([&] { sink += marginal.rdm(theta)[0]; }),
             1.0);
+  // So do sliced ones: each assignment gathers its inputs in place.
+  const query::MarginalProgram sliced(ansatz, targets, forced_slicing());
+  EXPECT_EQ(sliced.stats().slice_vars, 4U);
+  EXPECT_EQ(allocations_per_call([&] { sink += sliced.rdm(theta)[0]; }),
+            1.0);
   EXPECT_TRUE(std::isfinite(sink.real()));
 }
 

@@ -117,9 +117,9 @@ TEST(TenantSpec, ParsesTheFullGrammar) {
   EXPECT_EQ(minimal.name, "alice");
   EXPECT_EQ(minimal.api_key, "key-a");
   EXPECT_EQ(minimal.weight, 1.0);
-  EXPECT_EQ(minimal.rate, -1.0);
-  EXPECT_EQ(minimal.burst, -1.0);
-  EXPECT_EQ(minimal.max_inflight, -1);
+  EXPECT_EQ(minimal.rate, 0.0);
+  EXPECT_EQ(minimal.burst, 0.0);
+  EXPECT_EQ(minimal.max_inflight, 0);
 
   const auto full = TenantSpec::parse("bob:key-b:4:2.5:10:8");
   EXPECT_EQ(full.weight, 4.0);
@@ -604,8 +604,8 @@ TEST(QarchServer, InflightQuotaCountsOutstandingTickets) {
   config.tenants = {TenantSpec{.name = "quota",
                                .api_key = "key-q",
                                .weight = 1.0,
-                               .rate = -1.0,
-                               .burst = -1.0,
+                               .rate = 0.0,
+                               .burst = 0.0,
                                .max_inflight = 1},
                     TenantSpec{.name = "blocker", .api_key = "key-x"}};
   QarchServer server(config);

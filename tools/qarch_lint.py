@@ -34,6 +34,13 @@ where it CAN see) with grep-level rules for what it cannot:
   R8  no "sv" or "tn" string literal in any src/ file but src/session.cpp —
       engine and backend tags are spelled once, by qarch::backend_name and
       qarch::engine_tag, so a persisted or wire tag cannot drift.
+  R9  src/search/scheduler.{hpp,cpp} stay pure policy: they include no
+      <thread>, <mutex>, <condition_variable>, <chrono> or <fstream>, no
+      common/annotations.hpp or common/log.hpp and no parallel/ header, and
+      name no Mutex, CondVar, LockGuard, UniqueLock, steady_clock or
+      system_clock — the service clock arrives as an argument and the
+      service mutex guards the Scheduler from outside, which is what lets
+      tests/test_scheduler.cpp assert exact orders with no threads.
 
 Usage: python3 tools/qarch_lint.py [--root DIR]
 Exits nonzero if any rule fires; prints one line per violation.
@@ -70,6 +77,12 @@ R7_CAST = re.compile(r"\bstatic_cast\s*<[^;]*?>\s*\(")
 R7_AS_NUMBER = re.compile(r"\.\s*as_number\s*\(")
 R8_TOKEN = re.compile(r'(?<![\w\\])"(?:sv|tn)"')
 R8_SANCTIONED = "src/session.cpp"
+R9_FILES = {"src/search/scheduler.hpp", "src/search/scheduler.cpp"}
+R9_INCLUDE = re.compile(
+    r'#\s*include\s*(?:<(?:thread|mutex|condition_variable|chrono|fstream)>'
+    r'|"(?:common/annotations\.hpp|common/log\.hpp|parallel/[^"]*)")')
+R9_NAME = re.compile(
+    r"\b(?:Mutex|CondVar|LockGuard|UniqueLock|steady_clock|system_clock)\b")
 
 KNOWN_ARRAY = re.compile(
     r"kKnown\s*=\s*\{(.*?)\}\s*;", re.DOTALL)
@@ -161,6 +174,13 @@ def scan(root):
                 flag(rel, lineno, "R8",
                      "engine tag literal %s; use qarch::engine_tag or "
                      "qarch::backend_name (src/session.cpp)" % m.group(0))
+            if rel in R9_FILES:
+                m = R9_INCLUDE.search(line) or R9_NAME.search(line)
+                if m:
+                    flag(rel, lineno, "R9",
+                         "%s in the scheduling policy; locks, clocks, "
+                         "threads and files stay in EvalService"
+                         % m.group(0))
         if rel.startswith("src/search/") or rel.startswith("src/server/"):
             for offset, argument in cast_arguments(code):
                 if R7_AS_NUMBER.search(argument):
@@ -214,6 +234,15 @@ def self_test():
             "std::string tag = ok ? \"sv_plan\" : \"tn\";\n"
         ),
         "src/session.cpp": 'std::string name() { return "sv"; }\n',
+        "src/search/scheduler.hpp": (
+            "#include <mutex>\n"
+            '#include "parallel/thread_pool.hpp"\n'
+            "qarch::Mutex guard{30, \"x\"};\n"
+            "auto t = std::chrono::steady_clock::now();\n"
+            "// a Mutex in a comment is fine\n"
+            "#include <map>\n"
+        ),
+        "src/search/eval_service.cpp": "qarch::Mutex fine{30, \"x\"};\n",
     }
     with tempfile.TemporaryDirectory() as tmp:
         for rel, text in bad.items():
@@ -223,7 +252,7 @@ def self_test():
                 f.write(text)
         _, violations = scan(tmp)
     rules = {v.split("[")[1][:2] for v in violations}
-    expected = {"R1", "R2", "R3", "R4", "R6", "R7", "R8"}
+    expected = {"R1", "R2", "R3", "R4", "R6", "R7", "R8", "R9"}
     if not expected <= rules:
         print("self-test FAILED: expected rules %s, got %s"
               % (sorted(expected), sorted(rules)), file=sys.stderr)
@@ -241,6 +270,12 @@ def self_test():
     if r8 != ["src/search/engine.cpp:2"]:
         print("self-test FAILED: R8 should flag only the \"tn\" literal "
               "outside src/session.cpp, got %s" % r8, file=sys.stderr)
+        return 1
+    r9 = sorted(v.split(": [")[0] for v in violations if "[R9]" in v)
+    if r9 != ["src/search/scheduler.hpp:%d" % n for n in (1, 2, 3, 4)]:
+        print("self-test FAILED: R9 should flag exactly the two includes, "
+              "the Mutex and the clock in scheduler.hpp, got %s" % r9,
+              file=sys.stderr)
         return 1
     print("self-test passed (%d violations flagged in fixture)"
           % len(violations))
