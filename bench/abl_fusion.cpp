@@ -17,7 +17,12 @@
 // Diag2 passes on one 2^N state, 1 thread, unblocked, in ns per amplitude
 // per pass at each qubit q: Single and Diag1 on q, Diag2 with lowest qubit q
 // and partner N-1, and Diag2 on qubits 0 and q. Low qubits have short
-// aligned runs, so this table shows what a pass pays beyond its bytes.
+// aligned runs, so this table shows what a pass pays beyond its bytes. The
+// Single pass is timed once per body: rx (single_ns, the rx-form body), ry
+// (single_real_ns, the real body) and an rx·ry product (single_general_ns,
+// the general body). Each of the three is also checked at every q against
+// a per-pair reference computed here on a random state; the bench exits 1
+// when an amplitude differs by more than 1e-12.
 //
 // Parts 1-2 append to the machine-readable BENCH_sim_kernels.json (section
 // "fusion") shared with abl_diagonal_gates; part 3 writes its own section.
@@ -25,6 +30,7 @@
 // Flags: --p (2) --reps (10; part 3 takes the median of this many trials)
 //        --qubits N (16) for parts 2-3 --out PATH (BENCH_sim_kernels.json)
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -61,31 +67,81 @@ double ns_per_amplitude(std::size_t n, std::size_t trials,
   return ns[ns.size() / 2];
 }
 
-/// Part 3: the kernels_by_qubit table.
-json::Value kernels_by_qubit(std::size_t n, std::size_t trials) {
+/// Row-major 2x2 product a · b.
+std::array<sim::cplx, 4> matmul2(const sim::cplx* a, const sim::cplx* b) {
+  return {a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+          a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]};
+}
+
+/// Largest |pass - reference| of one Single pass of m on qubit q over a
+/// random 2^n state, where the reference applies m to each pair
+/// (i, i | 2^q) in plain complex arithmetic.
+double single_pass_error(std::size_t n, std::size_t q, const sim::cplx* m,
+                         Rng& rng) {
+  sim::State state(std::size_t{1} << n);
+  for (auto& a : state) a = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  sim::State reference = state;
+  const std::size_t half = std::size_t{1} << q;
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    if ((i & half) != 0) continue;
+    const sim::cplx va = state[i], vb = state[i | half];
+    reference[i] = m[0] * va + m[1] * vb;
+    reference[i | half] = m[2] * va + m[3] * vb;
+  }
+  sim::kernel_single(state, q, m, 1, n + 1);
+  double error = 0.0;
+  for (std::size_t i = 0; i < state.size(); ++i)
+    error = std::max(error, std::abs(state[i] - reference[i]));
+  return error;
+}
+
+/// Part 3: the kernels_by_qubit table. Clears `passes_agree` when a Single
+/// pass departs from its per-pair reference.
+json::Value kernels_by_qubit(std::size_t n, std::size_t trials,
+                             bool& passes_agree) {
   const double c = std::cos(0.3), s = std::sin(0.3);
-  const sim::cplx m[4] = {{c, 0}, {0, -s}, {0, -s}, {c, 0}};  // rx(0.6)
+  const sim::cplx rx[4] = {{c, 0}, {0, -s}, {0, -s}, {c, 0}};  // rx(0.6)
+  const sim::cplx ry[4] = {{c, 0}, {-s, 0}, {s, 0}, {c, 0}};   // ry(0.6)
+  const std::array<sim::cplx, 4> rx_ry = matmul2(rx, ry);
+  const struct {
+    const char* key;
+    const sim::cplx* m;
+  } singles[] = {{"single_ns", rx},
+                 {"single_real_ns", ry},
+                 {"single_general_ns", rx_ry.data()}};
   const sim::cplx d[4] = {std::polar(1.0, 0.1), std::polar(1.0, -0.2),
                           std::polar(1.0, 0.3), std::polar(1.0, -0.4)};
   sim::State state = sim::plus_state(n);
+  Rng rng(31);
   const std::size_t serial = n + 1;  // parallel threshold above n: 1 thread
   std::printf("\nkernels by qubit (%zu qubits, 1 thread, unblocked, "
-              "ns/amplitude/pass):\n  q   single   diag1  diag2(q,%zu)  "
-              "diag2(0,q)\n",
-              n, n - 1);
+              "ns/amplitude/pass; single on rx, ry and rx.ry):\n"
+              "%3s %10s %10s %10s    %7s  diag2(q,%zu)  diag2(0,q)\n",
+              n, "q", "single rx", "ry", "rx.ry", "diag1", n - 1);
   json::Value rows = json::Value::array();
   for (std::size_t q = 0; q < n; ++q) {
     json::Value row = json::Value::object();
     row.set("q", q);
-    const double single = ns_per_amplitude(n, trials, [&] {
-      sim::kernel_single(state, q, m, 1, serial);
-    });
+    std::printf("%3zu", q);
+    for (const auto& single : singles) {
+      const double error = single_pass_error(n, q, single.m, rng);
+      if (error > 1e-12) {
+        std::printf("\nFAIL %s q=%zu: the pass differs from the per-pair "
+                    "reference by %.2e\n",
+                    single.key, q, error);
+        passes_agree = false;
+      }
+      const double ns = ns_per_amplitude(n, trials, [&] {
+        sim::kernel_single(state, q, single.m, 1, serial);
+      });
+      row.set(single.key, ns);
+      std::printf(" %10.3f", ns);
+    }
     const double diag1 = ns_per_amplitude(n, trials, [&] {
       sim::kernel_diag1(state, q, d[0], d[1], 1, serial);
     });
-    row.set("single_ns", single);
     row.set("diag1_ns", diag1);
-    std::printf("%3zu %8.3f %7.3f", q, single, diag1);
+    std::printf("    %7.3f", diag1);
     if (q + 1 < n) {
       const double low = ns_per_amplitude(n, trials, [&] {
         sim::kernel_diag2(state, q, n - 1, d, 1, serial);
@@ -234,7 +290,8 @@ int main(int argc, char** argv) {
   bench::update_bench_json(out, "fusion", std::move(section));
 
   // -- part 3: streaming passes by target qubit -----------------------------
+  bool passes_agree = true;
   bench::update_bench_json(out, "kernels_by_qubit",
-                           kernels_by_qubit(big_n, reps));
-  return 0;
+                           kernels_by_qubit(big_n, reps, passes_agree));
+  return passes_agree ? 0 : 1;
 }

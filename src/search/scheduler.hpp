@@ -116,13 +116,17 @@ class Scheduler {
 
   /// Requeues a parked job at the back of its priority class with its
   /// remaining `cost` refunded to its queue (the next dispatch re-charges
-  /// it), and yields the next dispatch to the following queue: with the
-  /// refund, an unmoved rotation would re-dispatch the job that just parked.
+  /// it), and yields the next dispatch to the queue after its own in the
+  /// rotation: with the refund, a rotation pointing at the parked queue
+  /// would re-dispatch the job that just parked. (A queue that emptied at
+  /// the job's dispatch rejoins the rotation at its end.)
   QueueSlot park(Job job, QueueSlot slot, double cost) {
     slot.seq = next_seq_++;
     enqueue({std::move(job), cost}, slot);
     clients_[slot.client].deficit += cost;
-    ++rr_cursor_;
+    const auto pos = std::find(rr_order_.begin(), rr_order_.end(), slot.client);
+    rr_cursor_ = static_cast<std::size_t>(pos - rr_order_.begin() + 1) %
+                 rr_order_.size();
     rr_granted_ = false;
     return slot;
   }

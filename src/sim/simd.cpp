@@ -68,14 +68,15 @@ bool active() {
 // The scalar and AVX2 variants of the multiplicative passes perform the SAME
 // floating-point operations in the same order per amplitude
 // ((zr*wr - zi*wi, zi*wr + zr*wi), each product rounded before the add/sub —
-// the AVX2 bodies never use FMA). This file is built with -ffp-contract=off
-// and -fno-tree-vectorize — GCC's complex-multiply vectorization turns
-// addsub+mul into vfmaddsub even with contraction off — so every build,
-// global -mfma included, agrees bit-for-bit across the toggle. zz_accumulate
-// additionally keeps four running lanes per mask, so its partial sums
-// associate differently (equal within rounding). diag_expectation keeps the
-// same four lanes by index mod 4 in both bodies and folds them in one fixed
-// order, so it stays bit-identical.
+// the AVX2 bodies never use FMA; the Single pass's structured bodies leave
+// out the same zero products in both). This file is built with
+// -ffp-contract=off and -fno-tree-vectorize — GCC's complex-multiply
+// vectorization turns addsub+mul into vfmaddsub even with contraction off —
+// so every build, global -mfma included, agrees bit-for-bit across the
+// toggle. zz_accumulate additionally keeps four running lanes per mask, so
+// its partial sums associate differently (equal within rounding).
+// diag_expectation keeps the same four lanes by index mod 4 in both bodies
+// and folds them in one fixed order, so it stays bit-identical.
 
 namespace {
 
@@ -92,13 +93,68 @@ void table_slice_scalar(cplx* z, const std::uint16_t* cls, const cplx* lut,
   for (std::size_t i = 0; i < n; ++i) z[i] *= lut[cls[i]];
 }
 
-void single_pairs_scalar(cplx* a, cplx* b, std::size_t n, const cplx* m) {
-  const cplx m00 = m[0], m01 = m[1], m10 = m[2], m11 = m[3];
-  for (std::size_t i = 0; i < n; ++i) {
-    const cplx va = a[i], vb = b[i];
-    a[i] = m00 * va + m01 * vb;
-    b[i] = m10 * va + m11 * vb;
+/// The Single pass's three bodies (see simd.hpp), picked per call from the
+/// bound 2x2's entries.
+enum class SingleForm { General, Real, RxForm };
+
+SingleForm single_form(const cplx* m) {
+  const bool real_diag = m[0].imag() == 0.0 && m[3].imag() == 0.0;
+  if (real_diag && m[1].imag() == 0.0 && m[2].imag() == 0.0)
+    return SingleForm::Real;
+  if (real_diag && m[1].real() == 0.0 && m[2].real() == 0.0)
+    return SingleForm::RxForm;
+  return SingleForm::General;
+}
+
+/// One pair (a, b) <- M (a, b) in form F's arithmetic. The structured forms
+/// do the general body's products and sums with the zero terms left out.
+template <SingleForm F>
+struct ScalarPair;
+
+template <>
+struct ScalarPair<SingleForm::General> {
+  cplx m00, m01, m10, m11;
+  explicit ScalarPair(const cplx* m)
+      : m00(m[0]), m01(m[1]), m10(m[2]), m11(m[3]) {}
+  void operator()(cplx& a, cplx& b) const {
+    const cplx va = a, vb = b;
+    a = m00 * va + m01 * vb;
+    b = m10 * va + m11 * vb;
   }
+};
+
+/// Every imaginary part zero: two real × complex products per output.
+template <>
+struct ScalarPair<SingleForm::Real> {
+  double m00, m01, m10, m11;
+  explicit ScalarPair(const cplx* m)
+      : m00(m[0].real()), m01(m[1].real()), m10(m[2].real()),
+        m11(m[3].real()) {}
+  void operator()(cplx& a, cplx& b) const {
+    const double ar = a.real(), ai = a.imag(), br = b.real(), bi = b.imag();
+    a = {m00 * ar + m01 * br, m00 * ai + m01 * bi};
+    b = {m10 * ar + m11 * br, m10 * ai + m11 * bi};
+  }
+};
+
+/// Real diagonal, imaginary off-diagonal (i·o1, i·o2): the partner enters
+/// re/im-swapped, times (−o, +o).
+template <>
+struct ScalarPair<SingleForm::RxForm> {
+  double d0, o1, o2, d3;
+  explicit ScalarPair(const cplx* m)
+      : d0(m[0].real()), o1(m[1].imag()), o2(m[2].imag()), d3(m[3].real()) {}
+  void operator()(cplx& a, cplx& b) const {
+    const double ar = a.real(), ai = a.imag(), br = b.real(), bi = b.imag();
+    a = {d0 * ar + -o1 * bi, d0 * ai + o1 * br};
+    b = {-o2 * ai + d3 * br, o2 * ar + d3 * bi};
+  }
+};
+
+template <SingleForm F>
+void single_pairs_scalar(cplx* a, cplx* b, std::size_t n, const cplx* m) {
+  const ScalarPair<F> pair(m);
+  for (std::size_t i = 0; i < n; ++i) pair(a[i], b[i]);
 }
 
 void cplx_mul_runs_scalar(cplx* acc, const cplx* x, std::size_t n) {
@@ -245,16 +301,72 @@ QARCH_AVX2_FN inline void pair_step(__m256d& za, __m256d& zb,
   zb = nb;
 }
 
+/// ScalarPair<F> on two registers of two complex lanes each, with the same
+/// products and sums per lane.
+template <SingleForm F>
+struct Avx2Pair;
+
+template <>
+struct Avx2Pair<SingleForm::General> {
+  Bcast2x2 m;
+  QARCH_AVX2_FN explicit Avx2Pair(const cplx* entries)
+      : m(bcast_2x2(entries)) {}
+  QARCH_AVX2_FN void operator()(__m256d& za, __m256d& zb) const {
+    pair_step(za, zb, m);
+  }
+};
+
+template <>
+struct Avx2Pair<SingleForm::Real> {
+  __m256d m00, m01, m10, m11;
+  QARCH_AVX2_FN explicit Avx2Pair(const cplx* m)
+      : m00(_mm256_set1_pd(m[0].real())), m01(_mm256_set1_pd(m[1].real())),
+        m10(_mm256_set1_pd(m[2].real())), m11(_mm256_set1_pd(m[3].real())) {}
+  QARCH_AVX2_FN void operator()(__m256d& za, __m256d& zb) const {
+    const __m256d na =
+        _mm256_add_pd(_mm256_mul_pd(za, m00), _mm256_mul_pd(zb, m01));
+    const __m256d nb =
+        _mm256_add_pd(_mm256_mul_pd(za, m10), _mm256_mul_pd(zb, m11));
+    za = na;
+    zb = nb;
+  }
+};
+
+/// The swapped partner times (−o, +o) per lane pair: the nonzero results of
+/// cmul_bcast(z, +0, o).
+template <>
+struct Avx2Pair<SingleForm::RxForm> {
+  __m256d d0, o1, o2, d3;
+  QARCH_AVX2_FN explicit Avx2Pair(const cplx* m)
+      : d0(_mm256_set1_pd(m[0].real())),
+        o1(_mm256_setr_pd(-m[1].imag(), m[1].imag(), -m[1].imag(),
+                          m[1].imag())),
+        o2(_mm256_setr_pd(-m[2].imag(), m[2].imag(), -m[2].imag(),
+                          m[2].imag())),
+        d3(_mm256_set1_pd(m[3].real())) {}
+  QARCH_AVX2_FN void operator()(__m256d& za, __m256d& zb) const {
+    const __m256d sa = _mm256_permute_pd(za, 0x5);  // swap re/im
+    const __m256d sb = _mm256_permute_pd(zb, 0x5);
+    const __m256d na =
+        _mm256_add_pd(_mm256_mul_pd(za, d0), _mm256_mul_pd(sb, o1));
+    const __m256d nb =
+        _mm256_add_pd(_mm256_mul_pd(sa, o2), _mm256_mul_pd(zb, d3));
+    za = na;
+    zb = nb;
+  }
+};
+
 /// n must be a multiple of 2.
+template <SingleForm F>
 QARCH_AVX2_FN void single_pairs_avx2(cplx* a, cplx* b, std::size_t n,
                                      const cplx* m) {
   double* da = reinterpret_cast<double*>(a);
   double* db = reinterpret_cast<double*>(b);
-  const Bcast2x2 mb = bcast_2x2(m);
+  const Avx2Pair<F> pair(m);
   for (std::size_t i = 0; i < n; i += 2) {
     __m256d za = _mm256_loadu_pd(da + 2 * i);
     __m256d zb = _mm256_loadu_pd(db + 2 * i);
-    pair_step(za, zb, mb);
+    pair(za, zb);
     _mm256_storeu_pd(da + 2 * i, za);
     _mm256_storeu_pd(db + 2 * i, zb);
   }
@@ -263,10 +375,11 @@ QARCH_AVX2_FN void single_pairs_avx2(cplx* a, cplx* b, std::size_t n,
 /// The Single pair walk for q >= 1 over WHOLE runs: pair run r couples the
 /// 2^q amplitudes at 2^(q+1)·r with the 2^q above them. klo and khi must be
 /// multiples of 2^q.
+template <SingleForm F>
 QARCH_AVX2_FN void single_runs_avx2(cplx* z, std::size_t q, const cplx* m,
                                     std::size_t klo, std::size_t khi) {
   double* d = reinterpret_cast<double*>(z);
-  const Bcast2x2 mb = bcast_2x2(m);
+  const Avx2Pair<F> pair(m);
   const std::size_t half = std::size_t{1} << q;
   for (std::size_t k = klo; k < khi; k += half) {
     double* da = d + 2 * ((k >> q) << (q + 1));
@@ -274,7 +387,7 @@ QARCH_AVX2_FN void single_runs_avx2(cplx* z, std::size_t q, const cplx* m,
     for (std::size_t j = 0; j < 2 * half; j += 4) {
       __m256d za = _mm256_loadu_pd(da + j);
       __m256d zb = _mm256_loadu_pd(db + j);
-      pair_step(za, zb, mb);
+      pair(za, zb);
       _mm256_storeu_pd(da + j, za);
       _mm256_storeu_pd(db + j, zb);
     }
@@ -284,16 +397,17 @@ QARCH_AVX2_FN void single_runs_avx2(cplx* z, std::size_t q, const cplx* m,
 /// q = 0 pair walk: amplitudes interleave as a0 b0 a1 b1 ...; two pairs load
 /// as two registers that deinterleave with 128-bit lane permutes.
 /// khi - klo must be a multiple of 2.
+template <SingleForm F>
 QARCH_AVX2_FN void single_q0_avx2(cplx* z, const cplx* m, std::size_t klo,
                                   std::size_t khi) {
   double* d = reinterpret_cast<double*>(z);
-  const Bcast2x2 mb = bcast_2x2(m);
+  const Avx2Pair<F> pair(m);
   for (std::size_t k = klo; k < khi; k += 2) {
     const __m256d v0 = _mm256_loadu_pd(d + 4 * k);      // [a0, b0]
     const __m256d v1 = _mm256_loadu_pd(d + 4 * k + 4);  // [a1, b1]
     __m256d za = _mm256_permute2f128_pd(v0, v1, 0x20);  // [a0, a1]
     __m256d zb = _mm256_permute2f128_pd(v0, v1, 0x31);  // [b0, b1]
-    pair_step(za, zb, mb);
+    pair(za, zb);
     _mm256_storeu_pd(d + 4 * k, _mm256_permute2f128_pd(za, zb, 0x20));
     _mm256_storeu_pd(d + 4 * k + 4, _mm256_permute2f128_pd(za, zb, 0x31));
   }
@@ -491,24 +605,27 @@ void table_slice(cplx* z, const std::uint16_t* cls, const cplx* lut,
   table_slice_scalar(z, cls, lut, n);
 }
 
-void single_pairs(cplx* a, cplx* b, std::size_t n, const cplx* m) {
+namespace {
+
+/// single_pairs in form F.
+template <SingleForm F>
+void single_pairs_as(cplx* a, cplx* b, std::size_t n, const cplx* m) {
 #if QARCH_SIMD_X86
   if (active()) {
     const std::size_t vec = n & ~std::size_t{1};
-    single_pairs_avx2(a, b, vec, m);
+    single_pairs_avx2<F>(a, b, vec, m);
     a += vec;
     b += vec;
     n -= vec;
   }
 #endif
-  single_pairs_scalar(a, b, n, m);
+  single_pairs_scalar<F>(a, b, n, m);
 }
-
-namespace {
 
 /// Pair index k walks bit-q=0 amplitudes in order; consecutive k within one
 /// 2^q run map to CONTIGUOUS i0, so the walk decomposes into paired
 /// contiguous segments, one dispatched call each. q >= 1.
+template <SingleForm F>
 void single_runs(cplx* z, std::size_t q, const cplx* m, std::size_t klo,
                  std::size_t khi) {
   const std::size_t half = std::size_t{1} << q;
@@ -517,28 +634,25 @@ void single_runs(cplx* z, std::size_t q, const cplx* m, std::size_t klo,
     const std::size_t off = k & (half - 1);
     const std::size_t i0 = ((k >> q) << (q + 1)) | off;
     const std::size_t len = std::min(khi - k, half - off);
-    single_pairs(z + i0, z + i0 + half, len, m);
+    single_pairs_as<F>(z + i0, z + i0 + half, len, m);
     k += len;
   }
 }
 
-}  // namespace
-
-void single_pair_range(cplx* z, std::size_t q, const cplx* m, std::size_t klo,
-                       std::size_t khi) {
+/// single_pair_range in form F.
+template <SingleForm F>
+void single_pair_range_as(cplx* z, std::size_t q, const cplx* m,
+                          std::size_t klo, std::size_t khi) {
   if (q == 0) {
 #if QARCH_SIMD_X86
     if (active()) {
       const std::size_t kvec = klo + ((khi - klo) & ~std::size_t{1});
-      single_q0_avx2(z, m, klo, kvec);
+      single_q0_avx2<F>(z, m, klo, kvec);
       klo = kvec;
     }
 #endif
-    for (std::size_t k = klo; k < khi; ++k) {
-      const cplx va = z[2 * k], vb = z[2 * k + 1];
-      z[2 * k] = m[0] * va + m[1] * vb;
-      z[2 * k + 1] = m[2] * va + m[3] * vb;
-    }
+    const ScalarPair<F> pair(m);
+    for (std::size_t k = klo; k < khi; ++k) pair(z[2 * k], z[2 * k + 1]);
     return;
   }
 #if QARCH_SIMD_X86
@@ -549,13 +663,38 @@ void single_pair_range(cplx* z, std::size_t q, const cplx* m, std::size_t klo,
     const std::size_t mask = (std::size_t{1} << q) - 1;
     const std::size_t head = std::min(khi, (klo + mask) & ~mask);
     const std::size_t tail = std::max(head, khi & ~mask);
-    single_runs(z, q, m, klo, head);
-    single_runs_avx2(z, q, m, head, tail);
-    single_runs(z, q, m, tail, khi);
+    single_runs<F>(z, q, m, klo, head);
+    single_runs_avx2<F>(z, q, m, head, tail);
+    single_runs<F>(z, q, m, tail, khi);
     return;
   }
 #endif
-  single_runs(z, q, m, klo, khi);
+  single_runs<F>(z, q, m, klo, khi);
+}
+
+}  // namespace
+
+void single_pairs(cplx* a, cplx* b, std::size_t n, const cplx* m) {
+  switch (single_form(m)) {
+    case SingleForm::Real:
+      return single_pairs_as<SingleForm::Real>(a, b, n, m);
+    case SingleForm::RxForm:
+      return single_pairs_as<SingleForm::RxForm>(a, b, n, m);
+    case SingleForm::General:
+      return single_pairs_as<SingleForm::General>(a, b, n, m);
+  }
+}
+
+void single_pair_range(cplx* z, std::size_t q, const cplx* m, std::size_t klo,
+                       std::size_t khi) {
+  switch (single_form(m)) {
+    case SingleForm::Real:
+      return single_pair_range_as<SingleForm::Real>(z, q, m, klo, khi);
+    case SingleForm::RxForm:
+      return single_pair_range_as<SingleForm::RxForm>(z, q, m, klo, khi);
+    case SingleForm::General:
+      return single_pair_range_as<SingleForm::General>(z, q, m, klo, khi);
+  }
 }
 
 void two_quad_range(cplx* z, std::size_t q0, std::size_t q1, const cplx* m,

@@ -95,6 +95,17 @@ void diag2_slice(cplx* z, std::size_t n, std::size_t base, std::size_t q0,
 void table_slice(cplx* z, const std::uint16_t* cls, const cplx* lut,
                  std::size_t n);
 
+// The Single pass (single_pairs, single_pair_range) picks one of three
+// bodies on every call from the four entries of m:
+//   * real: every imaginary part is zero (ry, h, ry·ry, ry·h);
+//   * rx-form: real diagonal, purely imaginary off-diagonal (rx, rx·rx);
+//   * general: anything else (rx·ry, rz, a random SU(2)).
+// A structured body does the general body's products and sums with the
+// zero terms left out. Within each class the scalar and AVX2 bodies agree
+// bit-for-bit. On finite amplitudes a structured body returns the general
+// body's values (==), except that an exact zero may come out with the other
+// sign, which no norm, energy or draw can see.
+
 /// Fused 2x2 on two contiguous runs: (a[i], b[i]) <- M (a[i], b[i])^T with
 /// row-major m[4]. The Single kernel's inner loop for target qubit q >= 1,
 /// where the bit-q=0 and bit-q=1 amplitudes form runs of length 2^q.

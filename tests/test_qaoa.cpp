@@ -362,6 +362,58 @@ TEST(Energy, StatevectorEnergyIsBitIdenticalAcrossInnerWorkersAndSimd) {
   }
 }
 
+// <C> of statevector plans, recorded in hex before the Single pass took
+// structured bodies for real and rx-form matrices: the statevector twin of
+// ContractionProgram.TensorNetworkEnergiesArePinned (same graph and theta).
+// rx, ry and h fuse into structured 2x2s, rx,ry into general ones. Every
+// setting below must hit the pins: the SIMD switch, the inner worker count
+// and the block size never move a bit of <C>.
+TEST(Energy, StatevectorEnergiesArePinned) {
+  Rng grng(4242);
+  const graph::Graph g = graph::random_regular(12, 3, grng);
+  struct Case {
+    const char* mixer;
+    std::size_t p;
+    double pinned;
+  };
+  const Case cases[] = {
+      {"rx", 1, 0x1.2fc563d908fd8p+3},    {"rx", 2, 0x1.48df928a43e0fp+3},
+      {"ry", 1, 0x1.bed609bb04e9p+2},     {"ry", 2, 0x1.d1f14bdce00cdp+2},
+      {"h", 1, 0x1.b99289ec9f8e5p+2},     {"h", 2, 0x1.1f2c993a6a697p+3},
+      {"rx,ry", 1, 0x1.c01237279fcc6p+2}, {"rx,ry", 2, 0x1.eb8408de4bb8fp+2}};
+  struct Config {
+    std::size_t inner;
+    std::size_t block_qubits;
+  };
+  // Threshold 2 lets inner 2 take the parallel branches at n = 12, and
+  // 8-qubit blocks give the replay 16 blocked slices to split between the
+  // two workers.
+  const Config configs[] = {{1, 15}, {2, 15}, {2, 8}};
+  for (const Case& c : cases) {
+    const auto ansatz =
+        qaoa::build_qaoa_circuit(g, c.p, MixerSpec::parse(c.mixer));
+    Rng trng(7);
+    std::vector<double> theta(ansatz.num_params());
+    for (double& t : theta) t = trng.uniform(-2.0, 2.0);
+    for (const bool simd : {true, false}) {
+      // false holds the process-wide switch off; true leaves it as the
+      // environment set it.
+      const sim::simd::ScopedRuntime scope(simd &&
+                                           sim::simd::runtime_enabled());
+      for (const Config& cfg : configs) {
+        qaoa::EnergyOptions opt = statevector_options();
+        opt.inner_workers = cfg.inner;
+        opt.sv_plan.parallel_threshold_qubits = 2;
+        opt.sv_plan.block_qubits = cfg.block_qubits;
+        const qaoa::EnergyEvaluator ev(g, opt);
+        EXPECT_EQ(ev.make_plan(ansatz)->energy(theta), c.pinned)
+            << c.mixer << " p=" << c.p << " simd=" << simd
+            << " inner=" << cfg.inner << " block=" << cfg.block_qubits;
+      }
+    }
+  }
+}
+
 TEST(Energy, BoundedByMaxCut) {
   Rng rng(37);
   const auto g = graph::random_regular(8, 3, rng);

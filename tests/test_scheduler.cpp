@@ -99,6 +99,33 @@ TEST(Scheduler, ParkRefundsTheRemainderAndYields) {
   EXPECT_EQ(pop_all(s), (std::vector<int>{102, 101, 202}));
 }
 
+TEST(Scheduler, ParkOfADrainedQueueYieldsToTheWaitingClient) {
+  // The batch job's dispatch empties its queue; the park puts that queue
+  // back at the end of the rotation, behind the interactive one, and the
+  // yield must land on the interactive job, not on the refunded batch job.
+  Sched s;
+  s.add_client(1, "batch", 1.0);
+  s.add_client(2, "interactive", 1.0);
+  const QueueSlot batch = s.push(100, 1, 0, 60.0);
+  EXPECT_EQ(s.pop(0.0, false).job, 100);
+  s.push(200, 2, 0, 60.0);
+  s.park(100, batch, 40.0);
+  EXPECT_EQ(pop_all(s), (std::vector<int>{200, 100}));
+}
+
+TEST(Scheduler, ParkYieldsToAnInteractiveJobQueuedBeforeTheDispatch) {
+  // The same with the interactive job already waiting when the batch job
+  // is dispatched.
+  Sched s;
+  s.add_client(1, "batch", 1.0);
+  s.add_client(2, "interactive", 1.0);
+  const QueueSlot batch = s.push(100, 1, 0, 60.0);
+  s.push(200, 2, 0, 60.0);
+  EXPECT_EQ(s.pop(0.0, false).job, 100);
+  s.park(100, batch, 40.0);
+  EXPECT_EQ(pop_all(s), (std::vector<int>{200, 100}));
+}
+
 TEST(Scheduler, WithdrawRemovesAQueuedJobOnly) {
   Sched s;
   const QueueSlot first = s.push(1, 0, 0, 1.0);

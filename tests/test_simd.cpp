@@ -4,11 +4,15 @@
 // lengths below the vector width, odd lengths, unaligned slice bases, slices
 // that start and end inside a 2^q run, and every qubit target and pair of
 // states up to 10 qubits, including q = 0 where complex lanes interleave
-// inside one register and q >= 1 where one body walks every whole run. On a
-// scalar build (QARCH_ENABLE_AVX2=OFF), a non-AVX2 CPU or under QARCH_SIMD=0
-// both paths run the same body and the tests pin the fallback's semantics.
+// inside one register and q >= 1 where one body walks every whole run. The
+// Single pass runs on structured (real, rx-form) and general 2x2s over
+// states holding +0 and −0 parts, and must also equal general complex
+// arithmetic by value. On a scalar build (QARCH_ENABLE_AVX2=OFF), a non-AVX2
+// CPU or under QARCH_SIMD=0 both paths run the same body and the tests pin
+// the fallback's semantics.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -18,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "circuit/gate.hpp"
 #include "common/rng.hpp"
 #include "sim/simd.hpp"
 #include "sim/state_utils.hpp"
@@ -91,6 +96,90 @@ std::vector<std::pair<std::size_t, std::size_t>> ranges_over(
 // Sizes straddling every vector-width boundary: below one register (1..3),
 // odd, prime, and page-ish.
 constexpr std::size_t kOddSizes[] = {1, 2, 3, 5, 7, 9, 15, 17, 31, 63, 257};
+
+/// A random state about half of whose parts are +0 or −0, so pairs often
+/// hold exact zeros in both amplitudes' same part.
+std::vector<cplx> zero_laden_state(Rng& rng, std::size_t n) {
+  const auto part = [&] {
+    switch (rng.uniform_int(4)) {
+      case 0:
+        return 0.0;
+      case 1:
+        return -0.0;
+      default:
+        return rng.uniform(-1.0, 1.0);
+    }
+  };
+  std::vector<cplx> z(n);
+  for (auto& a : z) a = cplx{part(), part()};  // braces: left to right
+  return z;
+}
+
+using Mat2 = std::array<cplx, 4>;
+
+/// x * y rounded on its own: out of line, so a build with FMA cannot fuse
+/// the product into the sum that follows it.
+[[gnu::noinline]] double rounded_product(double x, double y) { return x * y; }
+
+/// w * z in the general Single body's arithmetic:
+/// (wr*zr - wi*zi, wr*zi + wi*zr), each product rounded before its sum.
+cplx general_mul(cplx w, cplx z) {
+  return {rounded_product(w.real(), z.real()) -
+              rounded_product(w.imag(), z.imag()),
+          rounded_product(w.real(), z.imag()) +
+              rounded_product(w.imag(), z.real())};
+}
+
+/// The pass's result for the lower (bit q clear) or `upper` amplitude of
+/// the pair (va, vb): that row of M times (va, vb), in general arithmetic.
+cplx general_row(const Mat2& m, bool upper, cplx va, cplx vb) {
+  return upper ? general_mul(m[2], va) + general_mul(m[3], vb)
+               : general_mul(m[0], va) + general_mul(m[1], vb);
+}
+
+Mat2 gate2(circuit::GateKind kind, double theta) {
+  const auto e = circuit::gate_entries(kind, theta);
+  return {e[0], e[1], e[2], e[3]};
+}
+
+/// a · b, as a fused run binds its gates (b applied first).
+Mat2 matmul2(const Mat2& a, const Mat2& b) {
+  return {a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+          a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]};
+}
+
+/// The 2x2s a Single pass is tested on. rx, ry, h, rx·rx and ry·h take the
+/// structured bodies (real or rx-form), among them entries equal to −0
+/// (gate_entries' rx has −0 off-diagonal real parts); rx·ry, rz, p, a
+/// random SU(2) and a random non-unitary 2x2 take the general body.
+std::vector<std::pair<std::string, Mat2>> single_matrices(Rng& rng) {
+  using circuit::GateKind;
+  const Mat2 rx = gate2(GateKind::RX, 0.7);
+  const Mat2 ry = gate2(GateKind::RY, -1.3);
+  const Mat2 h = gate2(GateKind::H, 0.0);
+  const double c = std::cos(0.35), s = std::sin(0.35);
+  const Mat2 rx_pos_zeros = {cplx{c, 0.0}, cplx{0.0, -s}, cplx{0.0, -s},
+                             cplx{c, 0.0}};
+  const Mat2 ry_neg_zeros = {cplx{c, -0.0}, cplx{-s, -0.0}, cplx{s, -0.0},
+                             cplx{c, -0.0}};
+  const cplx u = std::polar(std::cos(0.4), 1.1);
+  const cplx v = std::polar(std::sin(0.4), -2.3);
+  const Mat2 su2 = {u, -std::conj(v), v, std::conj(u)};
+  Mat2 random;
+  for (auto& e : random) e = cplx{rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  return {{"rx", rx},
+          {"rx (+0 parts)", rx_pos_zeros},
+          {"ry", ry},
+          {"ry (-0 parts)", ry_neg_zeros},
+          {"h", h},
+          {"rx*rx", matmul2(gate2(GateKind::RX, -1.9), rx)},
+          {"ry*h", matmul2(ry, h)},
+          {"rx*ry", matmul2(rx, ry)},
+          {"rz", gate2(GateKind::RZ, 0.9)},
+          {"p", gate2(GateKind::P, 2.1)},
+          {"su2", su2},
+          {"random", random}};
+}
 
 TEST(Simd, ScaleRunMatchesScalarOnOddSizes) {
   Rng rng(11);
@@ -265,44 +354,69 @@ TEST(Simd, TableSliceMatchesScalar) {
   }
 }
 
+TEST(Simd, SinglePairsMatchesScalarOnOddSizes) {
+  Rng rng(21);
+  for (const auto& [name, m] : single_matrices(rng)) {
+    for (const std::size_t n : kOddSizes) {
+      const auto src_a = zero_laden_state(rng, n);
+      const auto src_b = zero_laden_state(rng, n);
+      auto a = src_a, b = src_b, sa = src_a, sb = src_b;
+      sim::simd::single_pairs(a.data(), b.data(), n, m.data());
+      scalar([&] {
+        sim::simd::single_pairs(sa.data(), sb.data(), n, m.data());
+      });
+      const std::string what =
+          "single_pairs " + name + " n=" + std::to_string(n);
+      expect_bit_equal(a, sa, what + " (a)");
+      expect_bit_equal(b, sb, what + " (b)");
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(a[i], general_row(m, false, src_a[i], src_b[i]))
+            << what << " a @" << i;
+        ASSERT_EQ(b[i], general_row(m, true, src_a[i], src_b[i]))
+            << what << " b @" << i;
+      }
+    }
+  }
+}
+
 TEST(Simd, SinglePairRangeMatchesScalarOnAllTargets) {
+  // Structured and general 2x2s on zero-laden states: the two bodies of
+  // each class agree bit for bit, and every class returns the general
+  // arithmetic's values (==, so an exact zero may differ in sign).
   Rng rng(16);
+  const auto matrices = single_matrices(rng);
   for (std::size_t nq = 1; nq <= 10; ++nq) {
     const std::size_t dim = std::size_t{1} << nq;
     const std::size_t pairs = dim / 2;
     for (std::size_t q = 0; q < nq; ++q) {
-      // Random (non-unitary is fine — the kernel is plain linear algebra).
-      cplx m[4];
-      for (auto& c : m) c = cplx{rng.uniform(-1, 1), rng.uniform(-1, 1)};
-      const auto src = random_state(rng, dim);
-      // Pair ranges that start and end inside a run of 2^q pairs, down to
-      // a single pair.
-      for (const auto& [klo, khi] :
-           ranges_over(rng, pairs, std::size_t{1} << q)) {
-        auto a = src, b = src;
-        sim::simd::single_pair_range(a.data(), q, m, klo, khi);
-        scalar([&] {
-          sim::simd::single_pair_range(b.data(), q, m, klo, khi);
-        });
-        const std::string what = "single_pair_range nq=" +
-                                 std::to_string(nq) + " q=" +
-                                 std::to_string(q) + " [" +
-                                 std::to_string(klo) + "," +
-                                 std::to_string(khi) + ")";
-        expect_bit_equal(a, b, what);
-        const std::size_t half = std::size_t{1} << q;
-        for (std::size_t i = 0; i < dim; ++i) {
-          // Pair index of amplitude i: drop bit q.
-          const std::size_t k = ((i >> (q + 1)) << q) | (i & (half - 1));
-          if (k < klo || k >= khi) {
-            ASSERT_EQ(a[i], src[i]) << what << " outside @" << i;
-          } else {
-            const std::size_t i0 = i & ~half;
-            const cplx va = src[i0], vb = src[i0 | half];
-            const cplx want = (i & half) ? m[2] * va + m[3] * vb
-                                         : m[0] * va + m[1] * vb;
-            ASSERT_NEAR(std::abs(a[i] - want), 0.0, 1e-14)
-                << what << " @" << i;
+      for (const auto& [name, m] : matrices) {
+        const auto src = zero_laden_state(rng, dim);
+        // Pair ranges that start and end inside a run of 2^q pairs, down
+        // to a single pair.
+        for (const auto& [klo, khi] :
+             ranges_over(rng, pairs, std::size_t{1} << q)) {
+          auto a = src, b = src;
+          sim::simd::single_pair_range(a.data(), q, m.data(), klo, khi);
+          scalar([&] {
+            sim::simd::single_pair_range(b.data(), q, m.data(), klo, khi);
+          });
+          const std::string what =
+              "single_pair_range " + name + " nq=" + std::to_string(nq) +
+              " q=" + std::to_string(q) + " [" + std::to_string(klo) + "," +
+              std::to_string(khi) + ")";
+          expect_bit_equal(a, b, what);
+          const std::size_t half = std::size_t{1} << q;
+          for (std::size_t i = 0; i < dim; ++i) {
+            // Pair index of amplitude i: drop bit q.
+            const std::size_t k = ((i >> (q + 1)) << q) | (i & (half - 1));
+            if (k < klo || k >= khi) {
+              ASSERT_EQ(a[i], src[i]) << what << " outside @" << i;
+            } else {
+              const std::size_t i0 = i & ~half;
+              ASSERT_EQ(a[i], general_row(m, (i & half) != 0, src[i0],
+                                          src[i0 | half]))
+                  << what << " @" << i;
+            }
           }
         }
       }
@@ -382,13 +496,13 @@ TEST(Simd, KernelsMatchAcrossSimdToggleOnSmallStates) {
       scalar([&] { sim::kernel_diag1(b, q, d0, d1, 1, 14); });
       expect_bit_equal(a, b, "kernel_diag1");
 
-      cplx m[4];
-      for (auto& c : m) c = cplx{rng.uniform(-1, 1), rng.uniform(-1, 1)};
-      a = src;
-      b = src;
-      sim::kernel_single(a, q, m, 1, 14);
-      scalar([&] { sim::kernel_single(b, q, m, 1, 14); });
-      expect_bit_equal(a, b, "kernel_single");
+      for (const auto& [name, m] : single_matrices(rng)) {
+        a = src;
+        b = src;
+        sim::kernel_single(a, q, m.data(), 1, 14);
+        scalar([&] { sim::kernel_single(b, q, m.data(), 1, 14); });
+        expect_bit_equal(a, b, "kernel_single " + name);
+      }
     }
     const auto src = random_state(rng, dim);
     const auto d = random_diag(rng, dim);
