@@ -88,7 +88,7 @@ double single_pass_error(std::size_t n, std::size_t q, const sim::cplx* m,
     reference[i] = m[0] * va + m[1] * vb;
     reference[i | half] = m[2] * va + m[3] * vb;
   }
-  sim::kernel_single(state, q, m, 1, n + 1);
+  sim::simd::single_pair_range(state.data(), q, m, 0, state.size() / 2);
   double error = 0.0;
   for (std::size_t i = 0; i < state.size(); ++i)
     error = std::max(error, std::abs(state[i] - reference[i]));
@@ -112,8 +112,8 @@ json::Value kernels_by_qubit(std::size_t n, std::size_t trials,
   const sim::cplx d[4] = {std::polar(1.0, 0.1), std::polar(1.0, -0.2),
                           std::polar(1.0, 0.3), std::polar(1.0, -0.4)};
   sim::State state = sim::plus_state(n);
+  const std::size_t dim = state.size();
   Rng rng(31);
-  const std::size_t serial = n + 1;  // parallel threshold above n: 1 thread
   std::printf("\nkernels by qubit (%zu qubits, 1 thread, unblocked, "
               "ns/amplitude/pass; single on rx, ry and rx.ry):\n"
               "%3s %10s %10s %10s    %7s  diag2(q,%zu)  diag2(0,q)\n",
@@ -132,19 +132,19 @@ json::Value kernels_by_qubit(std::size_t n, std::size_t trials,
         passes_agree = false;
       }
       const double ns = ns_per_amplitude(n, trials, [&] {
-        sim::kernel_single(state, q, single.m, 1, serial);
+        sim::simd::single_pair_range(state.data(), q, single.m, 0, dim / 2);
       });
       row.set(single.key, ns);
       std::printf(" %10.3f", ns);
     }
     const double diag1 = ns_per_amplitude(n, trials, [&] {
-      sim::kernel_diag1(state, q, d[0], d[1], 1, serial);
+      sim::simd::diag1_slice(state.data(), dim, 0, q, d[0], d[1]);
     });
     row.set("diag1_ns", diag1);
     std::printf("    %7.3f", diag1);
     if (q + 1 < n) {
       const double low = ns_per_amplitude(n, trials, [&] {
-        sim::kernel_diag2(state, q, n - 1, d, 1, serial);
+        sim::simd::diag2_slice(state.data(), dim, 0, q, n - 1, d);
       });
       row.set("diag2_low_ns", low);
       std::printf(" %12.3f", low);
@@ -153,7 +153,7 @@ json::Value kernels_by_qubit(std::size_t n, std::size_t trials,
     }
     if (q > 0) {
       const double q0 = ns_per_amplitude(n, trials, [&] {
-        sim::kernel_diag2(state, 0, q, d, 1, serial);
+        sim::simd::diag2_slice(state.data(), dim, 0, 0, q, d);
       });
       row.set("diag2_q0_ns", q0);
       std::printf(" %11.3f", q0);

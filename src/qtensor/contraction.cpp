@@ -64,14 +64,6 @@ ContractionResult contract(const TensorNetwork& network,
   return result;
 }
 
-OrderingAlgo ordering_from_name(const std::string& name) {
-  if (name == "greedy-degree") return OrderingAlgo::GreedyDegree;
-  if (name == "greedy-fill") return OrderingAlgo::GreedyFill;
-  if (name == "random") return OrderingAlgo::Random;
-  if (name == "random-restart") return OrderingAlgo::RandomRestart;
-  throw InvalidArgument("unknown ordering algorithm: " + name);
-}
-
 void check_backend_spec(const std::string& spec) {
   if (spec != "serial") throw InvalidArgument("unknown backend spec: " + spec);
 }
@@ -81,30 +73,11 @@ QTensorSimulator::QTensorSimulator(QTensorOptions options)
   check_backend_spec(options_.backend);
 }
 
-std::vector<VarId> QTensorSimulator::make_order(
-    const TensorNetwork& network) const {
-  switch (options_.ordering) {
-    case OrderingAlgo::GreedyDegree:
-      return order_greedy_degree(network);
-    case OrderingAlgo::GreedyFill:
-      return order_greedy_fill(network);
-    case OrderingAlgo::Random: {
-      Rng rng(options_.ordering_seed);
-      return order_random(network, rng);
-    }
-    case OrderingAlgo::RandomRestart: {
-      Rng rng(options_.ordering_seed);
-      return order_random_restart(network, options_.random_restarts, rng);
-    }
-  }
-  throw InternalError("unhandled ordering algorithm");
-}
-
 double QTensorSimulator::expectation_zz(const circuit::Circuit& circuit,
                                         std::span<const double> theta,
                                         std::size_t u, std::size_t v) const {
   const TensorNetwork net = expectation_zz_network(circuit, theta, u, v);
-  const ContractionResult r = contract(net, make_order(net));
+  const ContractionResult r = contract(net, order_greedy_degree(net));
   QARCH_CHECK(std::abs(r.value.imag()) < 1e-8,
               "Hermitian expectation has a large imaginary part");
   return r.value.real();
@@ -114,14 +87,7 @@ cplx QTensorSimulator::amplitude(const circuit::Circuit& circuit,
                                  std::span<const double> theta,
                                  std::span<const int> bits) const {
   const TensorNetwork net = amplitude_network(circuit, theta, bits);
-  return contract(net, make_order(net)).value;
-}
-
-std::size_t QTensorSimulator::zz_width(const circuit::Circuit& circuit,
-                                       std::span<const double> theta,
-                                       std::size_t u, std::size_t v) const {
-  const TensorNetwork net = expectation_zz_network(circuit, theta, u, v);
-  return contraction_width(net, make_order(net));
+  return contract(net, order_greedy_degree(net)).value;
 }
 
 }  // namespace qarch::qtensor

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "common/rng.hpp"
 #include "qtensor/network.hpp"
 #include "qtensor/ordering.hpp"
 #include "qtensor/planner.hpp"
@@ -28,21 +27,9 @@ struct ContractionResult {
 ContractionResult contract(const TensorNetwork& network,
                            const std::vector<VarId>& order);
 
-/// Ordering heuristic selector.
-enum class OrderingAlgo { GreedyDegree, GreedyFill, Random, RandomRestart };
-
-/// Parses "greedy-degree", "greedy-fill", "random", "random-restart".
-OrderingAlgo ordering_from_name(const std::string& name);
-
 /// Configuration for the QTensor simulator facade AND the qtensor energy
 /// engine selected through qaoa::EnergyOptions (engine=TensorNetwork).
 struct QTensorOptions {
-  /// Ordering heuristic of the one-shot QTensorSimulator facade. Compiled
-  /// programs ignore this and let `planner` compete every enabled
-  /// heuristic instead.
-  OrderingAlgo ordering = OrderingAlgo::GreedyDegree;
-  std::size_t random_restarts = 16;             ///< for RandomRestart
-  std::uint64_t ordering_seed = 7;              ///< for Random/RandomRestart
   /// Bucket-product kernel spec, checked by check_backend_spec: "serial",
   /// the only kernel, is the only valid value.
   std::string backend = "serial";
@@ -78,8 +65,8 @@ void check_backend_spec(const std::string& spec);
 
 /// High-level tensor-network simulator: the C++ stand-in for QTensor, and
 /// the one-shot reference the compiled programs are tested against. Every
-/// call builds its network, orders it with the configured heuristic, and
-/// runs the reference contractor; callers replaying one circuit structure
+/// call builds its network, orders it with order_greedy_degree, and runs
+/// the reference contractor; callers replaying one circuit structure
 /// at many thetas or bit strings should hold a ContractionProgram or a
 /// query:: program instead.
 ///
@@ -100,18 +87,9 @@ class QTensorSimulator {
                                std::span<const double> theta,
                                std::span<const int> bits) const;
 
-  /// Contraction width the configured ordering achieves on the <ZZ> network
-  /// (diagnostic; used by the ordering ablation).
-  [[nodiscard]] std::size_t zz_width(const circuit::Circuit& circuit,
-                                     std::span<const double> theta,
-                                     std::size_t u, std::size_t v) const;
-
   [[nodiscard]] const QTensorOptions& options() const { return options_; }
 
  private:
-  [[nodiscard]] std::vector<VarId> make_order(
-      const TensorNetwork& network) const;
-
   QTensorOptions options_;
 };
 

@@ -452,6 +452,15 @@ bool op_is_blockable(const CompiledOp& op, std::size_t block_qubits) {
   return false;
 }
 
+/// log2 of the amplitudes one unit of an op's pass covers: a diagonal op
+/// scales one amplitude at a time, a Single op mixes a pair and a Two op a
+/// quad.
+std::size_t unit_qubits(CompiledOp::Kind kind) {
+  if (kind == CompiledOp::Kind::Single) return 1;
+  if (kind == CompiledOp::Kind::Two) return 2;
+  return 0;
+}
+
 std::atomic<std::uint64_t> g_program_compiles{0};
 
 }  // namespace
@@ -644,135 +653,113 @@ void SimProgram::apply_inplace(State& state, std::span<const double> theta,
   QARCH_REQUIRE(theta.size() >= num_params_,
                 "parameter vector too short for program");
   if (workers == 0) workers = 1;
-  const std::size_t threshold = options_.parallel_threshold_qubits;
-  const bool parallel = workers > 1 && num_qubits_ >= threshold;
+  const bool parallel =
+      workers > 1 && num_qubits_ >= options_.parallel_threshold_qubits;
 
   // -- bind phase ------------------------------------------------------------
-  // Every parameterized op rebinds its handful of scalars ONCE per call into
-  // per-thread scratch (a shared program stays thread-safe and const, and
-  // the hot loop — hundreds of energy(theta) calls per candidate — reuses
-  // the buffers instead of reallocating). Binding must precede replay: a
-  // blocked group revisits each op once per block.
-  struct BindScratch {
-    std::vector<std::array<cplx, 16>> coeffs;
-    std::vector<std::vector<cplx>> luts;
-    std::vector<const cplx*> cf;
-    std::vector<const cplx*> lut;
+  // Every op binds ONCE per call into its slot of per-thread scratch (a
+  // shared program stays thread-safe and const, and the hot loop — hundreds
+  // of energy(theta) calls per candidate — reuses the buffers instead of
+  // reallocating): a parameterized op its coefficients, a symbolic DiagTable
+  // its per-class lookup; the rest point at what they compiled. Binding
+  // must precede replay: a blocked group revisits each op once per block.
+  struct Slot {
+    const cplx* data = nullptr;  ///< what the op's pass reads
+    std::array<cplx, 16> coeffs{};
+    std::vector<cplx> lut;
   };
-  static thread_local BindScratch scratch;
-  scratch.coeffs.clear();
-  scratch.cf.assign(ops_.size(), nullptr);
-  scratch.lut.assign(ops_.size(), nullptr);
-  std::size_t num_sym_tables = 0;
-  for (const CompiledOp& op : ops_) {
-    if (op.kind == CompiledOp::Kind::DiagTable) {
-      if (op.symbols.empty()) continue;
-      if (scratch.luts.size() <= num_sym_tables) scratch.luts.emplace_back();
-      std::vector<cplx>& bound = scratch.luts[num_sym_tables++];
+  static thread_local std::vector<Slot> slots;
+  if (slots.size() < ops_.size()) slots.resize(ops_.size());
+  for (std::size_t oi = 0; oi < ops_.size(); ++oi) {
+    const CompiledOp& op = ops_[oi];
+    Slot& slot = slots[oi];
+    if (op.kind == CompiledOp::Kind::DiagTable && !op.symbols.empty()) {
       const std::size_t num_syms = op.symbols.size();
       const PhaseTable& table = *op.table;
-      bound.resize(table.class_const.size());
-      for (std::size_t c = 0; c < bound.size(); ++c) {
+      slot.lut.resize(table.class_const.size());
+      for (std::size_t c = 0; c < slot.lut.size(); ++c) {
         const double* scale = table.class_scale.data() + c * num_syms;
         double angle = table.class_const[c];
         for (std::size_t s = 0; s < num_syms; ++s)
           angle += scale[s] * theta[op.symbols[s]];
-        bound[c] = std::polar(1.0, angle);
+        slot.lut[c] = std::polar(1.0, angle);
       }
+      slot.data = slot.lut.data();
+    } else if (op.kind == CompiledOp::Kind::DiagTable) {
+      slot.data = op.table->lut.data();
     } else if (op.parameterized) {
-      scratch.coeffs.push_back(bind_op(op, theta));
-    }
-  }
-  const std::vector<const cplx*>& cf = scratch.cf;
-  const std::vector<const cplx*>& lut = scratch.lut;
-  {
-    std::size_t nc = 0, nl = 0;
-    for (std::size_t oi = 0; oi < ops_.size(); ++oi) {
-      const CompiledOp& op = ops_[oi];
-      if (op.kind == CompiledOp::Kind::DiagTable)
-        scratch.lut[oi] =
-            op.symbols.empty() ? op.table->lut.data()
-                               : scratch.luts[nl++].data();
-      else
-        scratch.cf[oi] = op.parameterized ? scratch.coeffs[nc++].data()
-                                          : op.coeffs.data();
+      slot.coeffs = bind_op(op, theta);
+      slot.data = slot.coeffs.data();
+    } else {
+      slot.data = op.coeffs.data();
     }
   }
 
   // -- replay phase ----------------------------------------------------------
-  // Runs one op on one contiguous slice [base, base + len) of the state.
-  const auto apply_slice = [&](std::size_t oi, cplx* z, std::size_t len,
-                               std::size_t base) {
+  // Applies op oi to its units [lo, hi), indexed over the whole state (a
+  // unit is 2^unit_qubits amplitudes). Both replay modes run through it:
+  // the one rule that maps an op onto the state. Helpers read the caller's
+  // slots, so the pointer is taken here, not inside the lambda.
+  cplx* const z = state.data();
+  const Slot* const bound = slots.data();
+  const auto run_op = [this, z, bound](std::size_t oi, std::size_t lo,
+                                       std::size_t hi) {
     const CompiledOp& op = ops_[oi];
+    const cplx* c = bound[oi].data;
     switch (op.kind) {
       case CompiledOp::Kind::Diag1:
-        simd::diag1_slice(z, len, base, op.q0, cf[oi][0], cf[oi][1]);
+        simd::diag1_slice(z + lo, hi - lo, lo, op.q0, c[0], c[1]);
         break;
       case CompiledOp::Kind::Diag2:
-        simd::diag2_slice(z, len, base, op.q0, op.q1, cf[oi]);
+        simd::diag2_slice(z + lo, hi - lo, lo, op.q0, op.q1, c);
         break;
       case CompiledOp::Kind::DiagTable:
-        simd::table_slice(z, op.table->classes.data() + base, lut[oi], len);
+        simd::table_slice(z + lo, op.table->classes.data() + lo, c, hi - lo);
         break;
       case CompiledOp::Kind::Single:
-        // Valid because base is aligned to the block size and q0 lies below
-        // the block boundary, so local pair indices equal global ones.
-        simd::single_pair_range(z, op.q0, cf[oi], 0, len / 2);
+        simd::single_pair_range(z, op.q0, c, lo, hi);
         break;
       case CompiledOp::Kind::Two:
-        simd::two_quad_range(z, op.q0, op.q1, cf[oi], 0, len / 4);
+        simd::two_quad_range(z, op.q0, op.q1, c, lo, hi);
         break;
     }
   };
 
+  // The forks hand parallel_for lambdas of at most two references, which fit
+  // std::function's local buffer, so a replay allocates nothing.
+  const std::size_t bq = options_.block_qubits;
   for (const ExecGroup& grp : groups_) {
     if (grp.blocked) {
       // One memory pass for the whole group: each L2-resident block streams
       // through every op before the next block is touched. Blocks are
       // independent (all ops act within a block), so they parallelize.
-      const std::size_t bs = std::size_t{1} << options_.block_qubits;
-      const std::size_t num_blocks = state.size() / bs;
       const auto run_block = [&](std::size_t b) {
-        const std::size_t base = b * bs;
-        for (std::size_t oi = grp.begin; oi < grp.end; ++oi)
-          apply_slice(oi, state.data() + base, bs, base);
+        for (std::size_t oi = grp.begin; oi < grp.end; ++oi) {
+          const std::size_t s = unit_qubits(ops_[oi].kind);
+          run_op(oi, (b << bq) >> s, ((b + 1) << bq) >> s);
+        }
       };
+      const std::size_t num_blocks = state.size() >> bq;
       if (parallel)
-        parallel::parallel_for(0, num_blocks, run_block, workers, 1);
+        parallel::parallel_for(
+            0, num_blocks, [&run_block](std::size_t b) { run_block(b); },
+            workers, 1);
       else
         for (std::size_t b = 0; b < num_blocks; ++b) run_block(b);
       continue;
     }
+    // One full sweep per op; a fork splits it into runs of 4096 amplitudes.
     for (std::size_t oi = grp.begin; oi < grp.end; ++oi) {
-      const CompiledOp& op = ops_[oi];
-      switch (op.kind) {
-        case CompiledOp::Kind::Diag1:
-          kernel_diag1(state, op.q0, cf[oi][0], cf[oi][1], workers, threshold);
-          break;
-        case CompiledOp::Kind::Diag2:
-          kernel_diag2(state, op.q0, op.q1, cf[oi], workers, threshold);
-          break;
-        case CompiledOp::Kind::DiagTable:
-          if (parallel)
-            parallel::parallel_for_blocks(
-                0, state.size(),
-                [&](std::size_t lo, std::size_t hi) {
-                  simd::table_slice(state.data() + lo,
-                                    op.table->classes.data() + lo, lut[oi],
-                                    hi - lo);
-                },
-                workers, 4096);
-          else
-            simd::table_slice(state.data(), op.table->classes.data(),
-                              lut[oi], state.size());
-          break;
-        case CompiledOp::Kind::Single:
-          kernel_single(state, op.q0, cf[oi], workers, threshold);
-          break;
-        case CompiledOp::Kind::Two:
-          kernel_two(state, op.q0, op.q1, cf[oi], workers, threshold);
-          break;
-      }
+      const std::size_t s = unit_qubits(ops_[oi].kind);
+      if (parallel)
+        parallel::parallel_for_blocks(
+            0, state.size() >> s,
+            [&run_op, &oi](std::size_t lo, std::size_t hi) {
+              run_op(oi, lo, hi);
+            },
+            workers, std::size_t{4096} >> s);
+      else
+        run_op(oi, 0, state.size() >> s);
     }
   }
 }

@@ -233,6 +233,12 @@ class SimProgram {
   /// One replay unit: ops [begin, end). Blocked groups stream every
   /// 2^block_qubits-amplitude block of the state through all their ops in
   /// one memory pass; unblocked groups sweep the full state once per op.
+  /// Both run an op on a range of its units, indexed over the whole state:
+  /// 2^s amplitudes each, with s = 0 for the diagonal kinds, 1 (a pair)
+  /// for Single and 2 (a quad) for Two. Block b covers units
+  /// [b·2^bq >> s, (b+1)·2^bq >> s) of each op, bq = block_qubits; a full
+  /// sweep covers [0, 2^n >> s) and, when it forks, splits into runs of
+  /// 4096 >> s units (4096 amplitudes).
   struct ExecGroup {
     std::size_t begin = 0;
     std::size_t end = 0;

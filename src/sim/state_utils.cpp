@@ -69,53 +69,4 @@ std::vector<std::size_t> sample_basis_states(const State& state,
   return out;
 }
 
-cplx overlap(const State& a, const State& b) {
-  QARCH_REQUIRE(a.size() == b.size(), "state size mismatch");
-  return linalg::inner(a, b);
-}
-
-double fidelity(const State& a, const State& b) {
-  return std::norm(overlap(a, b));
-}
-
-int measure_qubit(State& state, std::size_t q, Rng& rng) {
-  const std::size_t n = state_qubits(state);
-  QARCH_REQUIRE(q < n, "qubit out of range");
-  const std::size_t mask = std::size_t{1} << q;
-
-  double p1 = 0.0;
-  for (std::size_t i = 0; i < state.size(); ++i)
-    if (i & mask) p1 += std::norm(state[i]);
-
-  const int outcome = rng.uniform() < p1 ? 1 : 0;
-  const double keep_prob = outcome == 1 ? p1 : 1.0 - p1;
-  QARCH_CHECK(keep_prob > 1e-300, "measured a zero-probability branch");
-  const double scale = 1.0 / std::sqrt(keep_prob);
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    const bool bit = (i & mask) != 0;
-    if (bit == (outcome == 1))
-      state[i] *= scale;
-    else
-      state[i] = cplx{0.0, 0.0};
-  }
-  return outcome;
-}
-
-double measurement_entropy(const State& state) {
-  double h = 0.0;
-  for (const cplx& amp : state) {
-    const double p = std::norm(amp);
-    if (p > 1e-300) h -= p * std::log2(p);
-  }
-  return h;
-}
-
-double total_variation_distance(const State& a, const State& b) {
-  QARCH_REQUIRE(a.size() == b.size(), "state size mismatch");
-  double d = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    d += std::abs(std::norm(a[i]) - std::norm(b[i]));
-  return d / 2.0;
-}
-
 }  // namespace qarch::sim

@@ -1,12 +1,11 @@
-// Statevector utilities: overlaps, fidelity, collapse, batched expectation
-// sweeps, batched basis-state draws, and distribution diagnostics.
+// Statevector utilities: batched expectation sweeps and batched basis-state
+// draws.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "sim/statevector.hpp"
 
 namespace qarch::sim {
@@ -41,21 +40,5 @@ std::vector<double> batched_expectation_zz(
 /// must not be NaN.
 std::vector<std::size_t> sample_basis_states(const State& state,
                                              std::span<const double> uniforms);
-
-/// <a|b> — complex overlap of two equal-size states.
-cplx overlap(const State& a, const State& b);
-
-/// |<a|b>|^2 — fidelity between pure states.
-double fidelity(const State& a, const State& b);
-
-/// Measures qubit q (in place): samples the outcome, collapses and
-/// renormalizes the state; returns the observed bit.
-int measure_qubit(State& state, std::size_t q, Rng& rng);
-
-/// Shannon entropy (bits) of the computational-basis distribution.
-double measurement_entropy(const State& state);
-
-/// Total variation distance between the basis distributions of two states.
-double total_variation_distance(const State& a, const State& b);
 
 }  // namespace qarch::sim

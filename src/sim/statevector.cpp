@@ -4,12 +4,9 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "parallel/parallel_for.hpp"
 #include "sim/simd.hpp"
 
 namespace qarch::sim {
-
-using linalg::Matrix;
 
 State zero_state(std::size_t num_qubits) {
   QARCH_REQUIRE(num_qubits <= 30, "statevector limited to 30 qubits");
@@ -53,89 +50,20 @@ void note_expectation_sweep() {
 }
 }  // namespace detail
 
-void kernel_single(State& state, std::size_t q, const cplx* m,
-                   std::size_t workers, std::size_t parallel_threshold_qubits) {
-  const std::size_t n = state_qubits(state);
-  QARCH_REQUIRE(q < n, "qubit out of range");
-  const std::size_t pairs = state.size() / 2;
-  cplx* z = state.data();
-
-  if (workers > 1 && n >= parallel_threshold_qubits) {
-    // Pair-index blocks; single_pair_range handles unaligned splits.
-    parallel::parallel_for_blocks(
-        0, pairs,
-        [&](std::size_t klo, std::size_t khi) {
-          simd::single_pair_range(z, q, m, klo, khi);
-        },
-        workers, 2048);
-  } else {
-    simd::single_pair_range(z, q, m, 0, pairs);
-  }
-}
-
-void kernel_two(State& state, std::size_t q0, std::size_t q1, const cplx* m,
-                std::size_t workers, std::size_t parallel_threshold_qubits) {
-  const std::size_t n = state_qubits(state);
-  QARCH_REQUIRE(q0 < n && q1 < n && q0 != q1, "bad two-qubit target");
-  const std::size_t quads = state.size() / 4;
-  cplx* z = state.data();
-
-  if (workers > 1 && n >= parallel_threshold_qubits) {
-    parallel::parallel_for_blocks(
-        0, quads,
-        [&](std::size_t klo, std::size_t khi) {
-          simd::two_quad_range(z, q0, q1, m, klo, khi);
-        },
-        workers, 1024);
-  } else {
-    simd::two_quad_range(z, q0, q1, m, 0, quads);
-  }
-}
-
-void kernel_diag1(State& state, std::size_t q, cplx d0, cplx d1,
-                  std::size_t workers, std::size_t parallel_threshold_qubits) {
-  const std::size_t n = state_qubits(state);
-  QARCH_REQUIRE(q < n, "qubit out of range");
-  cplx* z = state.data();
-
-  if (workers > 1 && n >= parallel_threshold_qubits) {
-    parallel::parallel_for_blocks(
-        0, state.size(),
-        [&](std::size_t lo, std::size_t hi) {
-          simd::diag1_slice(z + lo, hi - lo, lo, q, d0, d1);
-        },
-        workers, 4096);
-  } else {
-    simd::diag1_slice(z, state.size(), 0, q, d0, d1);
-  }
-}
-
-void kernel_diag2(State& state, std::size_t q0, std::size_t q1, const cplx* d,
-                  std::size_t workers, std::size_t parallel_threshold_qubits) {
-  const std::size_t n = state_qubits(state);
-  QARCH_REQUIRE(q0 < n && q1 < n && q0 != q1, "bad two-qubit target");
-  cplx* z = state.data();
-
-  if (workers > 1 && n >= parallel_threshold_qubits) {
-    parallel::parallel_for_blocks(
-        0, state.size(),
-        [&](std::size_t lo, std::size_t hi) {
-          simd::diag2_slice(z + lo, hi - lo, lo, q0, q1, d);
-        },
-        workers, 4096);
-  } else {
-    simd::diag2_slice(z, state.size(), 0, q0, q1, d);
-  }
-}
-
 void StatevectorSimulator::apply(State& state, const circuit::Gate& gate,
                                  std::span<const double> theta) const {
-  // One worker never forks, so the threshold argument is inert.
-  const Matrix m = gate.matrix(theta);
-  if (gate.arity() == 1)
-    kernel_single(state, gate.q0, m.data().data(), 1, 0);
-  else
-    kernel_two(state, gate.q0, gate.q1, m.data().data(), 1, 0);
+  const std::size_t n = state_qubits(state);
+  const auto m = circuit::gate_entries(gate.kind, gate.angle(theta));
+  if (gate.arity() == 1) {
+    QARCH_REQUIRE(gate.q0 < n, "qubit out of range");
+    simd::single_pair_range(state.data(), gate.q0, m.data(), 0,
+                            state.size() / 2);
+  } else {
+    QARCH_REQUIRE(gate.q0 < n && gate.q1 < n && gate.q0 != gate.q1,
+                  "bad two-qubit target");
+    simd::two_quad_range(state.data(), gate.q0, gate.q1, m.data(), 0,
+                         state.size() / 4);
+  }
 }
 
 State StatevectorSimulator::run(const circuit::Circuit& circuit,

@@ -3,9 +3,9 @@
 // The QTensor tensor-network backend is the paper's simulator; this
 // statevector engine is the ground-truth oracle we verify it against, and is
 // also the faster path for the paper's 10-qubit workloads. The per-gate
-// StatevectorSimulator is the serial oracle; the low-level kernels below can
-// run multithreaded (the "inner" level of the two-level parallelization
-// scheme) for the compiled sim::SimProgram.
+// StatevectorSimulator is the serial oracle; the compiled sim::SimProgram
+// runs the same sim::simd passes, multithreaded (the "inner" level of the
+// two-level parallelization scheme).
 #pragma once
 
 #include <cstddef>
@@ -31,7 +31,9 @@ State zero_state(std::size_t num_qubits);
 State plus_state(std::size_t num_qubits);
 
 /// Per-gate full-state simulator: the serial reference oracle. Each gate
-/// runs as one dense kernel call on 1 worker.
+/// is one sim::simd pass over the whole state on 1 worker: the Single pass
+/// (simd::single_pair_range) for a one-qubit gate, the dense 4x4 pass
+/// (simd::two_quad_range) for a two-qubit one.
 class StatevectorSimulator {
  public:
   /// Applies one gate in place. theta resolves symbolic gate parameters.
@@ -47,33 +49,6 @@ class StatevectorSimulator {
   [[nodiscard]] State run_from_plus(const circuit::Circuit& circuit,
                                     std::span<const double> theta) const;
 };
-
-// -- low-level gate kernels --------------------------------------------------
-//
-// Free functions shared by StatevectorSimulator (per-gate path) and
-// SimProgram (compiled-plan path). States with fewer than
-// `parallel_threshold_qubits` qubits always run serially — fork/join would
-// dominate the sweep. Inner loops stream through sim::simd: AVX2/FMA when
-// simd::active(), scalar otherwise.
-
-/// Applies a dense 2x2 matrix (row-major, 4 entries) to qubit q.
-void kernel_single(State& state, std::size_t q, const cplx* m,
-                   std::size_t workers, std::size_t parallel_threshold_qubits);
-
-/// Applies a dense 4x4 matrix (row-major, 16 entries; bit q0 is the HIGH bit
-/// of the 4x4 basis, bit q1 the low bit) to qubits (q0, q1).
-void kernel_two(State& state, std::size_t q0, std::size_t q1, const cplx* m,
-                std::size_t workers, std::size_t parallel_threshold_qubits);
-
-/// Streams diag(d0, d1) on qubit q: one complex multiply per amplitude, no
-/// index shuffling and no pair gathering.
-void kernel_diag1(State& state, std::size_t q, cplx d0, cplx d1,
-                  std::size_t workers, std::size_t parallel_threshold_qubits);
-
-/// Streams a two-qubit diagonal gate with entries d[(bit_q0 << 1) | bit_q1]
-/// (d has 4 entries): one complex multiply per amplitude.
-void kernel_diag2(State& state, std::size_t q0, std::size_t q1, const cplx* d,
-                  std::size_t workers, std::size_t parallel_threshold_qubits);
 
 // -- expectation values ------------------------------------------------------
 

@@ -151,7 +151,7 @@ TEST(Cli, ParsesFlagsAndPositionals) {
 TEST(Cli, RejectsNonNumericValues) {
   const char* argv[] = {"prog", "--n", "abc"};
   Cli cli(3, argv);
-  EXPECT_THROW(cli.get_int("n", 0), Error);
+  EXPECT_THROW((void)cli.get_int("n", 0), Error);
 }
 
 TEST(AsciiPlot, RendersSeriesAndLegend) {

@@ -1502,7 +1502,6 @@ TEST(SessionConfig, BaseDeepTogglesSurviveReconciliation) {
   // Deep engine toggles only reachable through the escape hatch:
   s.base.energy.sv_plan.phase_tables = false;
   s.base.energy.qtensor.slice_above_width = 20;
-  s.base.energy.qtensor.random_restarts = 3;
   s.base.energy.plan_cache_capacity = 2;
   s.base.cobyla.rho_begin = 0.25;
   s.base.cobyla.rho_end = 1e-4;
@@ -1519,7 +1518,6 @@ TEST(SessionConfig, BaseDeepTogglesSurviveReconciliation) {
   // ...but every deep toggle must survive the merge untouched.
   EXPECT_FALSE(opt.energy.sv_plan.phase_tables);
   EXPECT_EQ(opt.energy.qtensor.slice_above_width, 20u);
-  EXPECT_EQ(opt.energy.qtensor.random_restarts, 3u);
   EXPECT_EQ(opt.energy.plan_cache_capacity, 2u);
   EXPECT_EQ(opt.cobyla.rho_begin, 0.25);
   EXPECT_EQ(opt.cobyla.rho_end, 1e-4);

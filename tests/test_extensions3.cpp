@@ -1,15 +1,12 @@
-// Tests for MLP serialization and statevector utilities.
+// Tests for MLP serialization.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <filesystem>
 
-#include "circuit/circuit.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "nn/serialize.hpp"
 #include "search/rl_predictor.hpp"
-#include "sim/state_utils.hpp"
 
 namespace {
 
@@ -52,48 +49,6 @@ TEST(MlpSerialize, RejectsShapeMismatch) {
   json::Value junk = json::Value::object();
   junk.set("format", "other");
   EXPECT_THROW(nn::mlp_from_json(junk, big), Error);
-}
-
-TEST(StateUtils, OverlapAndFidelity) {
-  const auto zero = sim::zero_state(2);
-  const auto plus = sim::plus_state(2);
-  EXPECT_NEAR(sim::fidelity(zero, zero), 1.0, 1e-12);
-  EXPECT_NEAR(sim::fidelity(zero, plus), 0.25, 1e-12);  // |<00|++>|^2
-  EXPECT_NEAR(std::abs(sim::overlap(plus, zero)), 0.5, 1e-12);
-}
-
-TEST(StateUtils, MeasureCollapsesAndNormalizes) {
-  // Bell state: measuring q0 forces q1 to the same value.
-  circuit::Circuit c(2);
-  c.h(0);
-  c.cx(0, 1);
-  const sim::StatevectorSimulator sv;
-  Rng rng(11);
-  int ones = 0;
-  for (int t = 0; t < 200; ++t) {
-    auto state = sv.run(c, {}, sim::zero_state(2));
-    const int b0 = sim::measure_qubit(state, 0, rng);
-    EXPECT_NEAR(linalg::norm(state), 1.0, 1e-12);
-    const int b1 = sim::measure_qubit(state, 1, rng);
-    EXPECT_EQ(b0, b1);  // perfectly correlated
-    ones += b0;
-  }
-  EXPECT_GT(ones, 60);   // both outcomes occur
-  EXPECT_LT(ones, 140);
-}
-
-TEST(StateUtils, EntropyExtremes) {
-  EXPECT_NEAR(sim::measurement_entropy(sim::zero_state(3)), 0.0, 1e-12);
-  EXPECT_NEAR(sim::measurement_entropy(sim::plus_state(3)), 3.0, 1e-12);
-}
-
-TEST(StateUtils, TotalVariationDistance) {
-  const auto zero = sim::zero_state(1);
-  sim::State one{{0.0, 0.0}, {1.0, 0.0}};
-  EXPECT_NEAR(sim::total_variation_distance(zero, one), 1.0, 1e-12);
-  EXPECT_NEAR(sim::total_variation_distance(zero, zero), 0.0, 1e-12);
-  const auto plus = sim::plus_state(1);
-  EXPECT_NEAR(sim::total_variation_distance(zero, plus), 0.5, 1e-12);
 }
 
 TEST(ControllerCheckpoint, WarmPolicySurvivesSaveLoadViaJson) {

@@ -15,8 +15,8 @@ TEST(Json, ScalarConstruction) {
   EXPECT_EQ(Value(true).as_bool(), true);
   EXPECT_DOUBLE_EQ(Value(2.5).as_number(), 2.5);
   EXPECT_EQ(Value("hi").as_string(), "hi");
-  EXPECT_THROW(Value(1.0).as_string(), Error);
-  EXPECT_THROW(Value("x").as_number(), Error);
+  EXPECT_THROW((void)Value(1.0).as_string(), Error);
+  EXPECT_THROW((void)Value("x").as_number(), Error);
   // Checked integers: whole, non-negative and at most 9e15; 64-bit words as
   // strict decimal text.
   EXPECT_EQ(json::as_uint(Value(40.0), "n"), 40u);
@@ -35,13 +35,13 @@ TEST(Json, ArrayAndObjectBuilding) {
   arr.push_back("two");
   EXPECT_EQ(arr.size(), 2u);
   EXPECT_DOUBLE_EQ(arr.at(0).as_number(), 1.0);
-  EXPECT_THROW(arr.at(5), Error);
+  EXPECT_THROW((void)arr.at(5), Error);
 
   Value obj = Value::object();
   obj.set("k", 3.0);
   EXPECT_TRUE(obj.contains("k"));
   EXPECT_FALSE(obj.contains("missing"));
-  EXPECT_THROW(obj.at("missing"), Error);
+  EXPECT_THROW((void)obj.at("missing"), Error);
   EXPECT_THROW(obj.push_back(1), Error);  // not an array
 }
 

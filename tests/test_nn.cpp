@@ -68,7 +68,7 @@ TEST(Mlp, BackpropMatchesFiniteDifferences) {
   };
 
   Mlp::Trace trace;
-  net.forward(x, &trace);
+  (void)net.forward(x, &trace);
   nn::MlpGradients grads = net.make_gradients();
   net.backward(trace, {1.0, 1.0}, grads);
 

@@ -11,9 +11,13 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "graph/generators.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread.hpp"
 #include "parallel/thread_pool.hpp"
+#include "qaoa/ansatz.hpp"
+#include "sim/sim_program.hpp"
 
 namespace {
 
@@ -194,16 +198,15 @@ TEST(InnerTeam, NestedCallRunsInlineOverItsWholeRange) {
   EXPECT_EQ(foreign.load(), 0);
 }
 
-/// Heap allocations per call of `call`, averaged over warm calls.
+/// Heap allocations per call of `call`, averaged over `calls` warm calls.
 template <class Fn>
-double allocations_per_call(const Fn& call) {
+double allocations_per_call(const Fn& call, int calls = 200) {
   call();  // builds the team, if this thread has none yet
-  constexpr int kCalls = 200;
   g_allocations = 0;
   g_count_allocations = true;
-  for (int i = 0; i < kCalls; ++i) call();
+  for (int i = 0; i < calls; ++i) call();
   g_count_allocations = false;
-  return static_cast<double>(g_allocations.load()) / kCalls;
+  return static_cast<double>(g_allocations.load()) / calls;
 }
 
 TEST(InnerTeam, WarmForksDoNotAllocate) {
@@ -232,6 +235,32 @@ TEST(InnerTeam, WarmForksDoNotAllocate) {
               }, 2, 256);
             }),
             0.0);
+}
+
+TEST(InnerTeam, WarmReplaysDoNotAllocate) {
+  // Every fork of a compiled statevector replay hands parallel_for a lambda
+  // that fits std::function's local buffer, and the bind phase reuses its
+  // per-thread slots, so a warm replay allocates nothing: blocked groups,
+  // full-state sweeps and serial replays alike.
+  Rng rng(16);
+  const auto g = graph::random_regular(16, 3, rng);
+  const auto c =
+      qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::baseline());
+  const std::vector<double> theta = {0.3, -0.7, 1.1, 0.4};
+  sim::PlanOptions unblocked;
+  unblocked.cache_blocking = false;
+  const sim::SimProgram blocked_program(c);
+  const sim::SimProgram unblocked_program(c, unblocked);
+  // A 2^16-amplitude replay is slow under the sanitizers, and its count
+  // repeats exactly from call to call, so 20 warm calls are enough.
+  const auto per_replay = [&](const sim::SimProgram& program,
+                              std::size_t inner) {
+    return allocations_per_call(
+        [&] { (void)program.replay_from_plus(theta, inner); }, 20);
+  };
+  EXPECT_EQ(per_replay(blocked_program, 2), 0.0);
+  EXPECT_EQ(per_replay(unblocked_program, 2), 0.0);
+  EXPECT_EQ(per_replay(blocked_program, 1), 0.0);
 }
 
 TEST(InnerTeam, HelperExceptionReachesCallerAndTeamRecovers) {

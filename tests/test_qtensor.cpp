@@ -105,8 +105,10 @@ circuit::Circuit random_circuit(std::size_t n, std::size_t gates, Rng& rng) {
   return c;
 }
 
-class NetworkEquivalence
-    : public ::testing::TestWithParam<qtensor::OrderingAlgo> {};
+/// An ordering heuristic: the elimination order of a closed network.
+using OrderFn = std::vector<qtensor::VarId> (*)(const qtensor::TensorNetwork&);
+
+class NetworkEquivalence : public ::testing::TestWithParam<OrderFn> {};
 
 TEST_P(NetworkEquivalence, ZZExpectationMatchesStatevector) {
   Rng rng(42);
@@ -121,10 +123,8 @@ TEST_P(NetworkEquivalence, ZZExpectationMatchesStatevector) {
     const sim::State state = sv.run_from_plus(c, {});
     const double expected = sim::expectation_zz(state, u, v);
 
-    qtensor::QTensorOptions opt;
-    opt.ordering = GetParam();
-    const qtensor::QTensorSimulator qt(opt);
-    const double got = qt.expectation_zz(c, {}, u, v);
+    const auto net = qtensor::expectation_zz_network(c, {}, u, v);
+    const double got = qtensor::contract(net, GetParam()(net)).value.real();
     EXPECT_NEAR(got, expected, 1e-9)
         << "trial " << trial << " n=" << n << " u=" << u << " v=" << v;
   }
@@ -132,10 +132,21 @@ TEST_P(NetworkEquivalence, ZZExpectationMatchesStatevector) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllOrderings, NetworkEquivalence,
-    ::testing::Values(qtensor::OrderingAlgo::GreedyDegree,
-                      qtensor::OrderingAlgo::GreedyFill,
-                      qtensor::OrderingAlgo::Random,
-                      qtensor::OrderingAlgo::RandomRestart));
+    ::testing::Values<OrderFn>(
+        [](const qtensor::TensorNetwork& net) {
+          return qtensor::order_greedy_degree(net);
+        },
+        [](const qtensor::TensorNetwork& net) {
+          return qtensor::order_greedy_fill(net);
+        },
+        [](const qtensor::TensorNetwork& net) {
+          Rng rng(7);
+          return qtensor::order_random(net, rng);
+        },
+        [](const qtensor::TensorNetwork& net) {
+          Rng rng(7);
+          return qtensor::order_random_restart(net, 16, rng);
+        }));
 
 TEST(NetworkEquivalenceAmplitude, MatchesStatevector) {
   Rng rng(7);

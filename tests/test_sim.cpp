@@ -16,6 +16,7 @@
 #include "linalg/matrix.hpp"
 #include "qaoa/ansatz.hpp"
 #include "qaoa/sampling.hpp"
+#include "sim/sim_program.hpp"
 #include "sim/state_utils.hpp"
 #include "sim/statevector.hpp"
 
@@ -150,18 +151,13 @@ TEST(Statevector, MultithreadedKernelsMatchSerial) {
     }
   }
   const auto a = sim::StatevectorSimulator().run_from_plus(c, {});
-  // The same gates through the kernels at 8 workers, with the threshold
-  // lowered to force the parallel path.
-  auto b = sim::plus_state(10);
-  for (const auto& gate : c.gates()) {
-    const auto m = gate.matrix({});
-    if (gate.arity() == 1)
-      sim::kernel_single(b, gate.q0, m.data().data(), 8,
-                         /*parallel_threshold_qubits=*/2);
-    else
-      sim::kernel_two(b, gate.q0, gate.q1, m.data().data(), 8,
-                      /*parallel_threshold_qubits=*/2);
-  }
+  // The same gates through an unblocked compiled replay at 8 workers, with
+  // the threshold lowered to force the parallel path.
+  sim::PlanOptions options;
+  options.presimplify = false;
+  options.cache_blocking = false;
+  options.parallel_threshold_qubits = 2;
+  const auto b = sim::SimProgram(c, options).run_from_plus({}, 8);
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-12);
 }

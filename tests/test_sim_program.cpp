@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
@@ -539,6 +540,66 @@ TEST(SimProgram, SimdToggleLeavesReplayEquivalent) {
     expect_states_close(simd_on, simd_off, 1e-12,
                         "simd toggle trial " + std::to_string(trial));
   }
+}
+
+TEST(SimProgram, ReplayedStateBitsIndependentOfPartition) {
+  // However a replay splits the state (inner workers, blocked groups or
+  // full sweeps, any block size) and whichever body runs each pass, every
+  // amplitude sees the same arithmetic, so the state keeps its bytes. The
+  // mixers run every op kind between them: Single, Two (cx, swap),
+  // DiagTable (tables on), and Diag1 (rz) and Diag2 (tables off). At
+  // n = 13 a full sweep of every kind spans two 4096-amplitude runs, so
+  // unblocked replays fork too.
+  Rng rng(30);
+  const auto g = graph::random_regular(13, 4, rng);
+  const std::vector<double> theta = {0.41, -1.27, 0.93, 0.58};
+  sim::ProgramStats kinds;  // summed over the reference programs
+  for (const char* mixer : {"rx,ry", "h,rz", "rx,cx", "ry,swap", "rx,rzz",
+                            "rz"}) {
+    const auto c =
+        qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse(mixer));
+    for (const bool tables : {true, false}) {
+      sim::State reference;
+      for (const bool blocking : {true, false})
+        for (const std::size_t block_qubits : {2, 3, 4, 15}) {
+          sim::PlanOptions options;
+          options.phase_tables = tables;
+          options.cache_blocking = blocking;
+          options.block_qubits = block_qubits;
+          options.parallel_threshold_qubits = 2;
+          const sim::SimProgram program(c, options);
+          if (reference.empty()) {
+            const sim::ProgramStats& st = program.stats();
+            kinds.single_ops += st.single_ops;
+            kinds.two_ops += st.two_ops;
+            kinds.diag_table_ops += st.diag_table_ops;
+            kinds.diag1_ops += st.diag1_ops;
+            kinds.diag2_ops += st.diag2_ops;
+          }
+          for (const std::size_t inner : {1, 2, 8})
+            for (const bool simd : {true, false}) {
+              // simd = false holds the process-wide switch off; true leaves
+              // it as the environment set it.
+              const sim::simd::ScopedRuntime scope(
+                  simd && sim::simd::runtime_enabled());
+              const sim::State state = program.run_from_plus(theta, inner);
+              if (reference.empty()) reference = state;
+              ASSERT_EQ(state.size(), reference.size());
+              EXPECT_EQ(std::memcmp(state.data(), reference.data(),
+                                    state.size() * sizeof(sim::cplx)),
+                        0)
+                  << mixer << " tables=" << tables << " inner=" << inner
+                  << " blocking=" << blocking
+                  << " block_qubits=" << block_qubits << " simd=" << simd;
+            }
+        }
+    }
+  }
+  EXPECT_GT(kinds.single_ops, 0u);
+  EXPECT_GT(kinds.two_ops, 0u);
+  EXPECT_GT(kinds.diag_table_ops, 0u);
+  EXPECT_GT(kinds.diag1_ops, 0u);
+  EXPECT_GT(kinds.diag2_ops, 0u);
 }
 
 TEST(PlanReuse, EvaluatorCachesOneCompilationPerStructure) {

@@ -483,8 +483,8 @@ TEST(Simd, DiagExpectationIsBitIdenticalAcrossBodies) {
 }
 
 TEST(Simd, KernelsMatchAcrossSimdToggleOnSmallStates) {
-  // End-to-end: full kernels on states BELOW the vector width (1-2 qubits)
-  // and on every target qubit of a mid-size state.
+  // End-to-end: whole-state passes on states BELOW the vector width (1-2
+  // qubits) and on every target qubit of a mid-size state.
   Rng rng(18);
   for (std::size_t nq = 1; nq <= 6; ++nq) {
     const std::size_t dim = std::size_t{1} << nq;
@@ -492,16 +492,18 @@ TEST(Simd, KernelsMatchAcrossSimdToggleOnSmallStates) {
       const auto src = random_state(rng, dim);
       const cplx d0 = random_phase(rng), d1 = random_phase(rng);
       sim::State a = src, b = src;
-      sim::kernel_diag1(a, q, d0, d1, 1, 14);
-      scalar([&] { sim::kernel_diag1(b, q, d0, d1, 1, 14); });
-      expect_bit_equal(a, b, "kernel_diag1");
+      sim::simd::diag1_slice(a.data(), dim, 0, q, d0, d1);
+      scalar([&] { sim::simd::diag1_slice(b.data(), dim, 0, q, d0, d1); });
+      expect_bit_equal(a, b, "diag1_slice");
 
       for (const auto& [name, m] : single_matrices(rng)) {
         a = src;
         b = src;
-        sim::kernel_single(a, q, m.data(), 1, 14);
-        scalar([&] { sim::kernel_single(b, q, m.data(), 1, 14); });
-        expect_bit_equal(a, b, "kernel_single " + name);
+        sim::simd::single_pair_range(a.data(), q, m.data(), 0, dim / 2);
+        scalar([&] {
+          sim::simd::single_pair_range(b.data(), q, m.data(), 0, dim / 2);
+        });
+        expect_bit_equal(a, b, "single_pair_range " + name);
       }
     }
     const auto src = random_state(rng, dim);
