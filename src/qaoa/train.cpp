@@ -24,17 +24,10 @@ TrainResult train_qaoa(const circuit::Circuit& ansatz,
   // same ansatz structure later hits the evaluator's cache too. A resumed
   // slice re-fetches the plan from that cache, so parking a job only
   // re-pays a cache lookup, never a compile.
-  return train_qaoa(*evaluator.plan_for(ansatz), ansatz.num_params(),
-                    optimizer, options, state, preempt);
-}
-
-TrainResult train_qaoa(const EnergyPlan& plan, std::size_t num_params,
-                       const optim::Optimizer& optimizer,
-                       const TrainOptions& options, optim::OptimState& state,
-                       optim::PreemptToken* preempt) {
+  const std::shared_ptr<const EnergyPlan> plan = evaluator.plan_for(ansatz);
   return train_objective(
-      num_params,
-      [&plan](std::span<const double> theta) { return plan.energy(theta); },
+      ansatz.num_params(),
+      [&plan](std::span<const double> theta) { return plan->energy(theta); },
       optimizer, options, state, preempt);
 }
 
@@ -57,6 +50,17 @@ TrainResult train_objective(std::size_t num_params,
   out.energy = -r.value;
   out.evaluations = r.evaluations;
   out.preempted = r.preempted;
+  return out;
+}
+
+TrainResult evaluate_start_point(std::size_t num_params,
+                                 const optim::Objective& value,
+                                 const TrainOptions& options) {
+  QARCH_REQUIRE(num_params >= 1, "objective has no parameters");
+  TrainResult out;
+  out.theta.assign(num_params, options.initial_value);
+  out.energy = value(out.theta);
+  out.evaluations = 1;
   return out;
 }
 

@@ -41,15 +41,6 @@ TrainResult train_qaoa(const circuit::Circuit& ansatz,
                        const TrainOptions& options, optim::OptimState& state,
                        optim::PreemptToken* preempt);
 
-/// Plan form of the resumable run: trains against a plan the caller already
-/// holds, so the caller can keep replaying the same compilation afterwards
-/// (search::Evaluator scores the trained state on it) at any
-/// plan_cache_capacity. `num_params` is the ansatz's parameter count.
-TrainResult train_qaoa(const EnergyPlan& plan, std::size_t num_params,
-                       const optim::Optimizer& optimizer,
-                       const TrainOptions& options, optim::OptimState& state,
-                       optim::PreemptToken* preempt);
-
 /// Generalized-objective form: trains against an arbitrary MAXIMIZED value
 /// function (e.g. a sampled CVaR or best-of-shots estimator) instead of the
 /// exact <C>. Same checkpoint/preemption semantics; `value` must be a
@@ -60,6 +51,13 @@ TrainResult train_objective(std::size_t num_params,
                             const TrainOptions& options,
                             optim::OptimState& state,
                             optim::PreemptToken* preempt);
+
+/// The untrained run: `value` called once at the start point, reported as a
+/// completed run with one evaluation. For an objective that does not depend
+/// on theta this is what training would return, without the budget.
+TrainResult evaluate_start_point(std::size_t num_params,
+                                 const optim::Objective& value,
+                                 const TrainOptions& options);
 
 /// Approximation ratio r = <C> / C_classical (Eq. 3). `classical_optimum`
 /// is the exact optimum of the same Hamiltonian, as qaoa::classical_maximum's

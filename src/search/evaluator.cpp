@@ -1,5 +1,6 @@
 #include "search/evaluator.hpp"
 
+#include <algorithm>
 #include <optional>
 
 #include "circuit/optimizer.hpp"
@@ -11,6 +12,22 @@
 #include "sim/sim_program.hpp"
 
 namespace qarch::search {
+
+namespace {
+
+/// A flat candidate: every gate of its (optimized) ansatz is diagonal. The
+/// ansatz holds no preparation gates and every plan and sampler starts from
+/// |+>^n, so a diagonal ansatz leaves the state at 2^(-n/2)·e^{iφ(x)}: every
+/// |a_x|^2 stays 2^-n whatever θ is, and in exact arithmetic <C>, CVaR,
+/// best-of-shots and the Eq. 3 draws are all constant in θ. Training such a
+/// candidate only follows rounding noise, so it is scored at its start point.
+bool is_flat(const circuit::Circuit& ansatz) {
+  return std::ranges::all_of(ansatz.gates(), [](const circuit::Gate& g) {
+    return circuit::is_diagonal(g.kind);
+  });
+}
+
+}  // namespace
 
 query::SamplerOptions sampler_options(const qaoa::EnergyOptions& energy) {
   query::SamplerOptions so;
@@ -69,6 +86,7 @@ ResumableEvaluation Evaluator::evaluate_resumable(
   // pairs); shrinking the candidate benefits every engine — the compiled
   // statevector plan, the per-edge TN lightcones, and the sampling pass.
   if (options_.simplify_circuit) ansatz = circuit::optimize(ansatz);
+  const bool flat = is_flat(ansatz);
   // Restarts split the COBYLA budget; the one shared objective means the
   // candidate's training compiles exactly once on EITHER engine: one
   // SimProgram (statevector, which scoring replays too) or one per-edge set
@@ -98,18 +116,19 @@ ResumableEvaluation Evaluator::evaluate_resumable(
   // the candidate still compiles once even with plan caching off.
   std::shared_ptr<const qaoa::EnergyPlan> plan;
   std::optional<query::Sampler> sampler;
-  qaoa::TrainResult trained;
+  optim::Objective value;
   if (options_.objective.kind == qaoa::ObjectiveKind::Expectation) {
     plan = energy_.plan_for(ansatz);
-    trained = qaoa::train_qaoa(*plan, ansatz.num_params(), *optimizer,
-                               options_.train, state, preempt);
+    value = [&plan](std::span<const double> theta) {
+      return plan->energy(theta);
+    };
   } else {
     sampler.emplace(ansatz, sampler_options(energy_.options()),
                     energy_.phase_tables());
     const std::size_t shots =
         options_.objective.shots > 0 ? options_.objective.shots
                                      : options_.shots;
-    const optim::Objective value = [&](std::span<const double> theta) {
+    value = [this, &sampler, shots](std::span<const double> theta) {
       // Seed fixed per evaluation: the sampled objective is a
       // deterministic function of theta, so restarts compare fairly and
       // resumed slices stitch exactly.
@@ -121,9 +140,15 @@ ResumableEvaluation Evaluator::evaluate_resumable(
         values[i] = ham_.classical_value_bits(samples[i]);
       return qaoa::objective_value(options_.objective, std::move(values));
     };
-    trained = qaoa::train_objective(ansatz.num_params(), value, *optimizer,
-                                    options_.train, state, preempt);
   }
+  // A flat candidate completes in this slice with one call and no
+  // checkpoint: the token is not polled and nothing is left to resume.
+  if (flat) state.clear();
+  const qaoa::TrainResult trained =
+      flat ? qaoa::evaluate_start_point(ansatz.num_params(), value,
+                                        options_.train)
+           : qaoa::train_objective(ansatz.num_params(), value, *optimizer,
+                                   options_.train, state, preempt);
 
   ResumableEvaluation out;
   out.evaluations_done = trained.evaluations;

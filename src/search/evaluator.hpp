@@ -120,7 +120,10 @@ class Evaluator {
   /// optimizer's safe points. A fresh `state` starts the candidate; a state
   /// packed by a previous parked slice continues it. Repeated slices stitch
   /// to a result identical to one uninterrupted evaluate() call — the final
-  /// slice runs the sampling pass and completes.
+  /// slice runs the sampling pass and completes. A flat candidate (every
+  /// gate of its ansatz diagonal, so no objective depends on θ) is not
+  /// trained: it completes in its first slice with one evaluation, at the
+  /// start point, without polling `preempt`, and clears `state`.
   [[nodiscard]] ResumableEvaluation evaluate_resumable(
       const qaoa::MixerSpec& mixer, std::size_t p, optim::OptimState& state,
       optim::PreemptToken* preempt) const;

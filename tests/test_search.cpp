@@ -5,11 +5,14 @@
 #include <algorithm>
 #include <set>
 
+#include "circuit/optimizer.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "graph/extra_generators.hpp"
 #include "graph/generators.hpp"
 #include "graph/maxcut.hpp"
+#include "qaoa/ansatz.hpp"
+#include "qaoa/train.hpp"
 #include "search/combinations.hpp"
 #include "search/engine.hpp"
 #include "search/evaluator.hpp"
@@ -218,6 +221,64 @@ TEST(Evaluator, StatevectorResultIsBitIdenticalAcrossInnerWorkers) {
     EXPECT_EQ(ra.sampled_ratio, rb.sampled_ratio) << "p=" << p;
     EXPECT_EQ(ra.evaluations, rb.evaluations) << "p=" << p;
   }
+}
+
+TEST(Evaluator, FlatCandidatesAreScoredAtTheirStartPoint) {
+  // From |+>^n an ansatz of only diagonal gates (rz and p mixers, h·h once
+  // circuit::optimize cancels it) leaves every |a_x|^2 at 2^-n, so the
+  // evaluator scores it at its start point with one objective call. On
+  // MaxCut COBYLA returns that start point too, so only the count changes.
+  Rng rng(41);
+  const auto g = graph::random_regular(10, 3, rng);
+  const auto mixers = [](std::initializer_list<const char*> texts) {
+    std::vector<qaoa::MixerSpec> out;
+    for (const char* text : texts) out.push_back(qaoa::MixerSpec::parse(text));
+    return out;
+  };
+  const auto flat = mixers({"rz", "p", "h,h", "rz,p", "h,h,rz"});
+  const auto controls = mixers({"rx", "h,rz,h"});
+  for (const qaoa::EngineKind engine :
+       {qaoa::EngineKind::Statevector, qaoa::EngineKind::TensorNetwork}) {
+    search::EvaluatorOptions opt = fast_options();
+    opt.energy.engine = engine;
+    const search::Evaluator ev(g, opt);
+    const qaoa::EnergyEvaluator energy(g, opt.effective_energy());
+    for (const std::size_t p : {std::size_t{1}, std::size_t{2}}) {
+      const std::vector<double> start(2 * p, opt.train.initial_value);
+      for (const qaoa::MixerSpec& mixer : flat) {
+        const auto r = ev.evaluate(mixer, p);
+        const auto trained = qaoa::train_qaoa(
+            circuit::optimize(qaoa::build_qaoa_circuit(g, p, mixer)), energy,
+            optim::Cobyla(opt.cobyla), opt.train);
+        EXPECT_EQ(r.evaluations, 1u) << mixer.to_string() << " p=" << p;
+        EXPECT_EQ(r.theta, start) << mixer.to_string() << " p=" << p;
+        EXPECT_EQ(trained.theta, start) << mixer.to_string() << " p=" << p;
+        EXPECT_EQ(r.energy, trained.energy) << mixer.to_string() << " p=" << p;
+      }
+      for (const qaoa::MixerSpec& mixer : controls)
+        EXPECT_GT(ev.evaluate(mixer, p).evaluations, 1u)
+            << mixer.to_string() << " p=" << p;
+    }
+  }
+
+  search::EvaluatorOptions cvar = fast_options();
+  cvar.objective.kind = qaoa::ObjectiveKind::CVaR;
+  cvar.objective.alpha = 0.25;
+  EXPECT_EQ(search::Evaluator(g, cvar).evaluate(flat[0], 1).evaluations, 1u);
+
+  // A flat candidate completes in one slice whatever the token says; the
+  // same token parks a trained one.
+  const search::Evaluator ev(g, fast_options());
+  optim::ManualPreempt stop;
+  stop.request_stop();
+  optim::OptimState state;
+  const auto flat_slice = ev.evaluate_resumable(flat[0], 1, state, &stop);
+  EXPECT_TRUE(flat_slice.completed);
+  EXPECT_EQ(flat_slice.result.evaluations, 1u);
+  EXPECT_TRUE(state.fresh());
+  optim::OptimState rx_state;
+  EXPECT_FALSE(
+      ev.evaluate_resumable(controls[0], 1, rx_state, &stop).completed);
 }
 
 TEST(Predictors, ExhaustiveCoversSpaceOncePerRound) {

@@ -139,20 +139,24 @@ TEST(Statevector, NormPreservedByLongCircuits) {
 }
 
 TEST(Statevector, MultithreadedKernelsMatchSerial) {
+  // 14 qubits: a Single sweep (8192 pairs) and a Two sweep (4096 quads) each
+  // span 4 runs of a forked sweep (2048 pairs, 1024 quads), so the replay
+  // below splits across workers; a sweep of one run or less runs inline.
+  constexpr std::size_t n = 14;
   Rng rng(31);
-  Circuit c(10);
+  Circuit c(n);
   for (int i = 0; i < 30; ++i) {
     if (rng.bernoulli(0.4)) {
-      std::size_t a = rng.uniform_int(10), b = rng.uniform_int(10);
-      while (b == a) b = rng.uniform_int(10);
+      std::size_t a = rng.uniform_int(n), b = rng.uniform_int(n);
+      while (b == a) b = rng.uniform_int(n);
       c.cx(a, b);
     } else {
-      c.ry(rng.uniform_int(10), ParamExpr::constant_angle(rng.uniform(-3, 3)));
+      c.ry(rng.uniform_int(n), ParamExpr::constant_angle(rng.uniform(-3, 3)));
     }
   }
   const auto a = sim::StatevectorSimulator().run_from_plus(c, {});
   // The same gates through an unblocked compiled replay at 8 workers, with
-  // the threshold lowered to force the parallel path.
+  // the threshold lowered to take the parallel path.
   sim::PlanOptions options;
   options.presimplify = false;
   options.cache_blocking = false;
